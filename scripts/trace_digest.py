@@ -1,0 +1,66 @@
+"""Print a SHA-256 digest of ``simulate`` output for a fixed set of runs.
+
+    python3 scripts/trace_digest.py
+
+Run it from the root of a checkout; the program is imported from ``src/``.
+Each line names a run and digests its times, pressures, events and
+warnings byte for byte, so running this in two checkouts and comparing
+the output shows whether a change left the traces bit-identical. The runs
+are the 101-stage ring of the benchmark's ring101 workload, the shipped
+``ring3_calibrated.tbl`` and ``ring5.tbl``, and the stock-to-15 Hz /
+35 kPa ``calibrate_oscillator`` fit, whose result is digested by its repr.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+
+from tblsim import SimConfig, calibrate_oscillator, simulate  # noqa: E402
+from tblsim.netlist import expand, parse  # noqa: E402
+
+
+def _net(text: str):
+    return expand(parse(text))
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    h.update(trace.times.tobytes())
+    h.update(trace.pressures_kpa.tobytes())
+    h.update(repr(trace.events).encode())
+    h.update(repr(trace.warnings).encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
+    probes = tuple(f"r.q{k}" for k in range(1, 102))
+    runs = {
+        "ring101": (ring101, SimConfig(t_end=1.0, probes=probes)),
+        "ring3_calibrated": (_net(_read("circuits/ring3_calibrated.tbl")), SimConfig(t_end=1.5)),
+        "ring5": (_net(_read("circuits/ring5.tbl")), SimConfig(t_end=1.0)),
+    }
+    for name, (net, cfg) in runs.items():
+        trace = simulate(net, cfg)
+        print(f"{name}: events={len(trace.events)} samples={len(trace.times)} "
+              f"sha256={_trace_digest(trace)}")
+
+    template = _net(_read("circuits/ring3_calibrated.tbl")).with_uniform_params(
+        compliance=4.0e-10, open_conductance=1.0e-5
+    )
+    fit = calibrate_oscillator(template, 15.0, 35.0, probe="m1", tolerance=0.02)
+    digest = hashlib.sha256(repr(fit).encode()).hexdigest()
+    print(f"calibrate: iterations={fit.iterations} sha256={digest}")
+
+
+if __name__ == "__main__":
+    main()

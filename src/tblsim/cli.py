@@ -409,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except TblError as exc:
         print(_diag(exc, path), file=sys.stderr)
         return ANALYSIS_EXIT
+    except ValueError as exc:  # a library input check: bad flag or option value
+        print(f"tblsim: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 def console_main() -> None:

@@ -6,6 +6,9 @@ network is linear, so free-node pressures come from one conductance-matrix
 solve per regime and the balloon volumes integrate the resulting inflows.
 Valve switching is handled as discrete events, localized by bisection and
 followed by an integrator restart, so traces are reproducible bit for bit.
+A valve controlled by a balloon node is bisected on that balloon's own
+component of the step's interpolant, with no pressure solve per step; only
+valves controlled by a free or driven node need the full network solve.
 """
 
 from __future__ import annotations
@@ -20,13 +23,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from .elements import (
-    Balloon,
     BalloonParams,
-    KinkValveDevice,
+    HysteresisThresholds,
     PneumaticNetwork,
     ValveState,
     balloon_pressure,
-    is_burst,
     valve_step,
 )
 from .errors import (
@@ -147,10 +148,11 @@ class _ValveRef:
     a: int
     b: int
     control: int
+    #: index into the balloons of the one sitting on the control node, if any
+    cap: int | None
     g_open: float
     g_leak: float
-    p_inflate: float
-    p_deflate: float
+    thresholds: HysteresisThresholds
     initial: ValveState
 
 
@@ -191,25 +193,29 @@ class _Compiled:
                 )
         self.static_branches = static
 
+        self.caps = [
+            _CapRef(name, self.index[node], params, init)
+            for name, node, params, init in net.capacitances()
+        ]
+        self.rest_volume = np.array([c.params.rest_volume for c in self.caps])
+        self.compliance = np.array([c.params.compliance for c in self.caps])
+        self.burst_kpa = np.array([c.params.burst_kpa for c in self.caps])
+        cap_at = {c.node: k for k, c in enumerate(self.caps)}
         self.valves = [
             _ValveRef(
                 v.name,
                 self.index[v.flow_from],
                 self.index[v.flow_to],
                 self.index[v.control_node],
+                cap_at.get(self.index[v.control_node]),
                 v.open_conductance,
                 v.leak_conductance,
-                v.thresholds.p_inflate,
-                v.thresholds.p_deflate,
+                v.thresholds,
                 v.state,
             )
             for v in net.valves
         ]
-        self.caps = [
-            _CapRef(name, self.index[node], params, init)
-            for name, node, params, init in net.capacitances()
-        ]
-        cap_set = {c.node for c in self.caps}
+        cap_set = set(cap_at)
         fixed_set = set(self.fixed_idx.tolist())
         self.free_idx = np.array(
             [i for i in range(self.n) if i not in cap_set and i not in fixed_set], dtype=int
@@ -372,17 +378,22 @@ class _Regime:
     """Factorized linear problem for one valve-state assignment."""
 
     def __init__(self, compiled: _Compiled, states: tuple[ValveState, ...]):
-        self.c = compiled
+        # the network's index arrays are held directly, not through the
+        # _Compiled that caches this regime: a reference cycle would keep
+        # both, and their matrices, alive until the next full gc pass
+        self.n = compiled.n
+        self.fixed_idx = compiled.fixed_idx
+        self.fixed_pa = compiled.fixed_pa
+        self.cap_idx = compiled.cap_idx
         branches = compiled._branches(states)
         roots = compiled.components(branches)
         dead = set(compiled.dead_nodes(roots).tolist())
         L = compiled.laplacian(states)
-        self.L = L
         # nodes sealed off in this regime carry no flow; they read ambient
         f = np.array([i for i in compiled.free_idx if i not in dead], dtype=int)
         self.f_live = f
-        self.known_idx = np.concatenate([compiled.fixed_idx, compiled.cap_idx]).astype(int)
-        self.L_fk = L[np.ix_(f, self.known_idx)] if len(f) else None
+        known_idx = np.concatenate([compiled.fixed_idx, compiled.cap_idx]).astype(int)
+        self.L_fk = L[np.ix_(f, known_idx)] if len(f) else None
         self.lu = None
         if len(f):
             G = L[np.ix_(f, f)]
@@ -394,12 +405,11 @@ class _Regime:
 
     def pressures_pa(self, cap_pa: np.ndarray) -> np.ndarray:
         """Full pressure vector given balloon-node pressures."""
-        c = self.c
-        p = np.zeros(c.n)
-        p[c.fixed_idx] = c.fixed_pa
-        p[c.cap_idx] = cap_pa
+        p = np.zeros(self.n)
+        p[self.fixed_idx] = self.fixed_pa
+        p[self.cap_idx] = cap_pa
         if self.lu is not None:
-            p_known = np.concatenate([c.fixed_pa, cap_pa])
+            p_known = np.concatenate([self.fixed_pa, cap_pa])
             rhs = -(self.L_fk @ p_known)
             sol = lu_solve(self.lu, rhs)
             if not np.isfinite(sol).all():
@@ -415,9 +425,11 @@ class _Regime:
 
 
 def _cap_pressures_kpa(compiled: _Compiled, volumes: np.ndarray) -> np.ndarray:
-    return np.array(
-        [balloon_pressure(v, c.params) for v, c in zip(volumes, compiled.caps)]
-    )
+    """Vectorized ``balloon_pressure`` over every balloon, same arithmetic."""
+    if (volumes < 0.0).any():
+        raise ValueError(f"volume must be >= 0, got {float(volumes.min())!r}")
+    rest = compiled.rest_volume
+    return np.where(volumes <= rest, 0.0, (volumes - rest) / compiled.compliance / KPA)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +439,9 @@ def _cap_pressures_kpa(compiled: _Compiled, volumes: np.ndarray) -> np.ndarray:
 
 def _stable_assignment(compiled: _Compiled, states, p_pa) -> bool:
     for v, s in zip(compiled.valves, states):
-        ctrl = p_pa[v.control] / KPA
-        thr = _thr(v)
-        if valve_step(s, ctrl, thr) is not s:
+        if valve_step(s, p_pa[v.control] / KPA, v.thresholds) is not s:
             return False
     return True
-
-
-def _thr(v: _ValveRef):
-    from .elements import HysteresisThresholds
-
-    return HysteresisThresholds(p_inflate=v.p_inflate, p_deflate=v.p_deflate)
 
 
 def dc_operating_point(
@@ -474,7 +478,7 @@ def dc_operating_point(
         seen.add(states)
         p_pa = compiled.solve_dc(states)
         new = tuple(
-            valve_step(s, p_pa[v.control] / KPA, _thr(v))
+            valve_step(s, p_pa[v.control] / KPA, v.thresholds)
             for v, s in zip(compiled.valves, states)
         )
         if new == states:
@@ -594,15 +598,15 @@ class _Integrator:
         self.regime = regime
 
     def pressures(self, volumes: np.ndarray) -> np.ndarray:
-        cap_kpa = _cap_pressures_kpa(self.compiled, volumes)
+        # RK stages and accepted states may overshoot below empty; an empty
+        # balloon holds no pressure
+        cap_kpa = _cap_pressures_kpa(self.compiled, np.maximum(volumes, 0.0))
         return self.regime.pressures_pa(cap_kpa * KPA)
 
     def deriv(self, volumes: np.ndarray) -> np.ndarray:
         p = self.pressures(volumes)
         dv = self.regime.cap_inflow(p)
-        for i, vol in enumerate(volumes):
-            if vol <= 0.0 and dv[i] < 0.0:
-                dv[i] = 0.0  # an empty balloon cannot lose more air
+        dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0  # an empty balloon cannot lose more air
         return dv
 
 
@@ -629,8 +633,8 @@ def _hermite(y0, y1, f0, f1, h, tau):
 def _crossing(v: _ValveRef, state: ValveState, ctrl_kpa: float) -> float:
     """Positive once the pending transition's threshold is met."""
     if state is ValveState.OPEN:
-        return ctrl_kpa - v.p_inflate
-    return v.p_deflate - ctrl_kpa
+        return ctrl_kpa - v.thresholds.p_inflate
+    return v.thresholds.p_deflate - ctrl_kpa
 
 
 def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
@@ -639,7 +643,12 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     Balloon volumes are advanced with an adaptive embedded Runge-Kutta
     pair; valve transitions are located by bisection inside the step that
     brackets them, the step is retaken up to the event time, the valve
-    state flips, and integration restarts. Samples land on a regular grid
+    state flips, and integration restarts. A valve whose control node is a
+    balloon is bisected on that balloon's component of the step's cubic
+    Hermite interpolant and its balloon law alone, without pressure
+    solves; a free or driven control node needs a network solve per
+    bisection step. Volumes below empty, which RK stages can overshoot
+    to, read as an empty balloon. Samples land on a regular grid
     plus a pre/post pair at each event so switching edges stay sharp.
     The run is deterministic: identical inputs give identical traces.
     """
@@ -669,11 +678,10 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         rows.append(p_pa[probe_idx] / KPA)
 
     def check_burst(t: float, volumes: np.ndarray) -> None:
-        for c, vol in zip(compiled.caps, volumes):
-            if c.name in burst_seen:
-                continue
-            p = balloon_pressure(vol, c.params)
-            if is_burst(p, c.params):
+        p = _cap_pressures_kpa(compiled, np.maximum(volumes, 0.0))
+        for k in np.flatnonzero(p > compiled.burst_kpa):
+            c = compiled.caps[k]
+            if c.name not in burst_seen:
                 burst_seen.add(c.name)
                 warnings.append(
                     f"balloon {c.name} passed its burst pressure "
@@ -690,7 +698,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         for _ in range(4 * max(1, len(compiled.valves))):
             p = integ.pressures(volumes)
             new = tuple(
-                valve_step(s, p[v.control] / KPA, _thr(v))
+                valve_step(s, p[v.control] / KPA, v.thresholds)
                 for v, s in zip(compiled.valves, states)
             )
             if new == states:
@@ -743,9 +751,19 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
 
         if crossers:
             # bisect each crossing on the Hermite interpolant of the step
-            def ctrl_at(tau: float) -> np.ndarray:
-                vols = _hermite(volumes, y1, k1, k7, h, tau)
-                return integ.pressures(np.maximum(vols, 0.0))
+            def control_kpa(v: _ValveRef):
+                """The valve's control pressure as a function of tau."""
+                if v.cap is None:  # free or driven node: solve the network
+                    return lambda tau: integ.pressures(
+                        _hermite(volumes, y1, k1, k7, h, tau)
+                    )[v.control] / KPA
+                # a balloon node: its own volume component and balloon law,
+                # rounded through Pa exactly as the network solve stores it
+                params = compiled.caps[v.cap].params
+                ends = [float(a[v.cap]) for a in (volumes, y1, k1, k7)]
+                return lambda tau: balloon_pressure(
+                    max(_hermite(*ends, h, tau), 0.0), params
+                ) * KPA / KPA
 
             t_events = []
             for vi, c0, c1 in crossers:
@@ -753,10 +771,11 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                 if c0 >= 0.0:
                     t_events.append((0.0, vi))
                     continue
+                ctrl = control_kpa(v)
                 lo, hi = 0.0, 1.0
                 while (hi - lo) * h > cfg.event_tol:
                     mid = 0.5 * (lo + hi)
-                    cm = _crossing(v, states[vi], ctrl_at(mid)[v.control] / KPA)
+                    cm = _crossing(v, states[vi], ctrl(mid))
                     if cm >= 0.0:
                         hi = mid
                     else:
@@ -773,11 +792,9 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             # regular samples up to the event
             while next_sample < t_event - 1.0e-15:
                 tau_s = (next_sample - t) / h
-                vols = np.maximum(_hermite(volumes, y1, k1, k7, h, tau_s), 0.0)
-                emit(next_sample, integ.pressures(vols))
+                emit(next_sample, integ.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
                 next_sample += cfg.sample_interval
-            p_pre = integ.pressures(np.maximum(y_e, 0.0))
-            emit(t_event, p_pre)
+            emit(t_event, integ.pressures(y_e))
 
             new_states = list(states)
             for vi in flip_set:
@@ -803,8 +820,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         t1 = t + h
         while next_sample <= t1 + 1.0e-15 and next_sample <= cfg.t_end:
             tau_s = (next_sample - t) / h
-            vols = np.maximum(_hermite(volumes, y1, k1, k7, h, tau_s), 0.0)
-            emit(next_sample, integ.pressures(vols))
+            emit(next_sample, integ.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
             next_sample += cfg.sample_interval
         t = t1
         volumes = y1

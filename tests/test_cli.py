@@ -90,6 +90,25 @@ def test_sim_rejects_bad_t_end(capsys):
     assert "--t-end" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["sim", "--probe", "nosuch", circuit("not.tbl")], "nosuch"),
+        (["freq", "--t-end", "-1", circuit("ring3_calibrated.tbl")], "t_end"),
+        (["sim", "--sample-interval", "0", circuit("not.tbl")], "sample_interval"),
+    ],
+    ids=["unknown-probe", "negative-t-end", "zero-sample-interval"],
+)
+def test_bad_option_values_are_usage_errors(argv, what, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("tblsim: error: ")
+    assert what in err
+    assert err.count("\n") == 1
+
+
 def test_freq_reports_calibrated_ring(capsys):
     rc = main(["freq", circuit("ring3_calibrated.tbl"), "--t-end", "1.0"])
     out = capsys.readouterr().out

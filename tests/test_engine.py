@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,19 @@ import pytest
 
 from tblsim import (
     AstableCircuitError,
+    Balloon,
+    BalloonParams,
     CalibrationFailedError,
+    KinkValveDevice,
     NoOscillationError,
+    PneumaticNetwork,
     SimConfig,
+    SourceElement,
     SteadyState,
     TooManyValvesError,
+    TubeElement,
     ValveState,
+    balloon_pressure,
     branch_flows,
     calibrate_oscillator,
     dc_operating_point,
@@ -22,6 +30,7 @@ from tblsim import (
     solve_pressures,
     tube_resistance,
 )
+from tblsim import engine
 
 MU = 1.81e-5
 R1 = tube_resistance(0.075, 1.0e-3, MU)   # 7.5 cm device tube
@@ -123,6 +132,21 @@ def test_solve_pressures_with_forced_states():
     p = solve_pressures(net, {"inv.v": ValveState.OPEN})
     want = 145.0 * R2 / (R1 + 1.0 / G_OPEN + R2)
     assert p["q"] == pytest.approx(want, rel=1e-9)
+
+
+def test_sparse_dc_path_matches_dense(monkeypatch):
+    net = build("source SUP pressure=145kPa\nring r n=135 supply=SUP\n")
+    assert len(net.node_order()) > engine._DENSE_LIMIT
+    states = {
+        f"r.g{k}.v": ValveState.CLOSED if k % 3 == 0 else ValveState.OPEN
+        for k in range(1, 136)
+    }
+    sparse = solve_pressures(net, states)
+    monkeypatch.setattr(engine, "_DENSE_LIMIT", 10_000)
+    dense = solve_pressures(net, states)
+    assert sparse.keys() == dense.keys()
+    assert max(abs(sparse[n] - dense[n]) for n in sparse) <= 1e-9
+    assert max(sparse.values()) > 50.0  # open stages carry real pressures
 
 
 def test_dc_isolated_balloon_keeps_its_charge():
@@ -233,6 +257,96 @@ def test_control_inside_band_never_switches():
     assert tr.events == ()
     want = 145.0 * R2 / (R1 + 1.0 / G_OPEN + R2)
     assert float(tr.column("q")[-1]) == pytest.approx(want, rel=1e-6)
+
+
+def test_vectorized_balloon_law_matches_the_scalar_law():
+    net = build(
+        "source SUP pressure=145kPa\n"
+        "ring r n=3 supply=SUP compliance=5e-11\n"
+        "balloon extra node=r.q1 volume=2mL compliance=3e-10\n"
+    )
+    compiled = engine._Compiled(net)
+    rng = np.random.default_rng(7)
+    rest = compiled.rest_volume
+    for volumes in (rest, 0.0 * rest, rest * rng.uniform(0.0, 1.5, size=(200, len(rest)))):
+        for row in np.atleast_2d(volumes):
+            want = [balloon_pressure(v, c.params) for v, c in zip(row, compiled.caps)]
+            assert np.array_equal(engine._cap_pressures_kpa(compiled, row), want)
+    with pytest.raises(ValueError):
+        engine._cap_pressures_kpa(compiled, -rest)
+
+
+def test_vacuum_source_drains_a_balloon_to_empty():
+    net = build(
+        "source V pressure=-50kPa\n"
+        "tube t from=V to=x length=7.5cm\n"
+        "balloon b node=x init=10kPa\n"
+        "probe x\n"
+    )
+    tr = simulate(net, SimConfig(t_end=0.1))
+    assert tr.times[-1] == pytest.approx(0.1)
+    assert tr.column("x")[0] == pytest.approx(10.0)
+    assert float(tr.column("x")[-1]) == 0.0
+
+
+def _ring3_calibrated():
+    with open("circuits/ring3_calibrated.tbl", encoding="utf-8") as fh:
+        return build(fh.read())
+
+
+def _ring5():
+    return build("source SUP pressure=145kPa\nring r n=5 supply=SUP\nprobe r.q1\nprobe r.g3.b\n")
+
+
+@pytest.mark.parametrize("make_net", [_ring3_calibrated, _ring5], ids=["ring3_calibrated", "ring5"])
+def test_balloon_event_path_matches_full_solve(make_net, monkeypatch):
+    net = make_net()
+    cfg = SimConfig(t_end=1.0)
+    fast = simulate(net, cfg)
+    full_init = engine._Compiled.__init__
+
+    def no_control_balloons(self, net):
+        full_init(self, net)
+        self.valves = [dataclasses.replace(v, cap=None) for v in self.valves]
+
+    monkeypatch.setattr(engine._Compiled, "__init__", no_control_balloons)
+    full = simulate(net, cfg)
+    assert len(fast.events) > 20
+    assert np.array_equal(fast.times, full.times)
+    assert np.array_equal(fast.pressures_kpa, full.pressures_kpa)
+    assert fast.events == full.events
+    assert fast.warnings == full.warnings
+
+
+def test_free_control_node_event_is_located():
+    # SUP -t1- x(balloon) -t2- c -t3- ATM: the valve reads the divider tap c,
+    # a free node, so its crossing is bisected with full network solves
+    def tube(name, a, b, length):
+        return TubeElement.from_geometry(name, a, b, length, 1.0e-3, MU)
+
+    t1, t2, t3 = tube("t1", "S", "x", 0.05), tube("t2", "x", "c", 0.025), tube("t3", "c", "ATM", 0.15)
+    valve = KinkValveDevice("v", "n", "q", "c", balloon=None)
+    net = PneumaticNetwork(
+        tubes=(t1, t2, t3, tube("ts", "S", "n", 0.075), tube("tq", "q", "ATM", 0.15)),
+        valves=(valve,),
+        balloons=(Balloon("bx", "x", BalloonParams()),),
+        sources=(SourceElement("SUP", "S", 145.0),),
+        probes=("c", "q"),
+    )
+    # a short max_step keeps the step's cubic interpolant far more accurate
+    # than event_tol, so the bisection alone sets the event's error
+    cfg = SimConfig(t_end=0.05, max_step=1.0e-3)
+    tr = simulate(net, cfg)
+    # x charges as a first-order RC; c reads x through the t2/t3 divider
+    r23 = t2.resistance + t3.resistance
+    tau = BalloonParams().compliance * t1.resistance * r23 / (t1.resistance + r23)
+    c_final = 145.0 * t3.resistance / (t1.resistance + r23)
+    t_cross = -tau * math.log(1.0 - valve.thresholds.p_inflate / c_final)
+    assert len(tr.events) == 1
+    t_e, name, state = tr.events[0]
+    assert (name, state) == ("v", ValveState.CLOSED)
+    assert abs(t_e - t_cross) <= cfg.event_tol
+    assert float(tr.column("q")[-1]) == 0.0
 
 
 def test_initial_state_overrides_are_checked():
