@@ -9,6 +9,9 @@ the output shows whether a change left the traces bit-identical. The runs
 are the 101-stage ring of the benchmark's ring101 workload, the shipped
 ``ring3_calibrated.tbl`` and ``ring5.tbl``, and the stock-to-15 Hz /
 35 kPa ``calibrate_oscillator`` fit, whose result is digested by its repr.
+Each line also prints the run's event and sample counts; for the fit they
+are those of its last simulation, the one that verifies the fitted values,
+next to the number of simulations it ran.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
-from tblsim import SimConfig, calibrate_oscillator, simulate  # noqa: E402
+from tblsim import SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
 from tblsim.netlist import expand, parse  # noqa: E402
 
 
@@ -57,9 +60,21 @@ def main() -> None:
     template = _net(_read("circuits/ring3_calibrated.tbl")).with_uniform_params(
         compliance=4.0e-10, open_conductance=1.0e-5
     )
-    fit = calibrate_oscillator(template, 15.0, 35.0, probe="m1", tolerance=0.02)
+    fit_traces = []
+
+    def recording_simulate(net, cfg):
+        fit_traces.append(simulate(net, cfg))
+        return fit_traces[-1]
+
+    engine.simulate = recording_simulate  # calibrate_oscillator looks it up here
+    try:
+        fit = calibrate_oscillator(template, 15.0, 35.0, probe="m1", tolerance=0.02)
+    finally:
+        engine.simulate = simulate
+    last = fit_traces[-1]
     digest = hashlib.sha256(repr(fit).encode()).hexdigest()
-    print(f"calibrate: iterations={fit.iterations} sha256={digest}")
+    print(f"calibrate: iterations={fit.iterations} sims={len(fit_traces)} "
+          f"events={len(last.events)} samples={len(last.times)} sha256={digest}")
 
 
 if __name__ == "__main__":

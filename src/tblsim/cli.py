@@ -64,9 +64,6 @@ def _build_parser() -> _Parser:
         help="override a statement parameter, or KEY=VALUE for a default",
     )
     p.add_argument("--defaults", metavar="FILE", help="JSON defaults file")
-    p.add_argument(
-        "--seed", type=int, default=None, help="reserved for stochastic extensions"
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("sim", help="transient simulation to CSV")
@@ -309,8 +306,6 @@ def _cmd_freq(args, ast, defaults) -> int:
                 f"  {probe}: peak {report.peaks_kpa[probe]:.2f} kPa, trough "
                 f"{report.troughs_kpa[probe]:.2f} kPa, phase {report.phase_deg[probe]:.1f} deg"
             )
-        for note in report.assumptions:
-            print(f"note: {note}")
     return 0
 
 

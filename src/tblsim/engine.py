@@ -2,13 +2,16 @@
 
 The continuous state of a circuit is the vector of balloon volumes. All
 other node pressures are algebraic: between valve transitions the flow
-network is linear, so free-node pressures come from one conductance-matrix
-solve per regime and the balloon volumes integrate the resulting inflows.
-Valve switching is handled as discrete events, localized by bisection and
-followed by an integrator restart, so traces are reproducible bit for bit.
+network is linear. Each regime (one set of valve states) is factorized
+once and Kron-reduced onto the balloon nodes, so node pressures are one
+affine map of the balloon pressures and the balloon inflows, which the
+volumes integrate, are one small matrix-vector product, with no solve per
+right-hand-side evaluation. Valve switching is handled as discrete events,
+localized by bisection and followed by an integrator restart, so traces
+are reproducible bit for bit.
 A valve controlled by a balloon node is bisected on that balloon's own
-component of the step's interpolant, with no pressure solve per step; only
-valves controlled by a free or driven node need the full network solve.
+component of the step's interpolant alone; only valves controlled by a
+free or driven node read the full node-pressure map.
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ class Trace:
 class SteadyState:
     valve_states: dict[str, ValveState]
     node_pressures_kpa: dict[str, float]
-    converged: bool = True
     #: every self-consistent assignment found when enumeration ran
     fixed_points: tuple[dict[str, ValveState], ...] = ()
 
@@ -115,7 +117,6 @@ class OscillationReport:
     troughs_kpa: dict[str, float]
     phase_deg: dict[str, float]
     cycles: int
-    assumptions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -375,61 +376,52 @@ class _Compiled:
 
 
 class _Regime:
-    """Factorized linear problem for one valve-state assignment."""
+    """The linear network of one valve-state assignment, reduced once.
+
+    With the balloon pressures given, every node pressure is affine in
+    them: ``p = A @ cap_pa + a0``. Kron reduction of that map onto the
+    balloon nodes gives their net inflows as ``K @ cap_pa + k0``, so the
+    transient right-hand side needs one small matvec and no solve.
+    """
 
     def __init__(self, compiled: _Compiled, states: tuple[ValveState, ...]):
-        # the network's index arrays are held directly, not through the
-        # _Compiled that caches this regime: a reference cycle would keep
-        # both, and their matrices, alive until the next full gc pass
-        self.n = compiled.n
-        self.fixed_idx = compiled.fixed_idx
-        self.fixed_pa = compiled.fixed_pa
-        self.cap_idx = compiled.cap_idx
+        # only the reduced matrices are kept, never the _Compiled that caches
+        # this regime: a reference cycle would keep both, and their
+        # matrices, alive until the next full gc pass
+        n, nc = compiled.n, len(compiled.cap_idx)
         branches = compiled._branches(states)
         roots = compiled.components(branches)
         dead = set(compiled.dead_nodes(roots).tolist())
         L = compiled.laplacian(states)
+        A = np.zeros((n, nc))
+        A[compiled.cap_idx, np.arange(nc)] = 1.0
+        a0 = np.zeros(n)
+        a0[compiled.fixed_idx] = compiled.fixed_pa
         # nodes sealed off in this regime carry no flow; they read ambient
         f = np.array([i for i in compiled.free_idx if i not in dead], dtype=int)
-        self.f_live = f
-        known_idx = np.concatenate([compiled.fixed_idx, compiled.cap_idx]).astype(int)
-        self.L_fk = L[np.ix_(f, known_idx)] if len(f) else None
-        self.lu = None
         if len(f):
-            G = L[np.ix_(f, f)]
+            known_idx = np.concatenate([compiled.fixed_idx, compiled.cap_idx]).astype(int)
             try:
-                self.lu = lu_factor(G)
+                lu = lu_factor(L[np.ix_(f, f)])
             except Exception as exc:  # LinAlgError or ValueError on NaN
                 raise SingularNetworkError(f"flow-balance system is singular: {exc}") from exc
-        self.L_c = L[compiled.cap_idx, :] if len(compiled.cap_idx) else None
-
-    def pressures_pa(self, cap_pa: np.ndarray) -> np.ndarray:
-        """Full pressure vector given balloon-node pressures."""
-        p = np.zeros(self.n)
-        p[self.fixed_idx] = self.fixed_pa
-        p[self.cap_idx] = cap_pa
-        if self.lu is not None:
-            p_known = np.concatenate([self.fixed_pa, cap_pa])
-            rhs = -(self.L_fk @ p_known)
-            sol = lu_solve(self.lu, rhs)
-            if not np.isfinite(sol).all():
+            # S = -G_ff^-1 L_fk: free pressures per unit fixed and balloon pressure
+            S = lu_solve(lu, -L[np.ix_(f, known_idx)])
+            if not np.isfinite(S).all():
                 raise SingularNetworkError("flow-balance system is numerically singular")
-            p[self.f_live] = sol
-        return p
-
-    def cap_inflow(self, p: np.ndarray) -> np.ndarray:
-        """Net volumetric inflow (m3/s) into each balloon node."""
-        if self.L_c is None:
-            return np.zeros(0)
-        return -(self.L_c @ p)
+            nf = len(compiled.fixed_idx)
+            a0[f] = S[:, :nf] @ compiled.fixed_pa
+            A[f] = S[:, nf:]
+        L_c = L[compiled.cap_idx, :]
+        self.A, self.a0 = A, a0
+        self.K, self.k0 = -(L_c @ A), -(L_c @ a0)
 
 
 def _cap_pressures_kpa(compiled: _Compiled, volumes: np.ndarray) -> np.ndarray:
     """Vectorized ``balloon_pressure`` over every balloon, same arithmetic."""
     if (volumes < 0.0).any():
         raise ValueError(f"volume must be >= 0, got {float(volumes.min())!r}")
-    rest = compiled.rest_volume
-    return np.where(volumes <= rest, 0.0, (volumes - rest) / compiled.compliance / KPA)
+    return np.maximum(volumes - compiled.rest_volume, 0.0) / compiled.compliance / KPA
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +463,7 @@ def dc_operating_point(
         }
         named = {v.name: s for v, s in zip(compiled.valves, states)}
         fps = tuple({v.name: s for v, s in zip(compiled.valves, fp)} for fp in fixed_points)
-        return SteadyState(named, pressures, True, fps)
+        return SteadyState(named, pressures, fps)
 
     seen = set()
     while states not in seen:
@@ -573,16 +565,17 @@ def node_residuals(
 # ---------------------------------------------------------------------------
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+_A = np.array(
+    [
+        [0.0] * 7,
+        [1 / 5] + [0.0] * 6,
+        [3 / 40, 9 / 40] + [0.0] * 5,
+        [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
+)
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
@@ -591,32 +584,41 @@ _E = _B5 - _B4
 
 
 class _Integrator:
-    """One regime's ODE right-hand side with burst tracking."""
+    """One regime's ODE right-hand side and node pressures."""
 
     def __init__(self, compiled: _Compiled, regime: _Regime):
         self.compiled = compiled
         self.regime = regime
 
+    def _cap_pa(self, volumes: np.ndarray) -> np.ndarray:
+        # _cap_pressures_kpa in Pa, unchecked: RK stages and accepted states
+        # may overshoot below empty, and an empty balloon holds no pressure
+        c = self.compiled
+        return np.maximum(volumes - c.rest_volume, 0.0) / c.compliance / KPA * KPA
+
     def pressures(self, volumes: np.ndarray) -> np.ndarray:
-        # RK stages and accepted states may overshoot below empty; an empty
-        # balloon holds no pressure
-        cap_kpa = _cap_pressures_kpa(self.compiled, np.maximum(volumes, 0.0))
-        return self.regime.pressures_pa(cap_kpa * KPA)
+        reg = self.regime
+        p = reg.A @ self._cap_pa(volumes) + reg.a0
+        if not np.isfinite(p).all():
+            raise SingularNetworkError("flow-balance system is numerically singular")
+        return p
 
     def deriv(self, volumes: np.ndarray) -> np.ndarray:
-        p = self.pressures(volumes)
-        dv = self.regime.cap_inflow(p)
+        reg = self.regime
+        dv = reg.K @ self._cap_pa(volumes) + reg.k0
+        if not np.isfinite(dv).all():
+            raise SingularNetworkError("flow-balance system is numerically singular")
         dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0  # an empty balloon cannot lose more air
         return dv
 
 
 def _rk_step(f, y, h, k1):
-    k = [k1]
+    k = np.empty((7, len(y)))
+    k[0] = k1
     for i in range(1, 7):
-        yi = y + h * sum(a * kk for a, kk in zip(_A[i], k))
-        k.append(f(yi))
-    y5 = y + h * sum(b * kk for b, kk in zip(_B5, k) if b != 0.0)
-    err = h * sum(e * kk for e, kk in zip(_E, k) if e != 0.0)
+        k[i] = f(y + h * (_A[i, :i] @ k[:i]))
+    y5 = y + h * (_B5 @ k)
+    err = h * (_E @ k)
     return y5, err, k[6]  # k7 equals f(t+h, y5): reused as next k1
 
 
@@ -641,16 +643,20 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     """Integrate the circuit and return a sampled Trace.
 
     Balloon volumes are advanced with an adaptive embedded Runge-Kutta
-    pair; valve transitions are located by bisection inside the step that
+    pair whose right-hand side is the balloon law followed by the
+    regime's Kron-reduced matrix, built once per set of valve states.
+    Valve transitions are located by bisection inside the step that
     brackets them, the step is retaken up to the event time, the valve
     state flips, and integration restarts. A valve whose control node is a
     balloon is bisected on that balloon's component of the step's cubic
-    Hermite interpolant and its balloon law alone, without pressure
-    solves; a free or driven control node needs a network solve per
-    bisection step. Volumes below empty, which RK stages can overshoot
-    to, read as an empty balloon. Samples land on a regular grid
-    plus a pre/post pair at each event so switching edges stay sharp.
-    The run is deterministic: identical inputs give identical traces.
+    Hermite interpolant and its balloon law alone; a free or driven
+    control node reads the regime's full pressure map at each bisection
+    step. Volumes below empty, which RK stages can overshoot to, read as
+    an empty balloon. After a flip the valves are settled at the event
+    state; a relaxation that does not settle is reported in
+    ``Trace.warnings``. Samples land on a regular grid plus a pre/post
+    pair at each event so switching edges stay sharp. The run is
+    deterministic: identical inputs give identical traces.
     """
     net.validate()
     compiled = _Compiled(net)
@@ -688,30 +694,42 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                     f"({c.params.burst_kpa} kPa) at t={t:.6g} s"
                 )
 
-    def settle(t: float, states, integ) -> tuple[tuple[ValveState, ...], "_Integrator"]:
-        """Apply valve_step until self-consistent, logging transitions.
+    def settle(t: float, states, integ, volumes: np.ndarray):
+        """Apply valve_step at ``volumes`` until self-consistent, logging
+        transitions.
 
         Control pressures sitting on balloons cannot react to flips, so
         this terminates immediately for gate-style circuits; free-node
-        controls get a bounded relaxation.
+        controls get a bounded relaxation. When that gives up, a warning
+        names the valves still changing, and the returned set of their
+        indices is held: the step scan does not flip them again while they
+        stay past their threshold, which would repeat the same relaxation
+        at the same instant forever.
         """
-        for _ in range(4 * max(1, len(compiled.valves))):
+        limit = 4 * max(1, len(compiled.valves))
+        for relaxation in range(limit + 1):
             p = integ.pressures(volumes)
             new = tuple(
                 valve_step(s, p[v.control] / KPA, v.thresholds)
                 for v, s in zip(compiled.valves, states)
             )
-            if new == states:
-                return states, integ
-            for v, old, cur in zip(compiled.valves, states, new):
-                if old is not cur:
-                    events.append((t, v.name, cur))
+            changing = [vi for vi, (old, cur) in enumerate(zip(states, new)) if old is not cur]
+            if not changing:
+                return states, integ, set()
+            if relaxation == limit:
+                names = ", ".join(compiled.valves[vi].name for vi in changing)
+                warnings.append(
+                    f"valve states did not settle at t={t:.6g} s after {limit} "
+                    f"relaxations; still changing: {names}"
+                )
+                return states, integ, set(changing)
+            for vi in changing:
+                events.append((t, compiled.valves[vi].name, new[vi]))
             states = new
             integ = _Integrator(compiled, compiled.regime(states))
-        return states, integ
 
     integ = _Integrator(compiled, compiled.regime(states))
-    states, integ = settle(0.0, states, integ)
+    states, integ, held = settle(0.0, states, integ, volumes)
 
     t = 0.0
     p0 = integ.pressures(volumes)
@@ -746,19 +764,19 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             c1 = _crossing(v, s, p1[v.control] / KPA)
             if c0 < 0.0 <= c1:
                 crossers.append((vi, c0, c1))
-            elif c0 >= 0.0:
+            elif c0 >= 0.0 and vi not in held:
                 crossers.append((vi, c0, c0))  # already past threshold at step start
 
         if crossers:
             # bisect each crossing on the Hermite interpolant of the step
             def control_kpa(v: _ValveRef):
                 """The valve's control pressure as a function of tau."""
-                if v.cap is None:  # free or driven node: solve the network
+                if v.cap is None:  # free or driven node: the full pressure map
                     return lambda tau: integ.pressures(
                         _hermite(volumes, y1, k1, k7, h, tau)
                     )[v.control] / KPA
                 # a balloon node: its own volume component and balloon law,
-                # rounded through Pa exactly as the network solve stores it
+                # rounded through Pa exactly as the pressure map stores it
                 params = compiled.caps[v.cap].params
                 ends = [float(a[v.cap]) for a in (volumes, y1, k1, k7)]
                 return lambda tau: balloon_pressure(
@@ -804,11 +822,10 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                 new_states[vi] = nxt
                 events.append((t_event, v.name, nxt))
             states = tuple(new_states)
-            integ = _Integrator(compiled, compiled.regime(states))
-            states, integ = settle(t_event, states, integ)
-
             t = t_event
             volumes = np.maximum(y_e, 0.0)
+            integ = _Integrator(compiled, compiled.regime(states))
+            states, integ, held = settle(t, states, integ, volumes)
             p0 = integ.pressures(volumes)
             emit(t + min(cfg.event_tol, cfg.sample_interval / 8.0), p0)
             check_burst(t, volumes)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownUnitError
-
 # unit -> factor converting a displayed value to SI base units
 SCALE = {
     "kPa": 1.0e3,
@@ -33,11 +31,6 @@ DIMENSION = {
     "s": "time",
     "": "raw",
 }
-
-#: SI base unit per dimension, used when a bare number fills a dimensioned key
-BASE_UNIT = {"pressure": "", "volume": "", "length": "", "time": "", "raw": ""}
-
-KNOWN_UNITS = tuple(u for u in SCALE if u)
 
 
 def format_number(x: float) -> str:
@@ -99,8 +92,3 @@ def from_si(si_value: float, dimension: str) -> Quantity:
         unit = "cm" if abs(si_value) >= 1.0e-2 else "mm"
         return Quantity(si_value / SCALE[unit], unit)
     raise ValueError(f"unknown dimension {dimension!r}")
-
-
-def check_unit(unit: str, line: int | None = None, column: int | None = None) -> None:
-    if unit not in SCALE or unit == "":
-        raise UnknownUnitError(f"unknown unit {unit!r}", line=line, column=column)

@@ -13,6 +13,7 @@ from tblsim import (
     NoOscillationError,
     PneumaticNetwork,
     SimConfig,
+    SingularNetworkError,
     SourceElement,
     SteadyState,
     TooManyValvesError,
@@ -316,6 +317,119 @@ def test_balloon_event_path_matches_full_solve(make_net, monkeypatch):
     assert np.array_equal(fast.pressures_kpa, full.pressures_kpa)
     assert fast.events == full.events
     assert fast.warnings == full.warnings
+
+
+def _ring101():
+    return build("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
+
+
+def _full_solve_reference(compiled, states, volumes):
+    """Node pressures (Pa) and balloon inflows by a dense solve per call."""
+    L = compiled.laplacian(states)
+    dead = compiled.dead_nodes(compiled.components(compiled._branches(states)))
+    free = np.array([i for i in compiled.free_idx if i not in set(dead.tolist())], dtype=int)
+    p = np.zeros(compiled.n)
+    p[compiled.fixed_idx] = compiled.fixed_pa
+    p[compiled.cap_idx] = [
+        balloon_pressure(max(v, 0.0), c.params) * 1.0e3 for v, c in zip(volumes, compiled.caps)
+    ]
+    known = np.concatenate([compiled.fixed_idx, compiled.cap_idx])
+    p[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, known)] @ p[known])
+    dv = -(L[compiled.cap_idx, :] @ p)
+    dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0
+    return p, dv
+
+
+@pytest.mark.parametrize(
+    "make_net", [_ring3_calibrated, _ring5, _ring101], ids=["ring3_calibrated", "ring5", "ring101"]
+)
+def test_kron_reduced_rhs_matches_a_full_solve(make_net):
+    compiled = engine._Compiled(make_net())
+    rng = np.random.default_rng(11)
+    rest = compiled.rest_volume
+    n_valves = len(compiled.valves)
+    for trial in range(6):
+        if trial == 0:
+            states = compiled.initial_states(None)
+        else:
+            states = tuple(
+                ValveState.OPEN if bit else ValveState.CLOSED
+                for bit in rng.integers(0, 2, size=n_valves)
+            )
+        integ = engine._Integrator(compiled, compiled.regime(states))
+        for _ in range(5):
+            volumes = rest * rng.uniform(0.0, 1.6, size=len(rest))
+            volumes[rng.integers(0, len(rest))] = 0.0  # an empty balloon
+            want_p, want_dv = _full_solve_reference(compiled, states, volumes)
+            got_p, got_dv = integ.pressures(volumes), integ.deriv(volumes)
+            assert np.abs(got_p - want_p).max() <= 1e-12 * np.abs(want_p).max()
+            assert np.abs(got_dv - want_dv).max() <= 1e-12 * np.abs(want_dv).max()
+    volumes = rest.copy()
+    volumes[0] = np.nan
+    with pytest.raises(SingularNetworkError):
+        integ.deriv(volumes)
+    with pytest.raises(SingularNetworkError):
+        integ.pressures(volumes)
+
+
+def test_rk_stage_array_matches_the_tableau_loop():
+    # Dormand-Prince 5(4), stage by stage over the tableau's nonzero entries
+    a = [
+        [],
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+    b4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(4, 4))
+
+    def f(y):
+        return M @ y + np.sin(y)
+
+    y, h = rng.normal(size=4), 0.1
+    k = [f(y)]
+    for row in a[1:]:
+        k.append(f(y + h * sum(c * kk for c, kk in zip(row, k))))
+    want_y5 = y + h * sum(c * kk for c, kk in zip(a[6], k))
+    want_err = h * sum((c5 - c4) * kk for c5, c4, kk in zip(a[6] + [0.0], b4, k))
+    y5, err, k7 = engine._rk_step(f, y, h, k[0])
+    assert np.allclose(y5, want_y5, rtol=1e-14, atol=1e-15)
+    assert np.allclose(err, want_err, rtol=1e-12, atol=1e-18)
+    assert np.allclose(k7, k[6], rtol=1e-14, atol=1e-15)
+
+
+def test_no_spurious_flip_after_an_event():
+    tr = simulate(_ring3_calibrated(), SimConfig(t_end=1.5))
+    last_flip = {}
+    for t, name, _state in tr.events:
+        assert name not in last_flip or t - last_flip[name] > 1.0e-5
+        last_flip[name] = t
+    assert len(tr.events) == 134
+
+
+def test_settle_give_up_is_warned_and_the_run_finishes():
+    # the valve reads its own outlet, a free node: open, the outlet rises
+    # past p_inflate; closed, it drops to ambient, below p_deflate
+    def tube(name, a, b, length):
+        return TubeElement.from_geometry(name, a, b, length, 1.0e-3, MU)
+
+    net = PneumaticNetwork(
+        tubes=(tube("ts", "S", "n", 0.075), tube("tq", "c", "ATM", 0.15)),
+        valves=(KinkValveDevice("v", "n", "c", "c", balloon=None),),
+        sources=(SourceElement("SUP", "S", 145.0),),
+        probes=("c",),
+    )
+    tr = simulate(net, SimConfig(t_end=0.05))
+    assert tr.times[-1] == pytest.approx(0.05)
+    assert len(tr.warnings) == 1
+    assert "did not settle at t=0 s" in tr.warnings[0]
+    assert tr.warnings[0].endswith("still changing: v")
+    assert len(tr.events) == 4
+    assert {t for t, _name, _state in tr.events} == {0.0}
 
 
 def test_free_control_node_event_is_located():
