@@ -11,7 +11,11 @@ are the 101-stage ring of the benchmark's ring101 workload, the shipped
 35 kPa ``calibrate_oscillator`` fit, whose result is digested by its repr.
 Each line also prints the run's event and sample counts; for the fit they
 are those of its last simulation, the one that verifies the fitted values,
-next to the number of simulations it ran.
+next to the number of simulations it ran. A last line covers the DC
+analyses: the truth tables of the shipped ``not``, ``nand``, ``nor``,
+``and`` and ``or`` circuits and ``fanout_limit(internal_resistance=1.2e5)``,
+with the row count, the fan-out limit, and one digest of every row's input
+bits, output bit and output kPa and of the sweep's samples.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import sys
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
 from tblsim import SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
+from tblsim import fanout_limit, truth_table  # noqa: E402
 from tblsim.netlist import expand, parse  # noqa: E402
 
 
@@ -75,6 +80,18 @@ def main() -> None:
     digest = hashlib.sha256(repr(fit).encode()).hexdigest()
     print(f"calibrate: iterations={fit.iterations} sims={len(fit_traces)} "
           f"events={len(last.events)} samples={len(last.times)} sha256={digest}")
+
+    h = hashlib.sha256()
+    rows = 0
+    for gate in ("not", "nand", "nor", "and", "or"):
+        inputs = ("a",) if gate == "not" else ("a", "b")
+        table = truth_table(_net(_read(f"circuits/{gate}.tbl")), inputs, "q")
+        for row in table.rows:
+            h.update(repr((gate, row.inputs, row.output, row.output_kpa)).encode())
+        rows += len(table.rows)
+    fanout = fanout_limit(internal_resistance=1.2e5)
+    h.update(repr(fanout.samples).encode())
+    print(f"dc: rows={rows} fanout_limit={fanout.limit} sha256={h.hexdigest()}")
 
 
 if __name__ == "__main__":

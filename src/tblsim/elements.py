@@ -13,6 +13,10 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
 from .errors import NetworkError
 
 #: gauge pressure of a perfect vacuum, the lowest physical value
@@ -251,6 +255,21 @@ def element_flow(element, p_from_kpa: float, p_to_kpa: float, state: ValveState 
 # ---------------------------------------------------------------------------
 
 
+def node_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes, joined by the
+    undirected edges ``a[k]``-``b[k]``."""
+    ends = np.concatenate([a, b])
+    order = np.argsort(ends, kind="stable")
+    # every edge in both directions: the strongly connected components of
+    # this symmetric graph are its connected components, found without the
+    # transpose that the undirected mode builds
+    indptr = np.searchsorted(ends[order], np.arange(n + 1))
+    graph = csr_matrix(
+        (np.ones(len(ends)), np.concatenate([b, a])[order], indptr), shape=(n, n)
+    )
+    return connected_components(graph, connection="strong")[1]
+
+
 @dataclass(frozen=True)
 class PneumaticNetwork:
     """An immutable lumped network of sources, tubes, valves and balloons.
@@ -355,37 +374,25 @@ class PneumaticNetwork:
         # every node needs something that defines its pressure: a path to a
         # fixed node or to a balloon, counting closed valves as connections
         # (regime-dependent isolation is the solver's Singular, not ours)
-        parent = {n: n for n in order}
-        for s in self.sources:
-            if s.internal_resistance > 0.0:
-                parent[s.name + ".__src"] = s.name + ".__src"
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: str, b: str) -> None:
-            parent[find(a)] = find(b)
-
-        for t in self.tubes:
-            union(t.node_a, t.node_b)
-        for v in self.valves:
-            union(v.flow_from, v.flow_to)
-        for s in self.sources:
-            if s.internal_resistance > 0.0:
-                union(s.name + ".__src", s.node)
-        anchors = set(fixed) | cap_nodes
-        for s in self.sources:
-            if s.internal_resistance > 0.0:
-                anchors.add(s.name + ".__src")
-        anchor_roots = {find(a) for a in anchors}
-        for n in order:
-            if find(n) not in anchor_roots:
-                raise NetworkError(
-                    f"node {n} has no path to any pressure-defining element"
-                )
+        internal = [s for s in self.sources if s.internal_resistance > 0.0]
+        index = {n: i for i, n in enumerate(order + [s.name + ".__src" for s in internal])}
+        edges = [(t.node_a, t.node_b) for t in self.tubes]
+        edges += [(v.flow_from, v.flow_to) for v in self.valves]
+        edges += [(s.name + ".__src", s.node) for s in internal]
+        labels = node_components(
+            len(index),
+            np.array([index[a] for a, _b in edges], dtype=int),
+            np.array([index[b] for _a, b in edges], dtype=int),
+        )
+        anchors = [index[a] for a in [*fixed, *cap_nodes]]
+        anchors += [index[s.name + ".__src"] for s in internal]
+        anchored = np.zeros(len(index), dtype=bool)
+        anchored[labels[anchors]] = True
+        loose = np.flatnonzero(~anchored[labels[: len(order)]])
+        if len(loose):
+            raise NetworkError(
+                f"node {order[loose[0]]} has no path to any pressure-defining element"
+            )
         return self
 
     # -- derived variants ---------------------------------------------------

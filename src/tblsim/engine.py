@@ -1,5 +1,20 @@
 """DC operating points, transient simulation and waveform analysis.
 
+A network is compiled once into index arrays: branch endpoints (the
+constant-conductance branches, then one per valve), their conductances,
+and the valves' and balloons' parameters. A valve-state assignment is a
+boolean open-state array; it selects each valve's open or leak
+conductance, which gives the node Laplacian ``L(s) = Bᵀ diag(g(s)) B``.
+Both the DC search and the transient regimes assemble only the blocks of
+it that a solve needs, and every linear solve, at every network size, is
+one sparse LU.
+
+The DC search steps all valves at once on the pressures of one solve per
+assignment. Components over the conducting branches decide which nodes a
+solve must leave out: balloons cut off from every fixed node keep their
+charge, and nodes sealed off from every fixed node and every balloon read
+ambient.
+
 The continuous state of a circuit is the vector of balloon volumes. All
 other node pressures are algebraic: between valve transitions the flow
 network is linear. Each regime (one set of valve states) is factorized
@@ -21,9 +36,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .elements import (
     BalloonParams,
@@ -31,6 +45,7 @@ from .elements import (
     PneumaticNetwork,
     ValveState,
     balloon_pressure,
+    node_components,
     valve_step,
 )
 from .errors import (
@@ -43,9 +58,6 @@ from .errors import (
 )
 
 KPA = 1.0e3
-
-#: above this many nodes the DC solve switches to sparse factorization
-_DENSE_LIMIT = 400
 
 #: exhaustive valve-state enumeration is capped at 2**16 assignments
 _MAX_ENUM_VALVES = 16
@@ -146,13 +158,9 @@ class CalibrationResult:
 @dataclass(frozen=True)
 class _ValveRef:
     name: str
-    a: int
-    b: int
     control: int
     #: index into the balloons of the one sitting on the control node, if any
     cap: int | None
-    g_open: float
-    g_leak: float
     thresholds: HysteresisThresholds
     initial: ValveState
 
@@ -165,185 +173,160 @@ class _CapRef:
     initial_kpa: float
 
 
+def _is_open(states: tuple[ValveState, ...]) -> np.ndarray:
+    return np.array([s is ValveState.OPEN for s in states], dtype=bool)
+
+
+def _solve(G, rhs: np.ndarray) -> np.ndarray:
+    """Solve the flow balance ``G x = rhs`` (one or more columns) by one
+    sparse LU; a singular or inaccurate solve raises SingularNetworkError."""
+    try:
+        x = splu(G).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        raise SingularNetworkError(f"flow-balance system is singular: {exc}") from exc
+    scale = max(1.0, np.abs(rhs).max())
+    if not np.isfinite(x).all() or np.abs(G @ x - rhs).max() > 1.0e-6 * scale:
+        raise SingularNetworkError("flow-balance system is numerically singular")
+    return x
+
+
 class _Compiled:
-    """Index-based view of a network for the linear solves."""
+    """Index arrays of a network, built once, for the linear solves.
+
+    Branch ``k`` joins nodes ``branch_a[k]`` and ``branch_b[k]``: the
+    constant-conductance branches (tubes and source internal paths) come
+    first, then one branch per valve. A valve-state assignment is a boolean
+    open-state array; it gives the conductance vector ``g`` and the node
+    Laplacian ``L(s) = Bᵀ diag(g(s)) B`` over the incidence ``B`` of these
+    branches, which is assembled only in the blocks a solve needs.
+    """
 
     def __init__(self, net: PneumaticNetwork):
-        self.net = net
         nodes = net.node_order()
-        virtual = [s.name + ".__src" for s in net.sources if s.internal_resistance > 0.0]
-        self.nodes = nodes + virtual
+        internal = [s for s in net.sources if s.internal_resistance > 0.0]
+        self.nodes = nodes + [s.name + ".__src" for s in internal]
         self.index = {n: i for i, n in enumerate(self.nodes)}
         self.n = len(self.nodes)
+        index = self.index
 
         fixed = dict(net.fixed_pressures())
-        for s in net.sources:
-            if s.internal_resistance > 0.0:
-                fixed[s.name + ".__src"] = s.pressure_kpa
-        self.fixed_idx = np.array([self.index[n] for n in fixed], dtype=int)
+        for s in internal:
+            fixed[s.name + ".__src"] = s.pressure_kpa
+        self.fixed_idx = np.array([index[n] for n in fixed], dtype=int)
         self.fixed_pa = np.array([fixed[n] * KPA for n in fixed], dtype=float)
 
-        # constant-conductance branches: tubes and source internal paths
-        static = []
-        for t in net.tubes:
-            static.append((self.index[t.node_a], self.index[t.node_b], 1.0 / t.resistance))
-        for s in net.sources:
-            if s.internal_resistance > 0.0:
-                static.append(
-                    (self.index[s.name + ".__src"], self.index[s.node], 1.0 / s.internal_resistance)
-                )
-        self.static_branches = static
+        static = [(index[t.node_a], index[t.node_b], 1.0 / t.resistance) for t in net.tubes]
+        static += [
+            (index[s.name + ".__src"], index[s.node], 1.0 / s.internal_resistance)
+            for s in internal
+        ]
+        pairs = [(a, b) for a, b, _g in static]
+        pairs += [(index[v.flow_from], index[v.flow_to]) for v in net.valves]
+        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+        self.branch_a, self.branch_b = pairs[:, 0], pairs[:, 1]
+        self.g_static = np.array([g for _a, _b, g in static], dtype=float)
+        self.g_open = np.array([v.open_conductance for v in net.valves], dtype=float)
+        self.g_leak = np.array([v.leak_conductance for v in net.valves], dtype=float)
+        self.control = np.array([index[v.control_node] for v in net.valves], dtype=int)
+        self.p_inflate = np.array([v.thresholds.p_inflate for v in net.valves], dtype=float)
+        self.p_deflate = np.array([v.thresholds.p_deflate for v in net.valves], dtype=float)
 
         self.caps = [
-            _CapRef(name, self.index[node], params, init)
+            _CapRef(name, index[node], params, init)
             for name, node, params, init in net.capacitances()
         ]
+        self.cap_idx = np.array([c.node for c in self.caps], dtype=int)
         self.rest_volume = np.array([c.params.rest_volume for c in self.caps])
         self.compliance = np.array([c.params.compliance for c in self.caps])
         self.burst_kpa = np.array([c.params.burst_kpa for c in self.caps])
+        self.initial_kpa = np.array([c.initial_kpa for c in self.caps], dtype=float)
         cap_at = {c.node: k for k, c in enumerate(self.caps)}
         self.valves = [
-            _ValveRef(
-                v.name,
-                self.index[v.flow_from],
-                self.index[v.flow_to],
-                self.index[v.control_node],
-                cap_at.get(self.index[v.control_node]),
-                v.open_conductance,
-                v.leak_conductance,
-                v.thresholds,
-                v.state,
-            )
-            for v in net.valves
+            _ValveRef(v.name, c, cap_at.get(c), v.thresholds, v.state)
+            for v, c in zip(net.valves, self.control.tolist())
         ]
-        cap_set = set(cap_at)
-        fixed_set = set(self.fixed_idx.tolist())
-        self.free_idx = np.array(
-            [i for i in range(self.n) if i not in cap_set and i not in fixed_set], dtype=int
-        )
-        self.cap_idx = np.array([c.node for c in self.caps], dtype=int)
+        free = np.ones(self.n, dtype=bool)
+        free[self.fixed_idx] = False
+        free[self.cap_idx] = False
+        self.free_idx = np.flatnonzero(free)
         self._regimes: dict[tuple[ValveState, ...], _Regime] = {}
 
     # -- assembly ------------------------------------------------------------
 
-    def _branches(self, states: tuple[ValveState, ...]):
-        branches = list(self.static_branches)
-        for v, s in zip(self.valves, states):
-            g = v.g_open if s is ValveState.OPEN else v.g_leak
-            if g > 0.0:
-                branches.append((v.a, v.b, g))
-        return branches
+    def conductances(self, is_open: np.ndarray) -> np.ndarray:
+        """Branch conductances for a boolean valve open-state array."""
+        return np.concatenate([self.g_static, np.where(is_open, self.g_open, self.g_leak)])
 
-    def laplacian(self, states: tuple[ValveState, ...]) -> np.ndarray:
-        L = np.zeros((self.n, self.n))
-        for a, b, g in self._branches(states):
-            L[a, a] += g
-            L[b, b] += g
-            L[a, b] -= g
-            L[b, a] -= g
-        return L
+    def components(self, g: np.ndarray):
+        """Component labels over the conducting branches, and per label
+        whether it holds a fixed node and whether it holds a fixed node or
+        a balloon."""
+        on = g > 0.0
+        labels = node_components(self.n, self.branch_a[on], self.branch_b[on])
+        fixed = np.zeros(self.n, dtype=bool)
+        fixed[labels[self.fixed_idx]] = True
+        anchored = fixed.copy()
+        anchored[labels[self.cap_idx]] = True
+        return labels, fixed, anchored
+
+    def block(self, g: np.ndarray, rows: np.ndarray):
+        """``G = L[rows][:, rows]`` as a sparse CSC matrix; entries of the
+        same position are left for the factorization to sum."""
+        m = len(rows)
+        pos = np.full(self.n, -1)
+        pos[rows] = np.arange(m)
+        on = g > 0.0
+        a, b, g = pos[self.branch_a[on]], pos[self.branch_b[on]], g[on]
+        both = (a >= 0) & (b >= 0)
+        r = np.concatenate([a, b, a[both], b[both]])
+        c = np.concatenate([a, b, b[both], a[both]])
+        v = np.concatenate([g, g, -g[both], -g[both]])
+        keep = r >= 0
+        order = np.argsort(c[keep], kind="stable")
+        c, r, v = c[keep][order], r[keep][order], v[keep][order]
+        return csc_matrix((v, r, np.searchsorted(c, np.arange(m + 1))), shape=(m, m))
+
+    def inflow(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """Net inflow ``-L(s) P = -Bᵀ diag(g) B P`` at every node, for node
+        values ``P`` with one row per node and one or more columns."""
+        gk = g.reshape((-1,) + (1,) * (P.ndim - 1))
+        flow = gk * (P[self.branch_a] - P[self.branch_b])  # from a to b
+        out = np.zeros_like(P)
+        np.add.at(out, self.branch_b, flow)
+        np.subtract.at(out, self.branch_a, flow)
+        return out
 
     # -- DC solve (balloons act as open circuits) ------------------------------
 
-    def components(self, branches) -> list[int]:
-        """Union-find roots per node over the conducting branches."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, _g in branches:
-            parent[find(a)] = find(b)
-        return [find(i) for i in range(self.n)]
-
-    def _isolated_cap_pins(self, roots) -> tuple[np.ndarray, np.ndarray]:
-        """Balloon nodes with no conducting path to a fixed node, pinned at
-        the compliance-weighted mean of their component's initial charges
-        (the limit the component relaxes to with no external exchange)."""
-        if not self.caps:
-            return np.zeros(0, dtype=int), np.zeros(0)
-        fixed_roots = {roots[int(i)] for i in self.fixed_idx}
-        groups: dict[int, list[_CapRef]] = {}
-        for c in self.caps:
-            root = roots[c.node]
-            if root not in fixed_roots:
-                groups.setdefault(root, []).append(c)
-        idx, pa = [], []
-        for members in groups.values():
-            c_total = sum(m.params.compliance for m in members)
-            p_star = sum(m.params.compliance * m.initial_kpa for m in members) / c_total
-            for m in members:
-                idx.append(m.node)
-                pa.append(p_star * KPA)
-        return np.array(idx, dtype=int), np.array(pa)
-
-    def dead_nodes(self, roots) -> np.ndarray:
-        """Nodes sealed off from every fixed node and every balloon.
-
-        A blocked tube segment holds trapped air; with no compliance in it
-        the pressure carries no state and no flow crosses it, so these are
-        reported at ambient rather than making the solve singular.
-        """
-        anchor_roots = {roots[int(i)] for i in self.fixed_idx}
-        anchor_roots |= {roots[c.node] for c in self.caps}
-        return np.array(
-            [i for i in range(self.n) if roots[i] not in anchor_roots], dtype=int
-        )
-
-    def solve_dc(self, states: tuple[ValveState, ...]) -> np.ndarray:
-        """Full node-pressure vector (Pa) with the given valve states.
+    def solve_dc(self, is_open: np.ndarray) -> np.ndarray:
+        """Full node-pressure vector (Pa) for a boolean valve open-state array.
 
         Balloons in components that reach a fixed node equilibrate (zero
         flow, so they are plain unknowns); balloons cut off from every
-        fixed node keep their charge and pin their component instead.
+        fixed node keep their charge and pin their component, at the
+        compliance-weighted mean of its initial charges (the limit it
+        relaxes to with no external exchange). Nodes sealed off from every
+        fixed node and every balloon hold trapped air with no state and no
+        flow, and read ambient rather than making the solve singular. The
+        other nodes are solved by one sparse LU of their flow balance.
         """
-        branches = self._branches(states)
-        roots = self.components(branches)
-        pin_idx, pin_pa = self._isolated_cap_pins(roots)
-        dead = self.dead_nodes(roots)
-        known_idx = np.concatenate([self.fixed_idx, pin_idx, dead]).astype(int)
-        known_pa = np.concatenate([self.fixed_pa, pin_pa, np.zeros(len(dead))])
-        known_set = set(known_idx.tolist())
-        unknown = np.array(
-            [i for i in range(self.n) if i not in known_set], dtype=int
-        )
+        g = self.conductances(is_open)
+        labels, fixed, anchored = self.components(g)
         p = np.zeros(self.n)
-        p[known_idx] = known_pa
-        if len(unknown) == 0:
-            return p
-        if self.n <= _DENSE_LIMIT:
-            L = self.laplacian(states)
-            G = L[np.ix_(unknown, unknown)]
-            rhs = -L[np.ix_(unknown, known_idx)] @ known_pa
-            try:
-                sol = np.linalg.solve(G, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularNetworkError(f"flow-balance system is singular: {exc}") from exc
-            residual = np.abs(G @ sol - rhs).max()
-            scale = max(1.0, np.abs(rhs).max())
-            if not np.isfinite(sol).all() or residual > 1.0e-6 * scale:
-                raise SingularNetworkError("flow-balance system is numerically singular")
-        else:
-            pos = {int(u): k for k, u in enumerate(unknown)}
-            rows, cols, vals = [], [], []
-            rhs = np.zeros(len(unknown))
-            fixed_map = {int(i): v for i, v in zip(known_idx, known_pa)}
-            for a, b, g in branches:
-                for x, y in ((a, b), (b, a)):
-                    if x in pos:
-                        rows.append(pos[x]); cols.append(pos[x]); vals.append(g)
-                        if y in pos:
-                            rows.append(pos[x]); cols.append(pos[y]); vals.append(-g)
-                        else:
-                            rhs[pos[x]] += g * fixed_map[y]
-            G = coo_matrix((vals, (rows, cols)), shape=(len(unknown), len(unknown))).tocsc()
-            sol = spsolve(G, rhs)
-            if not np.isfinite(sol).all():
-                raise SingularNetworkError("flow-balance system is numerically singular")
-        p[unknown] = sol
+        known = ~anchored[labels]  # dead nodes, at 0
+        known[self.fixed_idx] = True
+        p[self.fixed_idx] = self.fixed_pa
+        cap_labels = labels[self.cap_idx]
+        pinned = ~fixed[cap_labels]
+        if pinned.any():
+            lab, c = cap_labels[pinned], self.compliance[pinned]
+            c_total = np.bincount(lab, weights=c)
+            charge = np.bincount(lab, weights=c * self.initial_kpa[pinned])
+            p[self.cap_idx[pinned]] = charge[lab] / c_total[lab] * KPA
+            known[self.cap_idx[pinned]] = True
+        unknown = np.flatnonzero(~known)
+        if len(unknown):
+            p[unknown] = _solve(self.block(g, unknown), self.inflow(g, p)[unknown])
         return p
 
     # -- transient regime (balloon nodes pinned by their volumes) -------------
@@ -381,7 +364,10 @@ class _Regime:
     With the balloon pressures given, every node pressure is affine in
     them: ``p = A @ cap_pa + a0``. Kron reduction of that map onto the
     balloon nodes gives their net inflows as ``K @ cap_pa + k0``, so the
-    transient right-hand side needs one small matvec and no solve.
+    transient right-hand side needs one small matvec and no solve. The
+    free-node block goes through the same sparse LU as the DC solve, once,
+    with one column for the fixed-node drive and one per balloon; ``A`` and
+    ``K`` are kept dense.
     """
 
     def __init__(self, compiled: _Compiled, states: tuple[ValveState, ...]):
@@ -389,32 +375,19 @@ class _Regime:
         # this regime: a reference cycle would keep both, and their
         # matrices, alive until the next full gc pass
         n, nc = compiled.n, len(compiled.cap_idx)
-        branches = compiled._branches(states)
-        roots = compiled.components(branches)
-        dead = set(compiled.dead_nodes(roots).tolist())
-        L = compiled.laplacian(states)
-        A = np.zeros((n, nc))
-        A[compiled.cap_idx, np.arange(nc)] = 1.0
-        a0 = np.zeros(n)
-        a0[compiled.fixed_idx] = compiled.fixed_pa
+        g = compiled.conductances(_is_open(states))
+        labels, _fixed, anchored = compiled.components(g)
+        # columns: the fixed-node drive, then one per unit balloon pressure
+        P = np.zeros((n, 1 + nc))
+        P[compiled.fixed_idx, 0] = compiled.fixed_pa
+        P[compiled.cap_idx, 1 + np.arange(nc)] = 1.0
         # nodes sealed off in this regime carry no flow; they read ambient
-        f = np.array([i for i in compiled.free_idx if i not in dead], dtype=int)
+        f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
         if len(f):
-            known_idx = np.concatenate([compiled.fixed_idx, compiled.cap_idx]).astype(int)
-            try:
-                lu = lu_factor(L[np.ix_(f, f)])
-            except Exception as exc:  # LinAlgError or ValueError on NaN
-                raise SingularNetworkError(f"flow-balance system is singular: {exc}") from exc
-            # S = -G_ff^-1 L_fk: free pressures per unit fixed and balloon pressure
-            S = lu_solve(lu, -L[np.ix_(f, known_idx)])
-            if not np.isfinite(S).all():
-                raise SingularNetworkError("flow-balance system is numerically singular")
-            nf = len(compiled.fixed_idx)
-            a0[f] = S[:, :nf] @ compiled.fixed_pa
-            A[f] = S[:, nf:]
-        L_c = L[compiled.cap_idx, :]
-        self.A, self.a0 = A, a0
-        self.K, self.k0 = -(L_c @ A), -(L_c @ a0)
+            P[f] = _solve(compiled.block(g, f), compiled.inflow(g, P)[f])
+        Q = compiled.inflow(g, P)[compiled.cap_idx]
+        self.a0, self.A = P[:, 0].copy(), P[:, 1:].copy()
+        self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
 
 
 def _cap_pressures_kpa(compiled: _Compiled, volumes: np.ndarray) -> np.ndarray:
@@ -429,13 +402,6 @@ def _cap_pressures_kpa(compiled: _Compiled, volumes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stable_assignment(compiled: _Compiled, states, p_pa) -> bool:
-    for v, s in zip(compiled.valves, states):
-        if valve_step(s, p_pa[v.control] / KPA, v.thresholds) is not s:
-            return False
-    return True
-
-
 def dc_operating_point(
     net: PneumaticNetwork,
     initial_states: dict[str, ValveState] | None = None,
@@ -443,10 +409,14 @@ def dc_operating_point(
     """Find a valve-state assignment consistent with its own pressures.
 
     Starts with a synchronous fixed-point iteration from the initial
-    states; if that cycles, falls back to exhaustive enumeration of all
-    assignments (up to 16 valves). Multiple fixed points are all listed,
-    with the first in enumeration order reported as the operating point
-    when the iteration itself did not converge.
+    states: every valve steps at once on its control pressure, with the
+    hysteresis rule of ``valve_step`` (close at or above ``p_inflate``,
+    reopen at or below ``p_deflate``). If that cycles, it falls back to
+    exhaustive enumeration of all assignments (up to 16 valves), keeping
+    those the same step leaves unchanged. Multiple fixed points are all
+    listed, with the first in enumeration order reported as the operating
+    point when the iteration itself did not converge. Each assignment is
+    one ``_Compiled.solve_dc``: one sparse LU on every network size.
 
     Raises AstableCircuit when no assignment is self-consistent, Singular
     when the flow-balance system cannot be solved uniquely, and
@@ -454,28 +424,34 @@ def dc_operating_point(
     """
     net.validate()
     compiled = _Compiled(net)
-    states = compiled.initial_states(initial_states)
+    is_open = _is_open(compiled.initial_states(initial_states))
     nv = len(compiled.valves)
 
-    def result(states, p_pa, fixed_points=()):
+    def step(is_open, p_pa):
+        # the comparisons of valve_step, so a NaN control keeps the state
+        ctrl = p_pa[compiled.control] / KPA
+        return np.where(is_open, ~(ctrl >= compiled.p_inflate), ctrl <= compiled.p_deflate)
+
+    def named(is_open):
+        return {
+            v.name: ValveState.OPEN if o else ValveState.CLOSED
+            for v, o in zip(compiled.valves, is_open.tolist())
+        }
+
+    def result(is_open, p_pa, fixed_points=()):
         pressures = {
             n: p_pa[i] / KPA for n, i in compiled.index.items() if not n.endswith(".__src")
         }
-        named = {v.name: s for v, s in zip(compiled.valves, states)}
-        fps = tuple({v.name: s for v, s in zip(compiled.valves, fp)} for fp in fixed_points)
-        return SteadyState(named, pressures, fps)
+        return SteadyState(named(is_open), pressures, tuple(named(fp) for fp in fixed_points))
 
     seen = set()
-    while states not in seen:
-        seen.add(states)
-        p_pa = compiled.solve_dc(states)
-        new = tuple(
-            valve_step(s, p_pa[v.control] / KPA, v.thresholds)
-            for v, s in zip(compiled.valves, states)
-        )
-        if new == states:
-            return result(states, p_pa)
-        states = new
+    while (key := np.packbits(is_open).tobytes()) not in seen:
+        seen.add(key)
+        p_pa = compiled.solve_dc(is_open)
+        new = step(is_open, p_pa)
+        if np.array_equal(new, is_open):
+            return result(is_open, p_pa)
+        is_open = new
 
     # iteration cycled; enumerate every assignment
     if nv > _MAX_ENUM_VALVES:
@@ -483,21 +459,20 @@ def dc_operating_point(
             f"{nv} valves exceed the exhaustive search cap of {_MAX_ENUM_VALVES}"
         )
     fixed_points = []
-    solutions = {}
-    for assign in product((ValveState.OPEN, ValveState.CLOSED), repeat=nv):
+    for bits in product((True, False), repeat=nv):
+        assign = np.array(bits, dtype=bool)
         try:
             p_pa = compiled.solve_dc(assign)
         except SingularNetworkError:
             continue  # a floating regime cannot be an operating point
-        if _stable_assignment(compiled, assign, p_pa):
-            fixed_points.append(assign)
-            solutions[assign] = p_pa
+        if np.array_equal(step(assign, p_pa), assign):
+            fixed_points.append((assign, p_pa))
     if not fixed_points:
         raise AstableCircuitError(
             "no self-consistent valve-state assignment exists; the circuit is astable at DC"
         )
-    chosen = fixed_points[0]
-    return result(chosen, solutions[chosen], fixed_points)
+    chosen, p_pa = fixed_points[0]
+    return result(chosen, p_pa, [fp for fp, _p in fixed_points])
 
 
 def solve_pressures(
@@ -510,8 +485,7 @@ def solve_pressures(
     """
     net.validate()
     compiled = _Compiled(net)
-    states = compiled.initial_states(valve_states)
-    p_pa = compiled.solve_dc(states)
+    p_pa = compiled.solve_dc(_is_open(compiled.initial_states(valve_states)))
     return {n: p_pa[i] / KPA for n, i in compiled.index.items() if not n.endswith(".__src")}
 
 

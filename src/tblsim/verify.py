@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .defaults import PhysicalDefaults
 from .elements import PneumaticNetwork, ValveState
-from .engine import solve_pressures
+from .engine import dc_operating_point, solve_pressures
 from .errors import IndeterminateLevelError, UnknownVariableError, VerifyError
 
 
@@ -80,16 +80,10 @@ def truth_table(
     for bits in itertools.product((0, 1), repeat=len(input_nodes)):
         pins = {n: levels.drive(b) for n, b in zip(input_nodes, bits)}
         pinned = net.with_pins(pins)
-        steady = _settle(pinned)
+        steady = dc_operating_point(pinned)
         kpa = float(steady.node_pressures_kpa[output_node])
         rows.append(TruthRow(inputs=bits, output=levels.read(kpa, output_node), output_kpa=kpa))
     return TruthTable(input_nodes, output_node, tuple(rows))
-
-
-def _settle(net: PneumaticNetwork):
-    from .engine import dc_operating_point
-
-    return dc_operating_point(net)
 
 
 # ---------------------------------------------------------------------------

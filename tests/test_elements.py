@@ -153,6 +153,19 @@ def test_validate_rejects_unanchored_node():
         _net(tubes=(TubeElement.from_geometry("t2", "c", "d", 0.1, 1e-3, MU),)).validate()
 
 
+def test_validate_names_the_first_unanchored_node():
+    # c, d and e float; d comes first in node order, then c
+    tubes = (
+        TubeElement.from_geometry("t1", "a", "b", 0.1, 1e-3, MU),
+        TubeElement.from_geometry("t2", "d", "c", 0.1, 1e-3, MU),
+        TubeElement.from_geometry("t3", "c", "e", 0.1, 1e-3, MU),
+    )
+    net = _net(tubes=tubes, sources=(SourceElement("s", "a", 10.0),))
+    assert net.node_order().index("d") < net.node_order().index("c")
+    with pytest.raises(NetworkError, match=r"^node d has no path"):
+        net.validate()
+
+
 def test_validate_balloon_anchors_a_component():
     # a balloon is enough to define the pressure of everything tied to it
     t1 = TubeElement.from_geometry("t1", "a", "b", 0.1, 1e-3, MU)

@@ -30,6 +30,7 @@ from tblsim import (
     simulate,
     solve_pressures,
     tube_resistance,
+    valve_step,
 )
 from tblsim import engine
 
@@ -135,19 +136,184 @@ def test_solve_pressures_with_forced_states():
     assert p["q"] == pytest.approx(want, rel=1e-9)
 
 
-def test_sparse_dc_path_matches_dense(monkeypatch):
+def _dense_laplacian(net, valve_states):
+    """Node names (the solver's order), the dense Laplacian and component
+    labels over the conducting branches, and the fixed pressures (kPa),
+    from the network's elements."""
+    internal = [s for s in net.sources if s.internal_resistance > 0.0]
+    names = net.node_order() + [s.name + ".__src" for s in internal]
+    idx = {n: i for i, n in enumerate(names)}
+    branches = [(t.node_a, t.node_b, 1.0 / t.resistance) for t in net.tubes]
+    branches += [(s.name + ".__src", s.node, 1.0 / s.internal_resistance) for s in internal]
+    branches += [
+        (v.flow_from, v.flow_to, v.conductance(valve_states.get(v.name, v.state)))
+        for v in net.valves
+    ]
+    L = np.zeros((len(names), len(names)))
+    label = list(range(len(names)))
+
+    def root(i):
+        while label[i] != i:
+            i = label[i]
+        return i
+
+    for a, b, g in branches:
+        if g > 0.0:
+            i, j = idx[a], idx[b]
+            L[i, i] += g
+            L[j, j] += g
+            L[i, j] -= g
+            L[j, i] -= g
+            label[root(i)] = root(j)
+    fixed = dict(net.fixed_pressures())
+    fixed.update({s.name + ".__src": s.pressure_kpa for s in internal})
+    return names, L, [root(i) for i in range(len(names))], fixed
+
+
+def _dense_dc_reference(net, valve_states):
+    """Node pressures (kPa) by a dense solve built from the network's
+    elements: isolated balloons pinned at their compliance-weighted mean
+    charge, sealed-off nodes at 0 kPa."""
+    names, L, comp, fixed = _dense_laplacian(net, valve_states)
+    idx = {n: i for i, n in enumerate(names)}
+    p = np.zeros(len(names))
+    known = np.zeros(len(names), dtype=bool)
+    for name, kpa in fixed.items():
+        p[idx[name]], known[idx[name]] = kpa * 1.0e3, True
+    fixed_comps = {comp[idx[n]] for n in fixed}
+    caps = net.capacitances()
+    anchored = fixed_comps | {comp[idx[node]] for _o, node, _p, _i in caps}
+    groups = {}
+    for _owner, node, params, init in caps:
+        if comp[idx[node]] not in fixed_comps:
+            groups.setdefault(comp[idx[node]], []).append((idx[node], params.compliance, init))
+    for members in groups.values():
+        p_star = sum(c * q for _i, c, q in members) / sum(c for _i, c, _q in members)
+        for i, _c, _q in members:
+            p[i], known[i] = p_star * 1.0e3, True
+    known |= np.array([c not in anchored for c in comp])
+    u, k = np.flatnonzero(~known), np.flatnonzero(known)
+    if len(u):
+        G, rhs = L[np.ix_(u, u)], -L[np.ix_(u, k)] @ p[k]
+        try:
+            p[u] = np.linalg.solve(G, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNetworkError(str(exc)) from exc
+        residual = np.abs(G @ p[u] - rhs).max()
+        if not np.isfinite(p).all() or residual > 1e-6 * max(1.0, np.abs(rhs).max()):
+            raise SingularNetworkError("dense reference is singular")
+    return {n: p[idx[n]] / 1.0e3 for n in net.node_order()}
+
+
+def test_sparse_dc_path_matches_dense():
     net = build("source SUP pressure=145kPa\nring r n=135 supply=SUP\n")
-    assert len(net.node_order()) > engine._DENSE_LIMIT
     states = {
         f"r.g{k}.v": ValveState.CLOSED if k % 3 == 0 else ValveState.OPEN
         for k in range(1, 136)
     }
     sparse = solve_pressures(net, states)
-    monkeypatch.setattr(engine, "_DENSE_LIMIT", 10_000)
-    dense = solve_pressures(net, states)
+    dense = _dense_dc_reference(net, states)
     assert sparse.keys() == dense.keys()
     assert max(abs(sparse[n] - dense[n]) for n in sparse) <= 1e-9
     assert max(sparse.values()) > 50.0  # open stages carry real pressures
+
+
+def _read_circuit(name):
+    with open(f"circuits/{name}.tbl", encoding="utf-8") as fh:
+        return build(fh.read())
+
+
+_DC_PROPERTY_NETS = {
+    **{g: lambda g=g: _read_circuit(g) for g in ("not", "nand", "nor", "and", "or")},
+    "ring135": lambda: build("source SUP pressure=145kPa\nring r n=135 supply=SUP\n"),
+    # two balloons of unequal charge and compliance, tied by a tube, with
+    # no path to a fixed node; c floats with them
+    "isolated_balloons": lambda: build(
+        "source SUP pressure=145kPa\n"
+        "valve v1 from=SUP to=x state=closed control=b1 init=72kPa\n"
+        "valve v2 from=x to=ATM state=closed control=b2 init=20kPa compliance=1e-10\n"
+        "tube t1 from=b1 to=b2 length=7.5cm\n"
+        "tube t2 from=c to=b1 length=7.5cm\n"
+    ),
+    # x-y is a blocked tube segment once both valves close: trapped air
+    "dead_segment": lambda: build(
+        "source SUP pressure=145kPa\n"
+        "source CTL pressure=100kPa\n"
+        "tube tc1 from=CTL to=k1 length=7.5cm\n"
+        "tube tc2 from=CTL to=k2 length=7.5cm\n"
+        "valve v1 from=SUP to=x control=k1\n"
+        "tube t from=x to=y length=15cm\n"
+        "valve v2 from=y to=ATM control=k2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DC_PROPERTY_NETS))
+def test_dc_solve_matches_a_dense_reference(name):
+    net = _DC_PROPERTY_NETS[name]()
+    rng = np.random.default_rng(23)
+    inputs = sorted({"a", "b"} & set(net.node_order()))
+    closed_seen = False
+    for trial in range(12):
+        pinned = net
+        if inputs and trial % 2:
+            pinned = net.with_pins({n: float(rng.choice([0.0, 72.5, 145.0])) for n in inputs})
+        states = {
+            v.name: ValveState.OPEN if bit else ValveState.CLOSED
+            for v, bit in zip(net.valves, rng.integers(0, 2, size=len(net.valves)))
+        }
+        if trial == 0:
+            states = {v.name: ValveState.CLOSED for v in net.valves}
+        closed_seen |= all(s is ValveState.CLOSED for s in states.values())
+        try:
+            want = _dense_dc_reference(pinned, states)
+        except SingularNetworkError:
+            with pytest.raises(SingularNetworkError):
+                solve_pressures(pinned, states)
+            continue
+        got = solve_pressures(pinned, states)
+        assert got.keys() == want.keys()
+        assert max(abs(got[n] - want[n]) for n in got) <= 1e-9
+    assert closed_seen
+
+
+def test_isolated_balloons_pin_their_mean_charge():
+    net = _DC_PROPERTY_NETS["isolated_balloons"]()
+    p = solve_pressures(net, {"v1": ValveState.CLOSED, "v2": ValveState.CLOSED})
+    c1, c2 = 4.0e-10, 1.0e-10
+    assert p["b1"] == pytest.approx((c1 * 72.0 + c2 * 20.0) / (c1 + c2), rel=1e-12)
+    assert p["b2"] == p["b1"]
+    assert p["c"] == pytest.approx(p["b1"], rel=1e-12)
+    assert p["x"] == 0.0  # sealed between the two closed valves
+
+
+def test_dead_segment_reads_ambient():
+    net = _DC_PROPERTY_NETS["dead_segment"]()
+    ss = dc_operating_point(net)
+    assert set(ss.valve_states.values()) == {ValveState.CLOSED}
+    assert ss.node_pressures_kpa["x"] == 0.0
+    assert ss.node_pressures_kpa["y"] == 0.0
+
+
+@pytest.mark.parametrize("edge", ["p_inflate", "p_deflate"])
+@pytest.mark.parametrize("start", [ValveState.OPEN, ValveState.CLOSED])
+def test_dc_valve_step_at_exact_thresholds(edge, start):
+    # move the threshold onto the control pressure the solve gives, so the
+    # comparison sits exactly on it
+    net = pinned_not(85.0 if edge == "p_inflate" else 60.0)
+    ctrl = {
+        solve_pressures(net, {"inv.v": s})["inv.b"] for s in (ValveState.OPEN, ValveState.CLOSED)
+    }
+    assert len(ctrl) == 1
+    (ctrl,) = ctrl
+    (valve,) = net.valves
+    thresholds = dataclasses.replace(valve.thresholds, **{edge: ctrl})
+    net = dataclasses.replace(net, valves=(dataclasses.replace(valve, thresholds=thresholds),))
+    ss = dc_operating_point(net, {"inv.v": start})
+    assert ss.node_pressures_kpa["inv.b"] == getattr(thresholds, edge)
+    want = valve_step(start, ctrl, thresholds)
+    assert want is (ValveState.CLOSED if edge == "p_inflate" else ValveState.OPEN)
+    assert ss.valve_states["inv.v"] is want
 
 
 def test_dc_isolated_balloon_keeps_its_charge():
@@ -323,19 +489,26 @@ def _ring101():
     return build("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
 
 
-def _full_solve_reference(compiled, states, volumes):
-    """Node pressures (Pa) and balloon inflows by a dense solve per call."""
-    L = compiled.laplacian(states)
-    dead = compiled.dead_nodes(compiled.components(compiled._branches(states)))
-    free = np.array([i for i in compiled.free_idx if i not in set(dead.tolist())], dtype=int)
-    p = np.zeros(compiled.n)
-    p[compiled.fixed_idx] = compiled.fixed_pa
-    p[compiled.cap_idx] = [
-        balloon_pressure(max(v, 0.0), c.params) * 1.0e3 for v, c in zip(volumes, compiled.caps)
+def _full_solve_reference(net, states, volumes):
+    """Node pressures (Pa) and balloon inflows by a dense solve per call,
+    from the network's elements."""
+    valve_states = {v.name: s for v, s in zip(net.valves, states)}
+    names, L, comp, fixed = _dense_laplacian(net, valve_states)
+    idx = {n: i for i, n in enumerate(names)}
+    caps = net.capacitances()
+    fixed_idx = np.array([idx[n] for n in fixed])
+    cap_idx = np.array([idx[node] for _o, node, _p, _i in caps])
+    anchored = {comp[i] for i in fixed_idx} | {comp[i] for i in cap_idx}
+    known = set(fixed_idx.tolist()) | set(cap_idx.tolist())
+    free = [i for i in range(len(names)) if i not in known and comp[i] in anchored]
+    p = np.zeros(len(names))
+    p[fixed_idx] = [kpa * 1.0e3 for kpa in fixed.values()]
+    p[cap_idx] = [
+        balloon_pressure(max(v, 0.0), c[2]) * 1.0e3 for v, c in zip(volumes, caps)
     ]
-    known = np.concatenate([compiled.fixed_idx, compiled.cap_idx])
-    p[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, known)] @ p[known])
-    dv = -(L[compiled.cap_idx, :] @ p)
+    k = np.concatenate([fixed_idx, cap_idx])
+    p[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, k)] @ p[k])
+    dv = -(L[cap_idx, :] @ p)
     dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0
     return p, dv
 
@@ -344,7 +517,8 @@ def _full_solve_reference(compiled, states, volumes):
     "make_net", [_ring3_calibrated, _ring5, _ring101], ids=["ring3_calibrated", "ring5", "ring101"]
 )
 def test_kron_reduced_rhs_matches_a_full_solve(make_net):
-    compiled = engine._Compiled(make_net())
+    net = make_net()
+    compiled = engine._Compiled(net)
     rng = np.random.default_rng(11)
     rest = compiled.rest_volume
     n_valves = len(compiled.valves)
@@ -360,7 +534,7 @@ def test_kron_reduced_rhs_matches_a_full_solve(make_net):
         for _ in range(5):
             volumes = rest * rng.uniform(0.0, 1.6, size=len(rest))
             volumes[rng.integers(0, len(rest))] = 0.0  # an empty balloon
-            want_p, want_dv = _full_solve_reference(compiled, states, volumes)
+            want_p, want_dv = _full_solve_reference(net, states, volumes)
             got_p, got_dv = integ.pressures(volumes), integ.deriv(volumes)
             assert np.abs(got_p - want_p).max() <= 1e-12 * np.abs(want_p).max()
             assert np.abs(got_dv - want_dv).max() <= 1e-12 * np.abs(want_dv).max()
