@@ -11,11 +11,16 @@ are the 101-stage ring of the benchmark's ring101 workload, the shipped
 35 kPa ``calibrate_oscillator`` fit, whose result is digested by its repr.
 Each line also prints the run's event and sample counts; for the fit they
 are those of its last simulation, the one that verifies the fitted values,
-next to the number of simulations it ran. A last line covers the DC
-analyses: the truth tables of the shipped ``not``, ``nand``, ``nor``,
-``and`` and ``or`` circuits and ``fanout_limit(internal_resistance=1.2e5)``,
-with the row count, the fan-out limit, and one digest of every row's input
-bits, output bit and output kPa and of the sweep's samples.
+next to the number of simulations it ran. The ``free`` line covers two
+valves controlled by a free node rather than a balloon: one reading a
+divider tap, whose crossing is bisected on the full pressure map, and one
+reading its own outlet, whose settling gives up with a warning. It prints
+each run's event and warning counts and one digest of both traces. A last
+line covers the DC analyses: the truth tables of the shipped ``not``,
+``nand``, ``nor``, ``and`` and ``or`` circuits and
+``fanout_limit(internal_resistance=1.2e5)``, with the row count, the
+fan-out limit, and one digest of every row's input bits, output bit and
+output kPa and of the sweep's samples.
 """
 
 from __future__ import annotations
@@ -28,6 +33,14 @@ sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
 from tblsim import SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
 from tblsim import fanout_limit, truth_table  # noqa: E402
+from tblsim import (  # noqa: E402
+    Balloon,
+    BalloonParams,
+    KinkValveDevice,
+    PneumaticNetwork,
+    SourceElement,
+    TubeElement,
+)
 from tblsim.netlist import expand, parse  # noqa: E402
 
 
@@ -40,13 +53,45 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _trace_digest(trace) -> str:
+def _digest(traces) -> str:
     h = hashlib.sha256()
-    h.update(trace.times.tobytes())
-    h.update(trace.pressures_kpa.tobytes())
-    h.update(repr(trace.events).encode())
-    h.update(repr(trace.warnings).encode())
+    for trace in traces:
+        h.update(trace.times.tobytes())
+        h.update(trace.pressures_kpa.tobytes())
+        h.update(repr(trace.events).encode())
+        h.update(repr(trace.warnings).encode())
     return h.hexdigest()
+
+
+def _tube(name: str, a: str, b: str, length: float) -> TubeElement:
+    return TubeElement.from_geometry(name, a, b, length, 1.0e-3, 1.81e-5)
+
+
+def _free_control_runs():
+    # SUP -t1- x(balloon) -t2- c -t3- ATM: the valve reads the divider tap c
+    divider = PneumaticNetwork(
+        tubes=(
+            _tube("t1", "S", "x", 0.05), _tube("t2", "x", "c", 0.025),
+            _tube("t3", "c", "ATM", 0.15), _tube("ts", "S", "n", 0.075),
+            _tube("tq", "q", "ATM", 0.15),
+        ),
+        valves=(KinkValveDevice("v", "n", "q", "c", balloon=None),),
+        balloons=(Balloon("bx", "x", BalloonParams()),),
+        sources=(SourceElement("SUP", "S", 145.0),),
+        probes=("c", "q"),
+    )
+    # the valve reads its own outlet: open, it rises past p_inflate; closed,
+    # it drops to ambient, below p_deflate, so settling never ends
+    self_switching = PneumaticNetwork(
+        tubes=(_tube("ts", "S", "n", 0.075), _tube("tq", "c", "ATM", 0.15)),
+        valves=(KinkValveDevice("v", "n", "c", "c", balloon=None),),
+        sources=(SourceElement("SUP", "S", 145.0),),
+        probes=("c",),
+    )
+    return [
+        simulate(divider, SimConfig(t_end=0.05, max_step=1.0e-3)),
+        simulate(self_switching, SimConfig(t_end=0.05)),
+    ]
 
 
 def main() -> None:
@@ -60,7 +105,11 @@ def main() -> None:
     for name, (net, cfg) in runs.items():
         trace = simulate(net, cfg)
         print(f"{name}: events={len(trace.events)} samples={len(trace.times)} "
-              f"sha256={_trace_digest(trace)}")
+              f"sha256={_digest([trace])}")
+
+    free = _free_control_runs()
+    print(f"free: events={','.join(str(len(tr.events)) for tr in free)} "
+          f"warnings={','.join(str(len(tr.warnings)) for tr in free)} sha256={_digest(free)}")
 
     template = _net(_read("circuits/ring3_calibrated.tbl")).with_uniform_params(
         compliance=4.0e-10, open_conductance=1.0e-5

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .defaults import load_defaults
+from .defaults import PhysicalDefaults, load_defaults
 from .engine import (
     SimConfig,
     dc_operating_point,
@@ -28,7 +28,6 @@ from .errors import (
     NetlistError,
     NetworkError,
     TblError,
-    VerifyError,
 )
 from .netlist import bom as make_bom
 from .netlist import expand, format_circuit, parse
@@ -398,9 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NetlistError, NetworkError) as exc:
         print(_diag(exc, path), file=sys.stderr)
         return NETLIST_EXIT
-    except (EngineError, VerifyError) as exc:
-        print(_diag(exc, path), file=sys.stderr)
-        return ANALYSIS_EXIT
     except TblError as exc:
         print(_diag(exc, path), file=sys.stderr)
         return ANALYSIS_EXIT

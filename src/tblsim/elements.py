@@ -120,10 +120,6 @@ def balloon_pressure(volume: float, params: BalloonParams) -> float:
     return (volume - params.rest_volume) / params.compliance / KPA
 
 
-def is_burst(pressure_kpa: float, params: BalloonParams) -> bool:
-    return pressure_kpa > params.burst_kpa
-
-
 def valve_step(
     state: ValveState, control_kpa: float, thresholds: HysteresisThresholds
 ) -> ValveState:
@@ -326,14 +322,6 @@ class PneumaticNetwork:
             caps.append((b.name, b.node, b.params, b.initial_kpa))
         return caps
 
-    def element_names(self) -> set[str]:
-        return (
-            {t.name for t in self.tubes}
-            | {v.name for v in self.valves}
-            | {b.name for b in self.balloons}
-            | {s.name for s in self.sources}
-        )
-
     def validate(self) -> "PneumaticNetwork":
         """Check structural invariants; returns self so calls can chain."""
         names: set[str] = set()
@@ -404,9 +392,6 @@ class PneumaticNetwork:
             for node, p in pins.items()
         )
         return replace(self, sources=self.sources + extra)
-
-    def with_probes(self, probes: tuple[str, ...]) -> "PneumaticNetwork":
-        return replace(self, probes=probes)
 
     def with_uniform_params(
         self,

@@ -9,6 +9,16 @@ Both the DC search and the transient regimes assemble only the blocks of
 it that a solve needs, and every linear solve, at every network size, is
 one sparse LU.
 
+Every valve is a hysteretic relay, and one rule, ``_Compiled.margin``,
+decides its switching everywhere: the signed distance of its control
+pressure past the threshold of its pending transition (``p_inflate`` while
+open, ``p_deflate`` while closed); the valve switches where that margin is
+at or above 0, and a NaN control never switches. The DC search, the
+transient settling after a flip, the per-step crossing scan and the event
+bisection all decide through it, on the boolean open-state array, which is
+the only form of valve state inside this module; ``ValveState`` appears
+only in the inputs and the results.
+
 The DC search steps all valves at once on the pressures of one solve per
 assignment. Components over the conducting branches decide which nodes a
 solve must leave out: balloons cut off from every fixed node keep their
@@ -40,13 +50,10 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .elements import (
-    BalloonParams,
-    HysteresisThresholds,
     PneumaticNetwork,
     ValveState,
     balloon_pressure,
     node_components,
-    valve_step,
 )
 from .errors import (
     AstableCircuitError,
@@ -155,26 +162,15 @@ class CalibrationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ValveRef:
-    name: str
-    control: int
-    #: index into the balloons of the one sitting on the control node, if any
-    cap: int | None
-    thresholds: HysteresisThresholds
-    initial: ValveState
+def _state(is_open: bool) -> ValveState:
+    return ValveState.OPEN if is_open else ValveState.CLOSED
 
 
-@dataclass(frozen=True)
-class _CapRef:
-    name: str
-    node: int
-    params: BalloonParams
-    initial_kpa: float
-
-
-def _is_open(states: tuple[ValveState, ...]) -> np.ndarray:
-    return np.array([s is ValveState.OPEN for s in states], dtype=bool)
+def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
+    """Balloon pressures in Pa, rounded through kPa exactly as
+    ``balloon_pressure`` gives them; volumes below empty read as an empty
+    balloon, which holds no pressure."""
+    return np.maximum(volumes - rest_volume, 0.0) / compliance / KPA * KPA
 
 
 def _solve(G, rhs: np.ndarray) -> np.ndarray:
@@ -231,31 +227,50 @@ class _Compiled:
         self.p_inflate = np.array([v.thresholds.p_inflate for v in net.valves], dtype=float)
         self.p_deflate = np.array([v.thresholds.p_deflate for v in net.valves], dtype=float)
 
-        self.caps = [
-            _CapRef(name, index[node], params, init)
-            for name, node, params, init in net.capacitances()
-        ]
-        self.cap_idx = np.array([c.node for c in self.caps], dtype=int)
-        self.rest_volume = np.array([c.params.rest_volume for c in self.caps])
-        self.compliance = np.array([c.params.compliance for c in self.caps])
-        self.burst_kpa = np.array([c.params.burst_kpa for c in self.caps])
-        self.initial_kpa = np.array([c.initial_kpa for c in self.caps], dtype=float)
-        cap_at = {c.node: k for k, c in enumerate(self.caps)}
-        self.valves = [
-            _ValveRef(v.name, c, cap_at.get(c), v.thresholds, v.state)
-            for v, c in zip(net.valves, self.control.tolist())
-        ]
+        self.valve_names = [v.name for v in net.valves]
+        self.initial_open = np.array([v.state is ValveState.OPEN for v in net.valves], dtype=bool)
+
+        caps = net.capacitances()
+        self.cap_names = [name for name, _node, _params, _init in caps]
+        self.cap_idx = np.array([index[node] for _name, node, _p, _i in caps], dtype=int)
+        self.rest_volume = np.array([params.rest_volume for _n, _node, params, _i in caps])
+        self.compliance = np.array([params.compliance for _n, _node, params, _i in caps])
+        self.burst_kpa = np.array([params.burst_kpa for _n, _node, params, _i in caps])
+        self.initial_kpa = np.array([init for _n, _node, _p, init in caps], dtype=float)
+        # per valve, the index of the balloon sitting on its control node, or -1
+        cap_at = np.full(self.n, -1)
+        cap_at[self.cap_idx] = np.arange(len(caps))
+        self.control_cap = cap_at[self.control]
         free = np.ones(self.n, dtype=bool)
         free[self.fixed_idx] = False
         free[self.cap_idx] = False
         self.free_idx = np.flatnonzero(free)
-        self._regimes: dict[tuple[ValveState, ...], _Regime] = {}
+        self._regimes: dict[bytes, _Regime] = {}
 
     # -- assembly ------------------------------------------------------------
 
     def conductances(self, is_open: np.ndarray) -> np.ndarray:
         """Branch conductances for a boolean valve open-state array."""
         return np.concatenate([self.g_static, np.where(is_open, self.g_open, self.g_leak)])
+
+    def margin(self, is_open, ctrl_kpa, valves=slice(None)):
+        """The hysteresis rule, for the valves ``valves`` in the states
+        ``is_open`` at control pressures ``ctrl_kpa``: how far each control
+        is past the threshold of its pending transition, ``ctrl - p_inflate``
+        for an open valve and ``p_deflate - ctrl`` for a closed one. A valve
+        switches where this is >= 0; a NaN control never switches.
+
+        Elementwise over arrays. For one valve (``valves`` an int) it takes
+        and gives scalars: the event bisection asks it at every halving, and
+        a numpy call there would cost more than the rest of the halving.
+        """
+        if isinstance(valves, int):
+            if is_open:
+                return ctrl_kpa - self.p_inflate[valves]
+            return self.p_deflate[valves] - ctrl_kpa
+        return np.where(
+            is_open, ctrl_kpa - self.p_inflate[valves], self.p_deflate[valves] - ctrl_kpa
+        )
 
     def components(self, g: np.ndarray):
         """Component labels over the conducting branches, and per label
@@ -329,33 +344,45 @@ class _Compiled:
             p[unknown] = _solve(self.block(g, unknown), self.inflow(g, p)[unknown])
         return p
 
+    def pressures_kpa(self, p_pa: np.ndarray) -> dict[str, float]:
+        """Node pressures (kPa) by name, leaving out source internal nodes."""
+        return {n: p_pa[i] / KPA for n, i in self.index.items() if not n.endswith(".__src")}
+
     # -- transient regime (balloon nodes pinned by their volumes) -------------
 
-    def regime(self, states: tuple[ValveState, ...]) -> "_Regime":
-        reg = self._regimes.get(states)
+    def regime(self, is_open: np.ndarray) -> "_Regime":
+        key = is_open.tobytes()
+        reg = self._regimes.get(key)
         if reg is None:
-            reg = _Regime(self, states)
+            reg = _Regime(self, is_open)
             if len(self._regimes) < 4096:
-                self._regimes[states] = reg
+                self._regimes[key] = reg
         return reg
 
-    def initial_states(self, overrides: dict[str, ValveState] | None) -> tuple[ValveState, ...]:
-        overrides = overrides or {}
-        known = {v.name for v in self.valves}
-        bad = sorted(set(overrides) - known)
-        if bad:
-            raise ValueError(f"unknown valve name(s) in initial states: {', '.join(bad)}")
-        return tuple(overrides.get(v.name, v.initial) for v in self.valves)
+    def initial_states(self, overrides: dict[str, ValveState] | None) -> np.ndarray:
+        """The boolean open-state array, with ``overrides`` by valve name."""
+        given = _by_name(self.valve_names, overrides, "valve name(s) in initial states")
+        return np.array(
+            [o if s is None else s is ValveState.OPEN for o, s in zip(self.initial_open, given)],
+            dtype=bool,
+        )
 
     def initial_volumes(self, overrides: dict[str, float] | None) -> np.ndarray:
-        overrides = overrides or {}
-        known = {c.name for c in self.caps}
-        bad = sorted(set(overrides) - known)
-        if bad:
-            raise ValueError(f"unknown balloon name(s) in initial pressures: {', '.join(bad)}")
-        return np.array(
-            [c.params.volume_at(overrides.get(c.name, c.initial_kpa)) for c in self.caps]
-        )
+        given = _by_name(self.cap_names, overrides, "balloon name(s) in initial pressures")
+        kpa = np.array([k if p is None else p for k, p in zip(self.initial_kpa, given)])
+        if (kpa < 0.0).any():
+            raise ValueError(f"pressure_kpa must be >= 0, got {float(kpa.min())!r}")
+        return self.rest_volume + self.compliance * kpa * KPA
+
+
+def _by_name(names: list[str], overrides: dict | None, what: str) -> list:
+    """The override for each of ``names`` (None where not given); an
+    override naming nothing is a ValueError."""
+    overrides = overrides or {}
+    bad = sorted(set(overrides) - set(names))
+    if bad:
+        raise ValueError(f"unknown {what}: {', '.join(bad)}")
+    return [overrides.get(n) for n in names]
 
 
 class _Regime:
@@ -370,12 +397,13 @@ class _Regime:
     ``K`` are kept dense.
     """
 
-    def __init__(self, compiled: _Compiled, states: tuple[ValveState, ...]):
-        # only the reduced matrices are kept, never the _Compiled that caches
-        # this regime: a reference cycle would keep both, and their
-        # matrices, alive until the next full gc pass
+    def __init__(self, compiled: _Compiled, is_open: np.ndarray):
+        # only the reduced matrices and the balloon arrays are kept, never
+        # the _Compiled that caches this regime: a reference cycle would keep
+        # both, and their matrices, alive until the next full gc pass
+        self.rest_volume, self.compliance = compiled.rest_volume, compiled.compliance
         n, nc = compiled.n, len(compiled.cap_idx)
-        g = compiled.conductances(_is_open(states))
+        g = compiled.conductances(is_open)
         labels, _fixed, anchored = compiled.components(g)
         # columns: the fixed-node drive, then one per unit balloon pressure
         P = np.zeros((n, 1 + nc))
@@ -388,6 +416,21 @@ class _Regime:
         Q = compiled.inflow(g, P)[compiled.cap_idx]
         self.a0, self.A = P[:, 0].copy(), P[:, 1:].copy()
         self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
+
+    def pressures(self, volumes: np.ndarray) -> np.ndarray:
+        """Every node pressure (Pa) at the given balloon volumes."""
+        p = self.A @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.a0
+        if not np.isfinite(p).all():
+            raise SingularNetworkError("flow-balance system is numerically singular")
+        return p
+
+    def deriv(self, volumes: np.ndarray) -> np.ndarray:
+        """The balloons' net inflows (m3/s): the transient right-hand side."""
+        dv = self.K @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.k0
+        if not np.isfinite(dv).all():
+            raise SingularNetworkError("flow-balance system is numerically singular")
+        dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0  # an empty balloon cannot lose more air
+        return dv
 
 
 def _cap_pressures_kpa(compiled: _Compiled, volumes: np.ndarray) -> np.ndarray:
@@ -409,14 +452,15 @@ def dc_operating_point(
     """Find a valve-state assignment consistent with its own pressures.
 
     Starts with a synchronous fixed-point iteration from the initial
-    states: every valve steps at once on its control pressure, with the
-    hysteresis rule of ``valve_step`` (close at or above ``p_inflate``,
-    reopen at or below ``p_deflate``). If that cycles, it falls back to
-    exhaustive enumeration of all assignments (up to 16 valves), keeping
-    those the same step leaves unchanged. Multiple fixed points are all
-    listed, with the first in enumeration order reported as the operating
-    point when the iteration itself did not converge. Each assignment is
-    one ``_Compiled.solve_dc``: one sparse LU on every network size.
+    states: every valve steps at once on its control pressure, switching
+    where ``_Compiled.margin`` is >= 0 (an open valve at or above
+    ``p_inflate``, a closed one at or below ``p_deflate``). If that cycles,
+    it falls back to exhaustive enumeration of all assignments (up to 16
+    valves), keeping those the same rule leaves unchanged. Multiple fixed
+    points are all listed, with the first in enumeration order reported as
+    the operating point when the iteration itself did not converge. Each
+    assignment is one ``_Compiled.solve_dc``: one sparse LU on every
+    network size.
 
     Raises AstableCircuit when no assignment is self-consistent, Singular
     when the flow-balance system cannot be solved uniquely, and
@@ -424,34 +468,25 @@ def dc_operating_point(
     """
     net.validate()
     compiled = _Compiled(net)
-    is_open = _is_open(compiled.initial_states(initial_states))
-    nv = len(compiled.valves)
-
-    def step(is_open, p_pa):
-        # the comparisons of valve_step, so a NaN control keeps the state
-        ctrl = p_pa[compiled.control] / KPA
-        return np.where(is_open, ~(ctrl >= compiled.p_inflate), ctrl <= compiled.p_deflate)
+    is_open = compiled.initial_states(initial_states)
+    nv = len(is_open)
 
     def named(is_open):
-        return {
-            v.name: ValveState.OPEN if o else ValveState.CLOSED
-            for v, o in zip(compiled.valves, is_open.tolist())
-        }
+        return {n: _state(o) for n, o in zip(compiled.valve_names, is_open.tolist())}
 
     def result(is_open, p_pa, fixed_points=()):
-        pressures = {
-            n: p_pa[i] / KPA for n, i in compiled.index.items() if not n.endswith(".__src")
-        }
-        return SteadyState(named(is_open), pressures, tuple(named(fp) for fp in fixed_points))
+        return SteadyState(
+            named(is_open), compiled.pressures_kpa(p_pa), tuple(named(fp) for fp in fixed_points)
+        )
 
     seen = set()
     while (key := np.packbits(is_open).tobytes()) not in seen:
         seen.add(key)
         p_pa = compiled.solve_dc(is_open)
-        new = step(is_open, p_pa)
-        if np.array_equal(new, is_open):
+        switch = compiled.margin(is_open, p_pa[compiled.control] / KPA) >= 0.0
+        if not switch.any():
             return result(is_open, p_pa)
-        is_open = new
+        is_open = is_open ^ switch
 
     # iteration cycled; enumerate every assignment
     if nv > _MAX_ENUM_VALVES:
@@ -465,7 +500,7 @@ def dc_operating_point(
             p_pa = compiled.solve_dc(assign)
         except SingularNetworkError:
             continue  # a floating regime cannot be an operating point
-        if np.array_equal(step(assign, p_pa), assign):
+        if not (compiled.margin(assign, p_pa[compiled.control] / KPA) >= 0.0).any():
             fixed_points.append((assign, p_pa))
     if not fixed_points:
         raise AstableCircuitError(
@@ -485,8 +520,7 @@ def solve_pressures(
     """
     net.validate()
     compiled = _Compiled(net)
-    p_pa = compiled.solve_dc(_is_open(compiled.initial_states(valve_states)))
-    return {n: p_pa[i] / KPA for n, i in compiled.index.items() if not n.endswith(".__src")}
+    return compiled.pressures_kpa(compiled.solve_dc(compiled.initial_states(valve_states)))
 
 
 def branch_flows(
@@ -557,35 +591,6 @@ _B4 = np.array(
 _E = _B5 - _B4
 
 
-class _Integrator:
-    """One regime's ODE right-hand side and node pressures."""
-
-    def __init__(self, compiled: _Compiled, regime: _Regime):
-        self.compiled = compiled
-        self.regime = regime
-
-    def _cap_pa(self, volumes: np.ndarray) -> np.ndarray:
-        # _cap_pressures_kpa in Pa, unchecked: RK stages and accepted states
-        # may overshoot below empty, and an empty balloon holds no pressure
-        c = self.compiled
-        return np.maximum(volumes - c.rest_volume, 0.0) / c.compliance / KPA * KPA
-
-    def pressures(self, volumes: np.ndarray) -> np.ndarray:
-        reg = self.regime
-        p = reg.A @ self._cap_pa(volumes) + reg.a0
-        if not np.isfinite(p).all():
-            raise SingularNetworkError("flow-balance system is numerically singular")
-        return p
-
-    def deriv(self, volumes: np.ndarray) -> np.ndarray:
-        reg = self.regime
-        dv = reg.K @ self._cap_pa(volumes) + reg.k0
-        if not np.isfinite(dv).all():
-            raise SingularNetworkError("flow-balance system is numerically singular")
-        dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0  # an empty balloon cannot lose more air
-        return dv
-
-
 def _rk_step(f, y, h, k1):
     k = np.empty((7, len(y)))
     k[0] = k1
@@ -606,22 +611,18 @@ def _hermite(y0, y1, f0, f1, h, tau):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
-def _crossing(v: _ValveRef, state: ValveState, ctrl_kpa: float) -> float:
-    """Positive once the pending transition's threshold is met."""
-    if state is ValveState.OPEN:
-        return ctrl_kpa - v.thresholds.p_inflate
-    return v.thresholds.p_deflate - ctrl_kpa
-
-
 def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     """Integrate the circuit and return a sampled Trace.
 
     Balloon volumes are advanced with an adaptive embedded Runge-Kutta
     pair whose right-hand side is the balloon law followed by the
     regime's Kron-reduced matrix, built once per set of valve states.
-    Valve transitions are located by bisection inside the step that
-    brackets them, the step is retaken up to the event time, the valve
-    state flips, and integration restarts. A valve whose control node is a
+    Every switching decision is one rule, ``_Compiled.margin``: a valve
+    switches where its control is at or past the threshold of its pending
+    transition. A step in which a valve's margin goes from below 0 to 0
+    or above brackets a transition; it is located by bisection inside
+    that step, the step is retaken up to the event time, the valve state
+    flips, and integration restarts. A valve whose control node is a
     balloon is bisected on that balloon's component of the step's cubic
     Hermite interpolant and its balloon law alone; a free or driven
     control node reads the regime's full pressure map at each bisection
@@ -642,8 +643,9 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         raise ValueError(f"unknown probe node(s): {', '.join(missing)}")
     probe_idx = np.array([compiled.index[p] for p in probes], dtype=int)
 
-    states = compiled.initial_states(cfg.initial_valve_states)
+    is_open = compiled.initial_states(cfg.initial_valve_states)
     volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
+    cap_params = [params for _name, _node, params, _init in net.capacitances()]
 
     times: list[float] = []
     rows: list[np.ndarray] = []
@@ -659,59 +661,62 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
 
     def check_burst(t: float, volumes: np.ndarray) -> None:
         p = _cap_pressures_kpa(compiled, np.maximum(volumes, 0.0))
-        for k in np.flatnonzero(p > compiled.burst_kpa):
-            c = compiled.caps[k]
-            if c.name not in burst_seen:
-                burst_seen.add(c.name)
+        for k in np.flatnonzero(p > compiled.burst_kpa).tolist():
+            name = compiled.cap_names[k]
+            if name not in burst_seen:
+                burst_seen.add(name)
                 warnings.append(
-                    f"balloon {c.name} passed its burst pressure "
-                    f"({c.params.burst_kpa} kPa) at t={t:.6g} s"
+                    f"balloon {name} passed its burst pressure "
+                    f"({cap_params[k].burst_kpa} kPa) at t={t:.6g} s"
                 )
 
-    def settle(t: float, states, integ, volumes: np.ndarray):
-        """Apply valve_step at ``volumes`` until self-consistent, logging
-        transitions.
+    def flip(t: float, is_open: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """Flip the valves ``which`` at time ``t``, logging each transition."""
+        is_open = is_open.copy()
+        is_open[which] = ~is_open[which]
+        for vi in which.tolist():
+            events.append((t, compiled.valve_names[vi], _state(is_open[vi])))
+        return is_open
+
+    def settle(t: float, is_open: np.ndarray, volumes: np.ndarray):
+        """Flip every valve whose margin is >= 0 at ``volumes``, and repeat
+        until none is, logging transitions. Returns the valve states, their
+        regime, the node pressures and the margins.
 
         Control pressures sitting on balloons cannot react to flips, so
         this terminates immediately for gate-style circuits; free-node
         controls get a bounded relaxation. When that gives up, a warning
-        names the valves still changing, and the returned set of their
-        indices is held: the step scan does not flip them again while they
-        stay past their threshold, which would repeat the same relaxation
-        at the same instant forever.
+        names the valves still changing, and they are left as they are:
+        the step scan flips a valve only where its margin rises from below
+        0 to 0 or above, so they are not flipped again at the same instant
+        while they stay past their threshold.
         """
-        limit = 4 * max(1, len(compiled.valves))
+        limit = 4 * max(1, len(is_open))
         for relaxation in range(limit + 1):
-            p = integ.pressures(volumes)
-            new = tuple(
-                valve_step(s, p[v.control] / KPA, v.thresholds)
-                for v, s in zip(compiled.valves, states)
-            )
-            changing = [vi for vi, (old, cur) in enumerate(zip(states, new)) if old is not cur]
-            if not changing:
-                return states, integ, set()
+            reg = compiled.regime(is_open)
+            p = reg.pressures(volumes)
+            m = compiled.margin(is_open, p[compiled.control] / KPA)
+            switch = (m >= 0.0).nonzero()[0]
+            if not len(switch):
+                break
             if relaxation == limit:
-                names = ", ".join(compiled.valves[vi].name for vi in changing)
+                names = ", ".join(compiled.valve_names[vi] for vi in switch.tolist())
                 warnings.append(
                     f"valve states did not settle at t={t:.6g} s after {limit} "
                     f"relaxations; still changing: {names}"
                 )
-                return states, integ, set(changing)
-            for vi in changing:
-                events.append((t, compiled.valves[vi].name, new[vi]))
-            states = new
-            integ = _Integrator(compiled, compiled.regime(states))
+                break
+            is_open = flip(t, is_open, switch)
+        return is_open, reg, p, m
 
-    integ = _Integrator(compiled, compiled.regime(states))
-    states, integ, held = settle(0.0, states, integ, volumes)
+    is_open, reg, p0, m0 = settle(0.0, is_open, volumes)
 
     t = 0.0
-    p0 = integ.pressures(volumes)
     emit(0.0, p0)
     check_burst(0.0, volumes)
     next_sample = cfg.sample_interval
 
-    k1 = integ.deriv(volumes)
+    k1 = reg.deriv(volumes)
     h = min(cfg.max_step, cfg.t_end / 100.0, cfg.sample_interval)
     min_h = max(1.0e-14, 2.0 * np.finfo(float).eps * cfg.t_end)
 
@@ -720,7 +725,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         if h < min_h:
             raise NonConvergenceError(f"step size underflow at t={t!r}")
 
-        y1, err, k7 = _rk_step(integ.deriv, volumes, h, k1)
+        y1, err, k7 = _rk_step(reg.deriv, volumes, h, k1)
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(volumes), np.abs(y1))
         if len(scale):
             errnorm = float(np.sqrt(np.mean((err / scale) ** 2)))
@@ -730,80 +735,60 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             h *= max(0.2, 0.9 * errnorm ** -0.2)
             continue
 
-        p1 = integ.pressures(y1)
-        # scan for valve transitions across this step
-        crossers = []
-        for vi, (v, s) in enumerate(zip(compiled.valves, states)):
-            c0 = _crossing(v, s, p0[v.control] / KPA)
-            c1 = _crossing(v, s, p1[v.control] / KPA)
-            if c0 < 0.0 <= c1:
-                crossers.append((vi, c0, c1))
-            elif c0 >= 0.0 and vi not in held:
-                crossers.append((vi, c0, c0))  # already past threshold at step start
+        p1 = reg.pressures(y1)
+        m1 = compiled.margin(is_open, p1[compiled.control] / KPA)
+        # the valves whose margin crosses 0 inside this step
+        crossers = ((m0 < 0.0) & (m1 >= 0.0)).nonzero()[0]
 
-        if crossers:
+        if len(crossers):
             # bisect each crossing on the Hermite interpolant of the step
-            def control_kpa(v: _ValveRef):
-                """The valve's control pressure as a function of tau."""
-                if v.cap is None:  # free or driven node: the full pressure map
-                    return lambda tau: integ.pressures(
+            def control_kpa(vi: int):
+                """The valve's control pressure (kPa) as a function of tau."""
+                k = compiled.control_cap[vi]
+                if k < 0:  # a free or driven node: the full pressure map
+                    node = compiled.control[vi]
+                    return lambda tau: reg.pressures(
                         _hermite(volumes, y1, k1, k7, h, tau)
-                    )[v.control] / KPA
+                    )[node] / KPA
                 # a balloon node: its own volume component and balloon law,
                 # rounded through Pa exactly as the pressure map stores it
-                params = compiled.caps[v.cap].params
-                ends = [float(a[v.cap]) for a in (volumes, y1, k1, k7)]
+                ends = [float(a[k]) for a in (volumes, y1, k1, k7)]
+                params = cap_params[k]
                 return lambda tau: balloon_pressure(
                     max(_hermite(*ends, h, tau), 0.0), params
                 ) * KPA / KPA
 
-            t_events = []
-            for vi, c0, c1 in crossers:
-                v = compiled.valves[vi]
-                if c0 >= 0.0:
-                    t_events.append((0.0, vi))
-                    continue
-                ctrl = control_kpa(v)
+            tau = []
+            for vi in crossers.tolist():
+                ctrl_kpa = control_kpa(vi)
+                state = bool(is_open[vi])
                 lo, hi = 0.0, 1.0
                 while (hi - lo) * h > cfg.event_tol:
                     mid = 0.5 * (lo + hi)
-                    cm = _crossing(v, states[vi], ctrl(mid))
-                    if cm >= 0.0:
+                    if compiled.margin(state, ctrl_kpa(mid), vi) >= 0.0:
                         hi = mid
                     else:
                         lo = mid
-                t_events.append((hi, vi))
-            tau_star = min(te for te, _ in t_events)
-            flip_set = [vi for te, vi in t_events if (te - tau_star) * h <= cfg.event_tol]
+                tau.append(hi)
+            tau_star = min(tau)
+            flipped = crossers[(np.array(tau) - tau_star) * h <= cfg.event_tol]
 
             t_event = t + tau_star * h
-            if tau_star > 0.0:
-                y_e, _, k_e = _rk_step(integ.deriv, volumes, tau_star * h, k1)
-            else:
-                y_e, k_e = volumes.copy(), k1
+            y_e, _, _ = _rk_step(reg.deriv, volumes, tau_star * h, k1)
             # regular samples up to the event
             while next_sample < t_event - 1.0e-15:
                 tau_s = (next_sample - t) / h
-                emit(next_sample, integ.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
+                emit(next_sample, reg.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
                 next_sample += cfg.sample_interval
-            emit(t_event, integ.pressures(y_e))
+            emit(t_event, reg.pressures(y_e))
 
-            new_states = list(states)
-            for vi in flip_set:
-                v = compiled.valves[vi]
-                cur = states[vi]
-                nxt = ValveState.CLOSED if cur is ValveState.OPEN else ValveState.OPEN
-                new_states[vi] = nxt
-                events.append((t_event, v.name, nxt))
-            states = tuple(new_states)
+            is_open = flip(t_event, is_open, flipped)
             t = t_event
             volumes = np.maximum(y_e, 0.0)
-            integ = _Integrator(compiled, compiled.regime(states))
-            states, integ, held = settle(t, states, integ, volumes)
-            p0 = integ.pressures(volumes)
+            is_open, reg, p0, m0 = settle(t, is_open, volumes)
             emit(t + min(cfg.event_tol, cfg.sample_interval / 8.0), p0)
             check_burst(t, volumes)
-            k1 = integ.deriv(volumes)
+            k1 = reg.deriv(volumes)
             h = min(cfg.max_step, max(h, min_h))
             continue
 
@@ -811,11 +796,11 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         t1 = t + h
         while next_sample <= t1 + 1.0e-15 and next_sample <= cfg.t_end:
             tau_s = (next_sample - t) / h
-            emit(next_sample, integ.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
+            emit(next_sample, reg.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
             next_sample += cfg.sample_interval
         t = t1
         volumes = y1
-        p0 = p1
+        p0, m0 = p1, m1
         k1 = k7
         check_burst(t, volumes)
         if errnorm == 0.0:

@@ -336,6 +336,9 @@ def _render_value(value) -> str:
 
 @dataclass
 class _GateParams:
+    """Element parameters of a gate, ring, valve or balloon statement: its
+    own values where given, else the defaults. Pressures are kPa."""
+
     tube_length: float
     tube_id: float
     pulldown_length: float
@@ -346,7 +349,7 @@ class _GateParams:
     burst: float
     open_conductance: float
     leak: float
-    viscosity: float
+    init: float
 
     @classmethod
     def build(cls, defaults: PhysicalDefaults, stmt: Statement) -> "_GateParams":
@@ -354,26 +357,38 @@ class _GateParams:
             v = stmt.get(key)
             return v.si if isinstance(v, Quantity) else fallback
 
+        def kpa(key, fallback):
+            v = stmt.get(key)
+            return v.si / 1e3 if isinstance(v, Quantity) else fallback
+
         return cls(
             tube_length=q("length", defaults.device_tube_length),
             tube_id=q("id", defaults.tube_inner_diameter),
             pulldown_length=q("pulldown_length", defaults.pulldown_length),
-            inflate=q("inflate", defaults.inflate_kpa * 1e3) / 1e3,
-            deflate=q("deflate", defaults.deflate_kpa * 1e3) / 1e3,
+            inflate=kpa("inflate", defaults.inflate_kpa),
+            deflate=kpa("deflate", defaults.deflate_kpa),
             volume=q("volume", defaults.balloon_rest_volume),
             compliance=q("compliance", defaults.balloon_compliance),
-            burst=q("burst", defaults.burst_kpa * 1e3) / 1e3,
+            burst=kpa("burst", defaults.burst_kpa),
             open_conductance=q("open_conductance", defaults.open_conductance),
             leak=q("leak", defaults.leak_conductance),
-            viscosity=defaults.air_viscosity,
+            init=kpa("init", 0.0),
         )
-
-    def thresholds(self) -> HysteresisThresholds:
-        return HysteresisThresholds(p_inflate=self.inflate, p_deflate=self.deflate)
 
     def balloon(self) -> BalloonParams:
         return BalloonParams(
             rest_volume=self.volume, compliance=self.compliance, burst_kpa=self.burst
+        )
+
+    def valve(self, name: str, flow_from: str, flow_to: str, control: str, **kw):
+        """A switching device with these parameters; ``kw`` sets the rest."""
+        return KinkValveDevice(
+            name, flow_from, flow_to, control,
+            balloon=self.balloon(),
+            thresholds=HysteresisThresholds(p_inflate=self.inflate, p_deflate=self.deflate),
+            open_conductance=self.open_conductance,
+            leak_conductance=self.leak,
+            **kw,
         )
 
 
@@ -408,7 +423,6 @@ class _Builder:
 def _expand_not(
     b: _Builder, name: str, gp: _GateParams, input_node: str, out: str,
     supply_node: str, with_pulldown: bool = True,
-    state: ValveState = ValveState.OPEN, init_kpa: float = 0.0,
 ):
     """supply --tube--> valve --> out; control balloon fed from the input;
     pull-down from out to atmosphere."""
@@ -416,20 +430,7 @@ def _expand_not(
     bal = f"{name}.b"
     b.tube(f"{name}.ts", supply_node, s1, gp.tube_length, gp.tube_id)
     b.tube(f"{name}.tc", input_node, bal, gp.tube_length, gp.tube_id)
-    b.valves.append(
-        KinkValveDevice(
-            name=f"{name}.v",
-            flow_from=s1,
-            flow_to=out,
-            control_node=bal,
-            balloon=gp.balloon(),
-            thresholds=gp.thresholds(),
-            open_conductance=gp.open_conductance,
-            leak_conductance=gp.leak,
-            state=state,
-            initial_control_kpa=init_kpa,
-        )
-    )
+    b.valves.append(gp.valve(f"{name}.v", s1, out, bal))
     if with_pulldown:
         b.tube(f"{name}.tp", out, b.atmosphere, gp.pulldown_length, gp.tube_id)
 
@@ -441,12 +442,8 @@ def _expand_nor(b, name, gp, in_a, in_b, out, supply_node):
     b.tube(f"{name}.ts", supply_node, s1, gp.tube_length, gp.tube_id)
     b.tube(f"{name}.tc1", in_a, ba, gp.tube_length, gp.tube_id)
     b.tube(f"{name}.tc2", in_b, bb, gp.tube_length, gp.tube_id)
-    common = dict(
-        balloon=gp.balloon(), thresholds=gp.thresholds(),
-        open_conductance=gp.open_conductance, leak_conductance=gp.leak,
-    )
-    b.valves.append(KinkValveDevice(f"{name}.v1", s1, mid, ba, **common))
-    b.valves.append(KinkValveDevice(f"{name}.v2", mid, out, bb, **common))
+    b.valves.append(gp.valve(f"{name}.v1", s1, mid, ba))
+    b.valves.append(gp.valve(f"{name}.v2", mid, out, bb))
     b.tube(f"{name}.tp", out, b.atmosphere, gp.pulldown_length, gp.tube_id)
 
 
@@ -458,12 +455,8 @@ def _expand_nand(b, name, gp, in_a, in_b, out, supply_node):
     b.tube(f"{name}.ts2", supply_node, s2, gp.tube_length, gp.tube_id)
     b.tube(f"{name}.tc1", in_a, ba, gp.tube_length, gp.tube_id)
     b.tube(f"{name}.tc2", in_b, bb, gp.tube_length, gp.tube_id)
-    common = dict(
-        balloon=gp.balloon(), thresholds=gp.thresholds(),
-        open_conductance=gp.open_conductance, leak_conductance=gp.leak,
-    )
-    b.valves.append(KinkValveDevice(f"{name}.v1", s1, out, ba, **common))
-    b.valves.append(KinkValveDevice(f"{name}.v2", s2, out, bb, **common))
+    b.valves.append(gp.valve(f"{name}.v1", s1, out, ba))
+    b.valves.append(gp.valve(f"{name}.v2", s2, out, bb))
     b.tube(f"{name}.tp", out, b.atmosphere, gp.pulldown_length, gp.tube_id)
 
 
@@ -577,55 +570,19 @@ def expand(ast: CircuitAst, defaults: PhysicalDefaults | None = None) -> Pneumat
                 d.si if d else defaults.tube_inner_diameter,
             )
         elif stmt.kind == "balloon":
-            vol = stmt.get("volume")
-            comp = stmt.get("compliance")
-            burst = stmt.get("burst")
-            init = stmt.get("init")
-            b.balloons.append(
-                Balloon(
-                    name=stmt.name,
-                    node=stmt.get("node"),
-                    params=BalloonParams(
-                        rest_volume=vol.si if vol else defaults.balloon_rest_volume,
-                        compliance=comp.si if comp else defaults.balloon_compliance,
-                        burst_kpa=burst.si / 1e3 if burst else defaults.burst_kpa,
-                    ),
-                    initial_kpa=init.si / 1e3 if init else 0.0,
-                )
-            )
+            gp = _GateParams.build(defaults, stmt)
+            b.balloons.append(Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp.init))
         elif stmt.kind == "valve":
-            vol = stmt.get("volume")
-            comp = stmt.get("compliance")
-            burst = stmt.get("burst")
-            init = stmt.get("init")
-            inflate = stmt.get("inflate")
-            deflate = stmt.get("deflate")
-            g_open = stmt.get("open_conductance")
-            leak = stmt.get("leak")
             state_txt = stmt.get("state", "open")
             if state_txt not in ("open", "closed"):
                 raise NetlistSyntaxError(
                     f"valve {stmt.name}: state must be open or closed", line=stmt.line
                 )
+            gp = _GateParams.build(defaults, stmt)
             b.valves.append(
-                KinkValveDevice(
-                    name=stmt.name,
-                    flow_from=stmt.get("from"),
-                    flow_to=stmt.get("to"),
-                    control_node=stmt.get("control"),
-                    balloon=BalloonParams(
-                        rest_volume=vol.si if vol else defaults.balloon_rest_volume,
-                        compliance=comp.si if comp else defaults.balloon_compliance,
-                        burst_kpa=burst.si / 1e3 if burst else defaults.burst_kpa,
-                    ),
-                    thresholds=HysteresisThresholds(
-                        p_inflate=inflate.si / 1e3 if inflate else defaults.inflate_kpa,
-                        p_deflate=deflate.si / 1e3 if deflate else defaults.deflate_kpa,
-                    ),
-                    open_conductance=g_open.si if g_open else defaults.open_conductance,
-                    leak_conductance=leak.si if leak else defaults.leak_conductance,
-                    state=ValveState(state_txt),
-                    initial_control_kpa=init.si / 1e3 if init else 0.0,
+                gp.valve(
+                    stmt.name, stmt.get("from"), stmt.get("to"), stmt.get("control"),
+                    state=ValveState(state_txt), initial_control_kpa=gp.init,
                 )
             )
         elif stmt.kind == "gate":

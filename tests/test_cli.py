@@ -1,8 +1,10 @@
 import json
 import os
+import typing
 
 import pytest
 
+from tblsim import PhysicalDefaults, cli
 from tblsim.cli import main
 
 CIRCUITS = os.path.join(os.path.dirname(__file__), "..", "circuits")
@@ -217,6 +219,10 @@ def test_set_overrides_default(capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "IndeterminateLevel" in err
+
+
+def test_override_annotations_resolve():
+    assert typing.get_type_hints(cli._apply_overrides)["defaults"] is PhysicalDefaults
 
 
 def test_set_unknown_default_is_usage_error(capsys):

@@ -9,6 +9,7 @@ from tblsim import (
     Balloon,
     BalloonParams,
     CalibrationFailedError,
+    HysteresisThresholds,
     KinkValveDevice,
     NoOscillationError,
     PneumaticNetwork,
@@ -433,11 +434,12 @@ def test_vectorized_balloon_law_matches_the_scalar_law():
         "balloon extra node=r.q1 volume=2mL compliance=3e-10\n"
     )
     compiled = engine._Compiled(net)
+    params = [p for _owner, _node, p, _init in net.capacitances()]
     rng = np.random.default_rng(7)
     rest = compiled.rest_volume
     for volumes in (rest, 0.0 * rest, rest * rng.uniform(0.0, 1.5, size=(200, len(rest)))):
         for row in np.atleast_2d(volumes):
-            want = [balloon_pressure(v, c.params) for v, c in zip(row, compiled.caps)]
+            want = [balloon_pressure(v, p) for v, p in zip(row, params)]
             assert np.array_equal(engine._cap_pressures_kpa(compiled, row), want)
     with pytest.raises(ValueError):
         engine._cap_pressures_kpa(compiled, -rest)
@@ -474,7 +476,7 @@ def test_balloon_event_path_matches_full_solve(make_net, monkeypatch):
 
     def no_control_balloons(self, net):
         full_init(self, net)
-        self.valves = [dataclasses.replace(v, cap=None) for v in self.valves]
+        self.control_cap = np.full_like(self.control_cap, -1)
 
     monkeypatch.setattr(engine._Compiled, "__init__", no_control_balloons)
     full = simulate(net, cfg)
@@ -521,29 +523,27 @@ def test_kron_reduced_rhs_matches_a_full_solve(make_net):
     compiled = engine._Compiled(net)
     rng = np.random.default_rng(11)
     rest = compiled.rest_volume
-    n_valves = len(compiled.valves)
+    n_valves = len(net.valves)
     for trial in range(6):
         if trial == 0:
-            states = compiled.initial_states(None)
+            is_open = compiled.initial_states(None)
         else:
-            states = tuple(
-                ValveState.OPEN if bit else ValveState.CLOSED
-                for bit in rng.integers(0, 2, size=n_valves)
-            )
-        integ = engine._Integrator(compiled, compiled.regime(states))
+            is_open = rng.integers(0, 2, size=n_valves).astype(bool)
+        states = tuple(ValveState.OPEN if o else ValveState.CLOSED for o in is_open)
+        reg = compiled.regime(is_open)
         for _ in range(5):
             volumes = rest * rng.uniform(0.0, 1.6, size=len(rest))
             volumes[rng.integers(0, len(rest))] = 0.0  # an empty balloon
             want_p, want_dv = _full_solve_reference(net, states, volumes)
-            got_p, got_dv = integ.pressures(volumes), integ.deriv(volumes)
+            got_p, got_dv = reg.pressures(volumes), reg.deriv(volumes)
             assert np.abs(got_p - want_p).max() <= 1e-12 * np.abs(want_p).max()
             assert np.abs(got_dv - want_dv).max() <= 1e-12 * np.abs(want_dv).max()
     volumes = rest.copy()
     volumes[0] = np.nan
     with pytest.raises(SingularNetworkError):
-        integ.deriv(volumes)
+        reg.deriv(volumes)
     with pytest.raises(SingularNetworkError):
-        integ.pressures(volumes)
+        reg.pressures(volumes)
 
 
 def test_rk_stage_array_matches_the_tableau_loop():
@@ -635,6 +635,38 @@ def test_free_control_node_event_is_located():
     assert (name, state) == ("v", ValveState.CLOSED)
     assert abs(t_e - t_cross) <= cfg.event_tol
     assert float(tr.column("q")[-1]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "state, init, thresholds, switches",
+    [
+        (ValveState.OPEN, 85.0, (85.0, 60.0), True),
+        (ValveState.CLOSED, 60.0, (85.0, 60.0), True),
+        (ValveState.OPEN, 85.0, (np.nextafter(85.0, np.inf), 60.0), False),
+        (ValveState.CLOSED, 60.0, (85.0, np.nextafter(60.0, 0.0)), False),
+    ],
+    ids=["at-p_inflate", "at-p_deflate", "ulp-below-p_inflate", "ulp-above-p_deflate"],
+)
+def test_transient_valve_switches_at_exact_thresholds(state, init, thresholds, switches):
+    # power-of-two volume and compliance make the kPa -> volume -> kPa round
+    # trip exact, so the control reads the threshold itself; the control
+    # balloon has no tube, so it keeps that charge
+    params = BalloonParams(rest_volume=2.0**-20, compliance=2.0**-31)
+    assert balloon_pressure(params.volume_at(init), params) == init
+    valve = KinkValveDevice(
+        "v", "S", "q", "b", balloon=params, state=state, initial_control_kpa=init,
+        thresholds=HysteresisThresholds(*thresholds),
+    )
+    net = PneumaticNetwork(
+        tubes=(TubeElement.from_geometry("tq", "q", "ATM", 0.15, 1.0e-3, MU),),
+        valves=(valve,),
+        sources=(SourceElement("SUP", "S", 145.0),),
+        probes=("b", "q"),
+    )
+    tr = simulate(net, SimConfig(t_end=0.01))
+    assert tr.column("b")[0] == init
+    flipped = ValveState.CLOSED if state is ValveState.OPEN else ValveState.OPEN
+    assert tr.events == (((0.0, "v", flipped),) if switches else ())
 
 
 def test_initial_state_overrides_are_checked():

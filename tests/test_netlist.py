@@ -9,6 +9,7 @@ from tblsim import (
     EvenRingError,
     NetlistError,
     NetlistSyntaxError,
+    PhysicalDefaults,
     Quantity,
     Statement,
     SupplyMissingError,
@@ -204,6 +205,25 @@ def test_gate_parameter_overrides_flow_through():
     pull = next(t for t in net.tubes if t.name == "inv.tp")
     assert pull.length == pytest.approx(0.30)
     assert net.valves[0].thresholds.p_inflate == pytest.approx(90.0)
+
+
+def test_valve_statements_and_gates_take_defaults_alike():
+    # neither default survives a kPa -> Pa -> kPa round trip
+    defaults = PhysicalDefaults().merged({"inflate_kpa": 86.895802, "burst_kpa": 230.4824372526})
+    net = expand(
+        parse(
+            "source SUP pressure=145kPa\n"
+            "gate NOT inv in=a out=q supply=SUP\n"
+            "valve v from=SUP to=x control=c\n"
+            "tube t from=x to=ATM length=15cm\n"
+        ),
+        defaults,
+    )
+    gate, valve = net.valves
+    assert valve.thresholds.p_inflate == defaults.inflate_kpa
+    assert valve.balloon.burst_kpa == defaults.burst_kpa
+    assert gate.thresholds == valve.thresholds
+    assert gate.balloon == valve.balloon
 
 
 def test_with_override_patches_parameters():
