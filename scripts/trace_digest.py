@@ -9,9 +9,11 @@ the output shows whether a change left the traces bit-identical. The runs
 are the 101-stage ring of the benchmark's ring101 workload, the shipped
 ``ring3_calibrated.tbl`` and ``ring5.tbl``, and the stock-to-15 Hz /
 35 kPa ``calibrate_oscillator`` fit, whose result is digested by its repr.
-Each line also prints the run's event and sample counts; for the fit they
-are those of its last simulation, the one that verifies the fitted values,
-next to the number of simulations it ran. The ``free`` line covers two
+Each line also prints the run's event and sample counts. For the fit it
+prints the number of simulations it ran, their summed window length
+``sim_s`` and the event count of each, in order, so a change of window
+shows; its sample count is that of its last simulation, the one that
+verifies the fitted values. The ``free`` line covers two
 valves controlled by a free node rather than a balloon: one reading a
 divider tap, whose crossing is bisected on the full pressure map, and one
 reading its own outlet, whose settling gives up with a warning. It prints
@@ -115,8 +117,11 @@ def main() -> None:
         compliance=4.0e-10, open_conductance=1.0e-5
     )
     fit_traces = []
+    sim_s = 0.0
 
     def recording_simulate(net, cfg):
+        nonlocal sim_s
+        sim_s += cfg.t_end
         fit_traces.append(simulate(net, cfg))
         return fit_traces[-1]
 
@@ -127,8 +132,9 @@ def main() -> None:
         engine.simulate = simulate
     last = fit_traces[-1]
     digest = hashlib.sha256(repr(fit).encode()).hexdigest()
-    print(f"calibrate: iterations={fit.iterations} sims={len(fit_traces)} "
-          f"events={len(last.events)} samples={len(last.times)} sha256={digest}")
+    print(f"calibrate: iterations={fit.iterations} sims={len(fit_traces)} sim_s={sim_s:.6g} "
+          f"events={','.join(str(len(tr.events)) for tr in fit_traces)} "
+          f"samples={len(last.times)} sha256={digest}")
 
     h = hashlib.sha256()
     rows = 0

@@ -416,10 +416,24 @@ class _Regime:
         Q = compiled.inflow(g, P)[compiled.cap_idx]
         self.a0, self.A = P[:, 0].copy(), P[:, 1:].copy()
         self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
+        self._rows = None  # (rows, A[rows], a0[rows]) of the last row_pressures call
 
     def pressures(self, volumes: np.ndarray) -> np.ndarray:
         """Every node pressure (Pa) at the given balloon volumes."""
         p = self.A @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.a0
+        if not np.isfinite(p).all():
+            raise SingularNetworkError("flow-balance system is numerically singular")
+        return p
+
+    def row_pressures(self, rows: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+        """The pressures (Pa) of the nodes ``rows``, one row per row of
+        balloon volumes in ``volumes``: only those rows of the map are
+        applied. Their slice of ``A`` and ``a0`` is kept while the same
+        ``rows`` array is asked for."""
+        if self._rows is None or self._rows[0] is not rows:
+            self._rows = (rows, self.A[rows], self.a0[rows])
+        _rows, A, a0 = self._rows
+        p = _balloon_pa(volumes, self.rest_volume, self.compliance) @ A.T + a0
         if not np.isfinite(p).all():
             raise SingularNetworkError("flow-balance system is numerically singular")
         return p
@@ -626,11 +640,17 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     balloon is bisected on that balloon's component of the step's cubic
     Hermite interpolant and its balloon law alone; a free or driven
     control node reads the regime's full pressure map at each bisection
-    step. Volumes below empty, which RK stages can overshoot to, read as
-    an empty balloon. After a flip the valves are settled at the event
-    state; a relaxation that does not settle is reported in
-    ``Trace.warnings``. Samples land on a regular grid plus a pre/post
-    pair at each event so switching edges stay sharp. The run is
+    step. The halving stops at ``event_tol``, or earlier once the
+    bracket's ends are adjacent floats. Volumes below empty, which RK
+    stages can overshoot to, read as an empty balloon. After a flip the
+    valves are settled at the event state; a relaxation that does not
+    settle is reported in ``Trace.warnings``, as is the first time each
+    balloon passes its burst pressure. Only a balloon whose volume is
+    within a relative 1e-9 of its burst volume has its pressure computed
+    for that check. Samples land on a regular grid plus a pre/post pair at
+    each event so switching edges stay sharp. The grid samples inside a
+    step are one Hermite evaluation over their column of tau, followed by
+    the probe rows of the regime's pressure map alone. The run is
     deterministic: identical inputs give identical traces.
     """
     net.validate()
@@ -647,8 +667,15 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
     cap_params = [params for _name, _node, params, _init in net.capacitances()]
 
+    # a volume a relative 1e-9 below each balloon's burst level: at or
+    # under it no pressure can read past the level, so the exact compare
+    # is skipped
+    burst_volume = (
+        compiled.rest_volume + compiled.compliance * compiled.burst_kpa * KPA
+    ) * (1.0 - 1.0e-9)
+
     times: list[float] = []
-    rows: list[np.ndarray] = []
+    rows: list[np.ndarray] = []  # blocks of probe rows, kPa
     events: list[tuple[float, str, ValveState]] = []
     warnings: list[str] = []
     burst_seen: set[str] = set()
@@ -657,9 +684,24 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         if times and t <= times[-1]:
             return
         times.append(t)
-        rows.append(p_pa[probe_idx] / KPA)
+        rows.append(p_pa[None, probe_idx] / KPA)
+
+    def emit_grid(grid: list[float], reg, t, h, y0, y1, f0, f1) -> None:
+        """Emit the grid samples at times ``grid`` inside the step of length
+        ``h`` from ``t``: one Hermite evaluation over their column of tau,
+        then only the probe rows of the regime's pressure map."""
+        if times:
+            grid = [s for s in grid if s > times[-1]]
+        if not grid:
+            return
+        tau = (np.array(grid) - t) / h
+        y = _hermite(y0, y1, f0, f1, h, tau[:, None])
+        rows.append(reg.row_pressures(probe_idx, y) / KPA)
+        times.extend(grid)
 
     def check_burst(t: float, volumes: np.ndarray) -> None:
+        if not (volumes > burst_volume).any():
+            return
         p = _cap_pressures_kpa(compiled, np.maximum(volumes, 0.0))
         for k in np.flatnonzero(p > compiled.burst_kpa).tolist():
             name = compiled.cap_names[k]
@@ -765,6 +807,8 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                 lo, hi = 0.0, 1.0
                 while (hi - lo) * h > cfg.event_tol:
                     mid = 0.5 * (lo + hi)
+                    if mid == lo or mid == hi:
+                        break  # adjacent floats: event_tol is below their spacing
                     if compiled.margin(state, ctrl_kpa(mid), vi) >= 0.0:
                         hi = mid
                     else:
@@ -776,10 +820,11 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             t_event = t + tau_star * h
             y_e, _, _ = _rk_step(reg.deriv, volumes, tau_star * h, k1)
             # regular samples up to the event
+            grid = []
             while next_sample < t_event - 1.0e-15:
-                tau_s = (next_sample - t) / h
-                emit(next_sample, reg.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
+                grid.append(next_sample)
                 next_sample += cfg.sample_interval
+            emit_grid(grid, reg, t, h, volumes, y1, k1, k7)
             emit(t_event, reg.pressures(y_e))
 
             is_open = flip(t_event, is_open, flipped)
@@ -794,10 +839,11 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
 
         # no event: commit the step, emit any samples inside it
         t1 = t + h
+        grid = []
         while next_sample <= t1 + 1.0e-15 and next_sample <= cfg.t_end:
-            tau_s = (next_sample - t) / h
-            emit(next_sample, reg.pressures(_hermite(volumes, y1, k1, k7, h, tau_s)))
+            grid.append(next_sample)
             next_sample += cfg.sample_interval
+        emit_grid(grid, reg, t, h, volumes, y1, k1, k7)
         t = t1
         volumes = y1
         p0, m0 = p1, m1
@@ -812,7 +858,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     return Trace(
         probes=tuple(probes),
         times=np.array(times),
-        pressures_kpa=np.array(rows) if rows else np.zeros((0, len(probes))),
+        pressures_kpa=np.concatenate(rows) if rows else np.zeros((0, len(probes))),
         events=tuple(events),
         warnings=tuple(warnings),
     )
@@ -933,24 +979,46 @@ class CalibrationBounds:
     open_conductance: tuple[float, float] = (1.0e-8, 1.0e-3)
 
 
+def _at_rest(trace: Trace, min_amplitude_kpa: float) -> bool:
+    """Whether every probe of ``trace`` is flat over the last fifth of the
+    window: its span there is within 1e-9 of the largest reading, or of the
+    oscillation floor when that is larger."""
+    t = trace.times
+    tail = trace.pressures_kpa[t >= t[0] + 0.8 * (t[-1] - t[0])]
+    scale = max(float(np.abs(tail).max()), min_amplitude_kpa)
+    return float(np.ptp(tail, axis=0).max()) <= 1.0e-9 * scale
+
+
 def _measure(
     net: PneumaticNetwork,
     probe: str,
     f_hint: float,
     min_amplitude_kpa: float,
 ) -> OscillationReport | None:
-    cycles = 24.0
-    t_end = cycles / f_hint
-    cfg = SimConfig(
-        t_end=t_end,
-        sample_interval=1.0 / (f_hint * 250.0),
-        max_step=0.02 / f_hint,
-    )
-    trace = simulate(net, cfg)
-    try:
-        return extract_frequency(trace, probe, min_amplitude_kpa)
-    except NoOscillationError:
-        return None
+    """Simulate ``net`` over a window sized from the expected frequency
+    ``f_hint`` and measure its oscillation at ``probe``; None if it shows none.
+
+    A window is 24 cycles of the hint long, with 250 samples and at most
+    50 steps per cycle. If it shows no oscillation, the hint may be far too
+    high, so the window is widened 8x and then 64x; but a window that logs
+    no valve event and whose probes have come to rest (``_at_rest``) shows
+    a circuit at an equilibrium it cannot leave, and a longer one would
+    only repeat it, so None is returned at once. A window that logged
+    events, or was still moving, is widened.
+    """
+    for f_try in (f_hint, f_hint / 8.0, f_hint / 64.0):
+        cfg = SimConfig(
+            t_end=24.0 / f_try,
+            sample_interval=1.0 / (f_try * 250.0),
+            max_step=0.02 / f_try,
+        )
+        trace = simulate(net, cfg)
+        try:
+            return extract_frequency(trace, probe, min_amplitude_kpa)
+        except NoOscillationError:
+            if not trace.events and _at_rest(trace, min_amplitude_kpa):
+                return None
+    return None
 
 
 def calibrate_oscillator(
@@ -972,6 +1040,22 @@ def calibrate_oscillator(
     against the frequency target. Raises CalibrationFailed, carrying the
     best result found, if both targets cannot be met within ``tolerance``
     relative error.
+
+    Each evaluation is one ``_measure``: its window is sized in cycles of
+    the frequency expected there. That is the last measured frequency,
+    and for the verification after a compliance rescale it is the one the
+    scaling law predicts, ``f * C_old / C_new``. An evaluation whose
+    circuit comes to rest without a valve event ends after one window.
+
+    The fit fails fast on a frequency out of reach. It assumes that the
+    frequency rises with the conductance, so the point measured at the
+    upper conductance bound is the fastest at its compliance: if the target
+    exceeds that frequency rescaled to the lower compliance bound,
+    ``f * C / C_lo``, by more than ``tolerance``, no pair within the bounds
+    reaches it. Likewise the point at the conductance fitted to the peak
+    sets the frequency at that peak: if the target falls below ``f * C /
+    C_hi`` by more than ``tolerance``, it is out of reach. Either way
+    CalibrationFailed is raised at once.
     """
     if target_frequency_hz <= 0.0 or target_peak_kpa <= 0.0:
         raise ValueError("calibration targets must be positive")
@@ -995,21 +1079,42 @@ def calibrate_oscillator(
     def evaluate(c: float, g: float) -> OscillationReport | None:
         nonlocal f_hint
         net = template.with_uniform_params(compliance=c, open_conductance=g)
-        # the real period may be far from the hint; widen the window twice
-        for f_try in (f_hint, f_hint / 8.0, f_hint / 64.0):
-            rep = _measure(net, probe, f_try, min_amplitude_kpa)
-            if rep is not None:
-                f_hint = rep.frequency_hz
-                return rep
-        return None
+        rep = _measure(net, probe, f_hint, min_amplitude_kpa)
+        if rep is not None:
+            f_hint = rep.frequency_hz
+        return rep
+
+    def record(c: float, g: float, rep: OscillationReport) -> CalibrationResult:
+        nonlocal best
+        result = CalibrationResult(
+            compliance=c,
+            open_conductance=g,
+            frequency_hz=rep.frequency_hz,
+            peak_kpa=rep.peaks_kpa[probe],
+            target_frequency_hz=target_frequency_hz,
+            target_peak_kpa=target_peak_kpa,
+            iterations=iterations,
+            notes=notes,
+        )
+        if best is None or sum(x * x for x in result.relative_errors) < sum(
+            x * x for x in best.relative_errors
+        ):
+            best = result
+        return result
 
     iterations = 0
+    out_of_reach = ""
     for _outer in range(4):
         # 1) bisect the conductance against the peak target
         lo, hi = g_lo, g_hi
         rep_hi = evaluate(compliance, hi)
         iterations += 1
         if rep_hi is None:
+            break
+        f_max = rep_hi.frequency_hz * compliance / c_lo
+        if target_frequency_hz > f_max * (1.0 + tolerance):
+            record(compliance, hi, rep_hi)
+            out_of_reach = f"; at most {f_max:.4g} Hz is reachable within the bounds"
             break
         if rep_hi.peaks_kpa[probe] <= target_peak_kpa:
             g = hi  # peak target at or above what the network can do
@@ -1029,27 +1134,22 @@ def calibrate_oscillator(
                     break
                 if hi / lo < 1.0 + 1.0e-6:
                     break
+        f_min = rep.frequency_hz * compliance / c_hi
+        if target_frequency_hz < f_min * (1.0 - tolerance):
+            record(compliance, g, rep)
+            out_of_reach = f"; at least {f_min:.4g} Hz at this peak within the bounds"
+            break
 
-        # 2) the period scales with compliance: rescale and verify
-        compliance = min(max(compliance * rep.frequency_hz / target_frequency_hz, c_lo), c_hi)
+        # 2) the period scales with compliance: rescale and verify, with the
+        # window sized from the frequency the scaling predicts
+        rescaled = min(max(compliance * rep.frequency_hz / target_frequency_hz, c_lo), c_hi)
+        f_hint = rep.frequency_hz * compliance / rescaled
+        compliance = rescaled
         rep = evaluate(compliance, g)
         iterations += 1
         if rep is None:
             break
-        result = CalibrationResult(
-            compliance=compliance,
-            open_conductance=g,
-            frequency_hz=rep.frequency_hz,
-            peak_kpa=rep.peaks_kpa[probe],
-            target_frequency_hz=target_frequency_hz,
-            target_peak_kpa=target_peak_kpa,
-            iterations=iterations,
-            notes=notes,
-        )
-        if best is None or sum(x * x for x in result.relative_errors) < sum(
-            x * x for x in best.relative_errors
-        ):
-            best = result
+        result = record(compliance, g, rep)
         ef, ep = result.relative_errors
         if ef <= tolerance and ep <= tolerance:
             return result
@@ -1061,7 +1161,7 @@ def calibrate_oscillator(
             f": best fit {best.frequency_hz:.4g} Hz / {best.peak_kpa:.4g} kPa "
             f"(relative errors {ef:.2%} / {ep:.2%})"
         )
-    raise CalibrationFailedError(msg, best=best)
+    raise CalibrationFailedError(msg + out_of_reach, best=best)
 
 
 def template_compliance(net: PneumaticNetwork) -> float:

@@ -546,6 +546,71 @@ def test_kron_reduced_rhs_matches_a_full_solve(make_net):
         reg.pressures(volumes)
 
 
+@pytest.mark.parametrize(
+    "make_net", [_ring3_calibrated, _ring5, _ring101], ids=["ring3_calibrated", "ring5", "ring101"]
+)
+def test_batched_samples_match_a_per_sample_full_map(make_net, monkeypatch):
+    net = make_net()
+    cfg = SimConfig(t_end=0.5, probes=None if net.probes else ("r.q1", "r.q50", "r.g7.b"))
+    batched = simulate(net, cfg)
+    hermite = engine._hermite
+
+    def per_sample_hermite(y0, y1, f0, f1, h, tau):
+        if np.ndim(tau) == 2:  # a column of grid samples: one scalar tau each
+            return np.array([hermite(y0, y1, f0, f1, h, float(x)) for x in tau[:, 0]])
+        return hermite(y0, y1, f0, f1, h, tau)
+
+    def full_map_rows(self, rows, volumes):
+        return np.array([self.pressures(v)[rows] for v in volumes])
+
+    monkeypatch.setattr(engine, "_hermite", per_sample_hermite)
+    monkeypatch.setattr(engine._Regime, "row_pressures", full_map_rows)
+    reference = simulate(net, cfg)
+    assert len(batched.times) > 400 and len(batched.events) > 10
+    assert np.array_equal(batched.times, reference.times)
+    assert np.array_equal(batched.pressures_kpa, reference.pressures_kpa)
+    assert batched.events == reference.events
+
+
+@pytest.mark.parametrize("relative, warned", [(1.0e-10, 1), (-1.0e-10, 0)])
+def test_burst_warning_at_the_burst_level_itself(relative, warned):
+    # the balloon settles at the supply, a hair above or below its 200 kPa burst level
+    supply = 200.0 * (1.0 + relative)
+    net = build(
+        f"source SUP pressure={supply!r}kPa\n"
+        "tube t1 from=SUP to=x length=5cm\n"
+        "balloon b1 node=x\n"
+        "probe x\n"
+    )
+    tr = simulate(net, SimConfig(t_end=1.0))
+    assert (float(tr.column("x")[-1]) > 200.0) == bool(warned)
+    assert len(tr.warnings) == warned
+    if warned:
+        assert tr.warnings[0].startswith("balloon b1 passed its burst pressure (200.0 kPa) at t=")
+
+
+def test_event_bisection_ends_below_the_float_spacing(monkeypatch):
+    # an event_tol far below the float spacing of tau * h: the halving stops
+    # once lo and hi are adjacent floats
+    net = build("source SUP pressure=145kPa\nring r n=3 supply=SUP\nprobe r.q1\n")
+    margin = engine._Compiled.margin
+    calls = [0]
+
+    def bounded_margin(self, *args):
+        calls[0] += 1
+        if calls[0] > 100_000:
+            raise RuntimeError("event bisection does not end")
+        return margin(self, *args)
+
+    monkeypatch.setattr(engine._Compiled, "margin", bounded_margin)
+    tr = simulate(net, SimConfig(t_end=0.3, event_tol=1.0e-300))
+    near = simulate(net, SimConfig(t_end=0.3, event_tol=1.0e-15))
+    assert tr.times[-1] == pytest.approx(0.3)
+    assert len(tr.events) > 3
+    assert [e[1:] for e in tr.events] == [e[1:] for e in near.events]
+    assert max(abs(a[0] - b[0]) for a, b in zip(tr.events, near.events)) <= 1.0e-12
+
+
 def test_rk_stage_array_matches_the_tableau_loop():
     # Dormand-Prince 5(4), stage by stage over the tableau's nonzero entries
     a = [
@@ -772,6 +837,78 @@ def test_calibration_bounds_make_1khz_unreachable():
     best = err.value.best
     assert best is not None
     assert best.frequency_hz < 100.0  # nowhere near the request
+
+
+def _count_simulations(monkeypatch):
+    traces = []
+
+    def counting_simulate(net, cfg):
+        traces.append(simulate(net, cfg))
+        return traces[-1]
+
+    monkeypatch.setattr(engine, "simulate", counting_simulate)
+    return traces
+
+
+def test_calibration_fails_fast_on_an_unreachable_frequency(monkeypatch):
+    traces = _count_simulations(monkeypatch)
+    net = expand(parse(open("circuits/ring3_calibrated.tbl").read()))
+    with pytest.raises(CalibrationFailedError) as err:
+        calibrate_oscillator(net, target_frequency_hz=1000.0, target_peak_kpa=35.0)
+    assert len(traces) <= 3
+    best = err.value.best
+    assert best.open_conductance == engine.CalibrationBounds().open_conductance[1]
+    assert best.frequency_hz * best.compliance / engine.CalibrationBounds().compliance[0] < 1000.0
+
+
+def test_calibration_fails_fast_below_the_slowest_reachable_frequency():
+    # ring3_calibrated runs at 15 Hz with its own compliance; at most 1.5x
+    # that compliance slows the fitted peak's point to about 10 Hz
+    net = expand(parse(open("circuits/ring3_calibrated.tbl").read()))
+    c0 = engine.template_compliance(net)
+    bounds = engine.CalibrationBounds(compliance=(c0 / 1.5, c0 * 1.5))
+    with pytest.raises(CalibrationFailedError, match="at least") as err:
+        calibrate_oscillator(
+            net, target_frequency_hz=5.0, target_peak_kpa=35.0, probe="m1", bounds=bounds
+        )
+    best = err.value.best
+    assert best.compliance == c0  # no rescale was tried
+    assert best.peak_kpa == pytest.approx(35.0, rel=0.02)
+    assert best.frequency_hz * c0 / bounds.compliance[1] > 5.0 * 1.02
+
+
+def test_dead_evaluation_ends_after_one_window(monkeypatch):
+    # the NOT gate's input is tied to ambient: its valve stays open for good
+    traces = _count_simulations(monkeypatch)
+    net = build(
+        "source SUP pressure=145kPa\n"
+        "source A pressure=0kPa\n"
+        "tube ta from=A to=a length=5cm\n"
+        "gate NOT g in=a out=q supply=SUP\n"
+        "probe q\n"
+    )
+    with pytest.raises(CalibrationFailedError) as err:
+        calibrate_oscillator(net, target_frequency_hz=15.0, target_peak_kpa=35.0)
+    assert err.value.best is None
+    assert len(traces) == 1
+    assert traces[0].events == ()
+
+
+def test_still_moving_window_is_widened(monkeypatch):
+    # an RC charge with no valve: the first two windows end still moving
+    traces = _count_simulations(monkeypatch)
+    assert engine._measure(build(RC_TEXT), "x", 1000.0, 1.0) is None
+    assert [tr.times[-1] for tr in traces] == pytest.approx([0.024, 0.192, 1.536])
+    assert [engine._at_rest(tr, 1.0) for tr in traces] == [False, False, True]
+
+
+def test_hint_far_too_high_still_measures(monkeypatch):
+    traces = _count_simulations(monkeypatch)
+    net = expand(parse(open("circuits/ring3_calibrated.tbl").read()))
+    rep = engine._measure(net, "m1", 64.0 * 15.0, 1.0)
+    assert traces[0].events  # the first window switches, but is too short to measure
+    assert len(traces) > 1
+    assert rep.frequency_hz == pytest.approx(15.0, rel=0.02)
 
 
 def test_calibrated_circuit_reproduces_its_targets():
