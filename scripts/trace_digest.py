@@ -17,12 +17,14 @@ verifies the fitted values. The ``free`` line covers two
 valves controlled by a free node rather than a balloon: one reading a
 divider tap, whose crossing is bisected on the full pressure map, and one
 reading its own outlet, whose settling gives up with a warning. It prints
-each run's event and warning counts and one digest of both traces. A last
-line covers the DC analyses: the truth tables of the shipped ``not``,
-``nand``, ``nor``, ``and`` and ``or`` circuits and
-``fanout_limit(internal_resistance=1.2e5)``, with the row count, the
-fan-out limit, and one digest of every row's input bits, output bit and
-output kPa and of the sweep's samples.
+each run's event and warning counts and one digest of both traces. The
+last two lines cover the DC analyses, each with its own digest, so that
+roundoff in the fan-out samples cannot hide a change in the truth tables.
+The ``truth`` line covers the truth tables of the shipped ``not``,
+``nand``, ``nor``, ``and`` and ``or`` circuits: the row count and one
+digest of every row's input bits, output bit and output kPa. The
+``fanout`` line covers ``fanout_limit(internal_resistance=1.2e5)``: the
+limit and a digest of the sweep's samples.
 """
 
 from __future__ import annotations
@@ -144,9 +146,10 @@ def main() -> None:
         for row in table.rows:
             h.update(repr((gate, row.inputs, row.output, row.output_kpa)).encode())
         rows += len(table.rows)
+    print(f"truth: rows={rows} sha256={h.hexdigest()}")
     fanout = fanout_limit(internal_resistance=1.2e5)
-    h.update(repr(fanout.samples).encode())
-    print(f"dc: rows={rows} fanout_limit={fanout.limit} sha256={h.hexdigest()}")
+    digest = hashlib.sha256(repr(fanout.samples).encode()).hexdigest()
+    print(f"fanout: limit={fanout.limit} sha256={digest}")
 
 
 if __name__ == "__main__":

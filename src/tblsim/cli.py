@@ -231,6 +231,8 @@ def _cmd_sim(args, ast, defaults) -> int:
 def _cmd_truth(args, ast, defaults) -> int:
     net = expand(ast, defaults)
     inputs = tuple(s for s in args.inputs.split(",") if s)
+    if unknown := sorted(set(inputs) - set(net.node_order())):
+        raise ValueError(f"--inputs names no node of the circuit: {', '.join(unknown)}")
     levels = LogicLevels(
         drive_high_kpa=defaults.supply_kpa,
         read_high_min_kpa=defaults.inflate_kpa,

@@ -258,11 +258,13 @@ def node_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order = np.argsort(ends, kind="stable")
     # every edge in both directions: the strongly connected components of
     # this symmetric graph are its connected components, found without the
-    # transpose that the undirected mode builds
+    # transpose that the undirected mode builds; parallel edges are summed,
+    # as the strong mode mislabels or hangs on duplicate entries
     indptr = np.searchsorted(ends[order], np.arange(n + 1))
     graph = csr_matrix(
         (np.ones(len(ends)), np.concatenate([b, a])[order], indptr), shape=(n, n)
     )
+    graph.sum_duplicates()
     return connected_components(graph, connection="strong")[1]
 
 

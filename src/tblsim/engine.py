@@ -42,7 +42,8 @@ free or driven node read the full node-pressure map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -211,16 +212,14 @@ class _Compiled:
         self.fixed_idx = np.array([index[n] for n in fixed], dtype=int)
         self.fixed_pa = np.array([fixed[n] * KPA for n in fixed], dtype=float)
 
-        static = [(index[t.node_a], index[t.node_b], 1.0 / t.resistance) for t in net.tubes]
-        static += [
-            (index[s.name + ".__src"], index[s.node], 1.0 / s.internal_resistance)
-            for s in internal
-        ]
-        pairs = [(a, b) for a, b, _g in static]
-        pairs += [(index[v.flow_from], index[v.flow_to]) for v in net.valves]
-        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+        branches = [(t.name, t.node_a, t.node_b) for t in net.tubes]
+        branches += [(s.name, s.name + ".__src", s.node) for s in internal]
+        branches += [(v.name, v.flow_from, v.flow_to) for v in net.valves]
+        self.branch_names = [name for name, _a, _b in branches]
+        pairs = np.array([(index[a], index[b]) for _n, a, b in branches], dtype=int).reshape(-1, 2)
         self.branch_a, self.branch_b = pairs[:, 0], pairs[:, 1]
-        self.g_static = np.array([g for _a, _b, g in static], dtype=float)
+        r_static = [t.resistance for t in net.tubes] + [s.internal_resistance for s in internal]
+        self.g_static = np.array([1.0 / r for r in r_static], dtype=float)
         self.g_open = np.array([v.open_conductance for v in net.valves], dtype=float)
         self.g_leak = np.array([v.leak_conductance for v in net.valves], dtype=float)
         self.control = np.array([index[v.control_node] for v in net.valves], dtype=int)
@@ -447,13 +446,6 @@ class _Regime:
         return dv
 
 
-def _cap_pressures_kpa(compiled: _Compiled, volumes: np.ndarray) -> np.ndarray:
-    """Vectorized ``balloon_pressure`` over every balloon, same arithmetic."""
-    if (volumes < 0.0).any():
-        raise ValueError(f"volume must be >= 0, got {float(volumes.min())!r}")
-    return np.maximum(volumes - compiled.rest_volume, 0.0) / compiled.compliance / KPA
-
-
 # ---------------------------------------------------------------------------
 # DC operating point
 # ---------------------------------------------------------------------------
@@ -480,11 +472,29 @@ def dc_operating_point(
     when the flow-balance system cannot be solved uniquely, and
     TooManyValves when enumeration would be needed but is intractable.
     """
-    net.validate()
-    compiled = _Compiled(net)
-    is_open = compiled.initial_states(initial_states)
-    nv = len(is_open)
+    compiled = _Compiled(net.validate())
+    return _dc_search(compiled, compiled.initial_states(initial_states))
 
+
+def _dc_rows(
+    net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequence[float]]
+) -> Iterator[SteadyState]:
+    """``dc_operating_point(net.with_pins(...))`` for each row of pressures
+    (kPa) of ``rows`` on the nodes ``pins`` in turn. The pinned network is
+    validated and compiled once; a row gets the checks of ``with_pins``
+    and ``fixed_pressures`` and then changes only the fixed pressures."""
+    compiled = None
+    for values in rows:
+        pinned = net.with_pins(dict(zip(pins, values)))
+        fixed = pinned.fixed_pressures()
+        if compiled is None:
+            compiled = _Compiled(pinned.validate())
+        compiled.fixed_pa[: len(fixed)] = [p * KPA for p in fixed.values()]
+        yield _dc_search(compiled, compiled.initial_open)
+
+
+def _dc_search(compiled: _Compiled, is_open: np.ndarray) -> SteadyState:
+    """``dc_operating_point``'s search, from the open-state array ``is_open``."""
     def named(is_open):
         return {n: _state(o) for n, o in zip(compiled.valve_names, is_open.tolist())}
 
@@ -503,12 +513,12 @@ def dc_operating_point(
         is_open = is_open ^ switch
 
     # iteration cycled; enumerate every assignment
-    if nv > _MAX_ENUM_VALVES:
+    if len(is_open) > _MAX_ENUM_VALVES:
         raise TooManyValvesError(
-            f"{nv} valves exceed the exhaustive search cap of {_MAX_ENUM_VALVES}"
+            f"{len(is_open)} valves exceed the exhaustive search cap of {_MAX_ENUM_VALVES}"
         )
     fixed_points = []
-    for bits in product((True, False), repeat=nv):
+    for bits in product((True, False), repeat=len(is_open)):
         assign = np.array(bits, dtype=bool)
         try:
             p_pa = compiled.solve_dc(assign)
@@ -532,9 +542,21 @@ def solve_pressures(
     No fixed-point search: the given states are taken as-is. Useful for
     worst-case analyses where valves are held in a particular state.
     """
-    net.validate()
-    compiled = _Compiled(net)
+    compiled = _Compiled(net.validate())
     return compiled.pressures_kpa(compiled.solve_dc(compiled.initial_states(valve_states)))
+
+
+def _at_pressures(net: PneumaticNetwork, valve_states, pressures_kpa):
+    """The compiled network, its branch conductances in ``valve_states``
+    and its node pressures (Pa): ``pressures_kpa`` at every named node, and
+    each internal-resistance source's regulated reference at its pressure."""
+    compiled = _Compiled(net)
+    g = compiled.conductances(compiled.initial_states(valve_states))
+    P = np.zeros(compiled.n)
+    P[compiled.fixed_idx] = compiled.fixed_pa
+    for name in net.node_order():
+        P[compiled.index[name]] = pressures_kpa[name] * KPA
+    return compiled, g, P
 
 
 def branch_flows(
@@ -542,22 +564,13 @@ def branch_flows(
     valve_states: dict[str, ValveState],
     pressures_kpa: dict[str, float],
 ) -> dict[str, float]:
-    """Flow (m3/s) through every element at the given pressures."""
-    from .elements import element_flow
-
-    flows = {}
-    for t in net.tubes:
-        flows[t.name] = element_flow(t, pressures_kpa[t.node_a], pressures_kpa[t.node_b])
-    for v in net.valves:
-        flows[v.name] = element_flow(
-            v, pressures_kpa[v.flow_from], pressures_kpa[v.flow_to], valve_states[v.name]
-        )
-    for s in net.sources:
-        if s.internal_resistance > 0.0:
-            flows[s.name] = (
-                (s.pressure_kpa - pressures_kpa[s.node]) * KPA / s.internal_resistance
-            )
-    return flows
+    """Flow (m3/s) through every branch at the given pressures, in compiled
+    order: tubes (positive from ``node_a``), the internal path of each source
+    with internal resistance (positive into its node), then valves
+    (positive from ``flow_from``)."""
+    compiled, g, P = _at_pressures(net, valve_states, pressures_kpa)
+    flows = g * (P[compiled.branch_a] - P[compiled.branch_b])
+    return dict(zip(compiled.branch_names, flows.tolist()))
 
 
 def node_residuals(
@@ -566,20 +579,10 @@ def node_residuals(
     pressures_kpa: dict[str, float],
 ) -> dict[str, float]:
     """Net inflow (m3/s) at every non-fixed node; ~0 at an operating point."""
-    flows = branch_flows(net, valve_states, pressures_kpa)
-    acc = {n: 0.0 for n in net.node_order()}
-    for t in net.tubes:
-        acc[t.node_a] -= flows[t.name]
-        acc[t.node_b] += flows[t.name]
-    for v in net.valves:
-        acc[v.flow_from] -= flows[v.name]
-        acc[v.flow_to] += flows[v.name]
-    for s in net.sources:
-        if s.internal_resistance > 0.0:
-            acc[s.node] += flows[s.name]
-    for n in net.fixed_pressures():
-        acc.pop(n, None)
-    return acc
+    compiled, g, P = _at_pressures(net, valve_states, pressures_kpa)
+    inflow = compiled.inflow(g, P).tolist()
+    fixed = set(compiled.fixed_idx.tolist())
+    return {n: inflow[i] for n, i in compiled.index.items() if i not in fixed}
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +656,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     the probe rows of the regime's pressure map alone. The run is
     deterministic: identical inputs give identical traces.
     """
-    net.validate()
-    compiled = _Compiled(net)
+    compiled = _Compiled(net.validate())
     probes = cfg.probes if cfg.probes is not None else net.probes
     if not probes:
         raise ValueError("no probes: set PneumaticNetwork.probes or SimConfig.probes")
@@ -702,7 +704,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     def check_burst(t: float, volumes: np.ndarray) -> None:
         if not (volumes > burst_volume).any():
             return
-        p = _cap_pressures_kpa(compiled, np.maximum(volumes, 0.0))
+        p = _balloon_pa(volumes, compiled.rest_volume, compiled.compliance) / KPA
         for k in np.flatnonzero(p > compiled.burst_kpa).tolist():
             name = compiled.cap_names[k]
             if name not in burst_seen:

@@ -9,12 +9,14 @@ strictly between is indeterminate and refused rather than rounded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .defaults import PhysicalDefaults
 from .elements import PneumaticNetwork, ValveState
-from .engine import dc_operating_point, solve_pressures
+from .engine import _dc_rows, solve_pressures
 from .errors import IndeterminateLevelError, UnknownVariableError, VerifyError
+from .netlist import CircuitAst, Statement, expand
+from .units import Quantity
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,22 @@ def truth_table(
     """Drive every input combination and read the settled output level.
 
     Inputs are held by ideal sources; each row starts from the network's
-    declared valve states so rows are independent of one another.
+    declared valve states so rows are independent of one another, and
+    differ only in the pinned pressures of one compiled network. An input
+    named twice, or an output node the network lacks, is a ValueError.
     """
     levels = levels or LogicLevels()
     input_nodes = tuple(input_nodes)
+    if len(set(input_nodes)) < len(input_nodes):
+        raise ValueError(f"input nodes repeat: {', '.join(input_nodes)}")
+    if output_node not in net.node_order():
+        raise ValueError(f"output node {output_node!r} is not in the network")
+    bits = list(itertools.product((0, 1), repeat=len(input_nodes)))
+    drives = ([levels.drive(b) for b in row] for row in bits)
     rows = []
-    for bits in itertools.product((0, 1), repeat=len(input_nodes)):
-        pins = {n: levels.drive(b) for n, b in zip(input_nodes, bits)}
-        pinned = net.with_pins(pins)
-        steady = dc_operating_point(pinned)
+    for row, steady in zip(bits, _dc_rows(net, input_nodes, drives)):
         kpa = float(steady.node_pressures_kpa[output_node])
-        rows.append(TruthRow(inputs=bits, output=levels.read(kpa, output_node), output_kpa=kpa))
+        rows.append(TruthRow(inputs=row, output=levels.read(kpa, output_node), output_kpa=kpa))
     return TruthTable(input_nodes, output_node, tuple(rows))
 
 
@@ -227,7 +234,6 @@ def fanout_limit(
     internal_resistance: float = 0.0,
     defaults: PhysicalDefaults | None = None,
     levels: LogicLevels | None = None,
-    cap: int = _FANOUT_CAP,
 ) -> FanoutReport:
     """Largest load count a high output can still switch.
 
@@ -236,78 +242,64 @@ def fanout_limit(
     still open, each pulling supply current through its own pull-down,
     which drags the shared output down through the source's internal
     resistance. A load switches only if its control node still reaches
-    the inflate threshold in that state.
+    the inflate threshold in that state. There the n identical loads sit
+    at the same pressures and act as one load with each branch n times as
+    conductive, so a probe solves the same small network at any n.
     """
     defaults = defaults or PhysicalDefaults()
     levels = levels or LogicLevels()
     threshold = levels.read_high_min_kpa
-
-    def control_kpa(n: int) -> float:
-        net = _fanout_network(n, supply_kpa, internal_resistance, defaults)
-        states = {v.name: ValveState.OPEN for v in net.valves}
-        pressures = solve_pressures(net, states)
-        return pressures["load1.b"]
-
-    samples: list[tuple[int, float]] = []
+    net = _fanout_network(supply_kpa, internal_resistance, defaults)
+    samples: dict[int, float] = {}
 
     def ok(n: int) -> bool:
-        kpa = control_kpa(n)
-        samples.append((n, kpa))
-        return kpa >= threshold
+        samples[n] = _load_control_kpa(net, n)
+        return samples[n] >= threshold
 
-    if not ok(1):
-        return FanoutReport(0, False, threshold, tuple(sorted(set(samples))))
-    lo = 1
-    hi = 1
-    while hi < cap:
-        hi = min(hi * 2, cap)
-        if ok(hi):
-            lo = hi
-        else:
+    lo, hi = 0, 1  # the largest count known to switch (0: none), the next to try
+    while ok(hi):
+        lo = hi
+        if lo == _FANOUT_CAP:
             break
+        hi = min(hi * 2, _FANOUT_CAP)
     else:
-        return FanoutReport(cap, True, threshold, tuple(sorted(set(samples))))
-    if lo == cap:
-        return FanoutReport(cap, True, threshold, tuple(sorted(set(samples))))
-    # invariant: ok(lo), not ok(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return FanoutReport(lo, False, threshold, tuple(sorted(set(samples))))
+        # invariant: lo switches (or is 0), hi does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if ok(mid):
+                lo = mid
+            else:
+                hi = mid
+    return FanoutReport(lo, lo == _FANOUT_CAP, threshold, tuple(sorted(samples.items())))
 
 
 def _fanout_network(
-    n: int, supply_kpa: float, internal_resistance: float, defaults: PhysicalDefaults
+    supply_kpa: float, internal_resistance: float, defaults: PhysicalDefaults
 ) -> PneumaticNetwork:
-    """One inverter driving n identical inverter loads from one source."""
-    from .netlist import CircuitAst, Statement, expand
-    from .units import Quantity
-
-    stmts = [
-        Statement(
-            "source",
-            "SUP",
-            {
-                "pressure": Quantity(supply_kpa, "kPa"),
-                "resistance": Quantity(internal_resistance, ""),
-            },
-        ),
-        Statement(
-            "gate", "drv", {"in": ("x",), "out": "y", "supply": "SUP"}, gate_type="NOT"
-        ),
-    ]
-    for i in range(1, n + 1):
-        stmts.append(
-            Statement(
-                "gate",
-                f"load{i}",
-                {"in": ("y",), "out": f"z{i}", "supply": "SUP"},
-                gate_type="NOT",
-            )
-        )
-    net = expand(CircuitAst(tuple(stmts)), defaults)
+    """One inverter ``drv`` driving one inverter ``load`` from one source."""
+    sup = {"pressure": Quantity(supply_kpa, "kPa"), "resistance": Quantity(internal_resistance)}
+    stmts = (
+        Statement("source", "SUP", sup),
+        Statement("gate", "drv", {"in": ("x",), "out": "y", "supply": "SUP"}, gate_type="NOT"),
+        Statement("gate", "load", {"in": ("y",), "out": "z", "supply": "SUP"}, gate_type="NOT"),
+    )
+    net = expand(CircuitAst(stmts), defaults)
     # the driver input must be low so its own valve stays open and drives y high
     return net.with_pins({"x": 0.0})
+
+
+def _load_control_kpa(net: PneumaticNetwork, n: int) -> float:
+    """The control pressure (kPa) of ``net``'s load standing for ``n``
+    identical loads in parallel, with every valve open: its tube
+    resistances divided by n, its valve conductances multiplied by n."""
+    def load(el) -> bool:
+        return el.name.startswith("load.")
+
+    tubes = tuple(replace(t, resistance=t.resistance / n) if load(t) else t for t in net.tubes)
+    valves = tuple(
+        replace(v, open_conductance=v.open_conductance * n, leak_conductance=v.leak_conductance * n)
+        if load(v) else v
+        for v in net.valves
+    )
+    loads = replace(net, tubes=tubes, valves=valves)
+    return solve_pressures(loads, {v.name: ValveState.OPEN for v in net.valves})["load.b"]

@@ -31,6 +31,20 @@ def test_truth_matches_reference(capsys):
     assert out.count("|") >= 4
 
 
+@pytest.mark.parametrize(
+    "inputs, output, what",
+    [("a", "zz", "zz"), ("zz", "q", "zz"), ("a,a", "q", "repeat")],
+    ids=["unknown-output", "unknown-input", "repeated-input"],
+)
+def test_truth_bad_node_names_are_usage_errors(inputs, output, what, capsys):
+    rc = main(["truth", circuit("not.tbl"), "--inputs", inputs, "--output", output])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("tblsim: error: ")
+    assert what in err
+
+
 def test_truth_mismatch_exits_4(capsys):
     rc = main(
         ["truth", circuit("nand.tbl"), "--inputs", "a,b", "--output", "q",

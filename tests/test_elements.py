@@ -1,6 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tblsim import (
@@ -15,9 +20,13 @@ from tblsim import (
     ValveState,
     balloon_pressure,
     element_flow,
+    expand,
+    parse,
+    solve_pressures,
     tube_resistance,
     valve_step,
 )
+from tblsim.elements import node_components
 
 MU = 1.81e-5
 
@@ -206,3 +215,47 @@ def test_node_order_is_first_appearance():
     order = net.node_order()
     assert order.index("ATM") == 0  # atmosphere is always first
     assert order.index("x") < order.index("y")
+
+
+# ---------------------------------------------------------------------------
+# parallel elements
+# ---------------------------------------------------------------------------
+
+
+def test_node_components_with_parallel_edges():
+    labels = node_components(3, np.array([1, 1]), np.array([0, 0]))
+    assert labels[0] == labels[1] != labels[2]
+
+
+def test_parallel_tubes_act_as_one_of_half_the_resistance():
+    twin = expand(parse(
+        "source SUP pressure=145kPa\n"
+        "tube t1 from=SUP to=q length=15cm\ntube t2 from=SUP to=q length=15cm\n"
+        "tube tp from=q to=ATM length=15cm\n"
+    ))
+    single = expand(parse(
+        "source SUP pressure=145kPa\n"
+        "tube t1 from=SUP to=q length=7.5cm\ntube tp from=q to=ATM length=15cm\n"
+    ))
+    assert abs(solve_pressures(twin, {})["q"] - solve_pressures(single, {})["q"]) <= 1e-9
+
+
+def test_tube_in_parallel_with_a_valve_expands_promptly():
+    # run apart, so that a hang fails this test instead of stopping the suite
+    code = (
+        "import time\n"
+        "from tblsim import expand, parse\n"
+        "text = ('source SUP pressure=145kPa\\ntube t1 from=SUP to=q length=15cm\\n'\n"
+        "        'valve v from=SUP to=q control=c\\ntube tc from=SUP to=c length=15cm\\n'\n"
+        "        'tube tp from=q to=ATM length=15cm\\n')\n"
+        "t0 = time.perf_counter()\n"
+        "expand(parse(text))\n"
+        "print(time.perf_counter() - t0)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 1.0

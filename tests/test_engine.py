@@ -24,6 +24,7 @@ from tblsim import (
     branch_flows,
     calibrate_oscillator,
     dc_operating_point,
+    element_flow,
     expand,
     extract_frequency,
     node_residuals,
@@ -127,6 +128,30 @@ def test_dc_conservation_residuals():
     fmax = max(abs(f) for f in flows.values())
     assert fmax > 0.0
     assert max(abs(r) for r in res.values()) <= 1.0e-9 * fmax
+
+
+def test_branch_flows_match_element_flow():
+    # a source with internal resistance, and a leaky valve held closed
+    net = build(
+        "source SUP pressure=145kPa resistance=2e6\n"
+        "gate NOT inv in=a out=q supply=SUP leak=1e-8\n"
+        "tube t1 from=SUP to=m length=15cm\n"
+        "tube t2 from=m to=ATM length=15cm\n"
+    ).with_pins({"a": 145.0})
+    ss = dc_operating_point(net)
+    assert ss.valve_states["inv.v"] is ValveState.CLOSED
+    p = ss.node_pressures_kpa
+    flows = branch_flows(net, ss.valve_states, p)
+    want = {t.name: element_flow(t, p[t.node_a], p[t.node_b]) for t in net.tubes}
+    want["SUP"] = (145.0 - p["SUP"]) * engine.KPA / 2e6
+    want["inv.v"] = element_flow(net.valves[0], p["inv.s"], p["q"], ValveState.CLOSED)
+    assert list(flows) == [t.name for t in net.tubes] + ["SUP", "inv.v"]
+    assert want["inv.v"] > 0.0
+    for name, q in want.items():
+        assert flows[name] == pytest.approx(q, rel=1e-9)
+    res = node_residuals(net, ss.valve_states, p)
+    assert set(res) == set(net.node_order()) - {"ATM", "a"}
+    assert max(abs(r) for r in res.values()) <= 1.0e-9 * max(abs(q) for q in want.values())
 
 
 def test_solve_pressures_with_forced_states():
@@ -439,10 +464,9 @@ def test_vectorized_balloon_law_matches_the_scalar_law():
     rest = compiled.rest_volume
     for volumes in (rest, 0.0 * rest, rest * rng.uniform(0.0, 1.5, size=(200, len(rest)))):
         for row in np.atleast_2d(volumes):
-            want = [balloon_pressure(v, p) for v, p in zip(row, params)]
-            assert np.array_equal(engine._cap_pressures_kpa(compiled, row), want)
-    with pytest.raises(ValueError):
-        engine._cap_pressures_kpa(compiled, -rest)
+            want = [balloon_pressure(v, p) * engine.KPA for v, p in zip(row, params)]
+            got = engine._balloon_pa(row, compiled.rest_volume, compiled.compliance)
+            assert np.array_equal(got, want)
 
 
 def test_vacuum_source_drains_a_balloon_to_empty():

@@ -3,15 +3,20 @@ import pytest
 from tblsim import (
     IndeterminateLevelError,
     LogicLevels,
+    NetworkError,
+    PhysicalDefaults,
+    ValveState,
     UnknownVariableError,
     VerifyError,
     check_against_boolean,
     expand,
     fanout_limit,
     parse,
+    solve_pressures,
     truth_table,
     tube_resistance,
 )
+from tblsim import engine, verify
 
 MU = 1.81e-5
 R1 = tube_resistance(0.075, 1.0e-3, MU)
@@ -97,6 +102,55 @@ def test_boolean_parser_and_errors():
         check_against_boolean(table, "(a|b")
 
 
+def test_one_compiled_network_per_truth_table(monkeypatch):
+    compiles = []
+    init = engine._Compiled.__init__
+
+    def counting_init(self, net):
+        compiles.append(net)
+        init(self, net)
+
+    monkeypatch.setattr(engine._Compiled, "__init__", counting_init)
+    table = truth_table(gate_net("NAND"), ("a", "b"), "q")
+    assert len(table.rows) == 4
+    assert len(compiles) == 1
+
+
+def test_truth_table_rows_equal_a_pinned_network_each():
+    net = gate_net("OR")
+    table = truth_table(net, ("a", "b"), "q")
+    for row in table.rows:
+        pins = {n: LogicLevels().drive(b) for n, b in zip(("a", "b"), row.inputs)}
+        want = engine.dc_operating_point(net.with_pins(pins)).node_pressures_kpa["q"]
+        assert row.output_kpa == want
+
+
+def test_truth_table_rejects_bad_node_names():
+    net = gate_net("NOT", two=False)
+    with pytest.raises(ValueError, match="zz"):
+        truth_table(net, ("a",), "zz")
+    with pytest.raises(ValueError, match="repeat"):
+        truth_table(net, ("a", "a"), "q")
+
+
+def test_an_unused_input_leaves_the_output_as_it_is():
+    net = gate_net("NOT", two=False)
+    table = truth_table(net, ("a", "unused"), "q")
+    assert table.bits() == {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}
+
+
+def test_pins_keep_their_per_row_checks():
+    net = gate_net("NOT", two=False)
+    # an input on the supply: the low row drives it away from its pressure
+    with pytest.raises(NetworkError, match="pinned to conflicting pressures"):
+        truth_table(net, ("SUP",), "q")
+    # an input on the atmosphere conflicts only in its high rows
+    with pytest.raises(NetworkError, match="node ATM pinned to conflicting pressures"):
+        truth_table(net, ("a", "ATM"), "q")
+    with pytest.raises(ValueError, match="below vacuum"):
+        truth_table(net, ("a",), "q", LogicLevels(drive_low_kpa=-200.0))
+
+
 # ---------------------------------------------------------------------------
 # fan-out
 # ---------------------------------------------------------------------------
@@ -145,3 +199,44 @@ def test_fanout_samples_match_the_analytic_divider():
     for n, kpa in rep.samples:
         want = 145.0 * (RB / (n + 1.0)) / (rint + RB / (n + 1.0)) * FRAC
         assert kpa == pytest.approx(want, rel=1e-9)
+
+
+def _explicit_loads_control_kpa(n, rint):
+    """The first load's control pressure (kPa) of a netlist with n
+    explicit inverter loads, every valve held open."""
+    lines = [f"source SUP pressure=145kPa resistance={rint!r}",
+             "gate NOT drv in=x out=y supply=SUP"]
+    lines += [f"gate NOT load{i} in=y out=z{i} supply=SUP" for i in range(1, n + 1)]
+    net = expand(parse("\n".join(lines) + "\n")).with_pins({"x": 0.0})
+    return solve_pressures(net, {v.name: ValveState.OPEN for v in net.valves})["load1.b"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_one_scaled_load_stands_for_n_explicit_loads(n):
+    rint = 1.2e5
+    net = verify._fanout_network(145.0, rint, PhysicalDefaults())
+    got = verify._load_control_kpa(net, n)
+    assert got == pytest.approx(_explicit_loads_control_kpa(n, rint), rel=1e-9)
+
+
+def test_fanout_samples_match_explicit_load_netlists():
+    rint = 1.971e6
+    rep = fanout_limit(internal_resistance=rint)
+    assert [n for n, _kpa in rep.samples] == [1, 2, 4, 8, 10, 11, 12, 16]
+    for n, kpa in rep.samples:
+        assert kpa == pytest.approx(_explicit_loads_control_kpa(n, rint), rel=1e-9)
+
+
+def test_one_expand_per_fanout_sweep(monkeypatch):
+    calls = []
+    real = verify.expand
+
+    def counting_expand(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "expand", counting_expand)
+    rep = fanout_limit(internal_resistance=1.2e5)
+    assert rep.limit == 187
+    assert len(rep.samples) > 10
+    assert len(calls) == 1
