@@ -13,11 +13,16 @@ Each line also prints the run's event and sample counts. For the fit it
 prints the number of simulations it ran, their summed window length
 ``sim_s`` and the event count of each, in order, so a change of window
 shows; its sample count is that of its last simulation, the one that
-verifies the fitted values. The ``free`` line covers two
-valves controlled by a free node rather than a balloon: one reading a
-divider tap, whose crossing is bisected on the full pressure map, and one
-reading its own outlet, whose settling gives up with a warning. It prints
+verifies the fitted values. The ``free`` line covers two valves
+controlled by a free node rather than a balloon: one reading a divider
+tap, whose crossing is bisected on its own row of the pressure map, and
+one reading its own outlet, whose settling gives up with a warning. It prints
 each run's event and warning counts and one digest of both traces. The
+``edge`` line covers three runs at the edges of the row map a run reads,
+with their event and sample counts and one digest: a valve-free RC
+charge probed at its balloon node, the supply node and ambient; a
+balloon-free divider whose valve, controlled by the divider tap, closes
+as the run starts; and ``ring3.tbl``'s 3-ring with every node probed. The
 last two lines cover the DC analyses, each with its own digest, so that
 roundoff in the fan-out samples cannot hide a change in the truth tables.
 The ``truth`` line covers the truth tables of the shipped ``not``,
@@ -98,6 +103,29 @@ def _free_control_runs():
     ]
 
 
+def _edge_runs():
+    rc = _net(
+        "source SUP pressure=145kPa\ntube t1 from=SUP to=x length=5cm\n"
+        "tube t2 from=x to=ATM length=15cm\nballoon b1 node=x\n"
+    )
+    # SUP -t1- m -t2- ATM puts m above p_inflate; the valve reads m
+    divider = PneumaticNetwork(
+        tubes=(
+            _tube("t1", "S", "m", 0.05), _tube("t2", "m", "ATM", 0.15),
+            _tube("tq", "q", "ATM", 0.15),
+        ),
+        valves=(KinkValveDevice("v", "S", "q", "m", balloon=None),),
+        sources=(SourceElement("SUP", "S", 145.0),),
+        probes=("m", "q"),
+    )
+    ring3 = _net(_read("circuits/ring3.tbl"))
+    return [
+        simulate(rc, SimConfig(t_end=0.5, probes=("x", "SUP", "ATM"))),
+        simulate(divider, SimConfig(t_end=0.05)),
+        simulate(ring3, SimConfig(t_end=0.5, probes=tuple(ring3.node_order()))),
+    ]
+
+
 def main() -> None:
     ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
     probes = tuple(f"r.q{k}" for k in range(1, 102))
@@ -114,6 +142,10 @@ def main() -> None:
     free = _free_control_runs()
     print(f"free: events={','.join(str(len(tr.events)) for tr in free)} "
           f"warnings={','.join(str(len(tr.warnings)) for tr in free)} sha256={_digest(free)}")
+
+    edge = _edge_runs()
+    print(f"edge: events={','.join(str(len(tr.events)) for tr in edge)} "
+          f"samples={','.join(str(len(tr.times)) for tr in edge)} sha256={_digest(edge)}")
 
     template = _net(_read("circuits/ring3_calibrated.tbl")).with_uniform_params(
         compliance=4.0e-10, open_conductance=1.0e-5

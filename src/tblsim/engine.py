@@ -33,15 +33,16 @@ affine map of the balloon pressures and the balloon inflows, which the
 volumes integrate, are one small matrix-vector product, with no solve per
 right-hand-side evaluation. Valve switching is handled as discrete events,
 localized by bisection and followed by an integrator restart, so traces
-are reproducible bit for bit.
-A valve controlled by a balloon node is bisected on that balloon's own
-component of the step's interpolant alone; only valves controlled by a
-free or driven node read the full node-pressure map.
+are reproducible bit for bit. A regime maps only the nodes a run reads,
+every valve's control node and then the probes, so the margins and the
+samples read two row slices of one map; a valve controlled by a balloon
+node is bisected on that balloon's own component of the interpolant.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import product
@@ -196,9 +197,12 @@ class _Compiled:
     open-state array; it gives the conductance vector ``g`` and the node
     Laplacian ``L(s) = Bᵀ diag(g(s)) B`` over the incidence ``B`` of these
     branches, which is assembled only in the blocks a solve needs.
+
+    ``watch`` lists the nodes a transient run reads: every valve's control
+    node, in valve order, then the ``probes`` nodes.
     """
 
-    def __init__(self, net: PneumaticNetwork):
+    def __init__(self, net: PneumaticNetwork, probes: Sequence[str] = ()):
         nodes = net.node_order()
         internal = [s for s in net.sources if s.internal_resistance > 0.0]
         self.nodes = nodes + [s.name + ".__src" for s in internal]
@@ -223,6 +227,10 @@ class _Compiled:
         self.g_open = np.array([v.open_conductance for v in net.valves], dtype=float)
         self.g_leak = np.array([v.leak_conductance for v in net.valves], dtype=float)
         self.control = np.array([index[v.control_node] for v in net.valves], dtype=int)
+        missing = [p for p in probes if p not in index]
+        if missing:
+            raise ValueError(f"unknown probe node(s): {', '.join(missing)}")
+        self.watch = np.concatenate([self.control, [index[p] for p in probes]]).astype(int)
         self.p_inflate = np.array([v.thresholds.p_inflate for v in net.valves], dtype=float)
         self.p_deflate = np.array([v.thresholds.p_deflate for v in net.valves], dtype=float)
 
@@ -388,12 +396,14 @@ class _Regime:
     """The linear network of one valve-state assignment, reduced once.
 
     With the balloon pressures given, every node pressure is affine in
-    them: ``p = A @ cap_pa + a0``. Kron reduction of that map onto the
-    balloon nodes gives their net inflows as ``K @ cap_pa + k0``, so the
-    transient right-hand side needs one small matvec and no solve. The
-    free-node block goes through the same sparse LU as the DC solve, once,
-    with one column for the fixed-node drive and one per balloon; ``A`` and
-    ``K`` are kept dense.
+    them: ``p = A @ cap_pa + a0``. Only the rows of the compiled network's
+    ``watch`` nodes are kept, control nodes first and probes after, so a
+    run reads the margins and the samples as two row slices of one map.
+    Kron reduction onto the balloon nodes gives their net inflows as
+    ``K @ cap_pa + k0``, so the transient right-hand side needs one small
+    matvec and no solve. The free-node block goes through the same sparse
+    LU as the DC solve, once, with one column for the fixed-node drive and
+    one per balloon; ``A`` and ``K`` are kept dense.
     """
 
     def __init__(self, compiled: _Compiled, is_open: np.ndarray):
@@ -413,26 +423,15 @@ class _Regime:
         if len(f):
             P[f] = _solve(compiled.block(g, f), compiled.inflow(g, P)[f])
         Q = compiled.inflow(g, P)[compiled.cap_idx]
-        self.a0, self.A = P[:, 0].copy(), P[:, 1:].copy()
+        self.a0, self.A = P[compiled.watch, 0], P[compiled.watch, 1:]
         self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
-        self._rows = None  # (rows, A[rows], a0[rows]) of the last row_pressures call
 
-    def pressures(self, volumes: np.ndarray) -> np.ndarray:
-        """Every node pressure (Pa) at the given balloon volumes."""
-        p = self.A @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.a0
-        if not np.isfinite(p).all():
-            raise SingularNetworkError("flow-balance system is numerically singular")
-        return p
-
-    def row_pressures(self, rows: np.ndarray, volumes: np.ndarray) -> np.ndarray:
-        """The pressures (Pa) of the nodes ``rows``, one row per row of
-        balloon volumes in ``volumes``: only those rows of the map are
-        applied. Their slice of ``A`` and ``a0`` is kept while the same
-        ``rows`` array is asked for."""
-        if self._rows is None or self._rows[0] is not rows:
-            self._rows = (rows, self.A[rows], self.a0[rows])
-        _rows, A, a0 = self._rows
-        p = _balloon_pa(volumes, self.rest_volume, self.compliance) @ A.T + a0
+    def pressures(self, volumes: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The pressures (Pa) of the watched nodes ``rows`` (a slice of
+        ``watch``), at one vector of balloon volumes or at one per row of a
+        2-D ``volumes``."""
+        cap_pa = _balloon_pa(volumes, self.rest_volume, self.compliance)
+        p = cap_pa @ self.A[rows].T + self.a0[rows]
         if not np.isfinite(p).all():
             raise SingularNetworkError("flow-balance system is numerically singular")
         return p
@@ -642,7 +641,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     flips, and integration restarts. A valve whose control node is a
     balloon is bisected on that balloon's component of the step's cubic
     Hermite interpolant and its balloon law alone; a free or driven
-    control node reads the regime's full pressure map at each bisection
+    control node reads its own row of the regime's map at each bisection
     step. The halving stops at ``event_tol``, or earlier once the
     bracket's ends are adjacent floats. Volumes below empty, which RK
     stages can overshoot to, read as an empty balloon. After a flip the
@@ -651,19 +650,17 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     balloon passes its burst pressure. Only a balloon whose volume is
     within a relative 1e-9 of its burst volume has its pressure computed
     for that check. Samples land on a regular grid plus a pre/post pair at
-    each event so switching edges stay sharp. The grid samples inside a
-    step are one Hermite evaluation over their column of tau, followed by
-    the probe rows of the regime's pressure map alone. The run is
-    deterministic: identical inputs give identical traces.
+    each event so switching edges stay sharp. The margins read the control
+    rows of the regime's map and every sample its probe rows; the grid
+    samples inside a step are one Hermite evaluation over their column of
+    tau. The run is deterministic: identical inputs give identical traces.
     """
-    compiled = _Compiled(net.validate())
+    net.validate()
     probes = cfg.probes if cfg.probes is not None else net.probes
     if not probes:
         raise ValueError("no probes: set PneumaticNetwork.probes or SimConfig.probes")
-    missing = [p for p in probes if p not in compiled.index]
-    if missing:
-        raise ValueError(f"unknown probe node(s): {', '.join(missing)}")
-    probe_idx = np.array([compiled.index[p] for p in probes], dtype=int)
+    compiled = _Compiled(net, probes)
+    ctrl_rows, probe_rows = slice(0, len(compiled.control)), slice(len(compiled.control), None)
 
     is_open = compiled.initial_states(cfg.initial_valve_states)
     volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
@@ -682,24 +679,14 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     warnings: list[str] = []
     burst_seen: set[str] = set()
 
-    def emit(t: float, p_pa: np.ndarray) -> None:
-        if times and t <= times[-1]:
-            return
-        times.append(t)
-        rows.append(p_pa[None, probe_idx] / KPA)
-
-    def emit_grid(grid: list[float], reg, t, h, y0, y1, f0, f1) -> None:
-        """Emit the grid samples at times ``grid`` inside the step of length
-        ``h`` from ``t``: one Hermite evaluation over their column of tau,
-        then only the probe rows of the regime's pressure map."""
-        if times:
-            grid = [s for s in grid if s > times[-1]]
-        if not grid:
-            return
-        tau = (np.array(grid) - t) / h
-        y = _hermite(y0, y1, f0, f1, h, tau[:, None])
-        rows.append(reg.row_pressures(probe_idx, y) / KPA)
-        times.extend(grid)
+    def emit(reg: _Regime, ts: list[float], volumes: np.ndarray) -> None:
+        """Sample the probes at the increasing times ``ts``, from one row of
+        balloon volumes each, through ``reg``'s probe rows; times not after
+        the last sample are dropped."""
+        first = bisect_right(ts, times[-1]) if times else 0
+        if first < len(ts):
+            times.extend(ts[first:])
+            rows.append(reg.pressures(volumes[first:], probe_rows) / KPA)
 
     def check_burst(t: float, volumes: np.ndarray) -> None:
         if not (volumes > burst_volume).any():
@@ -725,7 +712,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     def settle(t: float, is_open: np.ndarray, volumes: np.ndarray):
         """Flip every valve whose margin is >= 0 at ``volumes``, and repeat
         until none is, logging transitions. Returns the valve states, their
-        regime, the node pressures and the margins.
+        regime and the margins.
 
         Control pressures sitting on balloons cannot react to flips, so
         this terminates immediately for gate-style circuits; free-node
@@ -738,8 +725,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         limit = 4 * max(1, len(is_open))
         for relaxation in range(limit + 1):
             reg = compiled.regime(is_open)
-            p = reg.pressures(volumes)
-            m = compiled.margin(is_open, p[compiled.control] / KPA)
+            m = compiled.margin(is_open, reg.pressures(volumes, ctrl_rows) / KPA)
             switch = (m >= 0.0).nonzero()[0]
             if not len(switch):
                 break
@@ -751,12 +737,12 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                 )
                 break
             is_open = flip(t, is_open, switch)
-        return is_open, reg, p, m
+        return is_open, reg, m
 
-    is_open, reg, p0, m0 = settle(0.0, is_open, volumes)
+    is_open, reg, m0 = settle(0.0, is_open, volumes)
 
     t = 0.0
-    emit(0.0, p0)
+    emit(reg, [0.0], volumes[None])
     check_burst(0.0, volumes)
     next_sample = cfg.sample_interval
 
@@ -779,8 +765,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             h *= max(0.2, 0.9 * errnorm ** -0.2)
             continue
 
-        p1 = reg.pressures(y1)
-        m1 = compiled.margin(is_open, p1[compiled.control] / KPA)
+        m1 = compiled.margin(is_open, reg.pressures(y1, ctrl_rows) / KPA)
         # the valves whose margin crosses 0 inside this step
         crossers = ((m0 < 0.0) & (m1 >= 0.0)).nonzero()[0]
 
@@ -789,11 +774,11 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             def control_kpa(vi: int):
                 """The valve's control pressure (kPa) as a function of tau."""
                 k = compiled.control_cap[vi]
-                if k < 0:  # a free or driven node: the full pressure map
-                    node = compiled.control[vi]
+                if k < 0:  # a free or driven node: its own row of the map
+                    row = slice(vi, vi + 1)
                     return lambda tau: reg.pressures(
-                        _hermite(volumes, y1, k1, k7, h, tau)
-                    )[node] / KPA
+                        _hermite(volumes, y1, k1, k7, h, tau), row
+                    )[0] / KPA
                 # a balloon node: its own volume component and balloon law,
                 # rounded through Pa exactly as the pressure map stores it
                 ends = [float(a[k]) for a in (volumes, y1, k1, k7)]
@@ -826,14 +811,16 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             while next_sample < t_event - 1.0e-15:
                 grid.append(next_sample)
                 next_sample += cfg.sample_interval
-            emit_grid(grid, reg, t, h, volumes, y1, k1, k7)
-            emit(t_event, reg.pressures(y_e))
+            if grid:
+                tau = (np.array(grid)[:, None] - t) / h
+                emit(reg, grid, _hermite(volumes, y1, k1, k7, h, tau))
+            emit(reg, [t_event], y_e[None])
 
             is_open = flip(t_event, is_open, flipped)
             t = t_event
             volumes = np.maximum(y_e, 0.0)
-            is_open, reg, p0, m0 = settle(t, is_open, volumes)
-            emit(t + min(cfg.event_tol, cfg.sample_interval / 8.0), p0)
+            is_open, reg, m0 = settle(t, is_open, volumes)
+            emit(reg, [t + min(cfg.event_tol, cfg.sample_interval / 8.0)], volumes[None])
             check_burst(t, volumes)
             k1 = reg.deriv(volumes)
             h = min(cfg.max_step, max(h, min_h))
@@ -845,10 +832,12 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         while next_sample <= t1 + 1.0e-15 and next_sample <= cfg.t_end:
             grid.append(next_sample)
             next_sample += cfg.sample_interval
-        emit_grid(grid, reg, t, h, volumes, y1, k1, k7)
+        if grid:
+            tau = (np.array(grid)[:, None] - t) / h
+            emit(reg, grid, _hermite(volumes, y1, k1, k7, h, tau))
         t = t1
         volumes = y1
-        p0, m0 = p1, m1
+        m0 = m1
         k1 = k7
         check_burst(t, volumes)
         if errnorm == 0.0:
@@ -856,7 +845,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         else:
             h = min(h * min(5.0, 0.9 * errnorm ** -0.2), cfg.max_step)
 
-    emit(cfg.t_end, p0)
+    emit(reg, [cfg.t_end], volumes[None])
     return Trace(
         probes=tuple(probes),
         times=np.array(times),
@@ -1118,12 +1107,9 @@ def calibrate_oscillator(
             record(compliance, hi, rep_hi)
             out_of_reach = f"; at most {f_max:.4g} Hz is reachable within the bounds"
             break
-        if rep_hi.peaks_kpa[probe] <= target_peak_kpa:
-            g = hi  # peak target at or above what the network can do
-            rep = rep_hi
-        else:
-            rep = rep_hi
-            g = hi
+        g, rep = hi, rep_hi
+        # a peak target at or above the upper bound's peak keeps that bound
+        if rep_hi.peaks_kpa[probe] > target_peak_kpa:
             for _ in range(40):
                 mid = math.sqrt(lo * hi)  # geometric: conductance spans decades
                 rep_mid = evaluate(compliance, mid)

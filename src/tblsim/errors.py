@@ -56,6 +56,15 @@ class SupplyMissingError(NetlistError):
     code = "SupplyMissing"
 
 
+class BadValueError(NetlistError, ValueError):
+    """A statement value its element rejects, such as a negative length.
+
+    Also a ValueError, which is what the element raised, so library
+    callers that catch that keep working."""
+
+    code = "BadValue"
+
+
 class NetworkError(TblError):
     """A structurally invalid network (bad element wiring, shorts, ...)."""
 

@@ -39,9 +39,9 @@ from .elements import (
     SourceElement,
     TubeElement,
     ValveState,
-    check_pressure,
 )
 from .errors import (
+    BadValueError,
     DuplicateIdError,
     EvenRingError,
     NetlistSyntaxError,
@@ -324,8 +324,6 @@ def _render_value(value) -> str:
         return ",".join(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not netlist values")
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -460,17 +458,22 @@ def _expand_nand(b, name, gp, in_a, in_b, out, supply_node):
     b.tube(f"{name}.tp", out, b.atmosphere, gp.pulldown_length, gp.tube_id)
 
 
+def _supply_node(stmt: Statement, sources: dict) -> str:
+    """The node of the source a gate or ring statement names as its supply."""
+    supply = stmt.get("supply")
+    if supply not in sources:
+        raise SupplyMissingError(
+            f"{stmt.kind} {stmt.name}: supply {supply!r} is not a declared source",
+            line=stmt.line,
+        )
+    return sources[supply].node
+
+
 def _expand_gate(b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sources: dict):
     gp = _GateParams.build(defaults, stmt)
     inputs = stmt.get("in", ())
     out = stmt.get("out")
-    supply = stmt.get("supply")
-    if supply not in sources:
-        raise SupplyMissingError(
-            f"gate {stmt.name}: supply {supply!r} is not a declared source",
-            line=stmt.line,
-        )
-    supply_node = sources[supply].node
+    supply_node = _supply_node(stmt, sources)
     gt = stmt.gate_type
     need = 1 if gt == "NOT" else 2
     if len(inputs) != need or out is None:
@@ -501,13 +504,7 @@ def _expand_ring(b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sourc
         raise EvenRingError(
             f"ring {stmt.name}: n must be an odd integer >= 3, got {n}", line=stmt.line
         )
-    supply = stmt.get("supply")
-    if supply not in sources:
-        raise SupplyMissingError(
-            f"ring {stmt.name}: supply {supply!r} is not a declared source",
-            line=stmt.line,
-        )
-    supply_node = sources[supply].node
+    supply_node = _supply_node(stmt, sources)
     taps = list(stmt.get("taps", ()))
     if len(taps) > n:
         raise UnboundPortError(
@@ -535,12 +532,61 @@ def _expand_ring(b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sourc
         b.tube(f"{stmt.name}.tp", centre, b.atmosphere, gp.pulldown_length, gp.tube_id)
 
 
+def _expand_statement(
+    b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sources: dict
+) -> None:
+    """Add the elements of one statement to ``b``."""
+    if stmt.kind == "source":
+        resistance = stmt.get("resistance")
+        src = SourceElement(
+            name=stmt.name,
+            node=stmt.name,
+            pressure_kpa=stmt.get("pressure").si / 1e3,
+            internal_resistance=resistance.si if resistance else 0.0,
+        )
+        sources[stmt.name] = src
+        b.sources.append(src)
+    elif stmt.kind == "tube":
+        d = stmt.get("id")
+        b.tube(
+            stmt.name,
+            stmt.get("from"),
+            stmt.get("to"),
+            stmt.get("length").si,
+            d.si if d else defaults.tube_inner_diameter,
+        )
+    elif stmt.kind == "balloon":
+        gp = _GateParams.build(defaults, stmt)
+        b.balloons.append(Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp.init))
+    elif stmt.kind == "valve":
+        state_txt = stmt.get("state", "open")
+        if state_txt not in ("open", "closed"):
+            raise NetlistSyntaxError(
+                f"valve {stmt.name}: state must be open or closed", line=stmt.line
+            )
+        gp = _GateParams.build(defaults, stmt)
+        b.valves.append(
+            gp.valve(
+                stmt.name, stmt.get("from"), stmt.get("to"), stmt.get("control"),
+                state=ValveState(state_txt), initial_control_kpa=gp.init,
+            )
+        )
+    elif stmt.kind == "gate":
+        _expand_gate(b, stmt, defaults, sources)
+    elif stmt.kind == "ring":
+        _expand_ring(b, stmt, defaults, sources)
+    elif stmt.kind == "probe":
+        b.probes.append(stmt.name)
+
+
 def expand(ast: CircuitAst, defaults: PhysicalDefaults | None = None) -> PneumaticNetwork:
     """Elaborate an AST into a flat PneumaticNetwork.
 
     Gate and ring macros expand to tubes, valves and balloons with
-    namespaced internal nodes (``<gate>.b`` and friends). The returned
-    network is validated.
+    namespaced internal nodes (``<gate>.b`` and friends). Sources come
+    first, so a gate or ring may name one declared anywhere. A value an
+    element rejects raises BadValueError at its statement's line. The
+    returned network is validated.
     """
     defaults = defaults or PhysicalDefaults()
     b = _Builder(defaults)
@@ -548,49 +594,11 @@ def expand(ast: CircuitAst, defaults: PhysicalDefaults | None = None) -> Pneumat
     if atm_stmts:
         b.atmosphere = atm_stmts[0].name
     sources: dict[str, SourceElement] = {}
-    for s in ast.of_kind("source"):
-        resistance = s.get("resistance")
-        src = SourceElement(
-            name=s.name,
-            node=s.name,
-            pressure_kpa=check_pressure(s.get("pressure").si / 1e3, f"source {s.name}"),
-            internal_resistance=resistance.si if resistance else 0.0,
-        )
-        sources[s.name] = src
-        b.sources.append(src)
-
-    for stmt in ast.statements:
-        if stmt.kind == "tube":
-            d = stmt.get("id")
-            b.tube(
-                stmt.name,
-                stmt.get("from"),
-                stmt.get("to"),
-                stmt.get("length").si,
-                d.si if d else defaults.tube_inner_diameter,
-            )
-        elif stmt.kind == "balloon":
-            gp = _GateParams.build(defaults, stmt)
-            b.balloons.append(Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp.init))
-        elif stmt.kind == "valve":
-            state_txt = stmt.get("state", "open")
-            if state_txt not in ("open", "closed"):
-                raise NetlistSyntaxError(
-                    f"valve {stmt.name}: state must be open or closed", line=stmt.line
-                )
-            gp = _GateParams.build(defaults, stmt)
-            b.valves.append(
-                gp.valve(
-                    stmt.name, stmt.get("from"), stmt.get("to"), stmt.get("control"),
-                    state=ValveState(state_txt), initial_control_kpa=gp.init,
-                )
-            )
-        elif stmt.kind == "gate":
-            _expand_gate(b, stmt, defaults, sources)
-        elif stmt.kind == "ring":
-            _expand_ring(b, stmt, defaults, sources)
-        elif stmt.kind == "probe":
-            b.probes.append(stmt.name)
+    for stmt in ast.of_kind("source") + [s for s in ast.statements if s.kind != "source"]:
+        try:
+            _expand_statement(b, stmt, defaults, sources)
+        except ValueError as exc:
+            raise BadValueError(f"{stmt.kind} {stmt.name}: {exc}", line=stmt.line) from exc
 
     net = b.network()
     known = set(net.node_order())

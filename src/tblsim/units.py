@@ -33,6 +33,20 @@ DIMENSION = {
 }
 
 
+# dimension -> its display unit; lengths choose between cm and mm by size
+_DISPLAY = {"pressure": "kPa", "volume": "mL", "time": "s", "raw": ""}
+
+
+def _display_unit(dimension: str, si_value: float) -> str:
+    """The canonical display unit of an SI value of ``dimension``: kPa, mL
+    or s, none for raw numbers, cm at or above 1 cm and mm below."""
+    if dimension == "length":
+        return "cm" if abs(si_value) >= 1.0e-2 else "mm"
+    if dimension not in _DISPLAY:
+        raise ValueError(f"unknown dimension {dimension!r}")
+    return _DISPLAY[dimension]
+
+
 def format_number(x: float) -> str:
     """Render a float the shortest way that parses back to the same value."""
     if x == int(x) and abs(x) < 1e16:
@@ -59,17 +73,7 @@ class Quantity:
         A Quantity already in its canonical unit is returned unchanged, so
         repeated normalization never drifts.
         """
-        dim = self.dimension
-        if dim == "length":
-            target = "cm" if abs(self.si) >= 1.0e-2 else "mm"
-        elif dim == "pressure":
-            target = "kPa"
-        elif dim == "volume":
-            target = "mL"
-        elif dim == "time":
-            target = "s"
-        else:
-            target = ""
+        target = _display_unit(self.dimension, self.si)
         if target == self.unit:
             return self
         return Quantity(self.value * (SCALE[self.unit] / SCALE[target]), target)
@@ -80,15 +84,5 @@ class Quantity:
 
 def from_si(si_value: float, dimension: str) -> Quantity:
     """Build a canonical Quantity from an SI value of a known dimension."""
-    if dimension == "raw":
-        return Quantity(si_value, "")
-    if dimension == "pressure":
-        return Quantity(si_value / 1.0e3, "kPa")
-    if dimension == "volume":
-        return Quantity(si_value / 1.0e-6, "mL")
-    if dimension == "time":
-        return Quantity(si_value, "s")
-    if dimension == "length":
-        unit = "cm" if abs(si_value) >= 1.0e-2 else "mm"
-        return Quantity(si_value / SCALE[unit], unit)
-    raise ValueError(f"unknown dimension {dimension!r}")
+    unit = _display_unit(dimension, si_value)
+    return Quantity(si_value / SCALE[unit], unit)

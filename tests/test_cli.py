@@ -268,3 +268,81 @@ def test_env_defaults_respected(tmp_path, capsys, monkeypatch):
     assert rc == 0
     # doubled pull-down raises the divider: 145*2R2/(R1+1/g+2R2) = 115.9
     assert "(115." in out
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        ("source S pressure=-200kPa\n", 1, "source S: "),
+        ("source S pressure=145kPa\ntube t from=S to=ATM length=-5cm\n", 2, "tube t: length"),
+        ("source S pressure=145kPa\ngate NOT g in=a out=q supply=S inflate=50kPa\n", 2, "gate g: "),
+        (
+            "source S pressure=145kPa\nvalve v from=S to=q control=c leak=1 open_conductance=1e-5\n"
+            "tube t from=q to=ATM length=5cm\n",
+            2,
+            "valve v: leak_conductance",
+        ),
+        ("source S pressure=145kPa\nballoon b node=S compliance=0\n", 2, "balloon b: compliance"),
+    ],
+    ids=["vacuum-source", "negative-length", "inverted-band", "leak-above-open", "zero-compliance"],
+)
+def test_bad_element_values_exit_2_at_their_line(tmp_path, capsys, text, line, what):
+    path = write(tmp_path, text)
+    rc = main(["check", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"{path}:{line}: BadValue: {what}")
+    assert err.count("\n") == 1
+
+
+def test_sim_json_lines(capsys):
+    rc = main(["--format", "json-lines", "sim", circuit("not.tbl"), "--t-end", "0.003"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["time_s"] for r in recs] == [0.0, 0.001, 0.002, 0.003]
+    for r in recs:
+        assert set(r) == {"time_s", "q"} and r["q"] == pytest.approx(96.608, abs=1e-3)
+
+
+def test_freq_json_lines_on_the_stock_ring(capsys):
+    rc = main(["--format", "json-lines", "freq", "--t-end", "1.5", circuit("ring3_calibrated.tbl")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["probe"] for r in recs] == ["m1", "m2", "m3"]
+    for r, phase in zip(recs, (0.0, 240.0, 120.0)):
+        assert r["frequency_hz"] == pytest.approx(14.995, rel=0.01)
+        assert r["peak_kpa"] == pytest.approx(35.15, rel=0.01)
+        assert r["phase_deg"] == pytest.approx(phase, abs=1e-6)
+        assert r["cycles"] == 17
+
+
+def test_sim_prints_trace_warnings_to_stderr(tmp_path, capsys):
+    # a 250 kPa supply charges the balloon past its 200 kPa burst level
+    path = write(
+        tmp_path,
+        "source SUP pressure=250kPa\ntube t1 from=SUP to=x length=5cm\n"
+        "balloon b1 node=x\nprobe x\n",
+    )
+    rc = main(["sim", path, "--t-end", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("time_s,x_kPa\n")
+    warning = "warning: balloon b1 passed its burst pressure (200.0 kPa) at t="
+    assert captured.err.startswith(warning)
+    assert captured.err.count("\n") == 1
+
+
+def test_check_notes_several_operating_points(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "source SUP pressure=145kPa\n"
+        "gate NOT g1 in=q2 out=q1 supply=SUP\n"
+        "gate NOT g2 in=q1 out=q2 supply=SUP\n",
+    )
+    rc = main(["check", path])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "operating point: g1.v=open, g2.v=closed\n" in out
+    assert out.endswith("note: 2 distinct operating points exist\n")

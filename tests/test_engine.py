@@ -498,8 +498,8 @@ def test_balloon_event_path_matches_full_solve(make_net, monkeypatch):
     fast = simulate(net, cfg)
     full_init = engine._Compiled.__init__
 
-    def no_control_balloons(self, net):
-        full_init(self, net)
+    def no_control_balloons(self, *args):
+        full_init(self, *args)
         self.control_cap = np.full_like(self.control_cap, -1)
 
     monkeypatch.setattr(engine._Compiled, "__init__", no_control_balloons)
@@ -544,7 +544,7 @@ def _full_solve_reference(net, states, volumes):
 )
 def test_kron_reduced_rhs_matches_a_full_solve(make_net):
     net = make_net()
-    compiled = engine._Compiled(net)
+    compiled = engine._Compiled(net, net.node_order())
     rng = np.random.default_rng(11)
     rest = compiled.rest_volume
     n_valves = len(net.valves)
@@ -559,6 +559,7 @@ def test_kron_reduced_rhs_matches_a_full_solve(make_net):
             volumes = rest * rng.uniform(0.0, 1.6, size=len(rest))
             volumes[rng.integers(0, len(rest))] = 0.0  # an empty balloon
             want_p, want_dv = _full_solve_reference(net, states, volumes)
+            want_p = want_p[compiled.watch]
             got_p, got_dv = reg.pressures(volumes), reg.deriv(volumes)
             assert np.abs(got_p - want_p).max() <= 1e-12 * np.abs(want_p).max()
             assert np.abs(got_dv - want_dv).max() <= 1e-12 * np.abs(want_dv).max()
@@ -584,11 +585,15 @@ def test_batched_samples_match_a_per_sample_full_map(make_net, monkeypatch):
             return np.array([hermite(y0, y1, f0, f1, h, float(x)) for x in tau[:, 0]])
         return hermite(y0, y1, f0, f1, h, tau)
 
-    def full_map_rows(self, rows, volumes):
-        return np.array([self.pressures(v)[rows] for v in volumes])
+    pressures = engine._Regime.pressures
+
+    def one_row_at_a_time(self, volumes, rows=slice(None)):
+        if np.ndim(volumes) == 2:  # a block of samples: one vector each
+            return np.array([pressures(self, v, rows) for v in volumes])
+        return pressures(self, volumes, rows)
 
     monkeypatch.setattr(engine, "_hermite", per_sample_hermite)
-    monkeypatch.setattr(engine._Regime, "row_pressures", full_map_rows)
+    monkeypatch.setattr(engine._Regime, "pressures", one_row_at_a_time)
     reference = simulate(net, cfg)
     assert len(batched.times) > 400 and len(batched.events) > 10
     assert np.array_equal(batched.times, reference.times)
@@ -899,6 +904,18 @@ def test_calibration_fails_fast_below_the_slowest_reachable_frequency():
     assert best.compliance == c0  # no rescale was tried
     assert best.peak_kpa == pytest.approx(35.0, rel=0.02)
     assert best.frequency_hz * c0 / bounds.compliance[1] > 5.0 * 1.02
+
+
+def test_peak_out_of_reach_keeps_the_upper_conductance_bound():
+    # ring3_calibrated peaks near 39 kPa at the largest conductance: 200 kPa
+    # is out of reach, so no bisection runs and the frequency is still fitted
+    net = expand(parse(open("circuits/ring3_calibrated.tbl").read()))
+    with pytest.raises(CalibrationFailedError) as err:
+        calibrate_oscillator(net, target_frequency_hz=15.0, target_peak_kpa=200.0)
+    best = err.value.best
+    assert best.open_conductance == 1e-3
+    assert best.frequency_hz == pytest.approx(15.0, rel=0.02)
+    assert best.peak_kpa < 100.0
 
 
 def test_dead_evaluation_ends_after_one_window(monkeypatch):

@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from tblsim import (
+    BadValueError,
     CircuitAst,
     DuplicateIdError,
     EvenRingError,
@@ -18,9 +19,11 @@ from tblsim import (
     UnknownUnitError,
     bom,
     expand,
+    fanout_limit,
     format_circuit,
     parse,
 )
+from tblsim.units import from_si
 
 
 def test_parse_minimal_inverter():
@@ -58,6 +61,29 @@ def test_quantity_canonical_unit_selection():
     assert Quantity(2.0, "mm").canonical().render() == "2mm"
     assert Quantity(85.0, "kPa").canonical().render() == "85kPa"
     assert Quantity(2.5e-6, "m").canonical().render() == "0.0025mm"
+
+
+@pytest.mark.parametrize(
+    "si, dimension, want",
+    [
+        (2.5, "raw", Quantity(2.5, "")),
+        (145.0e3, "pressure", Quantity(145.0e3 / 1.0e3, "kPa")),
+        (2.0e-6, "volume", Quantity(2.0e-6 / 1.0e-6, "mL")),
+        (0.5, "time", Quantity(0.5, "s")),
+        (0.15, "length", Quantity(0.15 / 1.0e-2, "cm")),
+        (0.005, "length", Quantity(0.005 / 1.0e-3, "mm")),
+    ],
+)
+def test_from_si_picks_the_canonical_unit(si, dimension, want):
+    got = from_si(si, dimension)
+    assert (got.value, got.unit) == (want.value, want.unit)  # bit for bit
+    assert got.canonical() is got
+    assert got.dimension == dimension
+
+
+def test_from_si_rejects_an_unknown_dimension():
+    with pytest.raises(ValueError, match="unknown dimension 'mass'"):
+        from_si(1.0, "mass")
 
 
 @pytest.mark.parametrize(
@@ -175,6 +201,44 @@ def test_ring_rejects_even_or_tiny_n():
 def test_gate_without_declared_supply():
     with pytest.raises(SupplyMissingError):
         expand(parse("gate NOT inv in=a out=q supply=SUP\n"))
+
+
+@pytest.mark.parametrize(
+    "text, err, message",
+    [
+        ("ring r n=3 supply=SUP", SupplyMissingError,
+         "ring r: supply 'SUP' is not a declared source"),
+        ("ring r n=3 supply=S taps=a,b,c,d", UnboundPortError, "ring r: 4 taps for 3 gates"),
+        ("ring r n=3 supply=S pulldown=shared", UnknownKeywordError,
+         "ring r: pulldown must be per-gate or central, got 'shared'"),
+    ],
+    ids=["undeclared-supply", "too-many-taps", "bad-pulldown"],
+)
+def test_ring_statement_errors(text, err, message):
+    with pytest.raises(err) as e:
+        expand(parse("source S pressure=145kPa\n" + text + "\n"))
+    assert str(e.value) == message
+    assert e.value.line == 2
+
+
+def test_atm_statement_renames_the_ambient_node():
+    net = expand(
+        parse("atm GND\nsource SUP pressure=145kPa\ngate NOT inv in=a out=q supply=SUP\n")
+    )
+    assert net.atmosphere == "GND"
+    assert next(t for t in net.tubes if t.name == "inv.tp").node_b == "GND"
+    assert "ATM" not in net.node_order()
+
+
+def test_bad_element_value_is_a_netlist_error_and_a_value_error():
+    with pytest.raises(BadValueError) as e:
+        expand(parse("source S pressure=145kPa\n\ntube t from=S to=ATM length=-5cm\n"))
+    assert isinstance(e.value, NetlistError) and isinstance(e.value, ValueError)
+    assert str(e.value) == "tube t: length must be >= 0, got -0.05"
+    assert e.value.line == 3
+    # library callers that catch ValueError keep working
+    with pytest.raises(ValueError, match="below vacuum"):
+        fanout_limit(supply_kpa=-200.0)
 
 
 def test_gate_arity_is_enforced():
