@@ -23,25 +23,33 @@ with their event and sample counts and one digest: a valve-free RC
 charge probed at its balloon node, the supply node and ambient; a
 balloon-free divider whose valve, controlled by the divider tap, closes
 as the run starts; and ``ring3.tbl``'s 3-ring with every node probed. The
-last two lines cover the DC analyses, each with its own digest, so that
+last three lines cover the DC analyses, each with its own digest, so that
 roundoff in the fan-out samples cannot hide a change in the truth tables.
 The ``truth`` line covers the truth tables of the shipped ``not``,
 ``nand``, ``nor``, ``and`` and ``or`` circuits: the row count and one
 digest of every row's input bits, output bit and output kPa. The
 ``fanout`` line covers ``fanout_limit(internal_resistance=1.2e5)``: the
-limit and a digest of the sweep's samples.
+limit and a digest of the sweep's samples. The ``logic`` line covers the
+seeded logic circuits of the benchmark's seeds 1 and 3, from
+``perfbench/inputs.py``, which it only imports: every input row of each
+circuit's truth table goes through ``engine._dc_rows``. It prints the row
+count, ``solves``, the number of sparse LU solves (``engine._solve``
+calls) the rows took, and one digest of every row's ``SteadyState`` repr
+(valve states, every node pressure and the fixed points).
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import itertools
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
 from tblsim import SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
-from tblsim import fanout_limit, truth_table  # noqa: E402
+from tblsim import LogicLevels, fanout_limit, truth_table  # noqa: E402
 from tblsim import (  # noqa: E402
     Balloon,
     BalloonParams,
@@ -126,6 +134,37 @@ def _edge_runs():
     ]
 
 
+def _logic_line() -> str:
+    spec = importlib.util.spec_from_file_location("bench_inputs", "perfbench/inputs.py")
+    bench_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_inputs)
+    levels = LogicLevels()
+    solve = engine._solve
+    solves = 0
+
+    def counting_solve(G, rhs):
+        nonlocal solves
+        solves += 1
+        return solve(G, rhs)
+
+    h = hashlib.sha256()
+    rows = 0
+    engine._solve = counting_solve  # solve_dc looks it up here
+    try:
+        for seed in (1, 3):
+            for text, ins, _out, _expr in bench_inputs.logic(seed):
+                drives = [
+                    [levels.drive(b) for b in bits]
+                    for bits in itertools.product((0, 1), repeat=len(ins))
+                ]
+                for steady in engine._dc_rows(_net(text), ins, drives):
+                    h.update(repr(steady).encode())
+                    rows += 1
+    finally:
+        engine._solve = solve
+    return f"logic: rows={rows} solves={solves} sha256={h.hexdigest()}"
+
+
 def main() -> None:
     ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
     probes = tuple(f"r.q{k}" for k in range(1, 102))
@@ -182,6 +221,7 @@ def main() -> None:
     fanout = fanout_limit(internal_resistance=1.2e5)
     digest = hashlib.sha256(repr(fanout.samples).encode()).hexdigest()
     print(f"fanout: limit={fanout.limit} sha256={digest}")
+    print(_logic_line())
 
 
 if __name__ == "__main__":

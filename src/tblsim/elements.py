@@ -177,7 +177,7 @@ class SourceElement:
     internal_resistance: float = 0.0
 
     def __post_init__(self):
-        check_pressure(self.pressure_kpa, f"source {self.name}")
+        check_pressure(self.pressure_kpa, f"source {self.name}: pressure")
         _nonnegative("internal_resistance", self.internal_resistance)
 
 

@@ -20,10 +20,12 @@ the only form of valve state inside this module; ``ValveState`` appears
 only in the inputs and the results.
 
 The DC search steps all valves at once on the pressures of one solve per
-assignment. Components over the conducting branches decide which nodes a
-solve must leave out: balloons cut off from every fixed node keep their
-charge, and nodes sealed off from every fixed node and every balloon read
-ambient.
+assignment, starting where a walk over the network's regions (the parts
+that fixed nodes cut it into) leaves it: on a feed-forward circuit the
+first solve only confirms the walk. Components over the conducting
+branches decide which nodes a solve must leave out: balloons cut off from
+every fixed node keep their charge, and nodes sealed off from every fixed
+node and every balloon read ambient.
 
 The continuous state of a circuit is the vector of balloon volumes. All
 other node pressures are algebraic: between valve transitions the flow
@@ -45,6 +47,8 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 
 import numpy as np
@@ -207,6 +211,8 @@ class _Compiled:
         internal = [s for s in net.sources if s.internal_resistance > 0.0]
         self.nodes = nodes + [s.name + ".__src" for s in internal]
         self.index = {n: i for i, n in enumerate(self.nodes)}
+        self.named = [n for n in self.nodes if not n.endswith(".__src")]
+        self.named_idx = np.array([self.index[n] for n in self.named], dtype=int)
         self.n = len(self.nodes)
         index = self.index
 
@@ -320,8 +326,10 @@ class _Compiled:
 
     # -- DC solve (balloons act as open circuits) ------------------------------
 
-    def solve_dc(self, is_open: np.ndarray) -> np.ndarray:
-        """Full node-pressure vector (Pa) for a boolean valve open-state array.
+    def dc_system(self, is_open: np.ndarray):
+        """The DC flow balance of a boolean valve open-state array: its
+        branch conductances, the nodes left to solve for, and the pinned
+        balloons with their pressures (Pa).
 
         Balloons in components that reach a fixed node equilibrate (zero
         flow, so they are plain unknowns); balloons cut off from every
@@ -329,31 +337,44 @@ class _Compiled:
         compliance-weighted mean of its initial charges (the limit it
         relaxes to with no external exchange). Nodes sealed off from every
         fixed node and every balloon hold trapped air with no state and no
-        flow, and read ambient rather than making the solve singular. The
-        other nodes are solved by one sparse LU of their flow balance.
+        flow, and read ambient (0) rather than making the solve singular.
         """
         g = self.conductances(is_open)
         labels, fixed, anchored = self.components(g)
-        p = np.zeros(self.n)
-        known = ~anchored[labels]  # dead nodes, at 0
+        known = ~anchored[labels]  # dead nodes
         known[self.fixed_idx] = True
-        p[self.fixed_idx] = self.fixed_pa
         cap_labels = labels[self.cap_idx]
         pinned = ~fixed[cap_labels]
+        pinned_idx, pinned_pa = self.cap_idx[pinned], np.zeros(0)
         if pinned.any():
             lab, c = cap_labels[pinned], self.compliance[pinned]
             c_total = np.bincount(lab, weights=c)
             charge = np.bincount(lab, weights=c * self.initial_kpa[pinned])
-            p[self.cap_idx[pinned]] = charge[lab] / c_total[lab] * KPA
-            known[self.cap_idx[pinned]] = True
-        unknown = np.flatnonzero(~known)
+            pinned_pa = charge[lab] / c_total[lab] * KPA
+            known[pinned_idx] = True
+        return g, np.flatnonzero(~known), pinned_idx, pinned_pa
+
+    def solve_dc(self, is_open: np.ndarray) -> np.ndarray:
+        """Full node-pressure vector (Pa) for a boolean valve open-state
+        array: the nodes ``dc_system`` leaves to solve for are solved by one
+        sparse LU of their flow balance."""
+        g, unknown, pinned_idx, pinned_pa = self.dc_system(is_open)
+        p = np.zeros(self.n)
+        p[self.fixed_idx] = self.fixed_pa
+        p[pinned_idx] = pinned_pa
         if len(unknown):
             p[unknown] = _solve(self.block(g, unknown), self.inflow(g, p)[unknown])
         return p
 
     def pressures_kpa(self, p_pa: np.ndarray) -> dict[str, float]:
         """Node pressures (kPa) by name, leaving out source internal nodes."""
-        return {n: p_pa[i] / KPA for n, i in self.index.items() if not n.endswith(".__src")}
+        return dict(zip(self.named, p_pa[self.named_idx] / KPA))
+
+    @cached_property
+    def walk(self) -> "_Walk | None":
+        """The DC search's region-ordered warm start, built at the first
+        search; None when the region graph has a cycle."""
+        return _Walk.build(self)
 
     # -- transient regime (balloon nodes pinned by their volumes) -------------
 
@@ -450,22 +471,137 @@ class _Regime:
 # ---------------------------------------------------------------------------
 
 
+class _Walk:
+    """The DC search's warm start: each valve stepped once, in region order.
+
+    Fixed nodes cut a network into regions, the components of its branches
+    with no fixed endpoint. At DC a balloon draws no flow, so a region's
+    node pressures depend only on its own valves and on the fixed
+    pressures, and the flow balance over the unknown nodes is
+    block-diagonal by region. A valve controlled from region R makes the
+    region of its branch depend on R. When that region graph is acyclic,
+    the regions are walked in dependency order: each valve of a region is
+    stepped once by ``_Compiled.margin``, from its given state, on its
+    settled control pressure, and the region then reads its control nodes
+    from the layer its own valves select.
+
+    Layer ``a`` opens every region's j-th valve iff bit j of ``a`` is set.
+    One solve under the ``solve_dc`` rules gives its node pressures in
+    every region at once, as an affine map of the fixed pressures: a
+    constant column, then one column per fixed node. A layer is filled
+    when a walk first needs it and serves every later walk of the same
+    compiled network, whatever its fixed pressures.
+    """
+
+    def __init__(self, compiled: _Compiled, region: np.ndarray, home: np.ndarray, order):
+        # per region in dependency order, its valves and its control nodes as
+        # (node, row of a layer map); the valves whose branch joins two fixed
+        # nodes come last, as they change no pressure
+        self.read = np.unique(compiled.control[region[compiled.control] >= 0])
+        valves = {r: [] for r in order + [-1]}
+        self.local = []  # each valve's index j in its region
+        for v, r in enumerate(home.tolist()):
+            self.local.append(len(valves[r]))
+            valves[r].append(v)
+        rows = {r: [] for r in order + [-1]}
+        for k, node in enumerate(self.read.tolist()):
+            rows[int(region[node])].append((node, k))
+        self.steps = [(valves[r], rows[r]) for r in order + [-1]]
+        self.control = compiled.control.tolist()
+        self.layers: dict[int, np.ndarray] = {}  # the filled layer maps, by layer
+
+    @classmethod
+    def build(cls, compiled: _Compiled) -> "_Walk | None":
+        """The walk over ``compiled``'s regions, or None when a region
+        depends on itself, directly or through other regions."""
+        c = compiled
+        fixed = np.zeros(c.n, dtype=bool)
+        fixed[c.fixed_idx] = True
+        inner = ~(fixed[c.branch_a] | fixed[c.branch_b])
+        region = node_components(c.n, c.branch_a[inner], c.branch_b[inner])
+        region[fixed] = -1
+        nb = len(c.g_static)
+        # a valve branch between two fixed nodes lies in no region (-1)
+        home = np.maximum(region[c.branch_a[nb:]], region[c.branch_b[nb:]])
+        sorter = TopologicalSorter()
+        for r, rc in zip(home.tolist(), region[c.control].tolist()):
+            if rc >= 0:
+                sorter.add(rc)
+            if r >= 0:
+                sorter.add(r, *([rc] if rc >= 0 else []))
+        try:
+            order = list(sorter.static_order())
+        except CycleError:
+            return None
+        return cls(c, region, home, order)
+
+    def fill(self, compiled: _Compiled, a: int) -> None:
+        """Solve layer ``a``; a singular layer raises SingularNetworkError."""
+        c = compiled
+        is_open = np.array([(a >> j) & 1 for j in self.local], dtype=bool)
+        g, unknown, pinned_idx, pinned_pa = c.dc_system(is_open)
+        nf = len(c.fixed_idx)
+        P = np.zeros((c.n, 1 + nf))
+        P[c.fixed_idx, 1 + np.arange(nf)] = 1.0
+        P[pinned_idx, 0] = pinned_pa
+        if len(unknown):
+            P[unknown] = _solve(c.block(g, unknown), c.inflow(g, P)[unknown])
+        self.layers[a] = P[self.read]
+
+    def start(self, compiled: _Compiled, is_open: np.ndarray) -> np.ndarray:
+        """The open-state array after stepping each valve once from
+        ``is_open``, in region order, at ``compiled``'s fixed pressures.
+
+        A region holds a valve or two, so the walk runs on Python scalars:
+        per region, a numpy call would cost more than its arithmetic."""
+        drive = np.concatenate([[1.0], compiled.fixed_pa])
+        # the control-node pressures (Pa) of every filled layer
+        at = {a: (m @ drive).tolist() for a, m in self.layers.items()}
+        p = np.zeros(compiled.n)
+        p[compiled.fixed_idx] = compiled.fixed_pa
+        p = p.tolist()
+        is_open = is_open.tolist()
+        for valves, rows in self.steps:
+            a = 0  # the layer this region's valves select
+            for j, v in enumerate(valves):
+                if compiled.margin(is_open[v], p[self.control[v]] / KPA, v) >= 0.0:
+                    is_open[v] = not is_open[v]
+                a |= is_open[v] << j
+            if rows:
+                if a not in at:
+                    self.fill(compiled, a)
+                    at[a] = (self.layers[a] @ drive).tolist()
+                for node, k in rows:
+                    p[node] = at[a][k]
+        return np.array(is_open, dtype=bool)
+
+
 def dc_operating_point(
     net: PneumaticNetwork,
     initial_states: dict[str, ValveState] | None = None,
 ) -> SteadyState:
     """Find a valve-state assignment consistent with its own pressures.
 
-    Starts with a synchronous fixed-point iteration from the initial
-    states: every valve steps at once on its control pressure, switching
-    where ``_Compiled.margin`` is >= 0 (an open valve at or above
-    ``p_inflate``, a closed one at or below ``p_deflate``). If that cycles,
-    it falls back to exhaustive enumeration of all assignments (up to 16
-    valves), keeping those the same rule leaves unchanged. Multiple fixed
-    points are all listed, with the first in enumeration order reported as
-    the operating point when the iteration itself did not converge. Each
-    assignment is one ``_Compiled.solve_dc``: one sparse LU on every
-    network size.
+    A valve switches where ``_Compiled.margin`` is >= 0: an open valve at
+    or above ``p_inflate``, a closed one at or below ``p_deflate``. The
+    search first walks the network's regions (the parts that fixed nodes
+    cut it into) in dependency order and steps each valve once, from its
+    initial state, on its settled control pressure. A synchronous
+    fixed-point iteration then starts from that assignment: every valve
+    steps at once on its control pressure. On a feed-forward circuit its
+    first solve confirms the walk and switches nothing. When the region
+    graph has a cycle (rings, latches, a valve controlled from its own
+    region) there is no walk, and the iteration starts from the initial
+    states. A control settling strictly inside its hysteresis band keeps
+    the state the walk leaves it in, which an iteration from the initial
+    states could have flipped on an upstream level not yet settled.
+
+    If the iteration cycles, it falls back to exhaustive enumeration of
+    all assignments (up to 16 valves), keeping those the same rule leaves
+    unchanged. Multiple fixed points are all listed, with the first in
+    enumeration order reported as the operating point when the iteration
+    itself did not converge. Each assignment is one ``_Compiled.solve_dc``:
+    one sparse LU on every network size.
 
     Raises AstableCircuit when no assignment is self-consistent, Singular
     when the flow-balance system cannot be solved uniquely, and
@@ -493,7 +629,19 @@ def _dc_rows(
 
 
 def _dc_search(compiled: _Compiled, is_open: np.ndarray) -> SteadyState:
-    """``dc_operating_point``'s search, from the open-state array ``is_open``."""
+    """``dc_operating_point``'s search, from the open-state array ``is_open``.
+
+    The iteration's first solve confirms ``compiled.walk``: a control
+    within roundoff of a threshold can read differently in a layer map and
+    in the exact solve. A layer that cannot be solved drops the walk for
+    good, leaving any error to the iteration.
+    """
+    if compiled.walk is not None:
+        try:
+            is_open = compiled.walk.start(compiled, is_open)
+        except SingularNetworkError:
+            compiled.walk = None
+
     def named(is_open):
         return {n: _state(o) for n, o in zip(compiled.valve_names, is_open.tolist())}
 

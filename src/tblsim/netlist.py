@@ -585,8 +585,8 @@ def expand(ast: CircuitAst, defaults: PhysicalDefaults | None = None) -> Pneumat
     Gate and ring macros expand to tubes, valves and balloons with
     namespaced internal nodes (``<gate>.b`` and friends). Sources come
     first, so a gate or ring may name one declared anywhere. A value an
-    element rejects raises BadValueError at its statement's line. The
-    returned network is validated.
+    element rejects raises BadValueError at its statement's line, its
+    message naming the element once. The returned network is validated.
     """
     defaults = defaults or PhysicalDefaults()
     b = _Builder(defaults)
@@ -598,7 +598,11 @@ def expand(ast: CircuitAst, defaults: PhysicalDefaults | None = None) -> Pneumat
         try:
             _expand_statement(b, stmt, defaults, sources)
         except ValueError as exc:
-            raise BadValueError(f"{stmt.kind} {stmt.name}: {exc}", line=stmt.line) from exc
+            # an element's message names the element where it is not already named
+            msg, named = str(exc), f"{stmt.kind} {stmt.name}: "
+            raise BadValueError(
+                msg if msg.startswith(named) else named + msg, line=stmt.line
+            ) from exc
 
     net = b.network()
     known = set(net.node_order())

@@ -295,6 +295,12 @@ def test_bad_element_values_exit_2_at_their_line(tmp_path, capsys, text, line, w
     assert err.count("\n") == 1
 
 
+def test_check_names_a_vacuum_source_once(tmp_path, capsys):
+    path = write(tmp_path, "source S pressure=-200kPa\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.count("source S") == 1
+
+
 def test_sim_json_lines(capsys):
     rc = main(["--format", "json-lines", "sim", circuit("not.tbl"), "--t-end", "0.003"])
     out = capsys.readouterr().out

@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tblsim import (
     AstableCircuitError,
@@ -31,6 +34,7 @@ from tblsim import (
     parse,
     simulate,
     solve_pressures,
+    truth_table,
     tube_resistance,
     valve_step,
 )
@@ -355,6 +359,221 @@ def test_dc_isolated_balloon_keeps_its_charge():
     assert ss.node_pressures_kpa["b"] == pytest.approx(72.0)
     assert ss.node_pressures_kpa["c"] == pytest.approx(72.0)  # floats with it
     assert ss.node_pressures_kpa["x"] == pytest.approx(0.0)
+
+
+# -- the region-ordered warm start of the DC search ---------------------------
+
+
+def _declared_state_search(compiled, is_open):
+    """Reference DC search with no warm start: the synchronous iteration
+    from ``is_open``, then the enumeration when it cycles."""
+
+    def named(is_open):
+        return {n: engine._state(o) for n, o in zip(compiled.valve_names, is_open.tolist())}
+
+    seen = set()
+    while (key := np.packbits(is_open).tobytes()) not in seen:
+        seen.add(key)
+        p_pa = compiled.solve_dc(is_open)
+        switch = compiled.margin(is_open, p_pa[compiled.control] / engine.KPA) >= 0.0
+        if not switch.any():
+            return SteadyState(named(is_open), compiled.pressures_kpa(p_pa))
+        is_open = is_open ^ switch
+    if len(is_open) > engine._MAX_ENUM_VALVES:
+        raise TooManyValvesError("enumeration cap")
+    fixed_points = []
+    for bits in itertools.product((True, False), repeat=len(is_open)):
+        assign = np.array(bits, dtype=bool)
+        try:
+            p_pa = compiled.solve_dc(assign)
+        except SingularNetworkError:
+            continue
+        if not (compiled.margin(assign, p_pa[compiled.control] / engine.KPA) >= 0.0).any():
+            fixed_points.append((assign, p_pa))
+    if not fixed_points:
+        raise AstableCircuitError("no self-consistent assignment")
+    chosen, p_pa = fixed_points[0]
+    return SteadyState(
+        named(chosen), compiled.pressures_kpa(p_pa), tuple(named(fp) for fp, _p in fixed_points)
+    )
+
+
+def _reference_dc(net):
+    compiled = engine._Compiled(net.validate())
+    return _declared_state_search(compiled, compiled.initial_open)
+
+
+def _outcome(search, net):
+    """The search's SteadyState, or the class of the DC error it raised."""
+    try:
+        return search(net)
+    except AstableCircuitError as exc:
+        return type(exc)
+
+
+def _cross_coupled_pair():
+    return build(
+        "source SUP pressure=145kPa\n"
+        "gate NOT g1 in=q2 out=q1 supply=SUP\n"
+        "gate NOT g2 in=q1 out=q2 supply=SUP\n"
+    )
+
+
+def _three_ring():
+    return build("source SUP pressure=145kPa\nring r n=3 supply=SUP\n")
+
+
+def _valve_on_its_own_outlet():
+    # the valve reads its own outlet, in its own region; open, the short
+    # pull-down keeps that outlet below p_deflate, so open is consistent
+    return build(
+        "source SUP pressure=145kPa\n"
+        "tube ts from=SUP to=n length=7.5cm\n"
+        "valve v from=n to=c control=c\n"
+        "tube tq from=c to=ATM length=1cm\n"
+    )
+
+
+@pytest.mark.parametrize("gate", ["not", "nand", "nor", "and", "or"])
+def test_dc_walk_matches_the_declared_state_search_on_the_gates(gate):
+    net = _read_circuit(gate)
+    inputs = ("a",) if gate == "not" else ("a", "b")
+    rows = list(itertools.product((0.0, 145.0), repeat=len(inputs)))
+    want = [_reference_dc(net.with_pins(dict(zip(inputs, row)))) for row in rows]
+    assert [dc_operating_point(net.with_pins(dict(zip(inputs, row)))) for row in rows] == want
+    assert list(engine._dc_rows(net, inputs, rows)) == want
+
+
+_GATE_KINDS = ("NOT", "NAND", "NOR", "AND", "OR")
+
+
+@st.composite
+def _gate_trees(draw):
+    """A feed-forward network of 1-12 gates: each gate output feeds at most
+    one later gate, and every other gate input is a primary input pinned
+    at 0 or 145 kPa."""
+    lines = ["source SUP pressure=145kPa"]
+    pool, pins = [], {}
+    for g in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(_GATE_KINDS))
+        args = []
+        for _ in range(1 if kind == "NOT" else 2):
+            if pool and draw(st.booleans()):
+                args.append(pool.pop(draw(st.integers(0, len(pool) - 1))))
+            else:
+                args.append(f"i{len(pins)}")
+                pins[args[-1]] = draw(st.sampled_from((0.0, 145.0)))
+        lines.append(f"gate {kind} g{g} in={','.join(args)} out=n{g} supply=SUP")
+        pool.append(f"n{g}")
+    return build("\n".join(lines) + "\n").with_pins(pins)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_gate_trees())
+def test_dc_walk_matches_the_declared_state_search_on_gate_trees(net):
+    want = _reference_dc(net)
+    # inside its hysteresis band a control keeps whatever state it is
+    # reached in, and the two searches reach it along different paths
+    for v in net.valves:
+        ctrl = want.node_pressures_kpa[v.control_node]
+        assert ctrl >= v.thresholds.p_inflate or ctrl <= v.thresholds.p_deflate
+    assert dc_operating_point(net) == want
+
+
+def test_the_search_confirms_a_walk_read_within_roundoff():
+    # g2 reads g1's output, which the walk's layer map gives only within
+    # roundoff of the exact solve; with p_inflate exactly on the exact
+    # value, the search's own solve decides that g2 closes
+    net = build(
+        "source SUP pressure=145kPa\n"
+        "gate NOT g1 in=a out=n1 supply=SUP\n"
+        "gate NOT g2 in=n1 out=q supply=SUP\n"
+    ).with_pins({"a": 0.0})
+    ctrl = solve_pressures(net, {"g1.v": ValveState.OPEN, "g2.v": ValveState.OPEN})["g2.b"]
+    valves = tuple(
+        dataclasses.replace(v, thresholds=dataclasses.replace(v.thresholds, p_inflate=ctrl))
+        if v.name == "g2.v" else v
+        for v in net.valves
+    )
+    net = dataclasses.replace(net, valves=valves)
+    ss = dc_operating_point(net)
+    assert ss.valve_states["g2.v"] is ValveState.CLOSED
+    assert ss == _reference_dc(net)
+
+
+def _count_solves(monkeypatch):
+    """The right-hand sides of every ``engine._solve`` call from now on."""
+    calls = []
+    solve = engine._solve
+
+    def counting_solve(G, rhs):
+        calls.append(rhs)
+        return solve(G, rhs)
+
+    monkeypatch.setattr(engine, "_solve", counting_solve)
+    return calls
+
+
+def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
+    net = build(
+        "source SUP pressure=145kPa\n"
+        "gate NAND g1 in=a,b out=n1 supply=SUP\n"
+        "gate NOR g2 in=n1,c out=n2 supply=SUP\n"
+        "gate AND g3 in=n2,d out=n3 supply=SUP\n"
+        "gate OR g4 in=n3,a out=n4 supply=SUP\n"
+        "gate NOT g5 in=n4 out=q supply=SUP\n"
+    )
+    inputs = ("a", "b", "c", "d")
+    calls = _count_solves(monkeypatch)
+    table = truth_table(net, inputs, "q")
+    assert len(table.rows) == 16
+    rows = [c for c in calls if c.ndim == 1]  # the search's solves
+    layers = [c for c in calls if c.ndim == 2]  # the walk's layer maps
+    assert len(rows) == 16 and len(layers) <= 4
+    calls.clear()
+    for bits in itertools.product((0.0, 145.0), repeat=len(inputs)):
+        _reference_dc(net.with_pins(dict(zip(inputs, bits))))
+    assert len(calls) > 3 * 16  # the iteration alone settles a level per solve
+
+
+@pytest.mark.parametrize(
+    "make_net",
+    [_cross_coupled_pair, _three_ring, _valve_on_its_own_outlet],
+    ids=["cross-coupled-pair", "ring3", "own-region-control"],
+)
+def test_cyclic_region_graphs_take_the_declared_state_path(make_net, monkeypatch):
+    net = make_net()
+    calls = _count_solves(monkeypatch)
+    want = _outcome(_reference_dc, net)
+    want_solves = len(calls)
+    calls.clear()
+    assert _outcome(dc_operating_point, net) == want
+    assert len(calls) == want_solves
+    assert engine._Compiled(net).walk is None
+
+
+def test_a_region_of_70_valves_walks_like_any_other():
+    # 70 NOT gates share one output node, read by one more gate, so one
+    # region holds 70 valves: only the layers a walk selects are solved,
+    # never all 2**70, and a layer number needs more than 64 bits
+    lines = [f"gate NOT g{k} in=i{k} out=q supply=SUP" for k in range(70)]
+    lines.append("gate NOT gq in=q out=z supply=SUP")
+    net = build("source SUP pressure=145kPa\n" + "\n".join(lines) + "\n")
+    net = net.with_pins({f"i{k}": 145.0 if k % 3 else 0.0 for k in range(70)})
+    compiled = engine._Compiled(net)
+    assert engine._dc_search(compiled, compiled.initial_open) == _reference_dc(net)
+    assert len(compiled.walk.layers) == 2 and max(compiled.walk.layers) >= 2**64
+
+
+def test_a_singular_layer_drops_the_warm_start(monkeypatch):
+    def singular(self, compiled, a):
+        raise SingularNetworkError("layer")
+
+    monkeypatch.setattr(engine._Walk, "fill", singular)
+    net = _read_circuit("and").with_pins({"a": 145.0, "b": 0.0})
+    compiled = engine._Compiled(net)
+    assert engine._dc_search(compiled, compiled.initial_open) == _reference_dc(net)
+    assert compiled.walk is None
 
 
 # ---------------------------------------------------------------------------

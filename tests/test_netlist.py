@@ -12,6 +12,7 @@ from tblsim import (
     NetlistSyntaxError,
     PhysicalDefaults,
     Quantity,
+    SourceElement,
     Statement,
     SupplyMissingError,
     UnboundPortError,
@@ -239,6 +240,15 @@ def test_bad_element_value_is_a_netlist_error_and_a_value_error():
     # library callers that catch ValueError keep working
     with pytest.raises(ValueError, match="below vacuum"):
         fanout_limit(supply_kpa=-200.0)
+
+
+def test_vacuum_source_is_named_once():
+    with pytest.raises(BadValueError) as e:
+        expand(parse("source S pressure=-200kPa\n"))
+    assert str(e.value).startswith("source S: ") and str(e.value).count("source S") == 1
+    with pytest.raises(ValueError) as e:
+        SourceElement("S", "a", -200.0)
+    assert str(e.value).count("source S") == 1
 
 
 def test_gate_arity_is_enforced():
