@@ -33,7 +33,7 @@ limit and a digest of the sweep's samples. The ``logic`` line covers the
 seeded logic circuits of the benchmark's seeds 1 and 3, from
 ``perfbench/inputs.py``, which it only imports: every input row of each
 circuit's truth table goes through ``engine._dc_rows``. It prints the row
-count, ``solves``, the number of sparse LU solves (``engine._solve``
+count, ``solves``, the number of linear solves (``engine._solve``
 calls) the rows took, and one digest of every row's ``SteadyState`` repr
 (valve states, every node pressure and the fixed points).
 """

@@ -116,11 +116,12 @@ def _read_circuit(path: str) -> str:
 
 
 def _apply_overrides(ast, defaults: PhysicalDefaults, pairs: list[str]):
-    """NAME.KEY=VALUE patches one statement; KEY=VALUE patches a default."""
+    """NAME.KEY=VALUE patches one statement; KEY=VALUE patches a default.
+    A bad default patch is a usage error (ValueError), as a bad defaults file is."""
     patch: dict[str, float] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise NetlistError(f"--set needs NAME.KEY=VALUE, got {pair!r}")
+            raise ValueError(f"--set needs NAME.KEY=VALUE or KEY=VALUE, got {pair!r}")
         target, _, value = pair.partition("=")
         if "." in target:
             name, _, key = target.rpartition(".")
@@ -129,12 +130,12 @@ def _apply_overrides(ast, defaults: PhysicalDefaults, pairs: list[str]):
             try:
                 patch[target] = float(value)
             except ValueError:
-                raise NetlistError(f"bad value for {target!r}: {value!r}") from None
+                raise ValueError(f"--set: bad value for {target!r}: {value!r}") from None
     if patch:
         try:
             defaults = defaults.merged(patch)
         except ValueError as exc:
-            raise NetlistError(str(exc)) from None
+            raise ValueError(f"--set: {exc}") from None
     return ast, defaults
 
 

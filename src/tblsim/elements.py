@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NetworkError
 
@@ -253,19 +251,20 @@ def element_flow(element, p_from_kpa: float, p_to_kpa: float, state: ValveState 
 
 def node_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Connected-component label of each of ``n`` nodes, joined by the
-    undirected edges ``a[k]``-``b[k]``."""
-    ends = np.concatenate([a, b])
-    order = np.argsort(ends, kind="stable")
-    # every edge in both directions: the strongly connected components of
-    # this symmetric graph are its connected components, found without the
-    # transpose that the undirected mode builds; parallel edges are summed,
-    # as the strong mode mislabels or hangs on duplicate entries
-    indptr = np.searchsorted(ends[order], np.arange(n + 1))
-    graph = csr_matrix(
-        (np.ones(len(ends)), np.concatenate([b, a])[order], indptr), shape=(n, n)
-    )
-    graph.sum_duplicates()
-    return connected_components(graph, connection="strong")[1]
+    undirected edges ``a[k]``-``b[k]``: the lowest node index of its
+    component. Each round hooks every edge's higher root onto its lower
+    one, then jumps pointers until each node points at a root: a long path
+    takes a few rounds, not the one per node of label propagation."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while (label[label] != label).any():
+            label = label[label]
 
 
 @dataclass(frozen=True)

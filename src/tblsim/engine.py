@@ -6,8 +6,8 @@ and the valves' and balloons' parameters. A valve-state assignment is a
 boolean open-state array; it selects each valve's open or leak
 conductance, which gives the node Laplacian ``L(s) = Bᵀ diag(g(s)) B``.
 Both the DC search and the transient regimes assemble only the blocks of
-it that a solve needs, and every linear solve, at every network size, is
-one sparse LU.
+it that a solve needs, and every linear solve is one dense LU, whose
+cost grows as the cube of its unknowns.
 
 Every valve is a hysteretic relay, and one rule, ``_Compiled.margin``,
 decides its switching everywhere: the signed distance of its control
@@ -52,8 +52,6 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import product
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .elements import (
     PneumaticNetwork,
@@ -179,12 +177,12 @@ def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
     return np.maximum(volumes - rest_volume, 0.0) / compliance / KPA * KPA
 
 
-def _solve(G, rhs: np.ndarray) -> np.ndarray:
+def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the flow balance ``G x = rhs`` (one or more columns) by one
-    sparse LU; a singular or inaccurate solve raises SingularNetworkError."""
+    dense LU; a singular or inaccurate solve raises SingularNetworkError."""
     try:
-        x = splu(G).solve(rhs)
-    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        x = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError as exc:  # the factor is exactly singular
         raise SingularNetworkError(f"flow-balance system is singular: {exc}") from exc
     scale = max(1.0, np.abs(rhs).max())
     if not np.isfinite(x).all() or np.abs(G @ x - rhs).max() > 1.0e-6 * scale:
@@ -297,9 +295,8 @@ class _Compiled:
         anchored[labels[self.cap_idx]] = True
         return labels, fixed, anchored
 
-    def block(self, g: np.ndarray, rows: np.ndarray):
-        """``G = L[rows][:, rows]`` as a sparse CSC matrix; entries of the
-        same position are left for the factorization to sum."""
+    def block(self, g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``G = L[rows][:, rows]`` as a dense array."""
         m = len(rows)
         pos = np.full(self.n, -1)
         pos[rows] = np.arange(m)
@@ -310,9 +307,9 @@ class _Compiled:
         c = np.concatenate([a, b, b[both], a[both]])
         v = np.concatenate([g, g, -g[both], -g[both]])
         keep = r >= 0
-        order = np.argsort(c[keep], kind="stable")
-        c, r, v = c[keep][order], r[keep][order], v[keep][order]
-        return csc_matrix((v, r, np.searchsorted(c, np.arange(m + 1))), shape=(m, m))
+        G = np.zeros((m, m))
+        np.add.at(G, (r[keep], c[keep]), v[keep])
+        return G
 
     def inflow(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Net inflow ``-L(s) P = -Bᵀ diag(g) B P`` at every node, for node
@@ -357,7 +354,7 @@ class _Compiled:
     def solve_dc(self, is_open: np.ndarray) -> np.ndarray:
         """Full node-pressure vector (Pa) for a boolean valve open-state
         array: the nodes ``dc_system`` leaves to solve for are solved by one
-        sparse LU of their flow balance."""
+        dense LU of their flow balance."""
         g, unknown, pinned_idx, pinned_pa = self.dc_system(is_open)
         p = np.zeros(self.n)
         p[self.fixed_idx] = self.fixed_pa
@@ -422,9 +419,9 @@ class _Regime:
     run reads the margins and the samples as two row slices of one map.
     Kron reduction onto the balloon nodes gives their net inflows as
     ``K @ cap_pa + k0``, so the transient right-hand side needs one small
-    matvec and no solve. The free-node block goes through the same sparse
+    matvec and no solve. The free-node block goes through the same dense
     LU as the DC solve, once, with one column for the fixed-node drive and
-    one per balloon; ``A`` and ``K`` are kept dense.
+    one per balloon.
     """
 
     def __init__(self, compiled: _Compiled, is_open: np.ndarray):
@@ -601,7 +598,7 @@ def dc_operating_point(
     unchanged. Multiple fixed points are all listed, with the first in
     enumeration order reported as the operating point when the iteration
     itself did not converge. Each assignment is one ``_Compiled.solve_dc``:
-    one sparse LU on every network size.
+    one dense LU of its unknown nodes.
 
     Raises AstableCircuit when no assignment is self-consistent, Singular
     when the flow-balance system cannot be solved uniquely, and

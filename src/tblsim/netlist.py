@@ -199,30 +199,32 @@ def _parse_value(text: str, line: int, col: int):
 
 def _coerce_value(value, kind: str, line: int, col: int):
     """Check a parsed value against the schema kind, normalizing units."""
+    def expected(what: str) -> NetlistSyntaxError:
+        got = value if isinstance(value, bool) else _render_value(value)
+        return NetlistSyntaxError(f"expected {what}, got {got!r}", line=line, column=col)
+
     if kind == "int":
         if isinstance(value, Quantity) and value.unit == "" and value.value == int(value.value):
             return int(value.value)
-        raise NetlistSyntaxError(f"expected an integer, got {value!r}", line=line, column=col)
+        raise expected("an integer")
     if kind == "ident":
         if isinstance(value, str):
             return value
-        raise NetlistSyntaxError(f"expected an identifier, got {value!r}", line=line, column=col)
+        raise expected("an identifier")
     if kind == "idents":
         if isinstance(value, str):
             return (value,)
         if isinstance(value, tuple):
             return value
-        raise NetlistSyntaxError(f"expected identifiers, got {value!r}", line=line, column=col)
+        raise expected("identifiers")
     if kind.startswith("q:"):
         dim = kind[2:]
         if not isinstance(value, Quantity):
-            raise NetlistSyntaxError(f"expected a number, got {value!r}", line=line, column=col)
+            raise expected("a number")
         if value.unit == "" and dim != "raw":
             return from_si(value.value, dim)  # bare numbers are SI
         if value.dimension != dim:
-            raise NetlistSyntaxError(
-                f"expected a {dim} value, got {value.render()!r}", line=line, column=col
-            )
+            raise expected(f"a {dim} value")
         return value
     raise AssertionError(kind)
 
@@ -246,7 +248,7 @@ def parse(text: str) -> CircuitAst:
         gate_type = None
         if kind == "gate":
             if not rest:
-                raise NetlistSyntaxError("gate needs a type", line=lineno, column=len(line))
+                raise NetlistSyntaxError("gate needs a type", line=lineno, column=len(line) + 1)
             gt = rest[0].group(0)
             if gt.upper() not in GATE_TYPES:
                 raise UnknownKeywordError(

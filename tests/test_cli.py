@@ -241,8 +241,25 @@ def test_override_annotations_resolve():
 
 def test_set_unknown_default_is_usage_error(capsys):
     rc = main(["--set", "warp_factor=9", "check", circuit("not.tbl")])
-    assert rc == 2
+    assert rc == 1
     assert "warp_factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pair, word",
+    [("inflate_kpa", "KEY=VALUE"), ("inflate_kpa=high", "'high'"), ("SUP.pressure", "KEY=VALUE")],
+)
+def test_set_malformed_pair_or_bad_default_is_usage_error(capsys, pair, word):
+    rc = main(["--set", pair, "check", circuit("not.tbl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("tblsim: error: --set") and word in err
+
+
+def test_set_bad_statement_patch_keeps_its_line(capsys):
+    rc = main(["--set", "SUP.pressure=high", "check", circuit("not.tbl")])
+    assert rc == 2
+    assert "not.tbl:" in capsys.readouterr().err
 
 
 def test_defaults_file_flag(tmp_path, capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,43 @@ def test_node_components_with_parallel_edges():
     assert labels[0] == labels[1] != labels[2]
 
 
+def _union_find_lowest(n, a, b):
+    """The lowest node index of each node's component, by union-find."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(a.tolist(), b.tolist()):
+        ri, rj = root(i), root(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    return np.array([root(i) for i in range(n)], dtype=int)
+
+
+def test_node_components_match_union_find_on_random_multigraphs():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = 1 if trial < 5 else int(rng.integers(1, 40))
+        m = int(rng.integers(0, 2 * n + 1))
+        # self-loops, parallel edges and isolated nodes all occur
+        a, b = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        if trial % 3 == 0 and m:
+            a[: m // 2] = b[: m // 2]
+        assert np.array_equal(node_components(n, a, b), _union_find_lowest(n, a, b))
+
+
+def test_node_components_on_a_long_randomly_numbered_path():
+    n = 100_000
+    order = np.random.default_rng(7).permutation(n)
+    start = time.perf_counter()
+    labels = node_components(n, order[:-1], order[1:])
+    assert time.perf_counter() - start < 2.0
+    assert (labels == 0).all()
+
+
 def test_parallel_tubes_act_as_one_of_half_the_resistance():
     twin = expand(parse(
         "source SUP pressure=145kPa\n"
@@ -259,3 +297,14 @@ def test_tube_in_parallel_with_a_valve_expands_promptly():
     )
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) < 1.0
+
+
+def test_importing_tblsim_leaves_scipy_unloaded():
+    code = "import sys\nimport tblsim\nprint(sorted(m for m in sys.modules if 'scipy' in m))\n"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

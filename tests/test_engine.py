@@ -248,6 +248,20 @@ def test_sparse_dc_path_matches_dense():
     assert max(sparse.values()) > 50.0  # open stages carry real pressures
 
 
+@pytest.mark.parametrize(
+    "G, why",
+    [
+        # two nodes joined by one branch and tied to nothing: a zero pivot
+        (np.array([[1.0, -1.0], [-1.0, 1.0]]), "singular"),
+        # a subnormal pivot: the solve overflows to inf
+        (np.array([[1.0e-320, 0.0], [0.0, 1.0]]), "numerically singular"),
+    ],
+)
+def test_solve_rejects_a_singular_block(G, why):
+    with pytest.raises(SingularNetworkError, match=f"system is {why}"):
+        engine._solve(G, np.array([1.0, 1.0]))
+
+
 def _read_circuit(name):
     with open(f"circuits/{name}.tbl", encoding="utf-8") as fh:
         return build(fh.read())

@@ -100,6 +100,7 @@ def test_from_si_rejects_an_unknown_dimension():
         ("gate XOR g in=a,b out=q supply=S", UnknownKeywordError, 1, 6),
         ("ring r n=2.5 supply=S", NetlistSyntaxError, 1, 10),
         ("probe", NetlistSyntaxError, 1, 6),
+        ("gate", NetlistSyntaxError, 1, 5),
         ("tube t1 from=a to=b length=", NetlistSyntaxError, 1, 21),
     ],
 )
@@ -108,6 +109,21 @@ def test_parse_errors_carry_positions(text, err, line, col):
         parse(text)
     assert e.value.line == line
     assert e.value.column == col
+
+
+@pytest.mark.parametrize(
+    "text, quoted",
+    [
+        ("tube t1 from=5 to=b length=5cm", "got '5'"),
+        ("tube t1 from=a,b to=c length=5cm", "got 'a,b'"),
+        ("ring r n=2.5 supply=S", "got '2.5'"),
+    ],
+)
+def test_value_diagnostics_quote_netlist_text(text, quoted):
+    with pytest.raises(NetlistSyntaxError) as e:
+        parse(text)
+    assert quoted in str(e.value)
+    assert "Quantity(" not in str(e.value)
 
 
 def test_format_is_canonical_and_stable():
@@ -308,6 +324,12 @@ def test_with_override_patches_parameters():
         ast.with_override("SUP", "bogus", "1")
     with pytest.raises(UnknownKeywordError):
         ast.with_override("nobody", "pressure", "1kPa")
+
+
+def test_with_override_of_a_non_netlist_value_is_a_syntax_error():
+    ast = parse("source SUP pressure=145kPa\n")
+    with pytest.raises(NetlistSyntaxError, match="expected a number, got True"):
+        ast.with_override("SUP", "pressure", True)
 
 
 def test_expanded_networks_validate():
