@@ -13,29 +13,35 @@ Each line also prints the run's event and sample counts. For the fit it
 prints the number of simulations it ran, their summed window length
 ``sim_s`` and the event count of each, in order, so a change of window
 shows; its sample count is that of its last simulation, the one that
-verifies the fitted values. The ``free`` line covers two valves
-controlled by a free node rather than a balloon: one reading a divider
-tap, whose crossing is bisected on its own row of the pressure map, and
-one reading its own outlet, whose settling gives up with a warning. It prints
-each run's event and warning counts and one digest of both traces. The
-``edge`` line covers three runs at the edges of the row map a run reads,
-with their event and sample counts and one digest: a valve-free RC
-charge probed at its balloon node, the supply node and ambient; a
-balloon-free divider whose valve, controlled by the divider tap, closes
-as the run starts; and ``ring3.tbl``'s 3-ring with every node probed. The
-last three lines cover the DC analyses, each with its own digest, so that
-roundoff in the fan-out samples cannot hide a change in the truth tables.
-The ``truth`` line covers the truth tables of the shipped ``not``,
-``nand``, ``nor``, ``and`` and ``or`` circuits: the row count and one
-digest of every row's input bits, output bit and output kPa. The
-``fanout`` line covers ``fanout_limit(internal_resistance=1.2e5)``: the
-limit and a digest of the sweep's samples. The ``logic`` line covers the
-seeded logic circuits of the benchmark's seeds 1 and 3, from
-``perfbench/inputs.py``, which it only imports: every input row of each
-circuit's truth table goes through ``engine._dc_rows``. It prints the row
-count, ``solves``, the number of linear solves (``engine._solve``
-calls) the rows took, and one digest of every row's ``SteadyState`` repr
-(valve states, every node pressure and the fixed points).
+verifies the fitted values. The ``osc3`` line covers the per-stage
+``--set`` variants of the benchmark's osc3 workload for seeds 1 and 3,
+from ``perfbench/inputs.py``, which it only imports: each gives every
+valve of ``ring3_calibrated.tbl`` its own compliance and conductance,
+applied and simulated as ``tblsim freq`` does. It prints each run's
+event and sample counts and one digest of the six traces. The ``free``
+line covers two valves controlled by a free node rather than a balloon:
+one reading a divider tap, whose crossing is bisected on its own row of
+the pressure map, and one reading its own outlet, whose settling gives
+up with a warning. It prints each run's event and warning counts and one
+digest of both traces. The ``edge`` line covers three runs at the edges
+of the row map a run reads, with their event and sample counts and one
+digest: a valve-free RC charge probed at its balloon node, the supply
+node and ambient; a balloon-free divider whose valve, controlled by the
+divider tap, closes as the run starts; and ``ring3.tbl``'s 3-ring with
+every node probed. The last three lines cover the DC analyses, each with
+its own digest, so that roundoff in the fan-out samples cannot hide a
+change in the truth tables. The ``truth`` line covers the truth tables
+of the shipped ``not``, ``nand``, ``nor``, ``and`` and ``or`` circuits:
+the row count and one digest of every row's input bits, output bit and
+output kPa. The ``fanout`` line covers
+``fanout_limit(internal_resistance=1.2e5)``: the limit and a digest of
+the sweep's samples. The ``logic`` line covers the seeded logic circuits
+of the benchmark's seeds 1 and 3, from ``perfbench/inputs.py``, which it
+only imports: every input row of each circuit's truth table goes through
+``engine._dc_rows``. It prints the row count, ``solves``, the number of
+linear solves (``engine._solve`` calls) the rows took, and one digest of
+every row's ``SteadyState`` repr (valve states, every node pressure and
+the fixed points).
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
 from tblsim import SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
 from tblsim import LogicLevels, fanout_limit, truth_table  # noqa: E402
+from tblsim import PhysicalDefaults  # noqa: E402
+from tblsim.cli import _apply_overrides  # noqa: E402
 from tblsim import (  # noqa: E402
     Balloon,
     BalloonParams,
@@ -134,10 +142,28 @@ def _edge_runs():
     ]
 
 
-def _logic_line() -> str:
+def _bench_inputs():
     spec = importlib.util.spec_from_file_location("bench_inputs", "perfbench/inputs.py")
     bench_inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_inputs)
+    return bench_inputs
+
+
+def _osc3_runs():
+    bench_inputs = _bench_inputs()
+    traces = []
+    for seed in (1, 3):
+        for argv in bench_inputs.osc3(seed)[1:]:  # the stock run has no --set
+            sets = [pair for flag, pair in zip(argv, argv[1:]) if flag == "--set"]
+            t_end = float(argv[argv.index("--t-end") + 1])
+            ast, defaults = _apply_overrides(parse(_read(argv[-1])), PhysicalDefaults(), sets)
+            cfg = SimConfig(t_end=t_end, sample_interval=min(1e-3, t_end / 2000))  # as freq
+            traces.append(simulate(expand(ast, defaults), cfg))
+    return traces
+
+
+def _logic_line() -> str:
+    bench_inputs = _bench_inputs()
     levels = LogicLevels()
     solve = engine._solve
     solves = 0
@@ -177,6 +203,10 @@ def main() -> None:
         trace = simulate(net, cfg)
         print(f"{name}: events={len(trace.events)} samples={len(trace.times)} "
               f"sha256={_digest([trace])}")
+
+    osc3 = _osc3_runs()
+    print(f"osc3: events={','.join(str(len(tr.events)) for tr in osc3)} "
+          f"samples={','.join(str(len(tr.times)) for tr in osc3)} sha256={_digest(osc3)}")
 
     free = _free_control_runs()
     print(f"free: events={','.join(str(len(tr.events)) for tr in free)} "

@@ -38,7 +38,9 @@ localized by bisection and followed by an integrator restart, so traces
 are reproducible bit for bit. A regime maps only the nodes a run reads,
 every valve's control node and then the probes, so the margins and the
 samples read two row slices of one map; a valve controlled by a balloon
-node is bisected on that balloon's own component of the interpolant.
+node is bisected on that balloon's own component of the interpolant. A
+step checks its stage slopes for finiteness once, and the grid samples of
+a regime segment are queued and read together.
 """
 
 from __future__ import annotations
@@ -114,12 +116,9 @@ class Trace:
 
     def to_csv(self) -> str:
         """Render the samples as CSV with LF line endings."""
-        header = "time_s," + ",".join(f"{p}_kPa" for p in self.probes)
-        lines = [header]
-        for i in range(len(self.times)):
-            row = [repr(float(self.times[i]) + 0.0)]
-            row += [repr(float(x) + 0.0) for x in self.pressures_kpa[i]]
-            lines.append(",".join(row))
+        lines = ["time_s," + ",".join(f"{p}_kPa" for p in self.probes)]
+        for t, row in zip(self.times.tolist(), self.pressures_kpa):  # + 0.0: -0.0 reads 0.0
+            lines.append(",".join(map(repr, [t + 0.0] + (row + 0.0).tolist())))
         return "\n".join(lines) + "\n"
 
 
@@ -175,6 +174,13 @@ def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
     ``balloon_pressure`` gives them; volumes below empty read as an empty
     balloon, which holds no pressure."""
     return np.maximum(volumes - rest_volume, 0.0) / compliance / KPA * KPA
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """``x``, checked finite: else the flow balance is numerically singular."""
+    if not np.isfinite(x).all():
+        raise SingularNetworkError("flow-balance system is numerically singular")
+    return x
 
 
 def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -449,18 +455,28 @@ class _Regime:
         ``watch``), at one vector of balloon volumes or at one per row of a
         2-D ``volumes``."""
         cap_pa = _balloon_pa(volumes, self.rest_volume, self.compliance)
-        p = cap_pa @ self.A[rows].T + self.a0[rows]
-        if not np.isfinite(p).all():
-            raise SingularNetworkError("flow-balance system is numerically singular")
-        return p
+        return _finite(cap_pa @ self.A[rows].T + self.a0[rows])
+
+    def inflow(self, volumes: np.ndarray) -> np.ndarray:
+        """The balloons' net inflows (m3/s), the transient right-hand side, unchecked."""
+        dv = self.K @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.k0
+        if np.minimum.reduce(volumes, initial=np.inf) <= 0.0:  # some balloon is empty
+            dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0  # it cannot lose more air
+        return dv
 
     def deriv(self, volumes: np.ndarray) -> np.ndarray:
-        """The balloons' net inflows (m3/s): the transient right-hand side."""
-        dv = self.K @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.k0
-        if not np.isfinite(dv).all():
-            raise SingularNetworkError("flow-balance system is numerically singular")
-        dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0  # an empty balloon cannot lose more air
-        return dv
+        """``inflow``, checked finite."""
+        return _finite(self.inflow(volumes))
+
+    def step(self, y: np.ndarray, h: float, k1: np.ndarray):
+        """One Dormand-Prince 5(4) step of ``h`` from ``y``, whose slope is ``k1``: the
+        5th-order volumes, the error estimate and their slope; one finiteness check."""
+        k = np.empty((7, len(y)))
+        k[0] = k1
+        for i, a in enumerate(_A, 1):
+            k[i] = self.inflow(y + h * (a @ k[:i]))
+        _finite(k)
+        return y + h * (_B5 @ k), h * (_E @ k), k[6]
 
 
 # ---------------------------------------------------------------------------
@@ -733,33 +749,21 @@ def node_residuals(
 # transient simulation
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
-_A = np.array(
-    [
-        [0.0] * 7,
-        [1 / 5] + [0.0] * 6,
-        [3 / 40, 9 / 40] + [0.0] * 5,
-        [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-    ]
-)
+# Dormand-Prince 5(4): the tableau's rows below the diagonal, the 5th-order
+# weights and their difference from the 4th-order ones
+_A = [np.array(row) for row in (
+    [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
 
-
-def _rk_step(f, y, h, k1):
-    k = np.empty((7, len(y)))
-    k[0] = k1
-    for i in range(1, 7):
-        k[i] = f(y + h * (_A[i, :i] @ k[:i]))
-    y5 = y + h * (_B5 @ k)
-    err = h * (_E @ k)
-    return y5, err, k[6]  # k7 equals f(t+h, y5): reused as next k1
+#: queued grid samples are read before each event sample, at ``t_end`` and
+#: once this many steps are queued, which bounds a long event-free stretch
+_FLUSH_STEPS = 256
 
 
 def _hermite(y0, y1, f0, f1, h, tau):
@@ -796,9 +800,10 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     within a relative 1e-9 of its burst volume has its pressure computed
     for that check. Samples land on a regular grid plus a pre/post pair at
     each event so switching edges stay sharp. The margins read the control
-    rows of the regime's map and every sample its probe rows; the grid
-    samples inside a step are one Hermite evaluation over their column of
-    tau. The run is deterministic: identical inputs give identical traces.
+    rows of the regime's map and every sample its probe rows, which a
+    post-event sample takes from the settling read. Grid samples are queued
+    and read together before each event sample, at ``t_end`` and every
+    ``_FLUSH_STEPS`` steps. Identical inputs give identical traces.
     """
     net.validate()
     probes = cfg.probes if cfg.probes is not None else net.probes
@@ -824,14 +829,31 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     warnings: list[str] = []
     burst_seen: set[str] = set()
 
-    def emit(reg: _Regime, ts: list[float], volumes: np.ndarray) -> None:
-        """Sample the probes at the increasing times ``ts``, from one row of
-        balloon volumes each, through ``reg``'s probe rows; times not after
-        the last sample are dropped."""
+    # the grid times not yet sampled and this regime segment's accepted
+    # steps, each as ((t, h), (y0, y1, f0, f1), the length of grid after it)
+    steps: list[tuple] = []
+    grid: list[float] = []
+
+    def emit(ts: list[float], kpa: np.ndarray) -> None:
+        """Record the probe readings ``kpa`` (kPa, one row each) at the
+        increasing times ``ts``; times not after the last sample are dropped."""
         first = bisect_right(ts, times[-1]) if times else 0
         if first < len(ts):
             times.extend(ts[first:])
-            rows.append(reg.pressures(volumes[first:], probe_rows) / KPA)
+            rows.append(kpa[first:])
+
+    def flush(reg: _Regime) -> None:
+        """Sample the queued grid times, all in the regime ``reg``: one
+        Hermite evaluation with one row per sample, one probe-row read."""
+        if grid:
+            spans, ends, stops = zip(*steps)
+            counts = np.diff(stops, prepend=0)
+            th = np.repeat(np.array(spans), counts, axis=0)
+            y = np.repeat(np.array(ends), counts, axis=0)
+            tau = (np.array(grid)[:, None] - th[:, :1]) / th[:, 1:]
+            volumes = _hermite(y[:, 0], y[:, 1], y[:, 2], y[:, 3], th[:, 1:], tau)
+            emit(grid, reg.pressures(volumes, probe_rows) / KPA)
+        del steps[:], grid[:]
 
     def check_burst(t: float, volumes: np.ndarray) -> None:
         if not (volumes > burst_volume).any():
@@ -857,7 +879,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     def settle(t: float, is_open: np.ndarray, volumes: np.ndarray):
         """Flip every valve whose margin is >= 0 at ``volumes``, and repeat
         until none is, logging transitions. Returns the valve states, their
-        regime and the margins.
+        regime, the margins and the watched nodes' kPa at ``volumes``.
 
         Control pressures sitting on balloons cannot react to flips, so
         this terminates immediately for gate-style circuits; free-node
@@ -870,7 +892,8 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         limit = 4 * max(1, len(is_open))
         for relaxation in range(limit + 1):
             reg = compiled.regime(is_open)
-            m = compiled.margin(is_open, reg.pressures(volumes, ctrl_rows) / KPA)
+            kpa = reg.pressures(volumes) / KPA
+            m = compiled.margin(is_open, kpa[ctrl_rows])
             switch = (m >= 0.0).nonzero()[0]
             if not len(switch):
                 break
@@ -882,12 +905,12 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                 )
                 break
             is_open = flip(t, is_open, switch)
-        return is_open, reg, m
+        return is_open, reg, m, kpa
 
-    is_open, reg, m0 = settle(0.0, is_open, volumes)
+    is_open, reg, m0, kpa = settle(0.0, is_open, volumes)
 
     t = 0.0
-    emit(reg, [0.0], volumes[None])
+    emit([0.0], kpa[None, probe_rows])
     check_burst(0.0, volumes)
     next_sample = cfg.sample_interval
 
@@ -900,12 +923,9 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         if h < min_h:
             raise NonConvergenceError(f"step size underflow at t={t!r}")
 
-        y1, err, k7 = _rk_step(reg.deriv, volumes, h, k1)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(volumes), np.abs(y1))
-        if len(scale):
-            errnorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        else:
-            errnorm = 0.0
+        y1, err, k7 = reg.step(volumes, h, k1)
+        q = err / (cfg.atol + cfg.rtol * np.maximum(np.abs(volumes), np.abs(y1)))
+        errnorm = math.sqrt(float(np.add.reduce(q * q)) / len(q)) if len(q) else 0.0
         if errnorm > 1.0:
             h *= max(0.2, 0.9 * errnorm ** -0.2)
             continue
@@ -950,36 +970,33 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             flipped = crossers[(np.array(tau) - tau_star) * h <= cfg.event_tol]
 
             t_event = t + tau_star * h
-            y_e, _, _ = _rk_step(reg.deriv, volumes, tau_star * h, k1)
-            # regular samples up to the event
-            grid = []
+            y_e, _, _ = reg.step(volumes, tau_star * h, k1)
+            # regular samples up to the event, then the regime's queue
             while next_sample < t_event - 1.0e-15:
                 grid.append(next_sample)
                 next_sample += cfg.sample_interval
-            if grid:
-                tau = (np.array(grid)[:, None] - t) / h
-                emit(reg, grid, _hermite(volumes, y1, k1, k7, h, tau))
-            emit(reg, [t_event], y_e[None])
+            steps.append(((t, h), (volumes, y1, k1, k7), len(grid)))
+            flush(reg)
+            emit([t_event], reg.pressures(y_e[None], probe_rows) / KPA)
 
             is_open = flip(t_event, is_open, flipped)
             t = t_event
             volumes = np.maximum(y_e, 0.0)
-            is_open, reg, m0 = settle(t, is_open, volumes)
-            emit(reg, [t + min(cfg.event_tol, cfg.sample_interval / 8.0)], volumes[None])
+            is_open, reg, m0, kpa = settle(t, is_open, volumes)
+            emit([t + min(cfg.event_tol, cfg.sample_interval / 8.0)], kpa[None, probe_rows])
             check_burst(t, volumes)
             k1 = reg.deriv(volumes)
             h = min(cfg.max_step, max(h, min_h))
             continue
 
-        # no event: commit the step, emit any samples inside it
+        # no event: commit the step, queue any samples inside it
         t1 = t + h
-        grid = []
         while next_sample <= t1 + 1.0e-15 and next_sample <= cfg.t_end:
             grid.append(next_sample)
             next_sample += cfg.sample_interval
-        if grid:
-            tau = (np.array(grid)[:, None] - t) / h
-            emit(reg, grid, _hermite(volumes, y1, k1, k7, h, tau))
+        steps.append(((t, h), (volumes, y1, k1, k7), len(grid)))
+        if len(steps) == _FLUSH_STEPS:
+            flush(reg)
         t = t1
         volumes = y1
         m0 = m1
@@ -990,7 +1007,8 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         else:
             h = min(h * min(5.0, 0.9 * errnorm ** -0.2), cfg.max_step)
 
-    emit(reg, [cfg.t_end], volumes[None])
+    flush(reg)
+    emit([cfg.t_end], reg.pressures(volumes[None], probe_rows) / KPA)
     return Trace(
         probes=tuple(probes),
         times=np.array(times),

@@ -156,6 +156,8 @@ class CircuitAst:
                         f"{s.kind} {name} has no parameter {key!r}", line=s.line
                     )
                 params = dict(s.params)
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    value = Quantity(float(value), "")  # a bare number: SI, as in text
                 raw = _parse_value(value, s.line, 0) if isinstance(value, str) else value
                 params[key] = _coerce_value(raw, schema[key], s.line, 0)
                 out.append(Statement(s.kind, s.name, params, s.gate_type, s.line))

@@ -332,6 +332,19 @@ def test_with_override_of_a_non_netlist_value_is_a_syntax_error():
         ast.with_override("SUP", "pressure", True)
 
 
+def test_with_override_takes_a_python_number_as_a_bare_si_number():
+    ast = parse("source SUP pressure=145kPa\nring r n=3 supply=SUP\n")
+    for value in (1.5e5, 150000):
+        patched = ast.with_override("SUP", "pressure", value)
+        assert patched == ast.with_override("SUP", "pressure", "1.5e5")
+        assert patched.statements[0].get("pressure").si == 1.5e5
+    assert ast.with_override("r", "n", 5) == ast.with_override("r", "n", "5")
+    with pytest.raises(NetlistSyntaxError, match="expected an integer, got '2.5'"):
+        ast.with_override("r", "n", 2.5)
+    with pytest.raises(NetlistSyntaxError, match="expected an integer, got False"):
+        ast.with_override("r", "n", False)
+
+
 def test_expanded_networks_validate():
     # untouched nodes like gate inputs take their pressure from the balloon
     net = expand(parse("source SUP pressure=145kPa\ngate NOT inv in=a out=q supply=SUP\n"))
