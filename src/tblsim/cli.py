@@ -158,6 +158,14 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _simulate(net, cfg: SimConfig):
+    """Run ``simulate`` and print the trace's warnings to stderr."""
+    trace = simulate(net, cfg)
+    for w in trace.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return trace
+
+
 def _svg_plot(trace, path: str):
     """Minimal line plot, one polyline per probe."""
     width, height, pad = 800, 400, 40
@@ -210,9 +218,7 @@ def _cmd_sim(args, ast, defaults) -> int:
         sample_interval=args.sample_interval,
         probes=tuple(args.probe) if args.probe else None,
     )
-    trace = simulate(net, cfg)
-    for w in trace.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    trace = _simulate(net, cfg)
     if args.format == "json-lines":
         lines = []
         for k, t in enumerate(trace.times):
@@ -281,7 +287,7 @@ def _cmd_freq(args, ast, defaults) -> int:
         sample_interval=min(1e-3, args.t_end / 2000),
         probes=tuple(args.probe) if args.probe else None,
     )
-    trace = simulate(net, cfg)
+    trace = _simulate(net, cfg)
     report = extract_frequency(trace, trace.probes[0], min_amplitude_kpa=args.min_amplitude)
     if args.format == "json-lines":
         for probe in trace.probes:

@@ -15,12 +15,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .defaults import PhysicalDefaults
 from .errors import NetworkError
 
 #: gauge pressure of a perfect vacuum, the lowest physical value
 VACUUM_KPA = -101.325
 
 KPA = 1.0e3  # Pa per kPa
+
+_DEFAULTS = PhysicalDefaults()
 
 
 class ValveState(enum.Enum):
@@ -71,8 +74,8 @@ class HysteresisThresholds:
     ``p_deflate``; in between, the current state persists.
     """
 
-    p_inflate: float = 85.0
-    p_deflate: float = 60.0
+    p_inflate: float = _DEFAULTS.inflate_kpa
+    p_deflate: float = _DEFAULTS.deflate_kpa
 
     def __post_init__(self):
         _positive("p_inflate", self.p_inflate)
@@ -91,9 +94,9 @@ class BalloonParams:
     level, the balloon keeps its linear curve beyond it.
     """
 
-    rest_volume: float = 1.0e-6
-    compliance: float = 4.0e-10
-    burst_kpa: float = 200.0
+    rest_volume: float = _DEFAULTS.balloon_rest_volume
+    compliance: float = _DEFAULTS.balloon_compliance
+    burst_kpa: float = _DEFAULTS.burst_kpa
 
     def __post_init__(self):
         _positive("rest_volume", self.rest_volume)
@@ -210,8 +213,8 @@ class KinkValveDevice:
     control_node: str
     balloon: BalloonParams | None = field(default_factory=BalloonParams)
     thresholds: HysteresisThresholds = field(default_factory=HysteresisThresholds)
-    open_conductance: float = 1.0e-5
-    leak_conductance: float = 0.0
+    open_conductance: float = _DEFAULTS.open_conductance
+    leak_conductance: float = _DEFAULTS.leak_conductance
     state: ValveState = ValveState.OPEN
     initial_control_kpa: float = 0.0
 

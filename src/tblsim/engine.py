@@ -97,8 +97,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("t_end", "rtol", "atol", "max_step", "event_tol", "sample_interval"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"SimConfig.{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"SimConfig.{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -989,8 +989,9 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             h = min(cfg.max_step, max(h, min_h))
             continue
 
-        # no event: commit the step, queue any samples inside it
-        t1 = t + h
+        # no event: commit the step, queue any samples inside it; a step
+        # clipped to t_end ends there, though t + h may round an ulp short
+        t1 = t + h if h < cfg.t_end - t else cfg.t_end
         while next_sample <= t1 + 1.0e-15 and next_sample <= cfg.t_end:
             grid.append(next_sample)
             next_sample += cfg.sample_interval

@@ -52,63 +52,49 @@ from .errors import (
 )
 from .units import DIMENSION, Quantity, from_si
 
-FILE_EXTENSION = ".tbl"
-
 GATE_TYPES = ("NOT", "NOR", "NAND", "AND", "OR")
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 _NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z]*)$")
 _TOKEN_RE = re.compile(r"\S+")
 
-# value kinds: q:<dimension>, ident, idents, int, flag words
+# value kinds: q:<dimension>, ident, idents, int, flag words. Every gate and
+# ring is built from one device: device tubes, a valve and its balloon.
+_BALLOON = {"volume": "q:volume", "compliance": "q:raw", "burst": "q:pressure"}
+_VALVE = {
+    "inflate": "q:pressure", "deflate": "q:pressure", "open_conductance": "q:raw",
+    "leak": "q:raw", **_BALLOON,
+}
+_TUBE = {"length": "q:length", "id": "q:length"}
+_MACRO = {"supply": "ident", "pulldown_length": "q:length", **_TUBE, **_VALVE}
 _SCHEMA: dict[str, dict[str, str]] = {
     "source": {"pressure": "q:pressure", "resistance": "q:raw"},
     "atm": {},
-    "tube": {"from": "ident", "to": "ident", "length": "q:length", "id": "q:length"},
-    "balloon": {
-        "node": "ident",
-        "volume": "q:volume",
-        "compliance": "q:raw",
-        "burst": "q:pressure",
-        "init": "q:pressure",
-    },
+    "tube": {"from": "ident", "to": "ident", **_TUBE},
+    "balloon": {"node": "ident", "init": "q:pressure", **_BALLOON},
     "valve": {
-        "from": "ident",
-        "to": "ident",
-        "control": "ident",
-        "open_conductance": "q:raw",
-        "leak": "q:raw",
-        "inflate": "q:pressure",
-        "deflate": "q:pressure",
-        "volume": "q:volume",
-        "compliance": "q:raw",
-        "burst": "q:pressure",
-        "state": "ident",
-        "init": "q:pressure",
+        "from": "ident", "to": "ident", "control": "ident", "state": "ident",
+        "init": "q:pressure", **_VALVE,
     },
-    "gate": {
-        "in": "idents",
-        "out": "ident",
-        "supply": "ident",
-        "length": "q:length",
-        "id": "q:length",
-        "pulldown_length": "q:length",
-        "inflate": "q:pressure",
-        "deflate": "q:pressure",
-        "volume": "q:volume",
-        "compliance": "q:raw",
-        "burst": "q:pressure",
-        "open_conductance": "q:raw",
-        "leak": "q:raw",
-    },
+    "gate": {"in": "idents", "out": "ident", **_MACRO},
+    "ring": {"n": "int", "taps": "idents", "pulldown": "ident", **_MACRO},
     "probe": {},
 }
-_SCHEMA["ring"] = dict(
-    _SCHEMA["gate"],
-    **{"n": "int", "taps": "idents", "pulldown": "ident"},
-)
-for _k in ("in", "out"):
-    _SCHEMA["ring"].pop(_k)
+
+#: the PhysicalDefaults field an absent element parameter falls back to;
+#: ``init`` falls back to 0
+_DEFAULT_OF = {
+    "length": "device_tube_length",
+    "id": "tube_inner_diameter",
+    "pulldown_length": "pulldown_length",
+    "inflate": "inflate_kpa",
+    "deflate": "deflate_kpa",
+    "volume": "balloon_rest_volume",
+    "compliance": "balloon_compliance",
+    "burst": "burst_kpa",
+    "open_conductance": "open_conductance",
+    "leak": "leak_conductance",
+}
 
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "source": ("pressure",),
@@ -120,9 +106,6 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
     "ring": ("n", "supply"),
     "probe": (),
 }
-
-
-Value = "Quantity | str | int | tuple[str, ...]"
 
 
 @dataclass(frozen=True)
@@ -336,50 +319,23 @@ def _render_value(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _GateParams:
-    """Element parameters of a gate, ring, valve or balloon statement: its
-    own values where given, else the defaults. Pressures are kPa."""
+    """Element parameters of a statement: ``gp[key]`` is its own value
+    where given, else its default. Pressures are kPa, the rest SI."""
 
-    tube_length: float
-    tube_id: float
-    pulldown_length: float
-    inflate: float
-    deflate: float
-    volume: float
-    compliance: float
-    burst: float
-    open_conductance: float
-    leak: float
-    init: float
+    defaults: PhysicalDefaults
+    stmt: Statement
 
-    @classmethod
-    def build(cls, defaults: PhysicalDefaults, stmt: Statement) -> "_GateParams":
-        def q(key, fallback):
-            v = stmt.get(key)
-            return v.si if isinstance(v, Quantity) else fallback
-
-        def kpa(key, fallback):
-            v = stmt.get(key)
-            return v.si / 1e3 if isinstance(v, Quantity) else fallback
-
-        return cls(
-            tube_length=q("length", defaults.device_tube_length),
-            tube_id=q("id", defaults.tube_inner_diameter),
-            pulldown_length=q("pulldown_length", defaults.pulldown_length),
-            inflate=kpa("inflate", defaults.inflate_kpa),
-            deflate=kpa("deflate", defaults.deflate_kpa),
-            volume=q("volume", defaults.balloon_rest_volume),
-            compliance=q("compliance", defaults.balloon_compliance),
-            burst=kpa("burst", defaults.burst_kpa),
-            open_conductance=q("open_conductance", defaults.open_conductance),
-            leak=q("leak", defaults.leak_conductance),
-            init=kpa("init", 0.0),
-        )
+    def __getitem__(self, key: str) -> float:
+        v = self.stmt.get(key)
+        if v is None:
+            return getattr(self.defaults, _DEFAULT_OF[key]) if key != "init" else 0.0
+        return v.si / 1e3 if _SCHEMA[self.stmt.kind][key] == "q:pressure" else v.si
 
     def balloon(self) -> BalloonParams:
         return BalloonParams(
-            rest_volume=self.volume, compliance=self.compliance, burst_kpa=self.burst
+            rest_volume=self["volume"], compliance=self["compliance"], burst_kpa=self["burst"]
         )
 
     def valve(self, name: str, flow_from: str, flow_to: str, control: str, **kw):
@@ -387,9 +343,9 @@ class _GateParams:
         return KinkValveDevice(
             name, flow_from, flow_to, control,
             balloon=self.balloon(),
-            thresholds=HysteresisThresholds(p_inflate=self.inflate, p_deflate=self.deflate),
-            open_conductance=self.open_conductance,
-            leak_conductance=self.leak,
+            thresholds=HysteresisThresholds(p_inflate=self["inflate"], p_deflate=self["deflate"]),
+            open_conductance=self["open_conductance"],
+            leak_conductance=self["leak"],
             **kw,
         )
 
@@ -404,11 +360,9 @@ class _Builder:
         self.probes: list[str] = []
         self.atmosphere = "ATM"
 
-    def tube(self, name, a, b, length, diameter, viscosity=None):
+    def tube(self, name, a, b, length, diameter):
         self.tubes.append(
-            TubeElement.from_geometry(
-                name, a, b, length, diameter, viscosity or self.defaults.air_viscosity
-            )
+            TubeElement.from_geometry(name, a, b, length, diameter, self.defaults.air_viscosity)
         )
 
     def network(self) -> PneumaticNetwork:
@@ -430,36 +384,36 @@ def _expand_not(
     pull-down from out to atmosphere."""
     s1 = f"{name}.s"
     bal = f"{name}.b"
-    b.tube(f"{name}.ts", supply_node, s1, gp.tube_length, gp.tube_id)
-    b.tube(f"{name}.tc", input_node, bal, gp.tube_length, gp.tube_id)
+    b.tube(f"{name}.ts", supply_node, s1, gp["length"], gp["id"])
+    b.tube(f"{name}.tc", input_node, bal, gp["length"], gp["id"])
     b.valves.append(gp.valve(f"{name}.v", s1, out, bal))
     if with_pulldown:
-        b.tube(f"{name}.tp", out, b.atmosphere, gp.pulldown_length, gp.tube_id)
+        b.tube(f"{name}.tp", out, b.atmosphere, gp["pulldown_length"], gp["id"])
 
 
 def _expand_nor(b, name, gp, in_a, in_b, out, supply_node):
     """Two devices in series on one supply path; one pull-down at the output."""
     s1, mid = f"{name}.s", f"{name}.m"
     ba, bb = f"{name}.b1", f"{name}.b2"
-    b.tube(f"{name}.ts", supply_node, s1, gp.tube_length, gp.tube_id)
-    b.tube(f"{name}.tc1", in_a, ba, gp.tube_length, gp.tube_id)
-    b.tube(f"{name}.tc2", in_b, bb, gp.tube_length, gp.tube_id)
+    b.tube(f"{name}.ts", supply_node, s1, gp["length"], gp["id"])
+    b.tube(f"{name}.tc1", in_a, ba, gp["length"], gp["id"])
+    b.tube(f"{name}.tc2", in_b, bb, gp["length"], gp["id"])
     b.valves.append(gp.valve(f"{name}.v1", s1, mid, ba))
     b.valves.append(gp.valve(f"{name}.v2", mid, out, bb))
-    b.tube(f"{name}.tp", out, b.atmosphere, gp.pulldown_length, gp.tube_id)
+    b.tube(f"{name}.tp", out, b.atmosphere, gp["pulldown_length"], gp["id"])
 
 
 def _expand_nand(b, name, gp, in_a, in_b, out, supply_node):
     """Two parallel supply branches joined at the output; one pull-down."""
     s1, s2 = f"{name}.s1", f"{name}.s2"
     ba, bb = f"{name}.b1", f"{name}.b2"
-    b.tube(f"{name}.ts1", supply_node, s1, gp.tube_length, gp.tube_id)
-    b.tube(f"{name}.ts2", supply_node, s2, gp.tube_length, gp.tube_id)
-    b.tube(f"{name}.tc1", in_a, ba, gp.tube_length, gp.tube_id)
-    b.tube(f"{name}.tc2", in_b, bb, gp.tube_length, gp.tube_id)
+    b.tube(f"{name}.ts1", supply_node, s1, gp["length"], gp["id"])
+    b.tube(f"{name}.ts2", supply_node, s2, gp["length"], gp["id"])
+    b.tube(f"{name}.tc1", in_a, ba, gp["length"], gp["id"])
+    b.tube(f"{name}.tc2", in_b, bb, gp["length"], gp["id"])
     b.valves.append(gp.valve(f"{name}.v1", s1, out, ba))
     b.valves.append(gp.valve(f"{name}.v2", s2, out, bb))
-    b.tube(f"{name}.tp", out, b.atmosphere, gp.pulldown_length, gp.tube_id)
+    b.tube(f"{name}.tp", out, b.atmosphere, gp["pulldown_length"], gp["id"])
 
 
 def _supply_node(stmt: Statement, sources: dict) -> str:
@@ -473,8 +427,7 @@ def _supply_node(stmt: Statement, sources: dict) -> str:
     return sources[supply].node
 
 
-def _expand_gate(b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sources: dict):
-    gp = _GateParams.build(defaults, stmt)
+def _expand_gate(b: _Builder, stmt: Statement, gp: _GateParams, sources: dict):
     inputs = stmt.get("in", ())
     out = stmt.get("out")
     supply_node = _supply_node(stmt, sources)
@@ -501,8 +454,7 @@ def _expand_gate(b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sourc
         _expand_not(b, f"{stmt.name}.i", gp, mid, out, supply_node)
 
 
-def _expand_ring(b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sources: dict):
-    gp = _GateParams.build(defaults, stmt)
+def _expand_ring(b: _Builder, stmt: Statement, gp: _GateParams, sources: dict):
     n = stmt.get("n")
     if n is None or n < 3 or n % 2 == 0:
         raise EvenRingError(
@@ -532,53 +484,41 @@ def _expand_ring(b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sourc
     if not per_gate:
         centre = f"{stmt.name}.c"
         for i in range(n):
-            b.tube(f"{stmt.name}.tl{i + 1}", taps[i], centre, gp.tube_length, gp.tube_id)
-        b.tube(f"{stmt.name}.tp", centre, b.atmosphere, gp.pulldown_length, gp.tube_id)
+            b.tube(f"{stmt.name}.tl{i + 1}", taps[i], centre, gp["length"], gp["id"])
+        b.tube(f"{stmt.name}.tp", centre, b.atmosphere, gp["pulldown_length"], gp["id"])
 
 
 def _expand_statement(
     b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sources: dict
 ) -> None:
     """Add the elements of one statement to ``b``."""
+    gp = _GateParams(defaults, stmt)
     if stmt.kind == "source":
         resistance = stmt.get("resistance")
-        src = SourceElement(
-            name=stmt.name,
-            node=stmt.name,
-            pressure_kpa=stmt.get("pressure").si / 1e3,
-            internal_resistance=resistance.si if resistance else 0.0,
+        sources[stmt.name] = src = SourceElement(
+            stmt.name, stmt.name, gp["pressure"], resistance.si if resistance else 0.0
         )
-        sources[stmt.name] = src
         b.sources.append(src)
     elif stmt.kind == "tube":
-        d = stmt.get("id")
-        b.tube(
-            stmt.name,
-            stmt.get("from"),
-            stmt.get("to"),
-            stmt.get("length").si,
-            d.si if d else defaults.tube_inner_diameter,
-        )
+        b.tube(stmt.name, stmt.get("from"), stmt.get("to"), gp["length"], gp["id"])
     elif stmt.kind == "balloon":
-        gp = _GateParams.build(defaults, stmt)
-        b.balloons.append(Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp.init))
+        b.balloons.append(Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp["init"]))
     elif stmt.kind == "valve":
         state_txt = stmt.get("state", "open")
         if state_txt not in ("open", "closed"):
             raise NetlistSyntaxError(
                 f"valve {stmt.name}: state must be open or closed", line=stmt.line
             )
-        gp = _GateParams.build(defaults, stmt)
         b.valves.append(
             gp.valve(
                 stmt.name, stmt.get("from"), stmt.get("to"), stmt.get("control"),
-                state=ValveState(state_txt), initial_control_kpa=gp.init,
+                state=ValveState(state_txt), initial_control_kpa=gp["init"],
             )
         )
     elif stmt.kind == "gate":
-        _expand_gate(b, stmt, defaults, sources)
+        _expand_gate(b, stmt, gp, sources)
     elif stmt.kind == "ring":
-        _expand_ring(b, stmt, defaults, sources)
+        _expand_ring(b, stmt, gp, sources)
     elif stmt.kind == "probe":
         b.probes.append(stmt.name)
 

@@ -18,13 +18,15 @@ from .errors import IndeterminateLevelError, UnknownVariableError, VerifyError
 from .netlist import CircuitAst, Statement, expand
 from .units import Quantity
 
+_DEFAULTS = PhysicalDefaults()
+
 
 @dataclass(frozen=True)
 class LogicLevels:
-    drive_high_kpa: float = 145.0
+    drive_high_kpa: float = _DEFAULTS.supply_kpa
     drive_low_kpa: float = 0.0
-    read_high_min_kpa: float = 85.0
-    read_low_max_kpa: float = 60.0
+    read_high_min_kpa: float = _DEFAULTS.inflate_kpa
+    read_low_max_kpa: float = _DEFAULTS.deflate_kpa
 
     def __post_init__(self):
         if not self.read_low_max_kpa < self.read_high_min_kpa:
@@ -230,7 +232,7 @@ class FanoutReport:
 
 
 def fanout_limit(
-    supply_kpa: float = 145.0,
+    supply_kpa: float = _DEFAULTS.supply_kpa,
     internal_resistance: float = 0.0,
     defaults: PhysicalDefaults | None = None,
     levels: LogicLevels | None = None,

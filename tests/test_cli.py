@@ -357,6 +357,29 @@ def test_sim_prints_trace_warnings_to_stderr(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_freq_prints_trace_warnings_to_stderr(capsys):
+    argv = ["freq", circuit("ring3.tbl"), "--t-end", "2"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(["--set", "osc.burst=50kPa"] + argv) == 0
+    captured = capsys.readouterr()
+    assert plain.err == ""
+    assert captured.out == plain.out
+    lines = captured.err.splitlines()
+    assert [w.split(" passed")[0] for w in lines] == [
+        f"warning: balloon osc.g{k}.v" for k in (1, 2, 3)
+    ]
+    assert all("burst pressure (50.0 kPa)" in w for w in lines)
+
+
+@pytest.mark.parametrize("command", ["sim", "freq"])
+def test_infinite_t_end_is_a_usage_error(command, capsys):
+    rc = main([command, circuit("not.tbl"), "--t-end", "inf"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "tblsim: error: SimConfig.t_end must be positive and finite\n"
+
+
 def test_check_notes_several_operating_points(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -862,6 +862,87 @@ def test_batched_samples_match_a_per_sample_full_map(make_net, max_step, monkeyp
     assert batched.events == reference.events
 
 
+# The scipy oracle runs both integrators with rtol governing: atol sits far
+# below rtol * V (V ~ 1e-6 m3), and event_tol far below the event-time gap.
+# simulate's step control holds each step's local error to about rtol * V,
+# so after N accepted steps its relative error is at most about N * rtol;
+# DOP853 at REF_RTOL adds at most N_ref * REF_RTOL, four orders less.
+ORACLE_RTOL, REF_RTOL = 1.0e-8, 1.0e-12
+ORACLE_CFG = dict(rtol=ORACLE_RTOL, atol=1.0e-18, event_tol=1.0e-10)
+
+
+def _solve_ivp_reference(net, t_end, max_events):
+    """Balloon volumes (a dense output per regime segment) and the first ``max_events`` valve transitions of ``net`` by
+    scipy's DOP853 over the dense reference RHS, each valve margin a
+    terminal event; integration restarts in the new regime after each flip."""
+    integrate = pytest.importorskip("scipy.integrate")
+    names = net.node_order()
+    ctrl = [names.index(v.control_node) for v in net.valves]
+    states = [v.state for v in net.valves]
+    y = np.array([params.volume_at(kpa) for _o, _n, params, kpa in net.capacitances()])
+
+    def margin(i, is_open, p_pa):
+        band = net.valves[i].thresholds
+        kpa = p_pa[ctrl[i]] / 1.0e3
+        return kpa - band.p_inflate if is_open else band.p_deflate - kpa
+
+    t, events, segments = 0.0, [], []
+    while True:
+        regime = tuple(states)
+        open_ = [s is ValveState.OPEN for s in regime]
+
+        def event(i):
+            def crossing(_t, v):
+                return margin(i, open_[i], _full_solve_reference(net, regime, v)[0])
+            crossing.terminal, crossing.direction = True, 1.0
+            return crossing
+
+        sol = integrate.solve_ivp(
+            lambda _t, v: _full_solve_reference(net, regime, v)[1], (t, t_end), y,
+            method="DOP853", rtol=REF_RTOL, atol=1.0e-20, dense_output=True,
+            events=[event(i) for i in range(len(states))],
+        )
+        assert sol.success
+        segments.append(sol.sol)
+        if sol.status != 1 or len(events) == max_events:  # t_end or enough events
+            break
+        t, i = min((te[0], i) for i, te in enumerate(sol.t_events) if len(te))
+        y = sol.y_events[i][0]
+        states[i] = ValveState.CLOSED if open_[i] else ValveState.OPEN
+        events.append((t, net.valves[i].name, states[i]))
+        # one valve at a time: no other margin may already be past 0
+        p_pa = _full_solve_reference(net, tuple(states), y)[0]
+        assert all(
+            margin(k, states[k] is ValveState.OPEN, p_pa) < 0.0 for k in range(len(states))
+        )
+    return segments, events
+
+
+def test_rc_samples_match_solve_ivp():
+    net = _rc_charge()
+    tr = simulate(net, SimConfig(t_end=0.1, **ORACLE_CFG))
+    (volumes,) = _solve_ivp_reference(net, 0.1, 0)[0]
+    names = net.node_order()
+    rows = [names.index(p) for p in tr.probes]
+    want = np.array([_full_solve_reference(net, (), volumes(t))[0][rows] for t in tr.times])
+    # about 50 accepted steps to t_end: N * rtol of the 145 kPa supply is
+    # 7e-5 kPa; the bound allows twice that
+    assert np.abs(tr.pressures_kpa - want / 1.0e3).max() <= 100 * (ORACLE_RTOL + REF_RTOL) * 145.0
+
+
+def test_ring3_calibrated_events_match_solve_ivp():
+    net = _ring3_calibrated()
+    tr = simulate(net, SimConfig(t_end=0.35, **ORACLE_CFG))
+    _segments, want = _solve_ivp_reference(net, 0.35, 30)
+    got = tr.events[:30]
+    assert len(want) == len(got) == 30
+    assert [(name, state) for _t, name, state in got] == [(n, s) for _t, n, s in want]
+    # about 500 accepted steps to the 30th event: a relative event-time
+    # error of N * rtol is 5e-6; the bound allows twice that
+    for (t_got, _, _), (t_want, _, _) in zip(got, want):
+        assert abs(t_got - t_want) <= 1000 * (ORACLE_RTOL + REF_RTOL) * t_want
+
+
 @pytest.mark.parametrize("relative, warned", [(1.0e-10, 1), (-1.0e-10, 0)])
 def test_burst_warning_at_the_burst_level_itself(relative, warned):
     # the balloon settles at the supply, a hair above or below its 200 kPa burst level
@@ -1052,6 +1133,29 @@ def test_initial_state_overrides_are_checked():
         simulate(net, SimConfig(t_end=0.1, initial_valve_states={"nope": ValveState.OPEN}))
     with pytest.raises(ValueError):
         simulate(net, SimConfig(t_end=0.1, initial_pressures_kpa={"nope": 10.0}))
+
+
+@pytest.mark.parametrize(
+    "field", ["t_end", "rtol", "atol", "max_step", "event_tol", "sample_interval"]
+)
+def test_sim_config_fields_must_be_finite(field):
+    with pytest.raises(ValueError, match=f"SimConfig.{field} must be positive and finite"):
+        SimConfig(**{"t_end": 1.0, field: math.inf})
+
+
+def test_short_runs_end_at_t_end():
+    # Below 2 * max_step the last step starts before t_end / 2, where
+    # t + (t_end - t) can round an ulp short of t_end: the run must still
+    # end at t_end, not die on a step below the minimum.
+    rc = build(
+        "source SUP pressure=100kPa\ntube t from=SUP to=x length=7.5cm\n"
+        "balloon b node=x\nprobe x\n"
+    )
+    inverter = _read_circuit("not").with_pins({"a": 0.0})
+    for net, n in ((rc, 400), (inverter, 200)):
+        for t_end in np.linspace(1.0e-3, 0.019, n).tolist():
+            tr = simulate(net, SimConfig(t_end=t_end))
+            assert tr.times[-1] == t_end
 
 
 def test_static_network_trace_is_flat():
