@@ -210,9 +210,6 @@ def _svg_plot(trace, path: str):
 
 def _cmd_sim(args, ast, defaults) -> int:
     net = expand(ast, defaults)
-    if args.t_end <= 0:
-        print("tblsim: error: --t-end must be positive", file=sys.stderr)
-        return USAGE_EXIT
     cfg = SimConfig(
         t_end=args.t_end,
         sample_interval=args.sample_interval,
@@ -240,12 +237,7 @@ def _cmd_truth(args, ast, defaults) -> int:
     inputs = tuple(s for s in args.inputs.split(",") if s)
     if unknown := sorted(set(inputs) - set(net.node_order())):
         raise ValueError(f"--inputs names no node of the circuit: {', '.join(unknown)}")
-    levels = LogicLevels(
-        drive_high_kpa=defaults.supply_kpa,
-        read_high_min_kpa=defaults.inflate_kpa,
-        read_low_max_kpa=defaults.deflate_kpa,
-    )
-    table = truth_table(net, inputs, args.output, levels)
+    table = truth_table(net, inputs, args.output, LogicLevels.from_defaults(defaults))
     if args.format == "json-lines":
         for row in table.rows:
             print(

@@ -5,9 +5,9 @@ constant-conductance branches, then one per valve), their conductances,
 and the valves' and balloons' parameters. A valve-state assignment is a
 boolean open-state array; it selects each valve's open or leak
 conductance, which gives the node Laplacian ``L(s) = Bᵀ diag(g(s)) B``.
-Both the DC search and the transient regimes assemble only the blocks of
-it that a solve needs, and every linear solve is one dense LU, whose
-cost grows as the cube of its unknowns.
+The DC search and the transient regimes solve it through one method,
+``_Compiled.solve``, which assembles only the block a solve needs and
+factors it by one dense LU, whose cost grows as the cube of its unknowns.
 
 Every valve is a hysteretic relay, and one rule, ``_Compiled.margin``,
 decides its switching everywhere: the signed distance of its control
@@ -56,6 +56,7 @@ from itertools import product
 import numpy as np
 
 from .elements import (
+    KPA,
     PneumaticNetwork,
     ValveState,
     balloon_pressure,
@@ -69,8 +70,6 @@ from .errors import (
     SingularNetworkError,
     TooManyValvesError,
 )
-
-KPA = 1.0e3
 
 #: exhaustive valve-state enumeration is capped at 2**16 assignments
 _MAX_ENUM_VALVES = 16
@@ -170,10 +169,11 @@ def _state(is_open: bool) -> ValveState:
 
 
 def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
-    """Balloon pressures in Pa, rounded through kPa exactly as
-    ``balloon_pressure`` gives them; volumes below empty read as an empty
-    balloon, which holds no pressure."""
-    return np.maximum(volumes - rest_volume, 0.0) / compliance / KPA * KPA
+    """Balloon pressures in Pa, elementwise: the balloon law of
+    ``balloon_pressure``, which these equal bit for bit once divided by
+    ``KPA``. Volumes below empty read as an empty balloon, which holds no
+    pressure."""
+    return np.maximum(volumes - rest_volume, 0.0) / compliance
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -301,21 +301,25 @@ class _Compiled:
         anchored[labels[self.cap_idx]] = True
         return labels, fixed, anchored
 
-    def block(self, g: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``G = L[rows][:, rows]`` as a dense array."""
+    def solve(self, g: np.ndarray, rows: np.ndarray, P: np.ndarray) -> None:
+        """Fill ``P[rows]`` from the flow balance of those nodes, every other
+        row of ``P`` given and ``P[rows]`` zero on entry: one dense LU of
+        ``G = L[rows][:, rows]`` for all of ``P``'s columns at once."""
         m = len(rows)
+        if not m:
+            return
         pos = np.full(self.n, -1)
         pos[rows] = np.arange(m)
         on = g > 0.0
-        a, b, g = pos[self.branch_a[on]], pos[self.branch_b[on]], g[on]
+        a, b, gon = pos[self.branch_a[on]], pos[self.branch_b[on]], g[on]
         both = (a >= 0) & (b >= 0)
         r = np.concatenate([a, b, a[both], b[both]])
         c = np.concatenate([a, b, b[both], a[both]])
-        v = np.concatenate([g, g, -g[both], -g[both]])
+        v = np.concatenate([gon, gon, -gon[both], -gon[both]])
         keep = r >= 0
         G = np.zeros((m, m))
         np.add.at(G, (r[keep], c[keep]), v[keep])
-        return G
+        P[rows] = _solve(G, self.inflow(g, P)[rows])
 
     def inflow(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Net inflow ``-L(s) P = -Bᵀ diag(g) B P`` at every node, for node
@@ -329,10 +333,11 @@ class _Compiled:
 
     # -- DC solve (balloons act as open circuits) ------------------------------
 
-    def dc_system(self, is_open: np.ndarray):
-        """The DC flow balance of a boolean valve open-state array: its
-        branch conductances, the nodes left to solve for, and the pinned
-        balloons with their pressures (Pa).
+    def dc_map(self, is_open: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        """Node values (Pa) under the DC flow balance of a boolean valve
+        open-state array: ``drive`` gives the fixed nodes' rows, with one or
+        more columns; pinned balloons add their pressures to the first
+        column, and ``solve`` fills in the rest.
 
         Balloons in components that reach a fixed node equilibrate (zero
         flow, so they are plain unknowns); balloons cut off from every
@@ -346,28 +351,24 @@ class _Compiled:
         labels, fixed, anchored = self.components(g)
         known = ~anchored[labels]  # dead nodes
         known[self.fixed_idx] = True
+        P = np.zeros((self.n,) + drive.shape[1:])
+        P[self.fixed_idx] = drive
         cap_labels = labels[self.cap_idx]
         pinned = ~fixed[cap_labels]
-        pinned_idx, pinned_pa = self.cap_idx[pinned], np.zeros(0)
         if pinned.any():
             lab, c = cap_labels[pinned], self.compliance[pinned]
             c_total = np.bincount(lab, weights=c)
             charge = np.bincount(lab, weights=c * self.initial_kpa[pinned])
-            pinned_pa = charge[lab] / c_total[lab] * KPA
-            known[pinned_idx] = True
-        return g, np.flatnonzero(~known), pinned_idx, pinned_pa
+            # column 0 of P, through a view that is 2-D even where P is 1-D
+            P.reshape(self.n, -1)[self.cap_idx[pinned], 0] = charge[lab] / c_total[lab] * KPA
+            known[self.cap_idx[pinned]] = True
+        self.solve(g, np.flatnonzero(~known), P)
+        return P
 
     def solve_dc(self, is_open: np.ndarray) -> np.ndarray:
         """Full node-pressure vector (Pa) for a boolean valve open-state
-        array: the nodes ``dc_system`` leaves to solve for are solved by one
-        dense LU of their flow balance."""
-        g, unknown, pinned_idx, pinned_pa = self.dc_system(is_open)
-        p = np.zeros(self.n)
-        p[self.fixed_idx] = self.fixed_pa
-        p[pinned_idx] = pinned_pa
-        if len(unknown):
-            p[unknown] = _solve(self.block(g, unknown), self.inflow(g, p)[unknown])
-        return p
+        array at the fixed pressures."""
+        return self.dc_map(is_open, self.fixed_pa)
 
     def pressures_kpa(self, p_pa: np.ndarray) -> dict[str, float]:
         """Node pressures (kPa) by name, leaving out source internal nodes."""
@@ -444,8 +445,7 @@ class _Regime:
         P[compiled.cap_idx, 1 + np.arange(nc)] = 1.0
         # nodes sealed off in this regime carry no flow; they read ambient
         f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
-        if len(f):
-            P[f] = _solve(compiled.block(g, f), compiled.inflow(g, P)[f])
+        compiled.solve(g, f, P)
         Q = compiled.inflow(g, P)[compiled.cap_idx]
         self.a0, self.A = P[compiled.watch, 0], P[compiled.watch, 1:]
         self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
@@ -499,7 +499,7 @@ class _Walk:
     from the layer its own valves select.
 
     Layer ``a`` opens every region's j-th valve iff bit j of ``a`` is set.
-    One solve under the ``solve_dc`` rules gives its node pressures in
+    One ``_Compiled.dc_map`` gives its node pressures in
     every region at once, as an affine map of the fixed pressures: a
     constant column, then one column per fixed node. A layer is filled
     when a walk first needs it and serves every later walk of the same
@@ -550,16 +550,9 @@ class _Walk:
 
     def fill(self, compiled: _Compiled, a: int) -> None:
         """Solve layer ``a``; a singular layer raises SingularNetworkError."""
-        c = compiled
         is_open = np.array([(a >> j) & 1 for j in self.local], dtype=bool)
-        g, unknown, pinned_idx, pinned_pa = c.dc_system(is_open)
-        nf = len(c.fixed_idx)
-        P = np.zeros((c.n, 1 + nf))
-        P[c.fixed_idx, 1 + np.arange(nf)] = 1.0
-        P[pinned_idx, 0] = pinned_pa
-        if len(unknown):
-            P[unknown] = _solve(c.block(g, unknown), c.inflow(g, P)[unknown])
-        self.layers[a] = P[self.read]
+        nf = len(compiled.fixed_idx)
+        self.layers[a] = compiled.dc_map(is_open, np.eye(nf, 1 + nf, 1))[self.read]
 
     def start(self, compiled: _Compiled, is_open: np.ndarray) -> np.ndarray:
         """The open-state array after stepping each valve once from
@@ -789,7 +782,8 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     that step, the step is retaken up to the event time, the valve state
     flips, and integration restarts. A valve whose control node is a
     balloon is bisected on that balloon's component of the step's cubic
-    Hermite interpolant and its balloon law alone; a free or driven
+    Hermite interpolant and ``balloon_pressure`` alone, which reads what
+    the map's unit row for that balloon reads; a free or driven
     control node reads its own row of the regime's map at each bisection
     step. The halving stops at ``event_tol``, or earlier once the
     bracket's ends are adjacent floats. Volumes below empty, which RK
@@ -944,13 +938,11 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                     return lambda tau: reg.pressures(
                         _hermite(volumes, y1, k1, k7, h, tau), row
                     )[0] / KPA
-                # a balloon node: its own volume component and balloon law,
-                # rounded through Pa exactly as the pressure map stores it
+                # a balloon node: its own volume component and the balloon
+                # law, which reads what the map's unit row for it reads
                 ends = [float(a[k]) for a in (volumes, y1, k1, k7)]
                 params = cap_params[k]
-                return lambda tau: balloon_pressure(
-                    max(_hermite(*ends, h, tau), 0.0), params
-                ) * KPA / KPA
+                return lambda tau: balloon_pressure(max(_hermite(*ends, h, tau), 0.0), params)
 
             tau = []
             for vi in crossers.tolist():

@@ -31,6 +31,7 @@ from decimal import Decimal
 
 from .defaults import PhysicalDefaults
 from .elements import (
+    KPA,
     Balloon,
     BalloonParams,
     HysteresisThresholds,
@@ -331,7 +332,7 @@ class _GateParams:
         v = self.stmt.get(key)
         if v is None:
             return getattr(self.defaults, _DEFAULT_OF[key]) if key != "init" else 0.0
-        return v.si / 1e3 if _SCHEMA[self.stmt.kind][key] == "q:pressure" else v.si
+        return v.si / KPA if _SCHEMA[self.stmt.kind][key] == "q:pressure" else v.si
 
     def balloon(self) -> BalloonParams:
         return BalloonParams(

@@ -34,6 +34,12 @@ class LogicLevels:
         if self.drive_high_kpa < self.read_high_min_kpa:
             raise ValueError("drive high cannot read as low")
 
+    @classmethod
+    def from_defaults(cls, defaults: PhysicalDefaults) -> "LogicLevels":
+        """The levels of gates built from ``defaults``: drive high at the
+        supply, read against the inflate and deflate thresholds."""
+        return cls(defaults.supply_kpa, 0.0, defaults.inflate_kpa, defaults.deflate_kpa)
+
     def drive(self, bit: int) -> float:
         return self.drive_high_kpa if bit else self.drive_low_kpa
 
@@ -232,7 +238,7 @@ class FanoutReport:
 
 
 def fanout_limit(
-    supply_kpa: float = _DEFAULTS.supply_kpa,
+    supply_kpa: float | None = None,
     internal_resistance: float = 0.0,
     defaults: PhysicalDefaults | None = None,
     levels: LogicLevels | None = None,
@@ -246,10 +252,13 @@ def fanout_limit(
     resistance. A load switches only if its control node still reaches
     the inflate threshold in that state. There the n identical loads sit
     at the same pressures and act as one load with each branch n times as
-    conductive, so a probe solves the same small network at any n.
+    conductive, so a probe solves the same small network at any n. The
+    supply and the levels default to those of ``defaults``.
     """
     defaults = defaults or PhysicalDefaults()
-    levels = levels or LogicLevels()
+    if supply_kpa is None:
+        supply_kpa = defaults.supply_kpa
+    levels = levels or LogicLevels.from_defaults(defaults)
     threshold = levels.read_high_min_kpa
     net = _fanout_network(supply_kpa, internal_resistance, defaults)
     samples: dict[int, float] = {}

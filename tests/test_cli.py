@@ -103,7 +103,7 @@ def test_sim_svg_plot(tmp_path):
 def test_sim_rejects_bad_t_end(capsys):
     rc = main(["sim", circuit("not.tbl"), "--t-end", "-2"])
     assert rc == 1
-    assert "--t-end" in capsys.readouterr().err
+    assert "SimConfig.t_end must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -707,9 +707,9 @@ def test_vectorized_balloon_law_matches_the_scalar_law():
     rest = compiled.rest_volume
     for volumes in (rest, 0.0 * rest, rest * rng.uniform(0.0, 1.5, size=(200, len(rest)))):
         for row in np.atleast_2d(volumes):
-            want = [balloon_pressure(v, p) * engine.KPA for v, p in zip(row, params)]
+            want = [balloon_pressure(v, p) for v, p in zip(row, params)]
             got = engine._balloon_pa(row, compiled.rest_volume, compiled.compliance)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got / engine.KPA, want)
 
 
 def test_vacuum_source_drains_a_balloon_to_empty():
@@ -752,6 +752,56 @@ def test_balloon_event_path_matches_full_solve(make_net, monkeypatch):
     assert np.array_equal(fast.pressures_kpa, full.pressures_kpa)
     assert fast.events == full.events
     assert fast.warnings == full.warnings
+
+
+def _assert_same_trace(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.pressures_kpa, b.pressures_kpa)
+    assert a.events == b.events
+    assert a.warnings == b.warnings
+
+
+@st.composite
+def _ring3_variants(draw):
+    """``ring3_calibrated.tbl`` with each valve's compliance and open
+    conductance scaled within ±20 %, and a start: every valve open and
+    empty (symmetric), or one of them closed at 70 kPa (staggered)."""
+    net = _ring3_calibrated()
+    scale = st.floats(0.8, 1.2)
+    valves = tuple(
+        dataclasses.replace(
+            v,
+            open_conductance=v.open_conductance * draw(scale),
+            balloon=dataclasses.replace(v.balloon, compliance=v.balloon.compliance * draw(scale)),
+        )
+        for v in net.valves
+    )
+    closed = draw(st.sampled_from([None] + [v.name for v in valves]))
+    states = {v.name: ValveState.OPEN for v in valves}
+    kpa = {v.name: 0.0 for v in valves}
+    if closed is not None:
+        states[closed], kpa[closed] = ValveState.CLOSED, 70.0
+    cfg = SimConfig(t_end=0.5, initial_valve_states=states, initial_pressures_kpa=kpa)
+    return dataclasses.replace(net, valves=valves), cfg
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_ring3_variants())
+def test_balloon_event_path_matches_full_solve_on_ring3_variants(variant):
+    net, cfg = variant
+    fast = simulate(net, cfg)
+    full_init = engine._Compiled.__init__
+
+    def no_control_balloons(self, *args):
+        full_init(self, *args)
+        self.control_cap = np.full_like(self.control_cap, -1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Compiled, "__init__", no_control_balloons)
+        full = simulate(net, cfg)
+    assert len(fast.events) > 10
+    _assert_same_trace(fast, full)
+    _assert_same_trace(fast, simulate(net, cfg))
 
 
 def _ring101():

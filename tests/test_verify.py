@@ -178,6 +178,20 @@ def test_fanout_ideal_source_is_unbounded():
         assert kpa == pytest.approx(145.0 * FRAC, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "override, threshold",
+    [({"inflate_kpa": 100.0}, 100.0), ({"supply_kpa": 120.0}, 85.0)],
+    ids=["inflate", "supply"],
+)
+def test_fanout_takes_its_threshold_and_supply_from_defaults(override, threshold):
+    # a high output near 97 kPa misses a 100 kPa threshold, and a 120 kPa
+    # supply drives a high output below 85 kPa: no load switches either way
+    rep = fanout_limit(internal_resistance=1.2e5, defaults=PhysicalDefaults().merged(override))
+    assert rep.threshold_kpa == threshold
+    assert rep.limit == 0
+    assert LogicLevels.from_defaults(PhysicalDefaults()) == LogicLevels()
+
+
 def test_fanout_finite_limit_and_monotone_droop():
     rep = fanout_limit(internal_resistance=1.971e6)
     assert not rep.unbounded
