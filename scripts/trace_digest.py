@@ -39,9 +39,10 @@ the sweep's samples. The ``logic`` line covers the seeded logic circuits
 of the benchmark's seeds 1 and 3, from ``perfbench/inputs.py``, which it
 only imports: every input row of each circuit's truth table goes through
 ``engine._dc_rows``. It prints the row count, ``solves``, the number of
-linear solves (``engine._solve`` calls) the rows took, and one digest of
-every row's ``SteadyState`` repr (valve states, every node pressure and
-the fixed points).
+flow balances (``engine._Compiled.solve`` calls: layer maps and point
+solves, however many stacked LUs each takes) the rows took, and one
+digest of every row's ``SteadyState`` repr (valve states, every node
+pressure and the fixed points).
 """
 
 from __future__ import annotations
@@ -165,17 +166,17 @@ def _osc3_runs():
 def _logic_line() -> str:
     bench_inputs = _bench_inputs()
     levels = LogicLevels()
-    solve = engine._solve
+    solve = engine._Compiled.solve
     solves = 0
 
-    def counting_solve(G, rhs):
+    def counting_solve(self, g, rows, P):
         nonlocal solves
         solves += 1
-        return solve(G, rhs)
+        return solve(self, g, rows, P)
 
     h = hashlib.sha256()
     rows = 0
-    engine._solve = counting_solve  # solve_dc looks it up here
+    engine._Compiled.solve = counting_solve
     try:
         for seed in (1, 3):
             for text, ins, _out, _expr in bench_inputs.logic(seed):
@@ -187,7 +188,7 @@ def _logic_line() -> str:
                     h.update(repr(steady).encode())
                     rows += 1
     finally:
-        engine._solve = solve
+        engine._Compiled.solve = solve
     return f"logic: rows={rows} solves={solves} sha256={h.hexdigest()}"
 
 

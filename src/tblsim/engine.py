@@ -6,8 +6,11 @@ and the valves' and balloons' parameters. A valve-state assignment is a
 boolean open-state array; it selects each valve's open or leak
 conductance, which gives the node Laplacian ``L(s) = Bᵀ diag(g(s)) B``.
 The DC search and the transient regimes solve it through one method,
-``_Compiled.solve``, which assembles only the block a solve needs and
-factors it by one dense LU, whose cost grows as the cube of its unknowns.
+``_Compiled.solve``. Fixed nodes cut the network into regions, and the
+flow balance is block-diagonal by region: the solve assembles every block
+at once and factors the blocks of each region size by one stacked dense
+LU, so its cost grows with the cube of each region's size, not of the
+network's.
 
 Every valve is a hysteretic relay, and one rule, ``_Compiled.margin``,
 decides its switching everywhere: the signed distance of its control
@@ -184,8 +187,9 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 
 def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the flow balance ``G x = rhs`` (one or more columns) by one
-    dense LU; a singular or inaccurate solve raises SingularNetworkError."""
+    """Solve the flow balance ``G x = rhs`` by dense LU: one system, or a
+    stack of them, each with one or more columns; a singular or inaccurate
+    solve raises SingularNetworkError."""
     try:
         x = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:  # the factor is exactly singular
@@ -204,7 +208,8 @@ class _Compiled:
     first, then one branch per valve. A valve-state assignment is a boolean
     open-state array; it gives the conductance vector ``g`` and the node
     Laplacian ``L(s) = Bᵀ diag(g(s)) B`` over the incidence ``B`` of these
-    branches, which is assembled only in the blocks a solve needs.
+    branches. Fixed nodes cut the network into regions, and a solve
+    assembles and factors ``L`` region by region, as stacks of blocks.
 
     ``watch`` lists the nodes a transient run reads: every valve's control
     node, in valve order, then the ``probes`` nodes.
@@ -301,25 +306,79 @@ class _Compiled:
         anchored[labels[self.cap_idx]] = True
         return labels, fixed, anchored
 
+    @cached_property
+    def region(self) -> np.ndarray:
+        """Each node's region, -1 at the fixed nodes: the components of the
+        branches that join no fixed node, whatever their conductance."""
+        fixed = np.zeros(self.n, dtype=bool)
+        fixed[self.fixed_idx] = True
+        inner = ~(fixed[self.branch_a] | fixed[self.branch_b])
+        region = node_components(self.n, self.branch_a[inner], self.branch_b[inner])
+        region[fixed] = -1
+        return region
+
+    @cached_property
+    def _blocks(self):
+        """The layout of the region solve. Regions of one size ``s`` stack
+        as ``(k, s, s)`` blocks, and every stack lies in one flat array of
+        the blocks' entries; no block is padded. Per node (-1 at the fixed
+        nodes): its row in the stacked right-hand sides and its diagonal
+        entry; per branch joining two unfixed nodes, its two off-diagonal
+        entries; per stack, ``(s, k, first row, first entry)``."""
+        region = self.region
+        nodes = np.flatnonzero(region >= 0)
+        _labels, inv, counts = np.unique(region[nodes], return_inverse=True, return_counts=True)
+        size = counts[inv]
+        order = np.lexsort((nodes, inv, size))  # by size, then region, then node
+        nodes, inv, size = nodes[order], inv[order], size[order]
+        stacked = np.arange(len(nodes))
+        first = np.r_[True, inv[1:] != inv[:-1]]
+        place = stacked - np.maximum.accumulate(np.where(first, stacked, 0))
+        sizes, row0, nrows = np.unique(size, return_index=True, return_counts=True)
+        entry0 = np.cumsum(nrows * sizes) - nrows * sizes
+        stacks = list(zip(sizes.tolist(), (nrows // sizes).tolist(), row0.tolist(), entry0.tolist()))
+        # entry (i, j) of a block: its first entry + place_i * s + place_j
+        base = np.repeat(entry0, nrows) + (stacked - np.repeat(row0, nrows) - place) * size
+        row, start, width, at = (np.full(self.n, -1) for _ in range(4))
+        row[nodes], start[nodes], width[nodes], at[nodes] = stacked, base, size, place
+        a, b = self.branch_a, self.branch_b
+        inner = (row[a] >= 0) & (row[b] >= 0)
+        ab = np.where(inner, start[a] + at[a] * width[a] + at[b], -1)
+        ba = np.where(inner, start[b] + at[b] * width[b] + at[a], -1)
+        diag = np.where(row >= 0, start + at * width + at, -1)
+        return row, diag, ab, ba, nodes, stacks
+
     def solve(self, g: np.ndarray, rows: np.ndarray, P: np.ndarray) -> None:
         """Fill ``P[rows]`` from the flow balance of those nodes, every other
-        row of ``P`` given and ``P[rows]`` zero on entry: one dense LU of
-        ``G = L[rows][:, rows]`` for all of ``P``'s columns at once."""
-        m = len(rows)
-        if not m:
+        row of ``P`` given and ``P[rows]`` zero on entry, for all of ``P``'s
+        columns at once. ``G = L[rows][:, rows]`` is block-diagonal by
+        region: each region's block is assembled with the other nodes of
+        the region on a unit diagonal, and the blocks of each region size
+        are factored by one stacked dense LU."""
+        if not len(rows):
             return
-        pos = np.full(self.n, -1)
-        pos[rows] = np.arange(m)
+        row, diag, ab, ba, nodes, stacks = self._blocks
+        unknown = np.zeros(self.n, dtype=bool)
+        unknown[rows] = True
         on = g > 0.0
-        a, b, gon = pos[self.branch_a[on]], pos[self.branch_b[on]], g[on]
-        both = (a >= 0) & (b >= 0)
-        r = np.concatenate([a, b, a[both], b[both]])
-        c = np.concatenate([a, b, b[both], a[both]])
-        v = np.concatenate([gon, gon, -gon[both], -gon[both]])
-        keep = r >= 0
-        G = np.zeros((m, m))
-        np.add.at(G, (r[keep], c[keep]), v[keep])
-        P[rows] = _solve(G, self.inflow(g, P)[rows])
+        ta, tb = on & unknown[self.branch_a], on & unknown[self.branch_b]
+        both = ta & tb
+        known = nodes[~unknown[nodes]]
+        entries = np.bincount(
+            np.concatenate([diag[self.branch_a[ta]], diag[self.branch_b[tb]], ab[both], ba[both],
+                            diag[known]]),
+            np.concatenate([g[ta], g[tb], -g[both], -g[both], np.ones(len(known))]),
+            minlength=sum(k * s * s for s, k, _r, _e in stacks),
+        )
+        P2 = P.reshape(self.n, -1)  # a view with an explicit column axis
+        cols = P2.shape[1]
+        rhs = np.zeros((len(nodes), cols))
+        rhs[row[rows]] = self.inflow(g, P2)[rows]
+        x = np.empty_like(rhs)
+        for s, k, r, e in stacks:
+            G = entries[e : e + k * s * s].reshape(k, s, s)
+            x[r : r + k * s] = _solve(G, rhs[r : r + k * s].reshape(k, s, cols)).reshape(-1, cols)
+        P2[rows] = x[row[rows]]
 
     def inflow(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Net inflow ``-L(s) P = -Bᵀ diag(g) B P`` at every node, for node
@@ -333,9 +392,9 @@ class _Compiled:
 
     # -- DC solve (balloons act as open circuits) ------------------------------
 
-    def dc_map(self, is_open: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """Node values (Pa) under the DC flow balance of a boolean valve
-        open-state array: ``drive`` gives the fixed nodes' rows, with one or
+    def dc_map(self, g: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        """Node values (Pa) under the DC flow balance of the branch
+        conductances ``g``: ``drive`` gives the fixed nodes' rows, with one or
         more columns; pinned balloons add their pressures to the first
         column, and ``solve`` fills in the rest.
 
@@ -347,7 +406,6 @@ class _Compiled:
         fixed node and every balloon hold trapped air with no state and no
         flow, and read ambient (0) rather than making the solve singular.
         """
-        g = self.conductances(is_open)
         labels, fixed, anchored = self.components(g)
         known = ~anchored[labels]  # dead nodes
         known[self.fixed_idx] = True
@@ -368,7 +426,7 @@ class _Compiled:
     def solve_dc(self, is_open: np.ndarray) -> np.ndarray:
         """Full node-pressure vector (Pa) for a boolean valve open-state
         array at the fixed pressures."""
-        return self.dc_map(is_open, self.fixed_pa)
+        return self.dc_map(self.conductances(is_open), self.fixed_pa)
 
     def pressures_kpa(self, p_pa: np.ndarray) -> dict[str, float]:
         """Node pressures (kPa) by name, leaving out source internal nodes."""
@@ -426,8 +484,8 @@ class _Regime:
     run reads the margins and the samples as two row slices of one map.
     Kron reduction onto the balloon nodes gives their net inflows as
     ``K @ cap_pa + k0``, so the transient right-hand side needs one small
-    matvec and no solve. The free-node block goes through the same dense
-    LU as the DC solve, once, with one column for the fixed-node drive and
+    matvec and no solve. The free nodes go through the same region solve
+    as the DC solve, once, with one column for the fixed-node drive and
     one per balloon.
     """
 
@@ -528,11 +586,7 @@ class _Walk:
         """The walk over ``compiled``'s regions, or None when a region
         depends on itself, directly or through other regions."""
         c = compiled
-        fixed = np.zeros(c.n, dtype=bool)
-        fixed[c.fixed_idx] = True
-        inner = ~(fixed[c.branch_a] | fixed[c.branch_b])
-        region = node_components(c.n, c.branch_a[inner], c.branch_b[inner])
-        region[fixed] = -1
+        region = c.region
         nb = len(c.g_static)
         # a valve branch between two fixed nodes lies in no region (-1)
         home = np.maximum(region[c.branch_a[nb:]], region[c.branch_b[nb:]])
@@ -552,7 +606,8 @@ class _Walk:
         """Solve layer ``a``; a singular layer raises SingularNetworkError."""
         is_open = np.array([(a >> j) & 1 for j in self.local], dtype=bool)
         nf = len(compiled.fixed_idx)
-        self.layers[a] = compiled.dc_map(is_open, np.eye(nf, 1 + nf, 1))[self.read]
+        g = compiled.conductances(is_open)
+        self.layers[a] = compiled.dc_map(g, np.eye(nf, 1 + nf, 1))[self.read]
 
     def start(self, compiled: _Compiled, is_open: np.ndarray) -> np.ndarray:
         """The open-state array after stepping each valve once from
@@ -607,7 +662,7 @@ def dc_operating_point(
     unchanged. Multiple fixed points are all listed, with the first in
     enumeration order reported as the operating point when the iteration
     itself did not converge. Each assignment is one ``_Compiled.solve_dc``:
-    one dense LU of its unknown nodes.
+    one flow balance over its unknown nodes, solved region by region.
 
     Raises AstableCircuit when no assignment is self-consistent, Singular
     when the flow-balance system cannot be solved uniquely, and

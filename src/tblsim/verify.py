@@ -9,11 +9,13 @@ strictly between is indeterminate and refused rather than rounded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .defaults import PhysicalDefaults
-from .elements import PneumaticNetwork, ValveState
-from .engine import _dc_rows, solve_pressures
+from .elements import KPA, PneumaticNetwork
+from .engine import _Compiled, _dc_rows
 from .errors import IndeterminateLevelError, UnknownVariableError, VerifyError
 from .netlist import CircuitAst, Statement, expand
 from .units import Quantity
@@ -252,19 +254,21 @@ def fanout_limit(
     resistance. A load switches only if its control node still reaches
     the inflate threshold in that state. There the n identical loads sit
     at the same pressures and act as one load with each branch n times as
-    conductive, so a probe solves the same small network at any n. The
-    supply and the levels default to those of ``defaults``.
+    conductive, so a probe solves the same small network at any n, which
+    is compiled once. The supply defaults to that of ``defaults``, and the
+    threshold to ``levels.read_high_min_kpa``, else to the inflate
+    threshold of ``defaults``: the sweep reads no other level, so a supply
+    below that threshold reports a limit of 0.
     """
     defaults = defaults or PhysicalDefaults()
     if supply_kpa is None:
         supply_kpa = defaults.supply_kpa
-    levels = levels or LogicLevels.from_defaults(defaults)
-    threshold = levels.read_high_min_kpa
-    net = _fanout_network(supply_kpa, internal_resistance, defaults)
+    threshold = defaults.inflate_kpa if levels is None else levels.read_high_min_kpa
+    compiled = _fanout_network(supply_kpa, internal_resistance, defaults)
     samples: dict[int, float] = {}
 
     def ok(n: int) -> bool:
-        samples[n] = _load_control_kpa(net, n)
+        samples[n] = _load_control_kpa(compiled, n)
         return samples[n] >= threshold
 
     lo, hi = 0, 1  # the largest count known to switch (0: none), the next to try
@@ -286,8 +290,9 @@ def fanout_limit(
 
 def _fanout_network(
     supply_kpa: float, internal_resistance: float, defaults: PhysicalDefaults
-) -> PneumaticNetwork:
-    """One inverter ``drv`` driving one inverter ``load`` from one source."""
+) -> _Compiled:
+    """One inverter ``drv`` driving one inverter ``load`` from one source,
+    validated and compiled."""
     sup = {"pressure": Quantity(supply_kpa, "kPa"), "resistance": Quantity(internal_resistance)}
     stmts = (
         Statement("source", "SUP", sup),
@@ -296,21 +301,14 @@ def _fanout_network(
     )
     net = expand(CircuitAst(stmts), defaults)
     # the driver input must be low so its own valve stays open and drives y high
-    return net.with_pins({"x": 0.0})
+    return _Compiled(net.with_pins({"x": 0.0}).validate())
 
 
-def _load_control_kpa(net: PneumaticNetwork, n: int) -> float:
-    """The control pressure (kPa) of ``net``'s load standing for ``n``
-    identical loads in parallel, with every valve open: its tube
-    resistances divided by n, its valve conductances multiplied by n."""
-    def load(el) -> bool:
-        return el.name.startswith("load.")
-
-    tubes = tuple(replace(t, resistance=t.resistance / n) if load(t) else t for t in net.tubes)
-    valves = tuple(
-        replace(v, open_conductance=v.open_conductance * n, leak_conductance=v.leak_conductance * n)
-        if load(v) else v
-        for v in net.valves
-    )
-    loads = replace(net, tubes=tubes, valves=valves)
-    return solve_pressures(loads, {v.name: ValveState.OPEN for v in net.valves})["load.b"]
+def _load_control_kpa(compiled: _Compiled, n: int) -> float:
+    """The control pressure (kPa) of the fan-out network's load standing
+    for ``n`` identical loads in parallel, with every valve open: each of
+    its branches ``n`` times as conductive."""
+    g = compiled.conductances(np.ones(len(compiled.valve_names), dtype=bool))
+    load = np.array([name.startswith("load.") for name in compiled.branch_names])
+    p_pa = compiled.dc_map(np.where(load, g * n, g), compiled.fixed_pa)
+    return float(p_pa[compiled.index["load.b"]] / KPA)

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,15 +518,16 @@ def test_the_search_confirms_a_walk_read_within_roundoff():
 
 
 def _count_solves(monkeypatch):
-    """The right-hand sides of every ``engine._solve`` call from now on."""
+    """The column count of every flow balance (``_Compiled.solve`` call)
+    from now on: 1 for a point solve, 1 + the fixed nodes for a layer map."""
     calls = []
-    solve = engine._solve
+    solve = engine._Compiled.solve
 
-    def counting_solve(G, rhs):
-        calls.append(rhs)
-        return solve(G, rhs)
+    def counting_solve(self, g, rows, P):
+        calls.append(P.reshape(len(P), -1).shape[1])
+        return solve(self, g, rows, P)
 
-    monkeypatch.setattr(engine, "_solve", counting_solve)
+    monkeypatch.setattr(engine._Compiled, "solve", counting_solve)
     return calls
 
 
@@ -541,8 +544,8 @@ def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
     calls = _count_solves(monkeypatch)
     table = truth_table(net, inputs, "q")
     assert len(table.rows) == 16
-    rows = [c for c in calls if c.ndim == 1]  # the search's solves
-    layers = [c for c in calls if c.ndim == 2]  # the walk's layer maps
+    rows = [c for c in calls if c == 1]  # the search's solves
+    layers = [c for c in calls if c > 1]  # the walk's layer maps
     assert len(rows) == 16 and len(layers) <= 4
     calls.clear()
     for bits in itertools.product((0.0, 145.0), repeat=len(inputs)):
@@ -588,6 +591,94 @@ def test_a_singular_layer_drops_the_warm_start(monkeypatch):
     compiled = engine._Compiled(net)
     assert engine._dc_search(compiled, compiled.initial_open) == _reference_dc(net)
     assert compiled.walk is None
+
+
+# -- the region solve under every flow balance ---------------------------------
+
+
+def _laplacian(compiled, g):
+    """The dense node Laplacian of ``compiled``'s branches at conductances ``g``."""
+    L = np.zeros((compiled.n, compiled.n))
+    for a, b, gk in zip(compiled.branch_a.tolist(), compiled.branch_b.tolist(), g.tolist()):
+        L[a, a] += gk
+        L[b, b] += gk
+        L[a, b] -= gk
+        L[b, a] -= gk
+    return L
+
+
+@contextlib.contextmanager
+def _solves_checked_against_dense():
+    """Check every ``_Compiled.solve`` from now on against one dense solve of
+    ``L[rows][:, rows]``, each column within 1e-10 of its largest value
+    (roundoff, at condition numbers far beyond these networks'); yields
+    the list of the row counts solved."""
+    calls = []
+    solve = engine._Compiled.solve
+
+    def checked(self, g, rows, P):
+        L = _laplacian(self, g)
+        want = P.reshape(len(P), -1).copy()
+        want[rows] = np.linalg.solve(L[np.ix_(rows, rows)], -(L @ want)[rows])
+        solve(self, g, rows, P)
+        got = P.reshape(len(P), -1)
+        assert (np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=0)).all()
+        calls.append(len(rows))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Compiled, "solve", checked)
+        yield calls
+
+
+_CIRCUITS = sorted(p.stem for p in (Path(__file__).parents[1] / "circuits").glob("*.tbl"))
+
+
+@pytest.mark.parametrize("name", _CIRCUITS)
+def test_region_solve_matches_a_dense_solve_on_every_circuit(name):
+    net = _read_circuit(name)
+    inputs = sorted({"a", "b"} & set(net.node_order()))
+    for levels in itertools.product((0.0, 145.0), repeat=len(inputs)):
+        compiled = engine._Compiled(net.with_pins(dict(zip(inputs, levels))).validate())
+        n_valves = len(compiled.valve_names)
+        with _solves_checked_against_dense() as calls:
+            for bits in itertools.product((True, False), repeat=n_valves):
+                compiled.solve_dc(np.array(bits, dtype=bool))
+        assert len(calls) == 2**n_valves and max(calls) > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_gate_trees())
+def test_region_solve_matches_a_dense_solve_on_gate_trees(net):
+    # the walk's layer maps and the search's point solves
+    with _solves_checked_against_dense() as calls:
+        dc_operating_point(net)
+    assert calls
+
+
+def test_one_large_region_among_small_ones_is_stacked_unpadded(monkeypatch):
+    # 300 NOT gates share one output: their valves join it and the 300
+    # supply-side nodes into one region of 301 nodes, and each gate's
+    # balloon, fed from a pinned input, is a region of its own
+    lines = [f"gate NOT g{k} in=i{k} out=q supply=SUP" for k in range(300)]
+    net = build("source SUP pressure=145kPa\n" + "\n".join(lines) + "\n")
+    net = net.with_pins({f"i{k}": 145.0 if k % 3 else 0.0 for k in range(300)})
+    compiled = engine._Compiled(net.validate())
+    _labels, sizes = np.unique(compiled.region[compiled.region >= 0], return_counts=True)
+    assert sorted(sizes.tolist()) == [1] * 300 + [301]
+    shapes = []
+    solve = engine._solve
+
+    def recording_solve(G, rhs):
+        shapes.append(G.shape)
+        return solve(G, rhs)
+
+    monkeypatch.setattr(engine, "_solve", recording_solve)
+    with _solves_checked_against_dense():
+        compiled.solve_dc(compiled.initial_open)
+    assert sorted(shapes) == [(1, 301, 301), (300, 1, 1)]
+    # the stacked entries total the sum of squared region sizes, 90,901,
+    # where padding all 301 blocks to the largest would take 301 * 301**2
+    assert sum(k * s * s for k, s, _s in shapes) == (sizes**2).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +953,41 @@ def test_kron_reduced_rhs_matches_a_full_solve(make_net):
         reg.deriv(volumes)
     with pytest.raises(SingularNetworkError):
         reg.pressures(volumes)
+
+
+def _ring11():
+    return build("source SUP pressure=145kPa\nring r n=11 supply=SUP\n")
+
+
+def _dense_regime(compiled, is_open):
+    """A regime's ``a0``, ``A``, ``k0`` and ``K`` by one dense solve over
+    every free node that reaches a fixed node or a balloon."""
+    g = compiled.conductances(is_open)
+    L = _laplacian(compiled, g)
+    labels, _fixed, anchored = compiled.components(g)
+    f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
+    nc = len(compiled.cap_idx)
+    P = np.zeros((compiled.n, 1 + nc))
+    P[compiled.fixed_idx, 0] = compiled.fixed_pa
+    P[compiled.cap_idx, 1 + np.arange(nc)] = 1.0
+    P[f] = np.linalg.solve(L[np.ix_(f, f)], -(L @ P)[f])
+    Q = -(L @ P)[compiled.cap_idx]
+    return P[compiled.watch, 0], P[compiled.watch, 1:], Q[:, 0], Q[:, 1:]
+
+
+@pytest.mark.parametrize("make_net", [_ring3_calibrated, _ring11], ids=["ring3_calibrated", "ring11"])
+def test_regime_maps_match_a_dense_reduction(make_net):
+    net = make_net()
+    compiled = engine._Compiled(net, net.node_order())
+    rng = np.random.default_rng(5)
+    for trial in range(8):
+        is_open = compiled.initial_open
+        if trial:
+            is_open = rng.integers(0, 2, size=len(net.valves)).astype(bool)
+        reg = engine._Regime(compiled, is_open)
+        want = _dense_regime(compiled, is_open)
+        for got, ref in zip((reg.a0, reg.A, reg.k0, reg.K), want):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def _rc_charge():

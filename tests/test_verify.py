@@ -192,6 +192,14 @@ def test_fanout_takes_its_threshold_and_supply_from_defaults(override, threshold
     assert LogicLevels.from_defaults(PhysicalDefaults()) == LogicLevels()
 
 
+def test_fanout_is_zero_when_the_threshold_is_above_the_supply():
+    # the sweep reads only the inflate threshold: no drive level is checked
+    rep = fanout_limit(defaults=PhysicalDefaults().merged({"inflate_kpa": 150.0}))
+    assert rep.threshold_kpa == 150.0
+    assert rep.limit == 0 and not rep.unbounded
+    assert rep.sample_dict()[1] < 145.0
+
+
 def test_fanout_finite_limit_and_monotone_droop():
     rep = fanout_limit(internal_resistance=1.971e6)
     assert not rep.unbounded
