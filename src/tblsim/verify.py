@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,12 @@ from .netlist import CircuitAst, Statement, expand
 from .units import Quantity
 
 _DEFAULTS = PhysicalDefaults()
+
+
+def _read_thresholds(defaults: PhysicalDefaults) -> tuple[float, float]:
+    """The read-high minimum and read-low maximum (kPa) of gates built from
+    ``defaults``: their valves' inflate and deflate thresholds."""
+    return defaults.inflate_kpa, defaults.deflate_kpa
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,7 @@ class LogicLevels:
     def from_defaults(cls, defaults: PhysicalDefaults) -> "LogicLevels":
         """The levels of gates built from ``defaults``: drive high at the
         supply, read against the inflate and deflate thresholds."""
-        return cls(defaults.supply_kpa, 0.0, defaults.inflate_kpa, defaults.deflate_kpa)
+        return cls(defaults.supply_kpa, 0.0, *_read_thresholds(defaults))
 
     def drive(self, bit: int) -> float:
         return self.drive_high_kpa if bit else self.drive_low_kpa
@@ -256,19 +263,19 @@ def fanout_limit(
     at the same pressures and act as one load with each branch n times as
     conductive, so a probe solves the same small network at any n, which
     is compiled once. The supply defaults to that of ``defaults``, and the
-    threshold to ``levels.read_high_min_kpa``, else to the inflate
-    threshold of ``defaults``: the sweep reads no other level, so a supply
-    below that threshold reports a limit of 0.
+    threshold to ``levels.read_high_min_kpa``, else to the read-high
+    threshold of gates built from ``defaults``: the sweep reads no other
+    level, so a supply below that threshold reports a limit of 0.
     """
     defaults = defaults or PhysicalDefaults()
     if supply_kpa is None:
         supply_kpa = defaults.supply_kpa
-    threshold = defaults.inflate_kpa if levels is None else levels.read_high_min_kpa
-    compiled = _fanout_network(supply_kpa, internal_resistance, defaults)
+    threshold = _read_thresholds(defaults)[0] if levels is None else levels.read_high_min_kpa
+    net = _fanout_network(supply_kpa, internal_resistance, defaults)
     samples: dict[int, float] = {}
 
     def ok(n: int) -> bool:
-        samples[n] = _load_control_kpa(compiled, n)
+        samples[n] = _load_control_kpa(net, n)
         return samples[n] >= threshold
 
     lo, hi = 0, 1  # the largest count known to switch (0: none), the next to try
@@ -288,9 +295,20 @@ def fanout_limit(
     return FanoutReport(lo, lo == _FANOUT_CAP, threshold, tuple(sorted(samples.items())))
 
 
+class _FanoutNetwork(NamedTuple):
+    """The fan-out network compiled, its branch conductances with every
+    valve open, which of its branches are the load's, and the index of the
+    load's control node."""
+
+    compiled: _Compiled
+    g: np.ndarray
+    load: np.ndarray
+    control: int
+
+
 def _fanout_network(
     supply_kpa: float, internal_resistance: float, defaults: PhysicalDefaults
-) -> _Compiled:
+) -> _FanoutNetwork:
     """One inverter ``drv`` driving one inverter ``load`` from one source,
     validated and compiled."""
     sup = {"pressure": Quantity(supply_kpa, "kPa"), "resistance": Quantity(internal_resistance)}
@@ -301,14 +319,15 @@ def _fanout_network(
     )
     net = expand(CircuitAst(stmts), defaults)
     # the driver input must be low so its own valve stays open and drives y high
-    return _Compiled(net.with_pins({"x": 0.0}).validate())
+    compiled = _Compiled(net.with_pins({"x": 0.0}).validate())
+    g = compiled.conductances(np.ones(len(compiled.valve_names), dtype=bool))
+    load = np.array([name.startswith("load.") for name in compiled.branch_names])
+    return _FanoutNetwork(compiled, g, load, compiled.index["load.b"])
 
 
-def _load_control_kpa(compiled: _Compiled, n: int) -> float:
+def _load_control_kpa(net: _FanoutNetwork, n: int) -> float:
     """The control pressure (kPa) of the fan-out network's load standing
     for ``n`` identical loads in parallel, with every valve open: each of
     its branches ``n`` times as conductive."""
-    g = compiled.conductances(np.ones(len(compiled.valve_names), dtype=bool))
-    load = np.array([name.startswith("load.") for name in compiled.branch_names])
-    p_pa = compiled.dc_map(np.where(load, g * n, g), compiled.fixed_pa)
-    return float(p_pa[compiled.index["load.b"]] / KPA)
+    p_pa = net.compiled.dc_map(np.where(net.load, net.g * n, net.g), net.compiled.fixed_pa)
+    return float(p_pa[net.control] / KPA)
