@@ -20,7 +20,7 @@ valve of ``ring3_calibrated.tbl`` its own compliance and conductance,
 applied and simulated as ``tblsim freq`` does. It prints each run's
 event and sample counts and one digest of the six traces. The ``free``
 line covers two valves controlled by a free node rather than a balloon:
-one reading a divider tap, whose crossing is bisected on its own row of
+one reading a divider tap, whose crossing is located on its own row of
 the pressure map, and one reading its own outlet, whose settling gives
 up with a warning. It prints each run's event and warning counts and one
 digest of both traces. The ``edge`` line covers three runs at the edges
@@ -115,7 +115,7 @@ def _free_control_runs():
         probes=("c",),
     )
     return [
-        simulate(divider, SimConfig(t_end=0.05, max_step=1.0e-3)),
+        simulate(divider, SimConfig(t_end=0.05)),
         simulate(self_switching, SimConfig(t_end=0.05)),
     ]
 

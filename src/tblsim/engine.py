@@ -17,10 +17,10 @@ decides its switching everywhere: the signed distance of its control
 pressure past the threshold of its pending transition (``p_inflate`` while
 open, ``p_deflate`` while closed); the valve switches where that margin is
 at or above 0, and a NaN control never switches. The DC search, the
-transient settling after a flip, the per-step crossing scan and the event
-bisection all decide through it, on the boolean open-state array, which is
-the only form of valve state inside this module; ``ValveState`` appears
-only in the inputs and the results.
+transient settling after a flip and the transient event search all decide
+through it, on the boolean open-state array, which is the only form of
+valve state inside this module; ``ValveState`` appears only in the inputs
+and the results.
 
 The DC search steps all valves at once on the pressures of one solve per
 assignment, starting where a walk over the network's regions (the parts
@@ -30,20 +30,12 @@ branches decide which nodes a solve must leave out: balloons cut off from
 every fixed node keep their charge, and nodes sealed off from every fixed
 node and every balloon read ambient.
 
-The continuous state of a circuit is the vector of balloon volumes. All
-other node pressures are algebraic: between valve transitions the flow
-network is linear. Each regime (one set of valve states) is factorized
-once and Kron-reduced onto the balloon nodes, so node pressures are one
-affine map of the balloon pressures and the balloon inflows, which the
-volumes integrate, are one small matrix-vector product, with no solve per
-right-hand-side evaluation. Valve switching is handled as discrete events,
-localized by bisection and followed by an integrator restart, so traces
-are reproducible bit for bit. A regime maps only the nodes a run reads,
-every valve's control node and then the probes, so the margins and the
-samples read two row slices of one map; a valve controlled by a balloon
-node is bisected on that balloon's own component of the interpolant. A
-step checks its stage slopes for finiteness once, and the grid samples of
-a regime segment are queued and read together.
+The continuous state of a circuit is the vector of balloon volumes; all
+other node pressures are algebraic. Each regime (one set of valve states)
+is factorized once and Kron-reduced onto the balloon nodes (``_Regime``),
+and each stretch between valve transitions is solved in closed form
+(``_Modes``), so a transient run has no step size and no tolerance, and
+identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -62,13 +54,11 @@ from .elements import (
     KPA,
     PneumaticNetwork,
     ValveState,
-    balloon_pressure,
     node_components,
 )
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
-    NonConvergenceError,
     NoOscillationError,
     SingularNetworkError,
     TooManyValvesError,
@@ -85,20 +75,20 @@ _MAX_ENUM_VALVES = 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Transient run settings. Tolerances are on the SI volume state."""
+    """Transient run settings, in seconds. The run is solved in closed
+    form, so no setting trades accuracy for time."""
 
     t_end: float
-    rtol: float = 1.0e-6
-    atol: float = 1.0e-9
-    max_step: float = 0.01
-    event_tol: float = 1.0e-6  # seconds; valve flips are located this tightly
+    # valves rising within this of a flip flip with it; the post-event
+    # sample sits this far after the event
+    event_tol: float = 1.0e-6
     sample_interval: float = 1.0e-3
     probes: tuple[str, ...] | None = None
     initial_valve_states: dict[str, ValveState] | None = None
     initial_pressures_kpa: dict[str, float] | None = None
 
     def __post_init__(self):
-        for name in ("t_end", "rtol", "atol", "max_step", "event_tol", "sample_interval"):
+        for name in ("t_end", "event_tol", "sample_interval"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"SimConfig.{name} must be positive and finite")
 
@@ -179,13 +169,6 @@ def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
     return np.maximum(volumes - rest_volume, 0.0) / compliance
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    """``x``, checked finite: else the flow balance is numerically singular."""
-    if not np.isfinite(x).all():
-        raise SingularNetworkError("flow-balance system is numerically singular")
-    return x
-
-
 def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the flow balance ``G x = rhs`` by dense LU: one system, or a
     stack of them, each with one or more columns; a singular or inaccurate
@@ -259,10 +242,6 @@ class _Compiled:
         self.compliance = np.array([params.compliance for _n, _node, params, _i in caps])
         self.burst_kpa = np.array([params.burst_kpa for _n, _node, params, _i in caps])
         self.initial_kpa = np.array([init for _n, _node, _p, init in caps], dtype=float)
-        # per valve, the index of the balloon sitting on its control node, or -1
-        cap_at = np.full(self.n, -1)
-        cap_at[self.cap_idx] = np.arange(len(caps))
-        self.control_cap = cap_at[self.control]
         free = np.ones(self.n, dtype=bool)
         free[self.fixed_idx] = False
         free[self.cap_idx] = False
@@ -283,8 +262,8 @@ class _Compiled:
         switches where this is >= 0; a NaN control never switches.
 
         Elementwise over arrays. For one valve (``valves`` an int) it takes
-        and gives scalars: the event bisection asks it at every halving, and
-        a numpy call there would cost more than the rest of the halving.
+        and gives scalars: the DC walk asks it valve by valve, and a numpy
+        call there would cost more than the rest of the step.
         """
         if isinstance(valves, int):
             if is_open:
@@ -475,6 +454,11 @@ def _by_name(names: list[str], overrides: dict | None, what: str) -> list:
     return [overrides.get(n) for n in names]
 
 
+#: a balloon's mode in a segment: above its rest volume, where its pressure
+#: is affine in its volume; below it, reading 0; or empty and holding
+_ABOVE, _BELOW, _EMPTY = 0, 1, 2
+
+
 class _Regime:
     """The linear network of one valve-state assignment, reduced once.
 
@@ -483,10 +467,9 @@ class _Regime:
     ``watch`` nodes are kept, control nodes first and probes after, so a
     run reads the margins and the samples as two row slices of one map.
     Kron reduction onto the balloon nodes gives their net inflows as
-    ``K @ cap_pa + k0``, so the transient right-hand side needs one small
-    matvec and no solve. The free nodes go through the same region solve
-    as the DC solve, once, with one column for the fixed-node drive and
-    one per balloon.
+    ``K @ cap_pa + k0``; ``K`` is symmetric and block-diagonal by region.
+    The free nodes go through the same region solve as the DC solve, once,
+    with one column for the fixed-node drive and one per balloon.
     """
 
     def __init__(self, compiled: _Compiled, is_open: np.ndarray):
@@ -494,6 +477,7 @@ class _Regime:
         # the _Compiled that caches this regime: a reference cycle would keep
         # both, and their matrices, alive until the next full gc pass
         self.rest_volume, self.compliance = compiled.rest_volume, compiled.compliance
+        self.region, self.nv = compiled.region[compiled.cap_idx], len(compiled.control)
         n, nc = compiled.n, len(compiled.cap_idx)
         g = compiled.conductances(is_open)
         labels, _fixed, anchored = compiled.components(g)
@@ -512,29 +496,89 @@ class _Regime:
         """The pressures (Pa) of the watched nodes ``rows`` (a slice of
         ``watch``), at one vector of balloon volumes or at one per row of a
         2-D ``volumes``."""
-        cap_pa = _balloon_pa(volumes, self.rest_volume, self.compliance)
-        return _finite(cap_pa @ self.A[rows].T + self.a0[rows])
+        p = _balloon_pa(volumes, self.rest_volume, self.compliance) @ self.A[rows].T + self.a0[rows]
+        if not np.isfinite(p).all():
+            raise SingularNetworkError("flow-balance system is numerically singular")
+        return p
 
-    def inflow(self, volumes: np.ndarray) -> np.ndarray:
-        """The balloons' net inflows (m3/s), the transient right-hand side, unchecked."""
-        dv = self.K @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.k0
-        if np.minimum.reduce(volumes, initial=np.inf) <= 0.0:  # some balloon is empty
-            dv[(volumes <= 0.0) & (dv < 0.0)] = 0.0  # it cannot lose more air
-        return dv
+    @cached_property
+    def above(self) -> "_Modes":
+        return _Modes(self, np.full(len(self.k0), _ABOVE))
 
-    def deriv(self, volumes: np.ndarray) -> np.ndarray:
-        """``inflow``, checked finite."""
-        return _finite(self.inflow(volumes))
+    def modes_at(self, volumes: np.ndarray) -> np.ndarray:
+        """Each balloon's mode at ``volumes``: at rest volume it is above
+        rest unless its inflow is negative, at 0 empty unless it is positive."""
+        x = volumes - self.rest_volume
+        inflow = self.K @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.k0
+        empty = (volumes <= 0.0) & (inflow <= 0.0)
+        return np.where((x > 0.0) | ((x == 0.0) & (inflow >= 0.0)), _ABOVE, _BELOW + empty)
 
-    def step(self, y: np.ndarray, h: float, k1: np.ndarray):
-        """One Dormand-Prince 5(4) step of ``h`` from ``y``, whose slope is ``k1``: the
-        5th-order volumes, the error estimate and their slope; one finiteness check."""
-        k = np.empty((7, len(y)))
-        k[0] = k1
-        for i, a in enumerate(_A, 1):
-            k[i] = self.inflow(y + h * (a @ k[:i]))
-        _finite(k)
-        return y + h * (_B5 @ k), h * (_E @ k), k[6]
+
+class _Modes:
+    """A regime's balloon volumes in closed form, for one mode per balloon.
+
+    With ``x = v - rest`` and ``D = diag(1/C)`` over the balloons above
+    rest (0 elsewhere), those obey ``x' = K D x + k0``. Per block of ``K``,
+    ``S = C^-½ K C^-½ = U diag(λ) Uᵀ``, so the mode coordinates ``z = Uᵀ
+    C^-½ x`` relax apart, ``z' = λ z + f``; the blocks of each size are
+    decomposed by one stacked ``eigh``, and mode ``j`` of a block sits at
+    the index of its ``j``-th balloon. A balloon below rest integrates its
+    inflow, affine in ``z``; an empty one holds. So a segment from ``x0``
+    is ``x(τ) = xc + τ w + V (d ∘ e^(λτ))``. ``K`` is negative
+    semidefinite: an eigenvalue within roundoff of 0 is 0, and its mode,
+    on balloons sealed off from every fixed node and so undriven, holds.
+    """
+
+    def __init__(self, reg: _Regime, mode: np.ndarray):
+        nc = len(mode)
+        self.mode, above, self.below = mode, mode == _ABOVE, mode == _BELOW
+        self.D = above / reg.compliance
+        lam, T = np.zeros(nc), np.zeros((nc, nc))
+        # the control kPa per mode: AD T, with AD = A D / KPA zero off above rest
+        AD, self.ADV = reg.A[: reg.nv] * self.D / KPA, np.zeros((reg.nv, nc))
+        bal = np.flatnonzero(above)
+        _labels, inv, counts = np.unique(reg.region[bal], return_inverse=True, return_counts=True)
+        order = np.lexsort((bal, inv, counts[inv]))  # by block size, then block
+        bal, size = bal[order], counts[inv][order]
+        for s in np.unique(size).tolist():
+            idx = bal[size == s].reshape(-1, s)
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            h, Kb = np.sqrt(reg.compliance[rows]), reg.K[rows, cols]
+            lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / (2.0 * h * h.transpose(0, 2, 1)))
+            lb[lb > -64.0 * np.finfo(float).eps * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
+            lam[idx], T[rows, cols] = lb, h * U
+            self.ADV[:, idx] = np.matmul(AD[:, idx].transpose(1, 0, 2), h * U).transpose(1, 0, 2)
+        # x = T z above rest, and z = Tᵀ D x
+        self.lam, self.T, self.moving = lam, T, lam != 0.0
+        self.zstar = np.divide(-(T.T @ (self.D * reg.k0)), lam, out=np.zeros(nc), where=self.moving)
+        # below rest, x' = R z + k0, integrated term by term
+        self.R, self.k0 = (reg.K[self.below] * self.D) @ T, reg.k0[self.below]
+        self.V = T.copy() if self.below.any() else T
+        self.V[self.below] = np.divide(self.R, lam, out=np.zeros_like(self.R), where=self.moving)
+
+    def segment(self, x0: np.ndarray):
+        """``(xc, w, d)`` of the segment that starts from ``x0``."""
+        z0 = self.T.T @ (self.D * x0)
+        d = np.where(self.moving, z0 - self.zstar, 0.0)
+        w = np.zeros_like(x0)
+        w[self.below] = self.R @ np.where(self.moving, self.zstar, z0) + self.k0
+        return x0 - self.V @ d, w, d
+
+    def x(self, xc, w, d, taus: np.ndarray) -> np.ndarray:
+        """``x`` at each of the times ``taus`` into the segment, one row each."""
+        return xc + np.multiply.outer(taus, w) + (d * np.exp(np.multiply.outer(taus, self.lam))) @ self.V.T
+
+    def exits(self, reg: _Regime):
+        """Each way out of a balloon's mode, as a row ``f = alpha + beta·x``
+        that rises through 0 there, its balloon and the mode it goes to:
+        above rest to below; below rest to above or to empty; and empty, once
+        its inflow turns positive, to below rest."""
+        eye = np.eye(len(self.mode))
+        above, below, empty = (np.flatnonzero(self.mode == m) for m in (_ABOVE, _BELOW, _EMPTY))
+        beta = np.concatenate([-eye[above], eye[below], -eye[below], reg.K[empty] * self.D])
+        alpha = np.concatenate([np.zeros(len(above) + len(below)), -reg.rest_volume[below], reg.k0[empty]])
+        goes = np.repeat([_BELOW, _ABOVE, _EMPTY, _BELOW], [len(above), len(below), len(below), len(empty)])
+        return beta, alpha, np.concatenate([above, below, below, empty]), goes
 
 
 # ---------------------------------------------------------------------------
@@ -797,62 +841,117 @@ def node_residuals(
 # transient simulation
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4): the tableau's rows below the diagonal, the 5th-order
-# weights and their difference from the 4th-order ones
-_A = [np.array(row) for row in (
-    [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-)]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
+def _root(g, lo, hi, glo, ghi) -> float:
+    """A zero of ``g`` where it changes sign between ``lo`` and ``hi``, by
+    the Illinois variant of regula falsi; a secant point that rounds onto
+    an end moves one float inside. Returns the last bracket's end on the
+    side of ``hi``, once its ends are adjacent floats."""
+    side = 0
+    for _ in range(100):
+        if ghi == glo:  # both underflowed to 0
+            break
+        t = (lo * ghi - hi * glo) / (ghi - glo)
+        t = min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if not lo < t < hi:
+            break
+        gt = g(t)
+        if (gt < 0.0) == (ghi < 0.0):
+            hi, ghi, glo, side = t, gt, 0.5 * glo if side == 1 else glo, 1
+        else:
+            lo, glo, ghi, side = t, gt, 0.5 * ghi if side == -1 else ghi, -1
+    return hi
 
-#: queued grid samples are read before each event sample, at ``t_end`` and
-#: once this many steps are queued, which bounds a long event-free stretch
-_FLUSH_STEPS = 256
+
+def _zeros(c, r, b: np.ndarray, lam: np.ndarray, h: float) -> list[float]:
+    """The times in ``(0, h)`` at which ``f(τ) = c + r τ + Σ_j b_j e^(λ_j τ)``
+    changes sign, in order, for distinct, nonzero, descending ``lam``: at
+    most ``len(b) + 1`` (Pólya & Szegő). The zeros of ``f'`` split ``(0, h)``
+    into pieces on which ``f`` is monotone, and ``f'`` is a sum of one term
+    fewer: ``r + Σ_j b_j λ_j e^(λ_j τ)``, or where ``r`` is 0, ``e^(λ_0 τ)
+    (b_0 λ_0 + Σ_{j>0} b_j λ_j e^((λ_j - λ_0) τ))``. One exponential alone
+    has its zero in closed form."""
+    keep = b != 0.0  # a term may underflow to 0
+    b, lam = b[keep], lam[keep]
+    if not r and len(b) <= 1:
+        t = 0.0
+        if len(b) and c != 0.0 and (c < 0.0) != (b[0] < 0.0):
+            t = (math.log(abs(c)) - math.log(abs(b[0]))) / lam[0]
+        return [t] if 0.0 < t < h else []
+    turns = (_zeros(r, 0.0, b * lam, lam, h) if r else
+             _zeros(b[0] * lam[0], 0.0, b[1:] * lam[1:], lam[1:] - lam[0], h))
+    cuts = [0.0, *turns, h]
+
+    def f(t):
+        return c + r * t + b @ np.exp(lam * t)
+
+    ends = [f(t) for t in cuts]
+    return [_root(f, lo, hi, flo, fhi) for lo, hi, flo, fhi in zip(cuts, cuts[1:], ends, ends[1:])
+            if (flo < 0.0) != (fhi < 0.0)]
 
 
-def _hermite(y0, y1, f0, f1, h, tau):
-    t2 = tau * tau
-    t3 = t2 * tau
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + tau
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+def _first_rise(c, r, b: np.ndarray, lam: np.ndarray, h: float, f0) -> float:
+    """The least ``τ`` in ``[0, h]`` at which ``f(τ) = c + r τ + Σ_j b_j
+    e^(λ_j τ)`` rises from below 0 to 0 or above, or inf: the zeros of
+    ``f'`` split ``[0, h]`` into monotone pieces, and the rise is bracketed
+    in the first that ends at 0 or above from below 0. ``f0`` stands for
+    ``f(0)``; where it is below 0 and ``f(0)`` is not, the rise is at 0."""
+    keep = b != 0.0
+    lam, at = np.unique(lam[keep], return_inverse=True)
+    lam, b = lam[::-1], np.bincount(at, b[keep], minlength=len(lam))[::-1]
+
+    def f(t):
+        return c + r * t + b @ np.exp(lam * t)
+
+    cuts = [0.0, *_zeros(r, 0.0, b * lam, lam, h), h]
+    for lo, hi in zip(cuts, cuts[1:]):
+        fhi = f(hi)
+        if f0 < 0.0 <= fhi:
+            flo = f(lo)
+            return lo if flo >= 0.0 else _root(f, lo, hi, flo, fhi)
+        f0 = fhi
+    return math.inf
+
+
+def _first_rises(c, M, d, lam, h, f0, r=None) -> np.ndarray:
+    """``_first_rise`` of each row ``c_i + r_i τ + Σ_j M_ij d_j e^(λ_j τ)``,
+    with ``f0`` per row. Every ``λ`` is at most 0, so a row that cannot
+    reach 0 is skipped, and a row of one exponential and no ``r`` rises at
+    ``log(-c/b)/λ``: that closed form is taken for all such rows at once."""
+    r = np.zeros(len(c)) if r is None else r
+    t = np.full(len(c), np.inf)
+    can = np.flatnonzero(c + np.abs(M) @ np.abs(d) + np.maximum(r, 0.0) * h >= 0.0)
+    b = M[can] * d
+    one = (np.count_nonzero(b, axis=1) == 1) & (r[can] == 0.0)
+    if one.any():
+        i, bi, ci = can[one], b[one].sum(axis=1), c[can[one]]
+        li = lam[np.argmax(b[one] != 0.0, axis=1)]
+        rises = (f0[i] < 0.0) & (bi < 0.0) & (ci > 0.0)  # λ < 0: a rise toward c > 0
+        ti = (np.log(np.where(rises, ci, 1.0)) - np.log(np.where(rises, -bi, 1.0))) / li
+        t[i] = np.where(rises & (ti <= h), np.maximum(ti, 0.0), np.inf)
+    for i, row in zip(can[~one].tolist(), b[~one]):
+        t[i] = _first_rise(c[i], r[i], row, lam, h, f0[i])
+    return t
 
 
 def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
-    """Integrate the circuit and return a sampled Trace.
+    """Solve the circuit in closed form and return a sampled Trace.
 
-    Balloon volumes are advanced with an adaptive embedded Runge-Kutta
-    pair whose right-hand side is the balloon law followed by the
-    regime's Kron-reduced matrix, built once per set of valve states.
-    Every switching decision is one rule, ``_Compiled.margin``: a valve
-    switches where its control is at or past the threshold of its pending
-    transition. A step in which a valve's margin goes from below 0 to 0
-    or above brackets a transition; it is located by bisection inside
-    that step, the step is retaken up to the event time, the valve state
-    flips, and integration restarts. A valve whose control node is a
-    balloon is bisected on that balloon's component of the step's cubic
-    Hermite interpolant and ``balloon_pressure`` alone, which reads what
-    the map's unit row for that balloon reads; a free or driven
-    control node reads its own row of the regime's map at each bisection
-    step. The halving stops at ``event_tol``, or earlier once the
-    bracket's ends are adjacent floats. Volumes below empty, which RK
-    stages can overshoot to, read as an empty balloon. After a flip the
-    valves are settled at the event state; a relaxation that does not
-    settle is reported in ``Trace.warnings``, as is the first time each
-    balloon passes its burst pressure. Only a balloon whose volume is
-    within a relative 1e-9 of its burst volume has its pressure computed
-    for that check. Samples land on a regular grid plus a pre/post pair at
-    each event so switching edges stay sharp. The margins read the control
-    rows of the regime's map and every sample its probe rows, which a
-    post-event sample takes from the settling read. Grid samples are queued
-    and read together before each event sample, at ``t_end`` and every
-    ``_FLUSH_STEPS`` steps. Identical inputs give identical traces.
+    Each regime segment is a linear ODE with constant coefficients, solved
+    exactly (``_Modes``), so every valve margin is a constant plus a sum of
+    exponentials in time. Every switching decision is one rule,
+    ``_Compiled.margin``: a valve switches where its control is at or past
+    the threshold of its pending transition. The first margin to rise from
+    below 0 to 0 or above ends the segment (``_first_rises``); the valves
+    that rise within ``event_tol`` of it flip with it, and the valves are
+    settled in the new regime. A relaxation that does not settle is
+    reported in ``Trace.warnings``, as is the time each balloon first
+    reaches its burst pressure. With a sub-atmospheric source a balloon
+    crossing its rest volume or emptying ends a segment too. Samples land
+    on a regular grid plus a pre/post pair at each event, so switching
+    edges stay sharp: a segment's grid samples and its last sample are one
+    closed-form evaluation, read through the probe rows of the regime's
+    map, and the post-event sample, ``event_tol`` later, reads the
+    settling. Identical inputs give identical traces.
     """
     net.validate()
     probes = cfg.probes if cfg.probes is not None else net.probes
@@ -860,28 +959,18 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         raise ValueError("no probes: set PneumaticNetwork.probes or SimConfig.probes")
     compiled = _Compiled(net, probes)
     ctrl_rows, probe_rows = slice(0, len(compiled.control)), slice(len(compiled.control), None)
+    rest = compiled.rest_volume
 
     is_open = compiled.initial_states(cfg.initial_valve_states)
     volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
-    cap_params = [params for _name, _node, params, _init in net.capacitances()]
-
-    # a volume a relative 1e-9 below each balloon's burst level: at or
-    # under it no pressure can read past the level, so the exact compare
-    # is skipped
-    burst_volume = (
-        compiled.rest_volume + compiled.compliance * compiled.burst_kpa * KPA
-    ) * (1.0 - 1.0e-9)
+    x_burst = compiled.compliance * compiled.burst_kpa * KPA
+    vacuum = bool((compiled.fixed_pa < 0.0).any())  # else no balloon goes below rest
 
     times: list[float] = []
     rows: list[np.ndarray] = []  # blocks of probe rows, kPa
     events: list[tuple[float, str, ValveState]] = []
     warnings: list[str] = []
-    burst_seen: set[str] = set()
-
-    # the grid times not yet sampled and this regime segment's accepted
-    # steps, each as ((t, h), (y0, y1, f0, f1), the length of grid after it)
-    steps: list[tuple] = []
-    grid: list[float] = []
+    burst_seen = np.zeros(len(rest), dtype=bool)
 
     def emit(ts: list[float], kpa: np.ndarray) -> None:
         """Record the probe readings ``kpa`` (kPa, one row each) at the
@@ -891,55 +980,22 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             times.extend(ts[first:])
             rows.append(kpa[first:])
 
-    def flush(reg: _Regime) -> None:
-        """Sample the queued grid times, all in the regime ``reg``: one
-        Hermite evaluation with one row per sample, one probe-row read."""
-        if grid:
-            spans, ends, stops = zip(*steps)
-            counts = np.diff(stops, prepend=0)
-            th = np.repeat(np.array(spans), counts, axis=0)
-            y = np.repeat(np.array(ends), counts, axis=0)
-            tau = (np.array(grid)[:, None] - th[:, :1]) / th[:, 1:]
-            volumes = _hermite(y[:, 0], y[:, 1], y[:, 2], y[:, 3], th[:, 1:], tau)
-            emit(grid, reg.pressures(volumes, probe_rows) / KPA)
-        del steps[:], grid[:]
+    def settle(t: float, is_open: np.ndarray, volumes: np.ndarray, switch: np.ndarray):
+        """Flip the valves ``switch`` at time ``t``, then every valve whose
+        margin is >= 0 at ``volumes``, until none is, logging transitions.
+        Returns the valve states, their regime, the margins and the watched
+        nodes' kPa at ``volumes``.
 
-    def check_burst(t: float, volumes: np.ndarray) -> None:
-        if not (volumes > burst_volume).any():
-            return
-        p = _balloon_pa(volumes, compiled.rest_volume, compiled.compliance) / KPA
-        for k in np.flatnonzero(p > compiled.burst_kpa).tolist():
-            name = compiled.cap_names[k]
-            if name not in burst_seen:
-                burst_seen.add(name)
-                warnings.append(
-                    f"balloon {name} passed its burst pressure "
-                    f"({cap_params[k].burst_kpa} kPa) at t={t:.6g} s"
-                )
-
-    def flip(t: float, is_open: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """Flip the valves ``which`` at time ``t``, logging each transition."""
-        is_open = is_open.copy()
-        is_open[which] = ~is_open[which]
-        for vi in which.tolist():
-            events.append((t, compiled.valve_names[vi], _state(is_open[vi])))
-        return is_open
-
-    def settle(t: float, is_open: np.ndarray, volumes: np.ndarray):
-        """Flip every valve whose margin is >= 0 at ``volumes``, and repeat
-        until none is, logging transitions. Returns the valve states, their
-        regime, the margins and the watched nodes' kPa at ``volumes``.
-
-        Control pressures sitting on balloons cannot react to flips, so
-        this terminates immediately for gate-style circuits; free-node
-        controls get a bounded relaxation. When that gives up, a warning
-        names the valves still changing, and they are left as they are:
-        the step scan flips a valve only where its margin rises from below
-        0 to 0 or above, so they are not flipped again at the same instant
-        while they stay past their threshold.
+        Balloon controls cannot react to flips; free-node controls get a
+        bounded relaxation. When that gives up, a warning names the valves
+        still changing, and they are left past their thresholds: a valve
+        flips only where its margin rises from below 0.
         """
         limit = 4 * max(1, len(is_open))
         for relaxation in range(limit + 1):
+            is_open = is_open.copy()
+            is_open[switch] = ~is_open[switch]
+            events.extend((t, compiled.valve_names[v], _state(is_open[v])) for v in switch.tolist())
             reg = compiled.regime(is_open)
             kpa = reg.pressures(volumes) / KPA
             m = compiled.margin(is_open, kpa[ctrl_rows])
@@ -953,117 +1009,71 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
                     f"relaxations; still changing: {names}"
                 )
                 break
-            is_open = flip(t, is_open, switch)
         return is_open, reg, m, kpa
 
-    is_open, reg, m0, kpa = settle(0.0, is_open, volumes)
-
-    t = 0.0
+    is_open, reg, m0, kpa = settle(0.0, is_open, volumes, np.zeros(0, dtype=int))
     emit([0.0], kpa[None, probe_rows])
-    check_burst(0.0, volumes)
-    next_sample = cfg.sample_interval
+    mode = reg.modes_at(volumes) if vacuum else np.full(len(rest), _ABOVE)
+    t, next_sample = 0.0, cfg.sample_interval
+    while True:
+        modes = reg.above if (mode == _ABOVE).all() else _Modes(reg, mode)
+        xc, w, d = modes.segment(volumes - rest)
+        h = cfg.t_end - t
+        # the valve margins, each a constant plus exponentials
+        c = compiled.margin(is_open, (reg.a0[ctrl_rows] + reg.A[ctrl_rows] @ (modes.D * xc)) / KPA)
+        M = np.where(is_open, 1.0, -1.0)[:, None] * modes.ADV
+        t_valve = _first_rises(c, M, d, modes.lam, h, m0)
+        t_flip = t_valve.min(initial=math.inf)
+        t_mode = math.inf
+        if vacuum:
+            beta, alpha, who, goes = modes.exits(reg)
+            cm, Mm = alpha + beta @ xc, beta @ modes.V
+            t_exit = _first_rises(cm, Mm, d, modes.lam, h, cm + Mm @ d, beta @ w)
+            t_mode = t_exit.min(initial=math.inf)
+        event = t_flip <= min(t_mode, h)
+        change = not event and t_mode <= h
+        tau = t_flip if event else t_mode if change else h
+        t_next = t + tau if event or change else cfg.t_end
 
-    k1 = reg.deriv(volumes)
-    h = min(cfg.max_step, cfg.t_end / 100.0, cfg.sample_interval)
-    min_h = max(1.0e-14, 2.0 * np.finfo(float).eps * cfg.t_end)
-
-    while t < cfg.t_end:
-        h = min(h, cfg.t_end - t)
-        if h < min_h:
-            raise NonConvergenceError(f"step size underflow at t={t!r}")
-
-        y1, err, k7 = reg.step(volumes, h, k1)
-        q = err / (cfg.atol + cfg.rtol * np.maximum(np.abs(volumes), np.abs(y1)))
-        errnorm = math.sqrt(float(np.add.reduce(q * q)) / len(q)) if len(q) else 0.0
-        if errnorm > 1.0:
-            h *= max(0.2, 0.9 * errnorm ** -0.2)
-            continue
-
-        m1 = compiled.margin(is_open, reg.pressures(y1, ctrl_rows) / KPA)
-        # the valves whose margin crosses 0 inside this step
-        crossers = ((m0 < 0.0) & (m1 >= 0.0)).nonzero()[0]
-
-        if len(crossers):
-            # bisect each crossing on the Hermite interpolant of the step
-            def control_kpa(vi: int):
-                """The valve's control pressure (kPa) as a function of tau."""
-                k = compiled.control_cap[vi]
-                if k < 0:  # a free or driven node: its own row of the map
-                    row = slice(vi, vi + 1)
-                    return lambda tau: reg.pressures(
-                        _hermite(volumes, y1, k1, k7, h, tau), row
-                    )[0] / KPA
-                # a balloon node: its own volume component and the balloon
-                # law, which reads what the map's unit row for it reads
-                ends = [float(a[k]) for a in (volumes, y1, k1, k7)]
-                params = cap_params[k]
-                return lambda tau: balloon_pressure(max(_hermite(*ends, h, tau), 0.0), params)
-
-            tau = []
-            for vi in crossers.tolist():
-                ctrl_kpa = control_kpa(vi)
-                state = bool(is_open[vi])
-                lo, hi = 0.0, 1.0
-                while (hi - lo) * h > cfg.event_tol:
-                    mid = 0.5 * (lo + hi)
-                    if mid == lo or mid == hi:
-                        break  # adjacent floats: event_tol is below their spacing
-                    if compiled.margin(state, ctrl_kpa(mid), vi) >= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                tau.append(hi)
-            tau_star = min(tau)
-            flipped = crossers[(np.array(tau) - tau_star) * h <= cfg.event_tol]
-
-            t_event = t + tau_star * h
-            y_e, _, _ = reg.step(volumes, tau_star * h, k1)
-            # regular samples up to the event, then the regime's queue
-            while next_sample < t_event - 1.0e-15:
-                grid.append(next_sample)
-                next_sample += cfg.sample_interval
-            steps.append(((t, h), (volumes, y1, k1, k7), len(grid)))
-            flush(reg)
-            emit([t_event], reg.pressures(y_e[None], probe_rows) / KPA)
-
-            is_open = flip(t_event, is_open, flipped)
-            t = t_event
-            volumes = np.maximum(y_e, 0.0)
-            is_open, reg, m0, kpa = settle(t, is_open, volumes)
-            emit([t + min(cfg.event_tol, cfg.sample_interval / 8.0)], kpa[None, probe_rows])
-            check_burst(t, volumes)
-            k1 = reg.deriv(volumes)
-            h = min(cfg.max_step, max(h, min_h))
-            continue
-
-        # no event: commit the step, queue any samples inside it; a step
-        # clipped to t_end ends there, though t + h may round an ulp short
-        t1 = t + h if h < cfg.t_end - t else cfg.t_end
-        while next_sample <= t1 + 1.0e-15 and next_sample <= cfg.t_end:
+        # the grid samples up to the segment's end, then its last sample
+        grid = []
+        while next_sample < t_next - (1.0e-15 if event else 0.0):
             grid.append(next_sample)
             next_sample += cfg.sample_interval
-        steps.append(((t, h), (volumes, y1, k1, k7), len(grid)))
-        if len(steps) == _FLUSH_STEPS:
-            flush(reg)
-        t = t1
-        volumes = y1
-        m0 = m1
-        k1 = k7
-        check_burst(t, volumes)
-        if errnorm == 0.0:
-            h = min(h * 5.0, cfg.max_step)
-        else:
-            h = min(h * min(5.0, 0.9 * errnorm ** -0.2), cfg.max_step)
+        x = modes.x(xc, w, d, np.append(np.array(grid) - t, tau))
+        shown = grid if change else grid + [t_next]
+        emit(shown, reg.pressures(x[: len(shown)] + rest, probe_rows) / KPA)
+        # a balloon not yet past its burst level and already at it warns at once
+        ks = np.flatnonzero(~burst_seen & (mode == _ABOVE))
+        f0 = np.full(len(ks), -np.inf)
+        t_ks = t + _first_rises(xc[ks] - x_burst[ks], modes.V[ks], d, modes.lam, tau, f0)
+        for k, tk in zip(ks[t_ks < math.inf].tolist(), t_ks[t_ks < math.inf].tolist()):
+            burst_seen[k] = True
+            warnings.append(
+                f"balloon {compiled.cap_names[k]} passed its burst pressure "
+                f"({compiled.burst_kpa[k].tolist()} kPa) at t={tk:.6g} s"
+            )
+        volumes = np.maximum(x[-1] + rest, 0.0)
+        if not (event or change):
+            break
+        t = t_next
 
-    flush(reg)
-    emit([cfg.t_end], reg.pressures(volumes[None], probe_rows) / KPA)
-    return Trace(
-        probes=tuple(probes),
-        times=np.array(times),
-        pressures_kpa=np.concatenate(rows) if rows else np.zeros((0, len(probes))),
-        events=tuple(events),
-        warnings=tuple(warnings),
-    )
+        if event:
+            flips = np.flatnonzero(t_valve <= t_flip + cfg.event_tol)
+            is_open, reg, m0, kpa = settle(t, is_open, volumes, flips)
+            emit([t + min(cfg.event_tol, cfg.sample_interval / 8.0)], kpa[None, probe_rows])
+            if vacuum:
+                mode = reg.modes_at(volumes)
+        else:
+            # the balloons leaving their mode start it from its edge
+            hit = t_exit == t_mode
+            k, to = who[hit], goes[hit]
+            volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), rest[k], 0.0)
+            mode[k] = to
+            m0 = compiled.margin(is_open, reg.pressures(volumes, ctrl_rows) / KPA)
+
+    kpa = np.concatenate(rows) if rows else np.zeros((0, len(probes)))
+    return Trace(tuple(probes), np.array(times), kpa, tuple(events), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -1192,28 +1202,21 @@ def _at_rest(trace: Trace, min_amplitude_kpa: float) -> bool:
 
 
 def _measure(
-    net: PneumaticNetwork,
-    probe: str,
-    f_hint: float,
-    min_amplitude_kpa: float,
+    net: PneumaticNetwork, probe: str, f_hint: float, min_amplitude_kpa: float
 ) -> OscillationReport | None:
     """Simulate ``net`` over a window sized from the expected frequency
     ``f_hint`` and measure its oscillation at ``probe``; None if it shows none.
 
-    A window is 24 cycles of the hint long, with 250 samples and at most
-    50 steps per cycle. If it shows no oscillation, the hint may be far too
-    high, so the window is widened 8x and then 64x; but a window that logs
-    no valve event and whose probes have come to rest (``_at_rest``) shows
-    a circuit at an equilibrium it cannot leave, and a longer one would
-    only repeat it, so None is returned at once. A window that logged
-    events, or was still moving, is widened.
+    A window is 24 cycles of the hint long, with 250 samples per cycle. If
+    it shows no oscillation, the hint may be far too high, so the window is
+    widened 8x and then 64x; but a window that logs no valve event and
+    whose probes have come to rest (``_at_rest``) shows a circuit at an
+    equilibrium it cannot leave, and a longer one would only repeat it, so
+    None is returned at once. A window that logged events, or was still
+    moving, is widened.
     """
     for f_try in (f_hint, f_hint / 8.0, f_hint / 64.0):
-        cfg = SimConfig(
-            t_end=24.0 / f_try,
-            sample_interval=1.0 / (f_try * 250.0),
-            max_step=0.02 / f_try,
-        )
+        cfg = SimConfig(t_end=24.0 / f_try, sample_interval=1.0 / (f_try * 250.0))
         trace = simulate(net, cfg)
         try:
             return extract_frequency(trace, probe, min_amplitude_kpa)

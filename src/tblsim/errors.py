@@ -96,10 +96,6 @@ class TooManyValvesError(EngineError):
     code = "TooManyValves"
 
 
-class NonConvergenceError(EngineError):
-    code = "NonConvergence"
-
-
 class NoOscillationError(EngineError):
     code = "NoOscillation"
 
