@@ -8,12 +8,15 @@ warnings byte for byte, so running this in two checkouts and comparing
 the output shows whether a change left the traces bit-identical. The runs
 are the 101-stage ring of the benchmark's ring101 workload, the shipped
 ``ring3_calibrated.tbl`` and ``ring5.tbl``, and the stock-to-15 Hz /
-35 kPa ``calibrate_oscillator`` fit, whose result is digested by its repr.
-Each line also prints the run's event and sample counts. For the fit it
-prints the number of simulations it ran, their summed window length
-``sim_s`` and the event count of each, in order, so a change of window
-shows; its sample count is that of its last simulation, the one that
-verifies the fitted values. The ``osc3`` line covers the per-stage
+35 kPa ``calibrate_oscillator`` fit, whose result, with its evaluation
+log, is digested by its repr. Each line also prints the run's event and
+sample counts. For the fit it prints its evaluations and, from its log,
+the cycles and valve events each evaluation ran, in order, so a change in
+how an evaluation ends shows. The ``calibrate_slow`` line covers a
+0.05 Hz target on ``ring3_calibrated.tbl``, out of reach of the
+compliance bounds: the evaluations its fit ran before failing, their
+cycles and events, and the failure's best point (compliance,
+conductance, frequency, peak). The ``osc3`` line covers the per-stage
 ``--set`` variants of the benchmark's osc3 workload for seeds 1 and 3,
 from ``perfbench/inputs.py``, which it only imports: each gives every
 valve of ``ring3_calibrated.tbl`` its own compliance and conductance,
@@ -55,7 +58,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
-from tblsim import SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
+from tblsim import CalibrationFailedError, SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
 from tblsim import LogicLevels, fanout_limit, truth_table  # noqa: E402
 from tblsim import PhysicalDefaults  # noqa: E402
 from tblsim.cli import _apply_overrides  # noqa: E402
@@ -163,6 +166,11 @@ def _osc3_runs():
     return traces
 
 
+def _per_evaluation(evaluations) -> str:
+    return (f"cycles={','.join(str(ev.cycles) for ev in evaluations)} "
+            f"events={','.join(str(ev.events) for ev in evaluations)}")
+
+
 def _logic_line() -> str:
     bench_inputs = _bench_inputs()
     levels = LogicLevels()
@@ -217,28 +225,21 @@ def main() -> None:
     print(f"edge: events={','.join(str(len(tr.events)) for tr in edge)} "
           f"samples={','.join(str(len(tr.times)) for tr in edge)} sha256={_digest(edge)}")
 
-    template = _net(_read("circuits/ring3_calibrated.tbl")).with_uniform_params(
-        compliance=4.0e-10, open_conductance=1.0e-5
-    )
-    fit_traces = []
-    sim_s = 0.0
-
-    def recording_simulate(net, cfg):
-        nonlocal sim_s
-        sim_s += cfg.t_end
-        fit_traces.append(simulate(net, cfg))
-        return fit_traces[-1]
-
-    engine.simulate = recording_simulate  # calibrate_oscillator looks it up here
-    try:
-        fit = calibrate_oscillator(template, 15.0, 35.0, probe="m1", tolerance=0.02)
-    finally:
-        engine.simulate = simulate
-    last = fit_traces[-1]
+    ring3 = _net(_read("circuits/ring3_calibrated.tbl"))
+    template = ring3.with_uniform_params(compliance=4.0e-10, open_conductance=1.0e-5)
+    fit = calibrate_oscillator(template, 15.0, 35.0, probe="m1", tolerance=0.02)
     digest = hashlib.sha256(repr(fit).encode()).hexdigest()
-    print(f"calibrate: iterations={fit.iterations} sims={len(fit_traces)} sim_s={sim_s:.6g} "
-          f"events={','.join(str(len(tr.events)) for tr in fit_traces)} "
-          f"samples={len(last.times)} sha256={digest}")
+    print(f"calibrate: iterations={fit.iterations} evaluations={len(fit.evaluations)} "
+          f"{_per_evaluation(fit.evaluations)} sha256={digest}")
+    try:
+        calibrate_oscillator(ring3, 0.05, 35.0)
+        slow = "fitted"
+    except CalibrationFailedError as err:
+        best = err.best
+        slow = (f"evaluations={len(err.evaluations)} {_per_evaluation(err.evaluations)} "
+                f"best={best.compliance!r},{best.open_conductance!r},"
+                f"{best.frequency_hz!r},{best.peak_kpa!r}")
+    print(f"calibrate_slow: {slow}")
 
     h = hashlib.sha256()
     rows = 0

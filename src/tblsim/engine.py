@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .elements import (
     ValveState,
     node_components,
 )
+from .expsums import _extremes, _first_rises
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
@@ -133,6 +135,19 @@ class OscillationReport:
     cycles: int
 
 
+class CalibrationEvaluation(NamedTuple):
+    """One evaluation of a calibration: the circuit at ``compliance`` and
+    ``open_conductance``, the cycles and valve events its run took, and the
+    frequency and peak of its limit cycle, None where it shows none."""
+
+    compliance: float
+    open_conductance: float
+    cycles: int
+    events: int
+    frequency_hz: float | None
+    peak_kpa: float | None
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     compliance: float
@@ -143,6 +158,8 @@ class CalibrationResult:
     target_peak_kpa: float
     iterations: int
     notes: tuple[str, ...] = ()
+    #: every evaluation up to this one, in order
+    evaluations: tuple[CalibrationEvaluation, ...] = ()
 
     @property
     def relative_errors(self) -> tuple[float, float]:
@@ -841,100 +858,52 @@ def node_residuals(
 # transient simulation
 # ---------------------------------------------------------------------------
 
-def _root(g, lo, hi, glo, ghi) -> float:
-    """A zero of ``g`` where it changes sign between ``lo`` and ``hi``, by
-    the Illinois variant of regula falsi; a secant point that rounds onto
-    an end moves one float inside. Returns the last bracket's end on the
-    side of ``hi``, once its ends are adjacent floats."""
-    side = 0
-    for _ in range(100):
-        if ghi == glo:  # both underflowed to 0
-            break
-        t = (lo * ghi - hi * glo) / (ghi - glo)
-        t = min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-        if not lo < t < hi:
-            break
-        gt = g(t)
-        if (gt < 0.0) == (ghi < 0.0):
-            hi, ghi, glo, side = t, gt, 0.5 * glo if side == 1 else glo, 1
-        else:
-            lo, glo, ghi, side = t, gt, 0.5 * ghi if side == -1 else ghi, -1
-    return hi
+
+@dataclass(eq=False, slots=True)
+class _Segment:
+    """One stretch of a run with fixed valve states and balloon modes, from
+    ``t`` to ``t_next``, in closed form: ``x(τ) = xc + τ w + V (d ∘
+    e^(λτ))`` of ``modes`` in the regime ``reg``, for ``τ`` in ``[0, tau]``.
+
+    ``flips`` lists the valve transitions logged as it starts, ``(valve,
+    now open)`` in order, and ``note`` the warning of a settling that gave
+    up. ``kpa`` holds the watched nodes' kPa at its start once settled; it
+    is None where a balloon mode change starts it. A valve event
+    (``event``) or a mode change (``change``) ends it; where neither does,
+    it is the run's last, and with no end time ``tau`` is inf: no valve
+    rises again.
+    """
+
+    t: float
+    tau: float
+    t_next: float
+    event: bool
+    change: bool
+    flips: list[tuple[int, bool]]
+    note: str | None
+    kpa: np.ndarray | None
+    reg: _Regime
+    modes: _Modes
+    xc: np.ndarray
+    w: np.ndarray
+    d: np.ndarray
+    x_end: np.ndarray | None = None
+
+    def x(self, taus: np.ndarray) -> np.ndarray:
+        """``x`` at each of the times ``taus`` into the segment and then at
+        its end, one row each, by one closed-form evaluation. The run goes
+        on from that last row."""
+        x = self.modes.x(self.xc, self.w, self.d, np.append(taus, self.tau))
+        self.x_end = x[-1]
+        return x
 
 
-def _zeros(c, r, b: np.ndarray, lam: np.ndarray, h: float) -> list[float]:
-    """The times in ``(0, h)`` at which ``f(τ) = c + r τ + Σ_j b_j e^(λ_j τ)``
-    changes sign, in order, for distinct, nonzero, descending ``lam``: at
-    most ``len(b) + 1`` (Pólya & Szegő). The zeros of ``f'`` split ``(0, h)``
-    into pieces on which ``f`` is monotone, and ``f'`` is a sum of one term
-    fewer: ``r + Σ_j b_j λ_j e^(λ_j τ)``, or where ``r`` is 0, ``e^(λ_0 τ)
-    (b_0 λ_0 + Σ_{j>0} b_j λ_j e^((λ_j - λ_0) τ))``. One exponential alone
-    has its zero in closed form."""
-    keep = b != 0.0  # a term may underflow to 0
-    b, lam = b[keep], lam[keep]
-    if not r and len(b) <= 1:
-        t = 0.0
-        if len(b) and c != 0.0 and (c < 0.0) != (b[0] < 0.0):
-            t = (math.log(abs(c)) - math.log(abs(b[0]))) / lam[0]
-        return [t] if 0.0 < t < h else []
-    turns = (_zeros(r, 0.0, b * lam, lam, h) if r else
-             _zeros(b[0] * lam[0], 0.0, b[1:] * lam[1:], lam[1:] - lam[0], h))
-    cuts = [0.0, *turns, h]
-
-    def f(t):
-        return c + r * t + b @ np.exp(lam * t)
-
-    ends = [f(t) for t in cuts]
-    return [_root(f, lo, hi, flo, fhi) for lo, hi, flo, fhi in zip(cuts, cuts[1:], ends, ends[1:])
-            if (flo < 0.0) != (fhi < 0.0)]
-
-
-def _first_rise(c, r, b: np.ndarray, lam: np.ndarray, h: float, f0) -> float:
-    """The least ``τ`` in ``[0, h]`` at which ``f(τ) = c + r τ + Σ_j b_j
-    e^(λ_j τ)`` rises from below 0 to 0 or above, or inf: the zeros of
-    ``f'`` split ``[0, h]`` into monotone pieces, and the rise is bracketed
-    in the first that ends at 0 or above from below 0. ``f0`` stands for
-    ``f(0)``; where it is below 0 and ``f(0)`` is not, the rise is at 0."""
-    keep = b != 0.0
-    lam, at = np.unique(lam[keep], return_inverse=True)
-    lam, b = lam[::-1], np.bincount(at, b[keep], minlength=len(lam))[::-1]
-
-    def f(t):
-        return c + r * t + b @ np.exp(lam * t)
-
-    cuts = [0.0, *_zeros(r, 0.0, b * lam, lam, h), h]
-    for lo, hi in zip(cuts, cuts[1:]):
-        fhi = f(hi)
-        if f0 < 0.0 <= fhi:
-            flo = f(lo)
-            return lo if flo >= 0.0 else _root(f, lo, hi, flo, fhi)
-        f0 = fhi
-    return math.inf
-
-
-def _first_rises(c, M, d, lam, h, f0, r=None) -> np.ndarray:
-    """``_first_rise`` of each row ``c_i + r_i τ + Σ_j M_ij d_j e^(λ_j τ)``,
-    with ``f0`` per row. Every ``λ`` is at most 0, so a row that cannot
-    reach 0 is skipped, and a row of one exponential and no ``r`` rises at
-    ``log(-c/b)/λ``: that closed form is taken for all such rows at once."""
-    r = np.zeros(len(c)) if r is None else r
-    t = np.full(len(c), np.inf)
-    can = np.flatnonzero(c + np.abs(M) @ np.abs(d) + np.maximum(r, 0.0) * h >= 0.0)
-    b = M[can] * d
-    one = (np.count_nonzero(b, axis=1) == 1) & (r[can] == 0.0)
-    if one.any():
-        i, bi, ci = can[one], b[one].sum(axis=1), c[can[one]]
-        li = lam[np.argmax(b[one] != 0.0, axis=1)]
-        rises = (f0[i] < 0.0) & (bi < 0.0) & (ci > 0.0)  # λ < 0: a rise toward c > 0
-        ti = (np.log(np.where(rises, ci, 1.0)) - np.log(np.where(rises, -bi, 1.0))) / li
-        t[i] = np.where(rises & (ti <= h), np.maximum(ti, 0.0), np.inf)
-    for i, row in zip(can[~one].tolist(), b[~one]):
-        t[i] = _first_rise(c[i], r[i], row, lam, h, f0[i])
-    return t
-
-
-def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
-    """Solve the circuit in closed form and return a sampled Trace.
+def _segments(
+    compiled: _Compiled, is_open: np.ndarray, volumes: np.ndarray, t_end: float, event_tol: float
+) -> Iterator[_Segment]:
+    """The run from the valve states ``is_open`` and balloon ``volumes`` at
+    t = 0 to ``t_end``, one ``_Segment`` at a time; with ``t_end`` inf it
+    goes on while it is read, or until it comes to rest.
 
     Each regime segment is a linear ODE with constant coefficients, solved
     exactly (``_Modes``), so every valve margin is a constant plus a sum of
@@ -943,12 +912,100 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     the threshold of its pending transition. The first margin to rise from
     below 0 to 0 or above ends the segment (``_first_rises``); the valves
     that rise within ``event_tol`` of it flip with it, and the valves are
-    settled in the new regime. A relaxation that does not settle is
-    reported in ``Trace.warnings``, as is the time each balloon first
-    reaches its burst pressure. With a sub-atmospheric source a balloon
-    crossing its rest volume or emptying ends a segment too. Samples land
-    on a regular grid plus a pre/post pair at each event, so switching
-    edges stay sharp: a segment's grid samples and its last sample are one
+    settled in the new regime. With a sub-atmospheric source a balloon
+    crossing its rest volume or emptying ends a segment too. A segment's
+    end state is the last row of its first ``_Segment.x`` call, so a
+    reader that samples it and one that does not see the same run.
+    """
+    ctrl_rows = slice(0, len(compiled.control))
+    rest = compiled.rest_volume
+    vacuum = bool((compiled.fixed_pa < 0.0).any())  # else no balloon goes below rest
+
+    def settle(t: float, is_open: np.ndarray, volumes: np.ndarray, switch: np.ndarray):
+        """Flip the valves ``switch`` at time ``t``, then every valve whose
+        margin is >= 0 at ``volumes``, until none is. Returns the valve
+        states, their regime, the margins, the watched nodes' kPa at
+        ``volumes``, the transitions logged and the warning of a relaxation
+        that gave up.
+
+        Balloon controls cannot react to flips; free-node controls get a
+        bounded relaxation. When that gives up, the warning names the valves
+        still changing, and they are left past their thresholds: a valve
+        flips only where its margin rises from below 0.
+        """
+        flips, note = [], None
+        limit = 4 * max(1, len(is_open))
+        for relaxation in range(limit + 1):
+            is_open = is_open.copy()
+            is_open[switch] = ~is_open[switch]
+            flips.extend(zip(switch.tolist(), is_open[switch].tolist()))
+            reg = compiled.regime(is_open)
+            kpa = reg.pressures(volumes) / KPA
+            m = compiled.margin(is_open, kpa[ctrl_rows])
+            switch = (m >= 0.0).nonzero()[0]
+            if not len(switch):
+                break
+            if relaxation == limit:
+                names = ", ".join(compiled.valve_names[vi] for vi in switch.tolist())
+                note = (f"valve states did not settle at t={t:.6g} s after {limit} "
+                        f"relaxations; still changing: {names}")
+                break
+        return is_open, reg, m, kpa, flips, note
+
+    t = 0.0
+    is_open, reg, m0, kpa, flips, note = settle(t, is_open, volumes, np.zeros(0, dtype=int))
+    mode = reg.modes_at(volumes) if vacuum else np.full(len(rest), _ABOVE)
+    while True:
+        modes = reg.above if (mode == _ABOVE).all() else _Modes(reg, mode)
+        xc, w, d = modes.segment(volumes - rest)
+        h = t_end - t
+        # the valve margins, each a constant plus exponentials
+        c = compiled.margin(is_open, (reg.a0[ctrl_rows] + reg.A[ctrl_rows] @ (modes.D * xc)) / KPA)
+        M = np.where(is_open, 1.0, -1.0)[:, None] * modes.ADV
+        t_valve = _first_rises(c, M, d, modes.lam, h, m0)
+        t_flip = t_valve.min(initial=math.inf)
+        t_mode = math.inf
+        if vacuum:
+            beta, alpha, who, goes = modes.exits(reg)
+            cm, Mm = alpha + beta @ xc, beta @ modes.V
+            t_exit = _first_rises(cm, Mm, d, modes.lam, h, cm + Mm @ d, beta @ w)
+            t_mode = t_exit.min(initial=math.inf)
+        event = t_flip <= min(t_mode, h)
+        change = not event and t_mode <= h
+        tau = t_flip if event else t_mode if change else h
+        t_next = t + tau if event or change else t_end
+        seg = _Segment(t, tau, t_next, event, change, flips, note, kpa, reg, modes, xc, w, d)
+        yield seg
+        if not (event or change):
+            return
+        if seg.x_end is None:
+            seg.x(np.zeros(0))
+        volumes = np.maximum(seg.x_end + rest, 0.0)
+        t = t_next
+
+        if event:
+            switch = np.flatnonzero(t_valve <= t_flip + event_tol)
+            is_open, reg, m0, kpa, flips, note = settle(t, is_open, volumes, switch)
+            if vacuum:
+                mode = reg.modes_at(volumes)
+        else:
+            # the balloons leaving their mode start it from its edge
+            hit = t_exit == t_mode
+            k, to = who[hit], goes[hit]
+            volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), rest[k], 0.0)
+            mode[k] = to
+            m0 = compiled.margin(is_open, reg.pressures(volumes, ctrl_rows) / KPA)
+            flips, note, kpa = [], None, None
+
+
+def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
+    """Solve the circuit in closed form and return a sampled Trace.
+
+    The run is ``_segments``' closed-form segments, sampled. A relaxation
+    that does not settle is reported in ``Trace.warnings``, as is the time
+    each balloon first reaches its burst pressure. Samples land on a
+    regular grid plus a pre/post pair at each event, so switching edges
+    stay sharp: a segment's grid samples and its last sample are one
     closed-form evaluation, read through the probe rows of the regime's
     map, and the post-event sample, ``event_tol`` later, reads the
     settling. Identical inputs give identical traces.
@@ -958,13 +1015,9 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     if not probes:
         raise ValueError("no probes: set PneumaticNetwork.probes or SimConfig.probes")
     compiled = _Compiled(net, probes)
-    ctrl_rows, probe_rows = slice(0, len(compiled.control)), slice(len(compiled.control), None)
+    probe_rows = slice(len(compiled.control), None)
     rest = compiled.rest_volume
-
-    is_open = compiled.initial_states(cfg.initial_valve_states)
-    volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
     x_burst = compiled.compliance * compiled.burst_kpa * KPA
-    vacuum = bool((compiled.fixed_pa < 0.0).any())  # else no balloon goes below rest
 
     times: list[float] = []
     rows: list[np.ndarray] = []  # blocks of probe rows, kPa
@@ -980,97 +1033,38 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
             times.extend(ts[first:])
             rows.append(kpa[first:])
 
-    def settle(t: float, is_open: np.ndarray, volumes: np.ndarray, switch: np.ndarray):
-        """Flip the valves ``switch`` at time ``t``, then every valve whose
-        margin is >= 0 at ``volumes``, until none is, logging transitions.
-        Returns the valve states, their regime, the margins and the watched
-        nodes' kPa at ``volumes``.
-
-        Balloon controls cannot react to flips; free-node controls get a
-        bounded relaxation. When that gives up, a warning names the valves
-        still changing, and they are left past their thresholds: a valve
-        flips only where its margin rises from below 0.
-        """
-        limit = 4 * max(1, len(is_open))
-        for relaxation in range(limit + 1):
-            is_open = is_open.copy()
-            is_open[switch] = ~is_open[switch]
-            events.extend((t, compiled.valve_names[v], _state(is_open[v])) for v in switch.tolist())
-            reg = compiled.regime(is_open)
-            kpa = reg.pressures(volumes) / KPA
-            m = compiled.margin(is_open, kpa[ctrl_rows])
-            switch = (m >= 0.0).nonzero()[0]
-            if not len(switch):
-                break
-            if relaxation == limit:
-                names = ", ".join(compiled.valve_names[vi] for vi in switch.tolist())
-                warnings.append(
-                    f"valve states did not settle at t={t:.6g} s after {limit} "
-                    f"relaxations; still changing: {names}"
-                )
-                break
-        return is_open, reg, m, kpa
-
-    is_open, reg, m0, kpa = settle(0.0, is_open, volumes, np.zeros(0, dtype=int))
-    emit([0.0], kpa[None, probe_rows])
-    mode = reg.modes_at(volumes) if vacuum else np.full(len(rest), _ABOVE)
-    t, next_sample = 0.0, cfg.sample_interval
-    while True:
-        modes = reg.above if (mode == _ABOVE).all() else _Modes(reg, mode)
-        xc, w, d = modes.segment(volumes - rest)
-        h = cfg.t_end - t
-        # the valve margins, each a constant plus exponentials
-        c = compiled.margin(is_open, (reg.a0[ctrl_rows] + reg.A[ctrl_rows] @ (modes.D * xc)) / KPA)
-        M = np.where(is_open, 1.0, -1.0)[:, None] * modes.ADV
-        t_valve = _first_rises(c, M, d, modes.lam, h, m0)
-        t_flip = t_valve.min(initial=math.inf)
-        t_mode = math.inf
-        if vacuum:
-            beta, alpha, who, goes = modes.exits(reg)
-            cm, Mm = alpha + beta @ xc, beta @ modes.V
-            t_exit = _first_rises(cm, Mm, d, modes.lam, h, cm + Mm @ d, beta @ w)
-            t_mode = t_exit.min(initial=math.inf)
-        event = t_flip <= min(t_mode, h)
-        change = not event and t_mode <= h
-        tau = t_flip if event else t_mode if change else h
-        t_next = t + tau if event or change else cfg.t_end
+    is_open = compiled.initial_states(cfg.initial_valve_states)
+    volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
+    next_sample = cfg.sample_interval
+    post = 0.0  # the settled start is sampled at 0, each later settling this long after its event
+    for seg in _segments(compiled, is_open, volumes, cfg.t_end, cfg.event_tol):
+        t = seg.t
+        events.extend((t, compiled.valve_names[v], _state(o)) for v, o in seg.flips)
+        if seg.note:
+            warnings.append(seg.note)
+        if seg.kpa is not None:
+            emit([t + post], seg.kpa[None, probe_rows])
+            post = min(cfg.event_tol, cfg.sample_interval / 8.0)
 
         # the grid samples up to the segment's end, then its last sample
         grid = []
-        while next_sample < t_next - (1.0e-15 if event else 0.0):
+        while next_sample < seg.t_next - (1.0e-15 if seg.event else 0.0):
             grid.append(next_sample)
             next_sample += cfg.sample_interval
-        x = modes.x(xc, w, d, np.append(np.array(grid) - t, tau))
-        shown = grid if change else grid + [t_next]
-        emit(shown, reg.pressures(x[: len(shown)] + rest, probe_rows) / KPA)
+        x = seg.x(np.array(grid) - t)
+        shown = grid if seg.change else grid + [seg.t_next]
+        emit(shown, seg.reg.pressures(x[: len(shown)] + rest, probe_rows) / KPA)
         # a balloon not yet past its burst level and already at it warns at once
-        ks = np.flatnonzero(~burst_seen & (mode == _ABOVE))
+        modes = seg.modes
+        ks = np.flatnonzero(~burst_seen & (modes.mode == _ABOVE))
         f0 = np.full(len(ks), -np.inf)
-        t_ks = t + _first_rises(xc[ks] - x_burst[ks], modes.V[ks], d, modes.lam, tau, f0)
+        t_ks = t + _first_rises(seg.xc[ks] - x_burst[ks], modes.V[ks], seg.d, modes.lam, seg.tau, f0)
         for k, tk in zip(ks[t_ks < math.inf].tolist(), t_ks[t_ks < math.inf].tolist()):
             burst_seen[k] = True
             warnings.append(
                 f"balloon {compiled.cap_names[k]} passed its burst pressure "
                 f"({compiled.burst_kpa[k].tolist()} kPa) at t={tk:.6g} s"
             )
-        volumes = np.maximum(x[-1] + rest, 0.0)
-        if not (event or change):
-            break
-        t = t_next
-
-        if event:
-            flips = np.flatnonzero(t_valve <= t_flip + cfg.event_tol)
-            is_open, reg, m0, kpa = settle(t, is_open, volumes, flips)
-            emit([t + min(cfg.event_tol, cfg.sample_interval / 8.0)], kpa[None, probe_rows])
-            if vacuum:
-                mode = reg.modes_at(volumes)
-        else:
-            # the balloons leaving their mode start it from its edge
-            hit = t_exit == t_mode
-            k, to = who[hit], goes[hit]
-            volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), rest[k], 0.0)
-            mode[k] = to
-            m0 = compiled.margin(is_open, reg.pressures(volumes, ctrl_rows) / KPA)
 
     kpa = np.concatenate(rows) if rows else np.zeros((0, len(probes)))
     return Trace(tuple(probes), np.array(times), kpa, tuple(events), tuple(warnings))
@@ -1191,39 +1185,86 @@ class CalibrationBounds:
     open_conductance: tuple[float, float] = (1.0e-8, 1.0e-3)
 
 
-def _at_rest(trace: Trace, min_amplitude_kpa: float) -> bool:
-    """Whether every probe of ``trace`` is flat over the last fifth of the
-    window: its span there is within 1e-9 of the largest reading, or of the
-    oscillation floor when that is larger."""
-    t = trace.times
-    tail = trace.pressures_kpa[t >= t[0] + 0.8 * (t[-1] - t[0])]
-    scale = max(float(np.abs(tail).max()), min_amplitude_kpa)
-    return float(np.ptp(tail, axis=0).max()) <= 1.0e-9 * scale
+#: a calibration run ends at this many recurrences of one valve event, or
+#: at this many valve events, if its cycle has not converged by then
+_MAX_CYCLES, _MAX_EVENTS = 64, 4096
+
+
+def _last_cycle(keys: list, times: list[float], earlier: list[int]) -> tuple[int, bool]:
+    """The length ``p``, in events, of the shortest cycle that ends at the
+    last event and repeats the keys of the ``p`` events before it (0 if
+    none does), and whether the two cycles' event-to-event durations agree
+    within 1e-9 of the cycle's length. ``earlier`` lists where the last
+    event's key occurred before."""
+    n = len(keys) - 1
+    for j in reversed(earlier):
+        p = n - j
+        if 2 * p > n:
+            break
+        if all(keys[n - i] == keys[j - i] for i in range(1, p)):
+            tol = 1.0e-9 * (times[n] - times[j])
+            agree = all(abs(times[n - i] - times[n - i - 1] - times[j - i] + times[j - i - 1]) <= tol
+                        for i in range(p))
+            return p, agree
+    return 0, False
 
 
 def _measure(
-    net: PneumaticNetwork, probe: str, f_hint: float, min_amplitude_kpa: float
-) -> OscillationReport | None:
-    """Simulate ``net`` over a window sized from the expected frequency
-    ``f_hint`` and measure its oscillation at ``probe``; None if it shows none.
+    net: PneumaticNetwork, probe: str, min_amplitude_kpa: float
+) -> tuple[int, int, float | None, float | None]:
+    """Run ``net`` from its declared state, unsampled, until its valve
+    events repeat, and measure that limit cycle at ``probe``: ``(cycles,
+    events, frequency_hz, peak_kpa)``, the last two None where it shows no
+    oscillation.
 
-    A window is 24 cycles of the hint long, with 250 samples per cycle. If
-    it shows no oscillation, the hint may be far too high, so the window is
-    widened 8x and then 64x; but a window that logs no valve event and
-    whose probes have come to rest (``_at_rest``) shows a circuit at an
-    equilibrium it cannot leave, and a longer one would only repeat it, so
-    None is returned at once. A window that logged events, or was still
-    moving, is widened.
+    Each valve event is keyed by the (valve, new state) pairs it logs. The
+    run stops once its last two cycles have the same keys in the same
+    order (``_last_cycle``); the frequency is the reciprocal of the last
+    cycle's length, and its peak and trough at the probe come in closed
+    form (``_extremes``). A run in which no valve can rise again is at
+    rest. One that reaches ``_MAX_CYCLES`` or ``_MAX_EVENTS`` unconverged
+    reports its last full cycle. No cycle, rest, or a swing under
+    ``min_amplitude_kpa`` shows no oscillation. ``cycles`` counts the
+    earlier occurrences of the last event's key: the cycles run, where
+    each key occurs once a cycle.
     """
-    for f_try in (f_hint, f_hint / 8.0, f_hint / 64.0):
-        cfg = SimConfig(t_end=24.0 / f_try, sample_interval=1.0 / (f_try * 250.0))
-        trace = simulate(net, cfg)
-        try:
-            return extract_frequency(trace, probe, min_amplitude_kpa)
-        except NoOscillationError:
-            if not trace.events and _at_rest(trace, min_amplitude_kpa):
-                return None
-    return None
+    compiled = _Compiled(net.validate(), (probe,))
+    row = len(compiled.control)  # the probe's row of each regime's map
+    run = _segments(compiled, compiled.initial_states(None), compiled.initial_volumes(None),
+                    math.inf, SimConfig.event_tol)
+    segments: list[_Segment] = []
+    keys, times, starts = [], [], []  # per valve event: its key, time and segment
+    seen: dict[tuple, list[int]] = {}
+    cycles = events = p = 0
+    for seg in run:
+        if seg.tau == math.inf:
+            return cycles, events, None, None
+        segments.append(seg)
+        if not seg.flips:
+            continue
+        events += len(seg.flips)
+        keys.append(tuple(seg.flips))
+        times.append(seg.t)
+        starts.append(len(segments) - 1)
+        earlier = seen.setdefault(keys[-1], [])
+        p, converged = _last_cycle(keys, times, earlier)
+        cycles = len(earlier)
+        earlier.append(len(keys) - 1)
+        if converged or cycles >= _MAX_CYCLES or events >= _MAX_EVENTS:
+            break
+    if not p:
+        return cycles, events, None, None
+    n = len(keys) - 1
+    lo, hi = math.inf, -math.inf
+    for seg in segments[starts[n - p] : starts[n]]:
+        reg, modes = seg.reg, seg.modes
+        c = (reg.a0[row] + reg.A[row] @ (modes.D * seg.xc)) / KPA
+        b = (reg.A[row] * modes.D / KPA) @ modes.T * seg.d
+        seg_lo, seg_hi = _extremes(c, b, modes.lam, seg.tau)
+        lo, hi = min(lo, seg_lo), max(hi, seg_hi)
+    if hi - lo < min_amplitude_kpa:
+        return cycles, events, None, None
+    return cycles, events, 1.0 / float(times[n] - times[n - p]), hi
 
 
 def calibrate_oscillator(
@@ -1243,14 +1284,14 @@ def calibrate_oscillator(
     compliance, so the search alternates a bisection on conductance
     against the peak target with a direct rescale of the compliance
     against the frequency target. Raises CalibrationFailed, carrying the
-    best result found, if both targets cannot be met within ``tolerance``
-    relative error.
+    best result found and every evaluation, if both targets cannot be met
+    within ``tolerance`` relative error.
 
-    Each evaluation is one ``_measure``: its window is sized in cycles of
-    the frequency expected there. That is the last measured frequency,
-    and for the verification after a compliance rescale it is the one the
-    scaling law predicts, ``f * C_old / C_new``. An evaluation whose
-    circuit comes to rest without a valve event ends after one window.
+    Each evaluation is one ``_measure``: the circuit runs until its valve
+    events repeat, and its frequency and peak are those of that limit
+    cycle. One that comes to rest, or swings less than
+    ``min_amplitude_kpa``, shows no oscillation. The result's
+    ``evaluations`` logs each one in order.
 
     The fit fails fast on a frequency out of reach. It assumes that the
     frequency rises with the conductance, so the point measured at the
@@ -1279,27 +1320,25 @@ def calibrate_oscillator(
     )
 
     best: CalibrationResult | None = None
-    f_hint = target_frequency_hz
+    log: list[CalibrationEvaluation] = []
 
-    def evaluate(c: float, g: float) -> OscillationReport | None:
-        nonlocal f_hint
+    def evaluate(c: float, g: float) -> CalibrationEvaluation | None:
         net = template.with_uniform_params(compliance=c, open_conductance=g)
-        rep = _measure(net, probe, f_hint, min_amplitude_kpa)
-        if rep is not None:
-            f_hint = rep.frequency_hz
-        return rep
+        log.append(CalibrationEvaluation(c, g, *_measure(net, probe, min_amplitude_kpa)))
+        return log[-1] if log[-1].frequency_hz is not None else None
 
-    def record(c: float, g: float, rep: OscillationReport) -> CalibrationResult:
+    def record(ev: CalibrationEvaluation) -> CalibrationResult:
         nonlocal best
         result = CalibrationResult(
-            compliance=c,
-            open_conductance=g,
-            frequency_hz=rep.frequency_hz,
-            peak_kpa=rep.peaks_kpa[probe],
+            compliance=ev.compliance,
+            open_conductance=ev.open_conductance,
+            frequency_hz=ev.frequency_hz,
+            peak_kpa=ev.peak_kpa,
             target_frequency_hz=target_frequency_hz,
             target_peak_kpa=target_peak_kpa,
-            iterations=iterations,
+            iterations=len(log),
             notes=notes,
+            evaluations=tuple(log),
         )
         if best is None or sum(x * x for x in result.relative_errors) < sum(
             x * x for x in best.relative_errors
@@ -1307,51 +1346,44 @@ def calibrate_oscillator(
             best = result
         return result
 
-    iterations = 0
     out_of_reach = ""
     for _outer in range(4):
         # 1) bisect the conductance against the peak target
         lo, hi = g_lo, g_hi
-        rep_hi = evaluate(compliance, hi)
-        iterations += 1
-        if rep_hi is None:
+        ev_hi = evaluate(compliance, hi)
+        if ev_hi is None:
             break
-        f_max = rep_hi.frequency_hz * compliance / c_lo
+        f_max = ev_hi.frequency_hz * compliance / c_lo
         if target_frequency_hz > f_max * (1.0 + tolerance):
-            record(compliance, hi, rep_hi)
+            record(ev_hi)
             out_of_reach = f"; at most {f_max:.4g} Hz is reachable within the bounds"
             break
-        g, rep = hi, rep_hi
+        ev = ev_hi
         # a peak target at or above the upper bound's peak keeps that bound
-        if rep_hi.peaks_kpa[probe] > target_peak_kpa:
+        if ev_hi.peak_kpa > target_peak_kpa:
             for _ in range(40):
                 mid = math.sqrt(lo * hi)  # geometric: conductance spans decades
-                rep_mid = evaluate(compliance, mid)
-                iterations += 1
-                if rep_mid is None or rep_mid.peaks_kpa[probe] < target_peak_kpa:
+                ev_mid = evaluate(compliance, mid)
+                if ev_mid is None or ev_mid.peak_kpa < target_peak_kpa:
                     lo = mid
                 else:
-                    hi, g, rep = mid, mid, rep_mid
-                if abs(rep.peaks_kpa[probe] - target_peak_kpa) <= 0.25 * tolerance * target_peak_kpa:
+                    hi, ev = mid, ev_mid
+                if abs(ev.peak_kpa - target_peak_kpa) <= 0.25 * tolerance * target_peak_kpa:
                     break
                 if hi / lo < 1.0 + 1.0e-6:
                     break
-        f_min = rep.frequency_hz * compliance / c_hi
+        f_min = ev.frequency_hz * compliance / c_hi
         if target_frequency_hz < f_min * (1.0 - tolerance):
-            record(compliance, g, rep)
+            record(ev)
             out_of_reach = f"; at least {f_min:.4g} Hz at this peak within the bounds"
             break
 
-        # 2) the period scales with compliance: rescale and verify, with the
-        # window sized from the frequency the scaling predicts
-        rescaled = min(max(compliance * rep.frequency_hz / target_frequency_hz, c_lo), c_hi)
-        f_hint = rep.frequency_hz * compliance / rescaled
-        compliance = rescaled
-        rep = evaluate(compliance, g)
-        iterations += 1
-        if rep is None:
+        # 2) the period scales with compliance: rescale and verify
+        compliance = min(max(compliance * ev.frequency_hz / target_frequency_hz, c_lo), c_hi)
+        ev = evaluate(compliance, ev.open_conductance)
+        if ev is None:
             break
-        result = record(compliance, g, rep)
+        result = record(ev)
         ef, ep = result.relative_errors
         if ef <= tolerance and ep <= tolerance:
             return result
@@ -1363,7 +1395,7 @@ def calibrate_oscillator(
             f": best fit {best.frequency_hz:.4g} Hz / {best.peak_kpa:.4g} kPa "
             f"(relative errors {ef:.2%} / {ep:.2%})"
         )
-    raise CalibrationFailedError(msg + out_of_reach, best=best)
+    raise CalibrationFailedError(msg + out_of_reach, best=best, evaluations=tuple(log))
 
 
 def template_compliance(net: PneumaticNetwork) -> float:

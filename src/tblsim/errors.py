@@ -104,14 +104,16 @@ class CalibrationFailedError(EngineError):
     """Raised when the bounded search cannot meet the fit tolerance.
 
     ``best`` holds the closest CalibrationResult found, so callers can
-    still inspect how far off the search ended up.
+    still inspect how far off the search ended up, and ``evaluations``
+    every CalibrationEvaluation the search made, in order.
     """
 
     code = "CalibrationFailed"
 
-    def __init__(self, message: str, best=None):
+    def __init__(self, message: str, best=None, evaluations=()):
         super().__init__(message)
         self.best = best
+        self.evaluations = evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from tblsim import (
     HysteresisThresholds,
     KinkValveDevice,
     NoOscillationError,
+    PhysicalDefaults,
     PneumaticNetwork,
     SimConfig,
     SingularNetworkError,
@@ -40,7 +42,8 @@ from tblsim import (
     tube_resistance,
     valve_step,
 )
-from tblsim import engine
+from tblsim import engine, expsums
+from tblsim.cli import _apply_overrides
 
 MU = 1.81e-5
 R1 = tube_resistance(0.075, 1.0e-3, MU)   # 7.5 cm device tube
@@ -829,7 +832,7 @@ def _rises_one_by_one(c, M, d, lam, h, f0, r=None):
     """``engine._first_rises`` without its closed form for one exponential:
     every row goes through the general root isolation."""
     r = np.zeros(len(c)) if r is None else r
-    return np.array([engine._first_rise(c[i], r[i], M[i] * d, lam, h, f0[i]) for i in range(len(c))])
+    return np.array([expsums._first_rise(c[i], r[i], M[i] * d, lam, h, f0[i]) for i in range(len(c))])
 
 
 def _assert_close_trace(a, b):
@@ -1164,7 +1167,7 @@ def test_fanout_events_match_solve_ivp():
 def test_first_rise_is_the_first_upward_zero(c, terms):
     b, lam = (np.array(v) for v in zip(*terms))
     h = 1.0
-    t = engine._first_rise(c, 0.0, b, lam, h, c + b.sum())
+    t = expsums._first_rise(c, 0.0, b, lam, h, c + b.sum())
     grid = np.linspace(0.0, h, 20001)
     f = c + np.exp(np.multiply.outer(grid, lam)) @ b
     below = np.flatnonzero(f < -1.0e-12)  # f is below 0 from grid[below[0]] on
@@ -1178,6 +1181,22 @@ def test_first_rise_is_the_first_upward_zero(c, terms):
         # a rise comes after f is below 0, and f stays below 0 until it
         assert t >= grid[below[0]] - grid[1]
         assert (f[below[0]:][grid[below[0]:] < t - 1.0e-6] < 1.0e-12).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1.0e-6),
+    st.sampled_from([0.0, 1.0e-3, -1.0e-3, 0.5, -1.0]),
+    st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-60.0, -0.5)), min_size=1, max_size=4),
+)
+def test_unbounded_first_rise_matches_a_long_window(c, r, terms):
+    # with no end the search stops where the sum keeps its sign for good;
+    # 1e5 s lies past that for every drawn sum
+    b, lam = (np.array(v) for v in zip(*terms))
+    f0 = c + b.sum()
+    t = expsums._first_rise(c, r, b, lam, math.inf, f0)
+    t_long = expsums._first_rise(c, r, b, lam, 1.0e5, f0)
+    assert t == t_long or abs(t - t_long) <= 1.0e-9 * max(1.0, t_long)
 
 
 def test_ring101_flips_in_lock_step():
@@ -1443,23 +1462,11 @@ def test_calibration_bounds_make_1khz_unreachable():
     assert best.frequency_hz < 100.0  # nowhere near the request
 
 
-def _count_simulations(monkeypatch):
-    traces = []
-
-    def counting_simulate(net, cfg):
-        traces.append(simulate(net, cfg))
-        return traces[-1]
-
-    monkeypatch.setattr(engine, "simulate", counting_simulate)
-    return traces
-
-
-def test_calibration_fails_fast_on_an_unreachable_frequency(monkeypatch):
-    traces = _count_simulations(monkeypatch)
+def test_calibration_fails_fast_on_an_unreachable_frequency():
     net = expand(parse(open("circuits/ring3_calibrated.tbl").read()))
     with pytest.raises(CalibrationFailedError) as err:
         calibrate_oscillator(net, target_frequency_hz=1000.0, target_peak_kpa=35.0)
-    assert len(traces) <= 3
+    assert 1 <= len(err.value.evaluations) <= 3
     best = err.value.best
     assert best.open_conductance == engine.CalibrationBounds().open_conductance[1]
     assert best.frequency_hz * best.compliance / engine.CalibrationBounds().compliance[0] < 1000.0
@@ -1481,6 +1488,22 @@ def test_calibration_fails_fast_below_the_slowest_reachable_frequency():
     assert best.frequency_hz * c0 / bounds.compliance[1] > 5.0 * 1.02
 
 
+def test_a_far_too_slow_target_fails_within_a_few_cycles_per_evaluation():
+    # 0.05 Hz is 300x below the circuit's own 15 Hz; each evaluation still
+    # runs only until its limit cycle repeats, so the fit fails in a few
+    # hundred valve events, not in minutes of simulated time
+    net = expand(parse(open("circuits/ring3_calibrated.tbl").read()))
+    start = time.perf_counter()
+    with pytest.raises(CalibrationFailedError, match="at least") as err:
+        calibrate_oscillator(net, target_frequency_hz=0.05, target_peak_kpa=35.0)
+    wall = time.perf_counter() - start
+    evaluations = err.value.evaluations
+    assert evaluations and all(ev.cycles <= 8 for ev in evaluations)
+    assert sum(ev.events for ev in evaluations) <= 200
+    assert err.value.best.evaluations == evaluations  # recorded after the last evaluation
+    assert wall < 10.0  # loose: the event bound above is the real check
+
+
 def test_peak_out_of_reach_keeps_the_upper_conductance_bound():
     # ring3_calibrated peaks near 39 kPa at the largest conductance: 200 kPa
     # is out of reach, so no bisection runs and the frequency is still fitted
@@ -1493,9 +1516,8 @@ def test_peak_out_of_reach_keeps_the_upper_conductance_bound():
     assert best.peak_kpa < 100.0
 
 
-def test_dead_evaluation_ends_after_one_window(monkeypatch):
+def test_dead_evaluation_is_one_run_with_no_event():
     # the NOT gate's input is tied to ambient: its valve stays open for good
-    traces = _count_simulations(monkeypatch)
     net = build(
         "source SUP pressure=145kPa\n"
         "source A pressure=0kPa\n"
@@ -1506,25 +1528,76 @@ def test_dead_evaluation_ends_after_one_window(monkeypatch):
     with pytest.raises(CalibrationFailedError) as err:
         calibrate_oscillator(net, target_frequency_hz=15.0, target_peak_kpa=35.0)
     assert err.value.best is None
-    assert len(traces) == 1
-    assert traces[0].events == ()
+    (ev,) = err.value.evaluations
+    assert (ev.cycles, ev.events, ev.frequency_hz, ev.peak_kpa) == (0, 0, None, None)
 
 
-def test_still_moving_window_is_widened(monkeypatch):
-    # an RC charge with no valve: the first two windows end still moving
-    traces = _count_simulations(monkeypatch)
-    assert engine._measure(build(RC_TEXT), "x", 1000.0, 1.0) is None
-    assert [tr.times[-1] for tr in traces] == pytest.approx([0.024, 0.192, 1.536])
-    assert [engine._at_rest(tr, 1.0) for tr in traces] == [False, False, True]
+def _count_segments(monkeypatch):
+    """The segments each ``engine._segments`` run yields, one list per run."""
+    runs = []
+    segments = engine._segments
+
+    def counting(*args):
+        runs.append([])
+        for seg in segments(*args):
+            runs[-1].append(seg)
+            yield seg
+
+    monkeypatch.setattr(engine, "_segments", counting)
+    return runs
 
 
-def test_hint_far_too_high_still_measures(monkeypatch):
-    traces = _count_simulations(monkeypatch)
-    net = expand(parse(open("circuits/ring3_calibrated.tbl").read()))
-    rep = engine._measure(net, "m1", 64.0 * 15.0, 1.0)
-    assert traces[0].events  # the first window switches, but is too short to measure
-    assert len(traces) > 1
-    assert rep.frequency_hz == pytest.approx(15.0, rel=0.02)
+def test_network_with_no_valve_is_at_rest_after_one_segment(monkeypatch):
+    # an RC charge: no valve can ever rise, so its first segment never ends
+    runs = _count_segments(monkeypatch)
+    assert engine._measure(build(RC_TEXT), "x", 1.0) == (0, 0, None, None)
+    assert [len(run) for run in runs] == [1]
+    assert runs[0][0].tau == math.inf
+
+
+def _ring3_set_variant():
+    """``ring3_calibrated.tbl`` with two valves changed through ``--set``."""
+    sets = ["v1.compliance=6.0e-11", "v2.open_conductance=5.8e-8"]
+    ast, defaults = _apply_overrides(
+        parse(open("circuits/ring3_calibrated.tbl").read()), PhysicalDefaults(), sets
+    )
+    return expand(ast, defaults)
+
+
+@pytest.mark.parametrize(
+    "make_net", [_ring3_calibrated, _ring3_set_variant], ids=["ring3_calibrated", "set_variant"]
+)
+def test_measured_limit_cycle_matches_a_long_run(make_net):
+    net = make_net()
+    cycles, events, f, peak = engine._measure(net, "m1", 1.0)
+    assert 2 <= cycles <= 8
+    tr = simulate(net, SimConfig(t_end=2.0))
+    # the period between the last two occurrences of the run's last event
+    last = tr.events[-1][1:]
+    at = [t for t, *key in tr.events if tuple(key) == last]
+    assert 1.0 / f == pytest.approx(at[-1] - at[-2], rel=1e-9)
+    # the closed-form peak bounds every sample of that cycle; the two runs'
+    # orbits agree to within roundoff, not bit for bit
+    cycle = tr.column("m1")[(tr.times >= at[-2]) & (tr.times <= at[-1])]
+    assert peak >= cycle.max() * (1.0 - 1e-12)
+    assert peak == pytest.approx(extract_frequency(tr, "m1").peaks_kpa["m1"], rel=0.005)
+
+
+def test_unconverged_run_reports_its_last_full_cycle(monkeypatch):
+    # a run stopped at its cycle budget before converging still measures
+    # the last cycle whose events repeat the one before
+    net = _ring3_calibrated()
+    monkeypatch.setattr(engine, "_MAX_CYCLES", 2)
+    cycles, events, f, peak = engine._measure(net, "m1", 1.0)
+    assert cycles == 2
+    assert f == pytest.approx(15.0, rel=0.02)
+    assert peak == pytest.approx(35.0, rel=0.02)
+
+
+def test_swing_under_the_amplitude_floor_is_no_oscillation():
+    cycles, events, f, peak = engine._measure(_ring3_calibrated(), "m1", 100.0)
+    assert events > 0
+    assert (f, peak) == (None, None)
 
 
 def test_calibrated_circuit_reproduces_its_targets():
