@@ -20,8 +20,15 @@ conductance, frequency, peak). The ``osc3`` line covers the per-stage
 ``--set`` variants of the benchmark's osc3 workload for seeds 1 and 3,
 from ``perfbench/inputs.py``, which it only imports: each gives every
 valve of ``ring3_calibrated.tbl`` its own compliance and conductance,
-applied and simulated as ``tblsim freq`` does. It prints each run's
-event and sample counts and one digest of the six traces. The ``free``
+applied as ``tblsim freq`` applies them, and is simulated over its
+``--t-end`` at a sample interval of ``min(1 ms, t_end / 2000)``. It
+prints each run's event and sample counts and one digest of the six
+traces. The ``freq`` line covers the limit-cycle reports that ``tblsim
+freq`` prints (``measure_oscillation``, capped at each run's
+``--t-end``): the stock ``ring3_calibrated.tbl``, the six osc3
+variants, and ``ring3.tbl`` and ``ring5.tbl`` at ``freq``'s default
+cap. It prints the cycles and valve events each run took, in order, and
+one digest of the reports' reprs. The ``free``
 line covers two valves controlled by a free node rather than a balloon:
 one reading a divider tap, whose crossing is located on its own row of
 the pressure map, and one reading its own outlet, whose settling gives
@@ -59,6 +66,7 @@ import sys
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
 from tblsim import CalibrationFailedError, SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
+from tblsim import measure_oscillation  # noqa: E402
 from tblsim import LogicLevels, fanout_limit, truth_table  # noqa: E402
 from tblsim import PhysicalDefaults  # noqa: E402
 from tblsim.cli import _apply_overrides  # noqa: E402
@@ -153,17 +161,32 @@ def _bench_inputs():
     return bench_inputs
 
 
-def _osc3_runs():
+def _osc3_variants():
+    """The networks and ``--t-end`` values of the osc3 variants of seeds 1
+    and 3, with their ``--set`` pairs applied."""
     bench_inputs = _bench_inputs()
-    traces = []
+    variants = []
     for seed in (1, 3):
         for argv in bench_inputs.osc3(seed)[1:]:  # the stock run has no --set
             sets = [pair for flag, pair in zip(argv, argv[1:]) if flag == "--set"]
             t_end = float(argv[argv.index("--t-end") + 1])
             ast, defaults = _apply_overrides(parse(_read(argv[-1])), PhysicalDefaults(), sets)
-            cfg = SimConfig(t_end=t_end, sample_interval=min(1e-3, t_end / 2000))  # as freq
-            traces.append(simulate(expand(ast, defaults), cfg))
-    return traces
+            variants.append((expand(ast, defaults), t_end))
+    return variants
+
+
+def _osc3_runs():
+    return [simulate(net, SimConfig(t_end=t_end, sample_interval=min(1e-3, t_end / 2000)))
+            for net, t_end in _osc3_variants()]
+
+
+def _freq_line() -> str:
+    runs = [(_net(_read("circuits/ring3_calibrated.tbl")), 1.5), *_osc3_variants(),
+            (_net(_read("circuits/ring3.tbl")), 2.0), (_net(_read("circuits/ring5.tbl")), 2.0)]
+    reports = [measure_oscillation(net, SimConfig(t_end=t_end)) for net, t_end in runs]
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    return (f"freq: cycles={','.join(str(r.cycles) for r in reports)} "
+            f"events={','.join(str(r.events) for r in reports)} sha256={digest}")
 
 
 def _per_evaluation(evaluations) -> str:
@@ -240,6 +263,7 @@ def main() -> None:
                 f"best={best.compliance!r},{best.open_conductance!r},"
                 f"{best.frequency_hz!r},{best.peak_kpa!r}")
     print(f"calibrate_slow: {slow}")
+    print(_freq_line())
 
     h = hashlib.sha256()
     rows = 0

@@ -20,13 +20,14 @@ from .defaults import PhysicalDefaults, load_defaults
 from .engine import (
     SimConfig,
     dc_operating_point,
-    extract_frequency,
+    measure_oscillation,
     simulate,
 )
 from .errors import (
     EngineError,
     NetlistError,
     NetworkError,
+    NoOscillationError,
     TblError,
 )
 from .netlist import bom as make_bom
@@ -87,9 +88,12 @@ def _build_parser() -> _Parser:
         "--expect", metavar="EXPR", help="boolean reference, e.g. '!(a|b)'"
     )
 
-    fr = sub.add_parser("freq", help="oscillation frequency and phases")
+    fr = sub.add_parser("freq", help="oscillation frequency and phases of the limit cycle")
     fr.add_argument("circuit")
-    fr.add_argument("--t-end", type=float, default=2.0, metavar="SECONDS")
+    fr.add_argument(
+        "--t-end", type=float, default=2.0, metavar="SECONDS",
+        help="cap on simulated time (default: 2.0)",
+    )
     fr.add_argument("--probe", action="append", default=None, metavar="NODE")
     fr.add_argument(
         "--min-amplitude", type=float, default=1.0, metavar="KPA",
@@ -158,11 +162,15 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _warn(warnings) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def _simulate(net, cfg: SimConfig):
     """Run ``simulate`` and print the trace's warnings to stderr."""
     trace = simulate(net, cfg)
-    for w in trace.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _warn(trace.warnings)
     return trace
 
 
@@ -274,15 +282,15 @@ def _cmd_truth(args, ast, defaults) -> int:
 
 def _cmd_freq(args, ast, defaults) -> int:
     net = expand(ast, defaults)
-    cfg = SimConfig(
-        t_end=args.t_end,
-        sample_interval=min(1e-3, args.t_end / 2000),
-        probes=tuple(args.probe) if args.probe else None,
-    )
-    trace = _simulate(net, cfg)
-    report = extract_frequency(trace, trace.probes[0], min_amplitude_kpa=args.min_amplitude)
+    cfg = SimConfig(t_end=args.t_end, probes=tuple(args.probe) if args.probe else None)
+    try:
+        report = measure_oscillation(net, cfg, min_amplitude_kpa=args.min_amplitude)
+    except NoOscillationError as exc:
+        _warn(exc.warnings)
+        raise
+    _warn(report.warnings)
     if args.format == "json-lines":
-        for probe in trace.probes:
+        for probe in report.peaks_kpa:
             print(
                 json.dumps(
                     {
@@ -301,7 +309,7 @@ def _cmd_freq(args, ast, defaults) -> int:
             f"frequency: {report.frequency_hz:.3f} Hz over {report.cycles} cycles "
             f"(duty {report.duty:.2f}, reference probe {report.probe})"
         )
-        for probe in trace.probes:
+        for probe in report.peaks_kpa:
             print(
                 f"  {probe}: peak {report.peaks_kpa[probe]:.2f} kPa, trough "
                 f"{report.troughs_kpa[probe]:.2f} kPa, phase {report.phase_deg[probe]:.1f} deg"

@@ -35,7 +35,9 @@ other node pressures are algebraic. Each regime (one set of valve states)
 is factorized once and Kron-reduced onto the balloon nodes (``_Regime``),
 and each stretch between valve transitions is solved in closed form
 (``_Modes``), so a transient run has no step size and no tolerance, and
-identical inputs give bit-identical traces.
+identical inputs give bit-identical traces. Read unsampled until its valve
+events repeat (``_limit_cycle``), the same run gives an oscillator's limit
+cycle, which calibration and ``measure_oscillation`` read in closed form.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .elements import (
     ValveState,
     node_components,
 )
-from .expsums import _extremes, _first_rises
+from .expsums import _distinct, _extremes, _first_rises, _zeros
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
@@ -126,6 +128,10 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class OscillationReport:
+    """An oscillation at ``probe``, the reference, with every probe's
+    extrema and phase against it. ``events`` and ``warnings`` are those of
+    a ``measure_oscillation`` run; ``extract_frequency`` leaves them unset."""
+
     probe: str
     frequency_hz: float
     duty: float
@@ -133,6 +139,8 @@ class OscillationReport:
     troughs_kpa: dict[str, float]
     phase_deg: dict[str, float]
     cycles: int
+    events: int | None = None
+    warnings: tuple[str, ...] = ()
 
 
 class CalibrationEvaluation(NamedTuple):
@@ -245,6 +253,7 @@ class _Compiled:
         missing = [p for p in probes if p not in index]
         if missing:
             raise ValueError(f"unknown probe node(s): {', '.join(missing)}")
+        self.probes = tuple(probes)
         self.watch = np.concatenate([self.control, [index[p] for p in probes]]).astype(int)
         self.p_inflate = np.array([v.thresholds.p_inflate for v in net.valves], dtype=float)
         self.p_deflate = np.array([v.thresholds.p_deflate for v in net.valves], dtype=float)
@@ -998,6 +1007,47 @@ def _segments(
             flips, note, kpa = [], None, None
 
 
+class _Bursts:
+    """The burst check of one run from ``volumes``: called on each segment
+    in turn with the time ``h`` it runs, it gives the warnings of the
+    balloons that first reach their burst pressure within it. A balloon
+    already past its burst level warns at once if it is still rising. The
+    network is passive, so no balloon rises above the highest of the fixed
+    pressures and the balloons' own at the start; a balloon whose burst
+    level lies above that is never checked."""
+
+    def __init__(self, compiled: _Compiled, volumes: np.ndarray):
+        top = max(compiled.fixed_pa.max(),
+                  _balloon_pa(volumes, compiled.rest_volume, compiled.compliance).max(initial=0.0))
+        self.compiled, self.seen = compiled, compiled.burst_kpa * KPA > top * (1.0 + 1.0e-9)
+        self.done = bool(self.seen.all())
+
+    def __call__(self, seg: _Segment, h: float) -> list[str]:
+        if self.done:
+            return []
+        compiled, modes = self.compiled, seg.modes
+        ks = np.flatnonzero(~self.seen & (modes.mode == _ABOVE))
+        x_burst = compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA
+        f0 = np.full(len(ks), -np.inf)
+        t_ks = seg.t + _first_rises(seg.xc[ks] - x_burst, modes.V[ks], seg.d, modes.lam, h, f0)
+        hit = t_ks < math.inf
+        self.seen[ks[hit]] = True
+        self.done = bool(self.seen.all())
+        return [f"balloon {compiled.cap_names[k]} passed its burst pressure "
+                f"({compiled.burst_kpa[k].tolist()} kPa) at t={tk:.6g} s"
+                for k, tk in zip(ks[hit].tolist(), t_ks[hit].tolist())]
+
+
+def _compile_probed(net: PneumaticNetwork, cfg: SimConfig) -> _Compiled:
+    """``net``, validated and compiled with the probes of ``cfg``, or else
+    the network's own, which must not be empty."""
+    net.validate()
+    probes = cfg.probes if cfg.probes is not None else net.probes
+    if not probes:
+        raise ValueError("no probes: set PneumaticNetwork.probes or SimConfig.probes")
+    return _Compiled(net, probes)
+
+
 def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     """Solve the circuit in closed form and return a sampled Trace.
 
@@ -1010,20 +1060,15 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     map, and the post-event sample, ``event_tol`` later, reads the
     settling. Identical inputs give identical traces.
     """
-    net.validate()
-    probes = cfg.probes if cfg.probes is not None else net.probes
-    if not probes:
-        raise ValueError("no probes: set PneumaticNetwork.probes or SimConfig.probes")
-    compiled = _Compiled(net, probes)
+    compiled = _compile_probed(net, cfg)
+    probes = compiled.probes
     probe_rows = slice(len(compiled.control), None)
     rest = compiled.rest_volume
-    x_burst = compiled.compliance * compiled.burst_kpa * KPA
 
     times: list[float] = []
     rows: list[np.ndarray] = []  # blocks of probe rows, kPa
     events: list[tuple[float, str, ValveState]] = []
     warnings: list[str] = []
-    burst_seen = np.zeros(len(rest), dtype=bool)
 
     def emit(ts: list[float], kpa: np.ndarray) -> None:
         """Record the probe readings ``kpa`` (kPa, one row each) at the
@@ -1035,6 +1080,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
 
     is_open = compiled.initial_states(cfg.initial_valve_states)
     volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
+    bursts = _Bursts(compiled, volumes)
     next_sample = cfg.sample_interval
     post = 0.0  # the settled start is sampled at 0, each later settling this long after its event
     for seg in _segments(compiled, is_open, volumes, cfg.t_end, cfg.event_tol):
@@ -1054,20 +1100,153 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         x = seg.x(np.array(grid) - t)
         shown = grid if seg.change else grid + [seg.t_next]
         emit(shown, seg.reg.pressures(x[: len(shown)] + rest, probe_rows) / KPA)
-        # a balloon not yet past its burst level and already at it warns at once
-        modes = seg.modes
-        ks = np.flatnonzero(~burst_seen & (modes.mode == _ABOVE))
-        f0 = np.full(len(ks), -np.inf)
-        t_ks = t + _first_rises(seg.xc[ks] - x_burst[ks], modes.V[ks], seg.d, modes.lam, seg.tau, f0)
-        for k, tk in zip(ks[t_ks < math.inf].tolist(), t_ks[t_ks < math.inf].tolist()):
-            burst_seen[k] = True
-            warnings.append(
-                f"balloon {compiled.cap_names[k]} passed its burst pressure "
-                f"({compiled.burst_kpa[k].tolist()} kPa) at t={tk:.6g} s"
-            )
+        warnings.extend(bursts(seg, seg.tau))
 
     kpa = np.concatenate(rows) if rows else np.zeros((0, len(probes)))
     return Trace(tuple(probes), np.array(times), kpa, tuple(events), tuple(warnings))
+
+
+# ---------------------------------------------------------------------------
+# limit cycles
+# ---------------------------------------------------------------------------
+
+
+#: a run read for its limit cycle ends at this many recurrences of one valve
+#: event, or at this many valve events, if its cycle has not converged by then
+_MAX_CYCLES, _MAX_EVENTS = 64, 4096
+
+
+def _last_cycle(keys: list, times: list[float], earlier: list[int]) -> tuple[int, bool]:
+    """The length ``p``, in events, of the shortest cycle that ends at the
+    last event and repeats the keys of the ``p`` events before it (0 if
+    none does), and whether the two cycles' event-to-event durations agree
+    within 1e-9 of the cycle's length. ``earlier`` lists where the last
+    event's key occurred before."""
+    n = len(keys) - 1
+    for j in reversed(earlier):
+        p = n - j
+        if 2 * p > n:
+            break
+        if all(keys[n - i] == keys[j - i] for i in range(1, p)):
+            tol = 1.0e-9 * (times[n] - times[j])
+            agree = all(abs(times[n - i] - times[n - i - 1] - times[j - i] + times[j - i - 1]) <= tol
+                        for i in range(p))
+            return p, agree
+    return 0, False
+
+
+class _Cycle(NamedTuple):
+    """What ``_limit_cycle`` read of a run: the segments of its last full
+    cycle, in order, and that cycle's length (none and 0 where it has no
+    full cycle); the cycles and valve events it ran; the cap that stopped
+    it before its last two cycles matched, None where none did; and its
+    settling and burst warnings."""
+
+    segments: list[_Segment]
+    period: float
+    cycles: int
+    events: int
+    cap: str | None
+    warnings: list[str]
+
+
+def _limit_cycle(
+    compiled: _Compiled, is_open: np.ndarray, volumes: np.ndarray, t_end: float, event_tol: float
+) -> _Cycle:
+    """The run from ``is_open`` and ``volumes``, read unsampled until its
+    valve events repeat.
+
+    Each valve event is keyed by the (valve, new state) pairs it logs. The
+    run stops once its last two cycles have the same keys in the same
+    order (``_last_cycle``). A run in which no valve can rise again is at
+    rest and has no cycle. One whose next event would come after
+    ``t_end``, or that reaches ``_MAX_CYCLES`` or ``_MAX_EVENTS``, stops
+    there, names that cap and keeps its last full cycle. ``cycles`` counts
+    the earlier occurrences of the last event's key: the cycles run, where
+    each key occurs once a cycle. The warnings are ``simulate``'s, up to
+    where the run stops or ``t_end``.
+    """
+    run = _segments(compiled, is_open, volumes, math.inf, event_tol)
+    segments: list[_Segment] = []
+    keys, times, starts = [], [], []  # per valve event: its key, time and segment
+    seen: dict[tuple, list[int]] = {}
+    warnings: list[str] = []
+    bursts = _Bursts(compiled, volumes)
+    cycles = events = 0
+    full = None  # the last event that closed a full cycle, and that cycle's length in events
+    cap = None
+    for seg in run:
+        if seg.note:
+            warnings.append(seg.note)
+        warnings.extend(bursts(seg, min(seg.tau, t_end - seg.t)))
+        if seg.tau == math.inf:
+            return _Cycle([], 0.0, cycles, events, None, warnings)
+        segments.append(seg)
+        if seg.flips:
+            events += len(seg.flips)
+            keys.append(tuple(seg.flips))
+            times.append(seg.t)
+            starts.append(len(segments) - 1)
+            earlier = seen.setdefault(keys[-1], [])
+            p, converged = _last_cycle(keys, times, earlier)
+            cycles = len(earlier)
+            earlier.append(len(keys) - 1)
+            if p:
+                full = len(keys) - 1, p
+            if converged:
+                break
+            if cycles >= _MAX_CYCLES:
+                cap = f"{_MAX_CYCLES} recurrences of one valve event"
+                break
+            if events >= _MAX_EVENTS:
+                cap = f"{_MAX_EVENTS} valve events"
+                break
+        if seg.t_next > t_end:
+            cap = f"t_end = {t_end:g} s"
+            break
+    if full is None:
+        return _Cycle([], 0.0, cycles, events, cap, warnings)
+    n, p = full
+    return _Cycle(segments[starts[n - p] : starts[n]], float(times[n] - times[n - p]), cycles,
+                  events, cap, warnings)
+
+
+def _wave(seg: _Segment, row: int):
+    """The kPa of the watched node ``row`` over ``seg`` as ``c + Σ_j b_j
+    e^(λ_j τ)``: ``(c, b, lam)``."""
+    reg, modes = seg.reg, seg.modes
+    c = (reg.a0[row] + reg.A[row] @ (modes.D * seg.xc)) / KPA
+    b = (reg.A[row] * modes.D / KPA) @ modes.T * seg.d
+    return c, b, modes.lam
+
+
+def _span(segments: list[_Segment], row: int) -> tuple[float, float]:
+    """The least and the greatest kPa of the watched node ``row`` over
+    ``segments``, in closed form (``_extremes``)."""
+    lo, hi = math.inf, -math.inf
+    for seg in segments:
+        seg_lo, seg_hi = _extremes(*_wave(seg, row), seg.tau)
+        lo, hi = min(lo, seg_lo), max(hi, seg_hi)
+    return lo, hi
+
+
+def _pieces(segments: list[_Segment], row: int, level: float):
+    """``segments`` cut where the watched node ``row`` crosses ``level``
+    (``_zeros``), as arrays over the pieces, in order: each piece's start
+    time, its length, and the node's kPa less ``level`` at its middle.
+    Empty pieces are left out."""
+    t, length, v = [], [], []
+    for seg in segments:
+        c, b, lam = _wave(seg, row)
+        b, lam = _distinct(b, lam)
+        cuts = np.array([0.0, *_zeros(c - level, 0.0, b, lam, seg.tau), seg.tau])
+        middles = 0.5 * (cuts[:-1] + cuts[1:])
+        t.append(seg.t + cuts[:-1])
+        length.append(np.diff(cuts))
+        v.append(c - level + np.exp(np.multiply.outer(middles, lam)) @ b)
+    t, length, v = (np.concatenate(a) for a in (t, length, v))
+    keep = length > 0.0
+    return t[keep], length[keep], v[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -1174,6 +1353,77 @@ def extract_frequency(
     )
 
 
+def measure_oscillation(
+    net: PneumaticNetwork, cfg: SimConfig, min_amplitude_kpa: float = 1.0
+) -> OscillationReport:
+    """The limit cycle of ``net`` at every probe, in closed form.
+
+    The run starts from ``cfg``'s initial state and is read unsampled until
+    its valve events repeat (``_limit_cycle``): ``cfg.t_end`` caps its
+    simulated time, and ``cfg.sample_interval`` is not read. The first
+    probe is the reference, and the frequency is the reciprocal of the
+    last cycle's length. Over that cycle, each probe's peak and trough are
+    exact (``_extremes``), and its midline lies halfway between them. It
+    rises through its midline within a segment or jumps across it as a
+    valve flips; its phase is the circular mean of those crossings' offsets
+    from the reference's last crossing before each. Duty is the share of
+    the cycle the reference spends above its midline.
+
+    Raises NoOscillation, with the run's warnings, when the run comes to
+    rest or stops at a cap before one full cycle, or when the reference
+    swings less than ``min_amplitude_kpa``. A run stopped at a cap after a
+    full cycle reports that cycle, and its last warning names the cap.
+    """
+    compiled = _compile_probed(net, cfg)
+    cycle = _limit_cycle(compiled, compiled.initial_states(cfg.initial_valve_states),
+                         compiled.initial_volumes(cfg.initial_pressures_kpa), cfg.t_end, cfg.event_tol)
+    warnings = tuple(cycle.warnings)
+    if not cycle.segments:
+        if cycle.cap is None:
+            raise NoOscillationError("the circuit comes to rest: no valve switches again", warnings)
+        raise NoOscillationError(f"no full cycle of valve events within {cycle.cap}", warnings)
+    if cycle.cap is not None:
+        warnings += (f"the run stopped at {cycle.cap} before its last two cycles matched; "
+                     f"its last full cycle is reported",)
+
+    period, nv = cycle.period, len(compiled.control)
+    peaks, troughs, phases, rising = {}, {}, {}, {}
+    for row, name in enumerate(compiled.probes, nv):
+        troughs[name], peaks[name] = lo, hi = _span(cycle.segments, row)
+        t, length, v = _pieces(cycle.segments, row, 0.5 * (lo + hi))
+        rising[name] = t[(v >= 0.0) & (np.roll(v, 1) < 0.0)]  # the cycle wraps around
+        if row == nv:  # the reference
+            if hi - lo < min_amplitude_kpa:
+                raise NoOscillationError(
+                    f"peak-to-trough span {hi - lo:.3g} kPa is below the "
+                    f"{min_amplitude_kpa:.3g} kPa oscillation floor", warnings
+                )
+            duty = float(length[v > 0.0].sum() / length.sum())
+    probe, ref = compiled.probes[0], rising[compiled.probes[0]]
+    for name, own in rising.items():
+        if name == probe:
+            phases[name] = 0.0
+        elif not len(own) or not len(ref):
+            phases[name] = float("nan")
+        else:
+            # each crossing's offset from the reference's last crossing before it
+            prior = np.searchsorted(ref, own, side="right") - 1
+            deltas = (own - np.where(prior >= 0, ref[prior], ref[-1] - period)) % period
+            angle = deltas / period * 2.0 * math.pi
+            phases[name] = math.degrees(math.atan2(np.sin(angle).mean(), np.cos(angle).mean())) % 360.0
+    return OscillationReport(
+        probe=probe,
+        frequency_hz=1.0 / period,
+        duty=duty,
+        peaks_kpa=peaks,
+        troughs_kpa=troughs,
+        phase_deg=phases,
+        cycles=cycle.cycles,
+        events=cycle.events,
+        warnings=warnings,
+    )
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -1185,86 +1435,25 @@ class CalibrationBounds:
     open_conductance: tuple[float, float] = (1.0e-8, 1.0e-3)
 
 
-#: a calibration run ends at this many recurrences of one valve event, or
-#: at this many valve events, if its cycle has not converged by then
-_MAX_CYCLES, _MAX_EVENTS = 64, 4096
-
-
-def _last_cycle(keys: list, times: list[float], earlier: list[int]) -> tuple[int, bool]:
-    """The length ``p``, in events, of the shortest cycle that ends at the
-    last event and repeats the keys of the ``p`` events before it (0 if
-    none does), and whether the two cycles' event-to-event durations agree
-    within 1e-9 of the cycle's length. ``earlier`` lists where the last
-    event's key occurred before."""
-    n = len(keys) - 1
-    for j in reversed(earlier):
-        p = n - j
-        if 2 * p > n:
-            break
-        if all(keys[n - i] == keys[j - i] for i in range(1, p)):
-            tol = 1.0e-9 * (times[n] - times[j])
-            agree = all(abs(times[n - i] - times[n - i - 1] - times[j - i] + times[j - i - 1]) <= tol
-                        for i in range(p))
-            return p, agree
-    return 0, False
-
-
 def _measure(
     net: PneumaticNetwork, probe: str, min_amplitude_kpa: float
 ) -> tuple[int, int, float | None, float | None]:
-    """Run ``net`` from its declared state, unsampled, until its valve
-    events repeat, and measure that limit cycle at ``probe``: ``(cycles,
-    events, frequency_hz, peak_kpa)``, the last two None where it shows no
-    oscillation.
-
-    Each valve event is keyed by the (valve, new state) pairs it logs. The
-    run stops once its last two cycles have the same keys in the same
-    order (``_last_cycle``); the frequency is the reciprocal of the last
-    cycle's length, and its peak and trough at the probe come in closed
-    form (``_extremes``). A run in which no valve can rise again is at
-    rest. One that reaches ``_MAX_CYCLES`` or ``_MAX_EVENTS`` unconverged
-    reports its last full cycle. No cycle, rest, or a swing under
-    ``min_amplitude_kpa`` shows no oscillation. ``cycles`` counts the
-    earlier occurrences of the last event's key: the cycles run, where
-    each key occurs once a cycle.
+    """Run ``net`` from its declared state until its valve events repeat
+    (``_limit_cycle``) and measure that limit cycle at ``probe``:
+    ``(cycles, events, frequency_hz, peak_kpa)``, the last two None where
+    it shows no oscillation: no full cycle, rest, or a swing under
+    ``min_amplitude_kpa``. The frequency is the reciprocal of the last
+    cycle's length, and its peak comes in closed form (``_extremes``).
     """
     compiled = _Compiled(net.validate(), (probe,))
-    row = len(compiled.control)  # the probe's row of each regime's map
-    run = _segments(compiled, compiled.initial_states(None), compiled.initial_volumes(None),
-                    math.inf, SimConfig.event_tol)
-    segments: list[_Segment] = []
-    keys, times, starts = [], [], []  # per valve event: its key, time and segment
-    seen: dict[tuple, list[int]] = {}
-    cycles = events = p = 0
-    for seg in run:
-        if seg.tau == math.inf:
-            return cycles, events, None, None
-        segments.append(seg)
-        if not seg.flips:
-            continue
-        events += len(seg.flips)
-        keys.append(tuple(seg.flips))
-        times.append(seg.t)
-        starts.append(len(segments) - 1)
-        earlier = seen.setdefault(keys[-1], [])
-        p, converged = _last_cycle(keys, times, earlier)
-        cycles = len(earlier)
-        earlier.append(len(keys) - 1)
-        if converged or cycles >= _MAX_CYCLES or events >= _MAX_EVENTS:
-            break
-    if not p:
-        return cycles, events, None, None
-    n = len(keys) - 1
-    lo, hi = math.inf, -math.inf
-    for seg in segments[starts[n - p] : starts[n]]:
-        reg, modes = seg.reg, seg.modes
-        c = (reg.a0[row] + reg.A[row] @ (modes.D * seg.xc)) / KPA
-        b = (reg.A[row] * modes.D / KPA) @ modes.T * seg.d
-        seg_lo, seg_hi = _extremes(c, b, modes.lam, seg.tau)
-        lo, hi = min(lo, seg_lo), max(hi, seg_hi)
+    cycle = _limit_cycle(compiled, compiled.initial_states(None), compiled.initial_volumes(None),
+                         math.inf, SimConfig.event_tol)
+    if not cycle.segments:
+        return cycle.cycles, cycle.events, None, None
+    lo, hi = _span(cycle.segments, len(compiled.control))
     if hi - lo < min_amplitude_kpa:
-        return cycles, events, None, None
-    return cycles, events, 1.0 / float(times[n] - times[n - p]), hi
+        return cycle.cycles, cycle.events, None, None
+    return cycle.cycles, cycle.events, 1.0 / cycle.period, hi
 
 
 def calibrate_oscillator(

@@ -97,7 +97,14 @@ class TooManyValvesError(EngineError):
 
 
 class NoOscillationError(EngineError):
+    """``warnings`` holds those of the run that showed no oscillation,
+    where the analysis ran one."""
+
     code = "NoOscillation"
+
+    def __init__(self, message: str, warnings=()):
+        super().__init__(message)
+        self.warnings = warnings
 
 
 class CalibrationFailedError(EngineError):

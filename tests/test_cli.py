@@ -338,7 +338,31 @@ def test_freq_json_lines_on_the_stock_ring(capsys):
         assert r["frequency_hz"] == pytest.approx(14.995, rel=0.01)
         assert r["peak_kpa"] == pytest.approx(35.15, rel=0.01)
         assert r["phase_deg"] == pytest.approx(phase, abs=1e-6)
-        assert r["cycles"] == 17
+        assert r["cycles"] == 3
+
+
+def test_freq_cap_before_a_full_cycle_exits_3(capsys):
+    # the stock ring's events first repeat a full cycle near t = 0.153 s
+    rc = main(["freq", "--t-end", "0.1", circuit("ring3_calibrated.tbl")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "NoOscillation: no full cycle of valve events within t_end = 0.1 s" in captured.err
+
+
+def test_freq_cap_after_a_full_cycle_warns_and_reports_it(capsys):
+    rc = main(["--format", "json-lines", "freq", "--t-end", "0.2", circuit("ring3_calibrated.tbl")])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == (
+        "warning: the run stopped at t_end = 0.2 s before its last two cycles matched; "
+        "its last full cycle is reported\n"
+    )
+    recs = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["probe"] for r in recs] == ["m1", "m2", "m3"]
+    for r in recs:
+        assert r["frequency_hz"] == pytest.approx(15.0001, rel=1e-5)
+        assert r["cycles"] == 2
 
 
 def test_sim_prints_trace_warnings_to_stderr(tmp_path, capsys):
@@ -355,6 +379,20 @@ def test_sim_prints_trace_warnings_to_stderr(tmp_path, capsys):
     warning = "warning: balloon b1 passed its burst pressure (200.0 kPa) at t="
     assert captured.err.startswith(warning)
     assert captured.err.count("\n") == 1
+
+
+def test_freq_at_rest_prints_its_warnings_before_the_error(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "source SUP pressure=250kPa\ntube t1 from=SUP to=x length=5cm\n"
+        "balloon b1 node=x\nprobe x\n",
+    )
+    rc = main(["freq", path])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(lines) == 2
+    assert lines[0].startswith("warning: balloon b1 passed its burst pressure (200.0 kPa) at t=")
+    assert lines[1].endswith("NoOscillation: the circuit comes to rest: no valve switches again")
 
 
 def test_freq_prints_trace_warnings_to_stderr(capsys):

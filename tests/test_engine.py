@@ -34,6 +34,7 @@ from tblsim import (
     element_flow,
     expand,
     extract_frequency,
+    measure_oscillation,
     node_residuals,
     parse,
     simulate,
@@ -1598,6 +1599,67 @@ def test_swing_under_the_amplitude_floor_is_no_oscillation():
     cycles, events, f, peak = engine._measure(_ring3_calibrated(), "m1", 100.0)
     assert events > 0
     assert (f, peak) == (None, None)
+
+
+def _ring3_per_stage(sets):
+    """``ring3_calibrated.tbl`` with every valve's compliance and conductance
+    set on its own through ``--set``, each within 5 % of the file's."""
+    ast, defaults = _apply_overrides(
+        parse(open("circuits/ring3_calibrated.tbl").read()), PhysicalDefaults(), list(sets)
+    )
+    return expand(ast, defaults)
+
+
+_PER_STAGE = {
+    "per_stage_a": ("v1.compliance=5.40e-11", "v2.compliance=5.80e-11", "v3.compliance=5.62e-11",
+                    "v1.open_conductance=6.25e-8", "v2.open_conductance=5.81e-8",
+                    "v3.open_conductance=6.07e-8"),
+    "per_stage_b": ("v1.compliance=5.88e-11", "v2.compliance=5.47e-11", "v3.compliance=5.71e-11",
+                    "v1.open_conductance=5.79e-8", "v2.open_conductance=6.30e-8",
+                    "v3.open_conductance=5.95e-8"),
+}
+
+
+@pytest.mark.parametrize(
+    "make_net",
+    [_ring3_calibrated, *(lambda sets=sets: _ring3_per_stage(sets) for sets in _PER_STAGE.values()),
+     lambda: build(open("circuits/ring3.tbl").read()),
+     lambda: build(open("circuits/ring5.tbl").read())],
+    ids=["ring3_calibrated", *_PER_STAGE, "ring3", "ring5"],
+)
+def test_limit_cycle_report_agrees_with_a_sampled_run(make_net):
+    net = make_net()
+    rep = measure_oscillation(net, SimConfig(t_end=2.0))
+    ref = extract_frequency(simulate(net, SimConfig(t_end=3.0)), rep.probe)
+    assert rep.warnings == ()
+    assert rep.frequency_hz == pytest.approx(ref.frequency_hz, rel=1e-9)
+    assert list(rep.peaks_kpa) == list(ref.peaks_kpa)
+    for name in ref.peaks_kpa:
+        assert rep.peaks_kpa[name] == pytest.approx(ref.peaks_kpa[name], abs=1e-6)
+        assert rep.troughs_kpa[name] == pytest.approx(ref.troughs_kpa[name], abs=1e-6)
+        # the circular distance between the two phases
+        assert abs((rep.phase_deg[name] - ref.phase_deg[name] + 180.0) % 360.0 - 180.0) <= 0.01
+    # samples straddle each valve flip, so the sampled duty is off by a few 1e-3
+    assert rep.duty == pytest.approx(ref.duty, abs=0.01)
+
+
+def test_event_cap_after_a_full_cycle_reports_it_with_a_warning(monkeypatch):
+    net = _ring3_calibrated()
+    full = measure_oscillation(net, SimConfig(t_end=2.0))
+    monkeypatch.setattr(engine, "_MAX_EVENTS", 20)  # past the first full cycle, short of 23
+    rep = measure_oscillation(net, SimConfig(t_end=2.0))
+    assert rep.events == 20 < full.events
+    assert rep.warnings == (
+        "the run stopped at 20 valve events before its last two cycles matched; "
+        "its last full cycle is reported",
+    )
+    assert rep.frequency_hz == pytest.approx(full.frequency_hz, rel=1e-6)
+    assert rep.peaks_kpa == pytest.approx(full.peaks_kpa, abs=1e-3)
+
+
+def test_circuit_at_rest_is_no_oscillation():
+    with pytest.raises(NoOscillationError, match="comes to rest"):
+        measure_oscillation(build(RC_TEXT), SimConfig(t_end=2.0, probes=("x",)))
 
 
 def test_calibrated_circuit_reproduces_its_targets():
