@@ -35,9 +35,13 @@ other node pressures are algebraic. Each regime (one set of valve states)
 is factorized once and Kron-reduced onto the balloon nodes (``_Regime``),
 and each stretch between valve transitions is solved in closed form
 (``_Modes``), so a transient run has no step size and no tolerance, and
-identical inputs give bit-identical traces. Read unsampled until its valve
+identical inputs give bit-identical traces. Over a segment each watched
+node's kPa is one wave, a constant plus exponentials in time
+(``_Segment.wave``): the valve margins, ``simulate``'s samples and a limit
+cycle's extrema and crossings all read it. Read unsampled until its valve
 events repeat (``_limit_cycle``), the same run gives an oscillator's limit
-cycle, which calibration and ``measure_oscillation`` read in closed form.
+cycle; ``measure_oscillation`` reports it (``_report``), and calibration
+takes its frequency and peak from that same report.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .elements import (
     ValveState,
     node_components,
 )
-from .expsums import _distinct, _extremes, _first_rises, _zeros
+from .expsums import _distinct, _extremes, _first_rises, _values, _zeros
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
@@ -83,16 +87,13 @@ class SimConfig:
     form, so no setting trades accuracy for time."""
 
     t_end: float
-    # valves rising within this of a flip flip with it; the post-event
-    # sample sits this far after the event
-    event_tol: float = 1.0e-6
     sample_interval: float = 1.0e-3
     probes: tuple[str, ...] | None = None
     initial_valve_states: dict[str, ValveState] | None = None
     initial_pressures_kpa: dict[str, float] | None = None
 
     def __post_init__(self):
-        for name in ("t_end", "event_tol", "sample_interval"):
+        for name in ("t_end", "sample_interval"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"SimConfig.{name} must be positive and finite")
 
@@ -503,7 +504,7 @@ class _Regime:
         # the _Compiled that caches this regime: a reference cycle would keep
         # both, and their matrices, alive until the next full gc pass
         self.rest_volume, self.compliance = compiled.rest_volume, compiled.compliance
-        self.region, self.nv = compiled.region[compiled.cap_idx], len(compiled.control)
+        self.region = compiled.region[compiled.cap_idx]
         n, nc = compiled.n, len(compiled.cap_idx)
         g = compiled.conductances(is_open)
         labels, _fixed, anchored = compiled.components(g)
@@ -518,11 +519,9 @@ class _Regime:
         self.a0, self.A = P[compiled.watch, 0], P[compiled.watch, 1:]
         self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
 
-    def pressures(self, volumes: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """The pressures (Pa) of the watched nodes ``rows`` (a slice of
-        ``watch``), at one vector of balloon volumes or at one per row of a
-        2-D ``volumes``."""
-        p = _balloon_pa(volumes, self.rest_volume, self.compliance) @ self.A[rows].T + self.a0[rows]
+    def pressures(self, volumes: np.ndarray) -> np.ndarray:
+        """The pressures (Pa) of the watched nodes at one vector of balloon volumes."""
+        p = _balloon_pa(volumes, self.rest_volume, self.compliance) @ self.A.T + self.a0
         if not np.isfinite(p).all():
             raise SingularNetworkError("flow-balance system is numerically singular")
         return p
@@ -553,6 +552,8 @@ class _Modes:
     is ``x(τ) = xc + τ w + V (d ∘ e^(λτ))``. ``K`` is negative
     semidefinite: an eigenvalue within roundoff of 0 is 0, and its mode,
     on balloons sealed off from every fixed node and so undriven, holds.
+    ``W``, built block by block, maps the modes to every ``watch`` node's
+    kPa, the terms of its wave (``_Segment.wave``).
     """
 
     def __init__(self, reg: _Regime, mode: np.ndarray):
@@ -560,8 +561,8 @@ class _Modes:
         self.mode, above, self.below = mode, mode == _ABOVE, mode == _BELOW
         self.D = above / reg.compliance
         lam, T = np.zeros(nc), np.zeros((nc, nc))
-        # the control kPa per mode: AD T, with AD = A D / KPA zero off above rest
-        AD, self.ADV = reg.A[: reg.nv] * self.D / KPA, np.zeros((reg.nv, nc))
+        # the watched kPa per mode: AD T, with AD = A D / KPA zero off above rest
+        AD, self.W = reg.A * self.D / KPA, np.zeros((len(reg.a0), nc))
         bal = np.flatnonzero(above)
         _labels, inv, counts = np.unique(reg.region[bal], return_inverse=True, return_counts=True)
         order = np.lexsort((bal, inv, counts[inv]))  # by block size, then block
@@ -573,7 +574,7 @@ class _Modes:
             lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / (2.0 * h * h.transpose(0, 2, 1)))
             lb[lb > -64.0 * np.finfo(float).eps * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
             lam[idx], T[rows, cols] = lb, h * U
-            self.ADV[:, idx] = np.matmul(AD[:, idx].transpose(1, 0, 2), h * U).transpose(1, 0, 2)
+            self.W[:, idx] = np.matmul(AD[:, idx].transpose(1, 0, 2), h * U).transpose(1, 0, 2)
         # x = T z above rest, and z = Tᵀ D x
         self.lam, self.T, self.moving = lam, T, lam != 0.0
         self.zstar = np.divide(-(T.T @ (self.D * reg.k0)), lam, out=np.zeros(nc), where=self.moving)
@@ -868,19 +869,25 @@ def node_residuals(
 # ---------------------------------------------------------------------------
 
 
+#: valves rising within this many seconds of a flip flip with it, and
+#: ``simulate``'s post-event sample sits this far after its event
+_EVENT_TOL = 1.0e-6
+
+
 @dataclass(eq=False, slots=True)
 class _Segment:
     """One stretch of a run with fixed valve states and balloon modes, from
     ``t`` to ``t_next``, in closed form: ``x(τ) = xc + τ w + V (d ∘
-    e^(λτ))`` of ``modes`` in the regime ``reg``, for ``τ`` in ``[0, tau]``.
+    e^(λτ))`` of ``modes``, for ``τ`` in ``[0, tau]``.
 
     ``flips`` lists the valve transitions logged as it starts, ``(valve,
     now open)`` in order, and ``note`` the warning of a settling that gave
     up. ``kpa`` holds the watched nodes' kPa at its start once settled; it
-    is None where a balloon mode change starts it. A valve event
-    (``event``) or a mode change (``change``) ends it; where neither does,
-    it is the run's last, and with no end time ``tau`` is inf: no valve
-    rises again.
+    is None where a balloon mode change starts it. ``c`` holds the watched
+    nodes' kPa at ``xc``, the constant of their waves (``wave``). A valve
+    event (``event``) or a mode change (``change``) ends it; where neither
+    does, it is the run's last, and with no end time ``tau`` is inf: no
+    valve rises again.
     """
 
     t: float
@@ -891,24 +898,20 @@ class _Segment:
     flips: list[tuple[int, bool]]
     note: str | None
     kpa: np.ndarray | None
-    reg: _Regime
     modes: _Modes
     xc: np.ndarray
-    w: np.ndarray
     d: np.ndarray
-    x_end: np.ndarray | None = None
+    c: np.ndarray
 
-    def x(self, taus: np.ndarray) -> np.ndarray:
-        """``x`` at each of the times ``taus`` into the segment and then at
-        its end, one row each, by one closed-form evaluation. The run goes
-        on from that last row."""
-        x = self.modes.x(self.xc, self.w, self.d, np.append(taus, self.tau))
-        self.x_end = x[-1]
-        return x
+    def wave(self, rows):
+        """The kPa of the watched nodes ``rows`` (an index or a slice of
+        ``watch``) over the segment as ``c + Σ_j b_j e^(λ_j τ)``: ``(c, b,
+        lam)``, with one row of ``b`` per node of a slice."""
+        return self.c[rows], self.modes.W[rows] * self.d, self.modes.lam
 
 
 def _segments(
-    compiled: _Compiled, is_open: np.ndarray, volumes: np.ndarray, t_end: float, event_tol: float
+    compiled: _Compiled, is_open: np.ndarray, volumes: np.ndarray, t_end: float
 ) -> Iterator[_Segment]:
     """The run from the valve states ``is_open`` and balloon ``volumes`` at
     t = 0 to ``t_end``, one ``_Segment`` at a time; with ``t_end`` inf it
@@ -920,11 +923,11 @@ def _segments(
     ``_Compiled.margin``: a valve switches where its control is at or past
     the threshold of its pending transition. The first margin to rise from
     below 0 to 0 or above ends the segment (``_first_rises``); the valves
-    that rise within ``event_tol`` of it flip with it, and the valves are
+    that rise within ``_EVENT_TOL`` of it flip with it, and the valves are
     settled in the new regime. With a sub-atmospheric source a balloon
-    crossing its rest volume or emptying ends a segment too. A segment's
-    end state is the last row of its first ``_Segment.x`` call, so a
-    reader that samples it and one that does not see the same run.
+    crossing its rest volume or emptying ends a segment too. The run goes
+    on from a segment's end volumes, one closed-form evaluation at its end
+    here, so what a reader does with the segments cannot change the run.
     """
     ctrl_rows = slice(0, len(compiled.control))
     rest = compiled.rest_volume
@@ -968,10 +971,10 @@ def _segments(
         modes = reg.above if (mode == _ABOVE).all() else _Modes(reg, mode)
         xc, w, d = modes.segment(volumes - rest)
         h = t_end - t
+        c = (reg.a0 + reg.A @ (modes.D * xc)) / KPA  # the watched nodes' kPa at xc
         # the valve margins, each a constant plus exponentials
-        c = compiled.margin(is_open, (reg.a0[ctrl_rows] + reg.A[ctrl_rows] @ (modes.D * xc)) / KPA)
-        M = np.where(is_open, 1.0, -1.0)[:, None] * modes.ADV
-        t_valve = _first_rises(c, M, d, modes.lam, h, m0)
+        M = np.where(is_open, 1.0, -1.0)[:, None] * modes.W[ctrl_rows]
+        t_valve = _first_rises(compiled.margin(is_open, c[ctrl_rows]), M, d, modes.lam, h, m0)
         t_flip = t_valve.min(initial=math.inf)
         t_mode = math.inf
         if vacuum:
@@ -983,17 +986,14 @@ def _segments(
         change = not event and t_mode <= h
         tau = t_flip if event else t_mode if change else h
         t_next = t + tau if event or change else t_end
-        seg = _Segment(t, tau, t_next, event, change, flips, note, kpa, reg, modes, xc, w, d)
-        yield seg
+        yield _Segment(t, tau, t_next, event, change, flips, note, kpa, modes, xc, d, c)
         if not (event or change):
             return
-        if seg.x_end is None:
-            seg.x(np.zeros(0))
-        volumes = np.maximum(seg.x_end + rest, 0.0)
+        volumes = np.maximum(modes.x(xc, w, d, np.array([tau]))[0] + rest, 0.0)
         t = t_next
 
         if event:
-            switch = np.flatnonzero(t_valve <= t_flip + event_tol)
+            switch = np.flatnonzero(t_valve <= t_flip + _EVENT_TOL)
             is_open, reg, m0, kpa, flips, note = settle(t, is_open, volumes, switch)
             if vacuum:
                 mode = reg.modes_at(volumes)
@@ -1003,18 +1003,19 @@ def _segments(
             k, to = who[hit], goes[hit]
             volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), rest[k], 0.0)
             mode[k] = to
-            m0 = compiled.margin(is_open, reg.pressures(volumes, ctrl_rows) / KPA)
+            m0 = compiled.margin(is_open, reg.pressures(volumes)[ctrl_rows] / KPA)
             flips, note, kpa = [], None, None
 
 
 class _Bursts:
     """The burst check of one run from ``volumes``: called on each segment
     in turn with the time ``h`` it runs, it gives the warnings of the
-    balloons that first reach their burst pressure within it. A balloon
-    already past its burst level warns at once if it is still rising. The
-    network is passive, so no balloon rises above the highest of the fixed
-    pressures and the balloons' own at the start; a balloon whose burst
-    level lies above that is never checked."""
+    balloons that first reach their burst pressure within it. A balloon at
+    or past its burst level as a segment starts warns at that start,
+    whether it then rises or drains: at t = 0 for one that starts the run
+    there. The network is passive, so no balloon rises above the highest
+    of the fixed pressures and the balloons' own at the start; a balloon
+    whose burst level lies above that is never checked."""
 
     def __init__(self, compiled: _Compiled, volumes: np.ndarray):
         top = max(compiled.fixed_pa.max(),
@@ -1027,9 +1028,9 @@ class _Bursts:
             return []
         compiled, modes = self.compiled, seg.modes
         ks = np.flatnonzero(~self.seen & (modes.mode == _ABOVE))
-        x_burst = compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA
-        f0 = np.full(len(ks), -np.inf)
-        t_ks = seg.t + _first_rises(seg.xc[ks] - x_burst, modes.V[ks], seg.d, modes.lam, h, f0)
+        c, M = seg.xc[ks] - compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA, modes.V[ks]
+        f0 = c + M @ seg.d  # at the segment's start
+        t_ks = seg.t + np.where(f0 >= 0.0, 0.0, _first_rises(c, M, seg.d, modes.lam, h, f0))
         hit = t_ks < math.inf
         self.seen[ks[hit]] = True
         self.done = bool(self.seen.all())
@@ -1051,19 +1052,19 @@ def _compile_probed(net: PneumaticNetwork, cfg: SimConfig) -> _Compiled:
 def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     """Solve the circuit in closed form and return a sampled Trace.
 
-    The run is ``_segments``' closed-form segments, sampled. A relaxation
-    that does not settle is reported in ``Trace.warnings``, as is the time
-    each balloon first reaches its burst pressure. Samples land on a
-    regular grid plus a pre/post pair at each event, so switching edges
-    stay sharp: a segment's grid samples and its last sample are one
-    closed-form evaluation, read through the probe rows of the regime's
-    map, and the post-event sample, ``event_tol`` later, reads the
-    settling. Identical inputs give identical traces.
+    The run is ``_segments``' closed-form segments, sampled; sampling
+    reads the run and does not change it. A relaxation that does not
+    settle is reported in ``Trace.warnings``, as is the time each balloon
+    first reaches its burst pressure, or t = 0 for one that starts at or
+    past it. Samples land on a regular grid plus a pre/post pair at each
+    event, so switching edges stay sharp: a segment's grid samples and its
+    last sample are one product, the probes' waves (``_Segment.wave``) at
+    those times, and the post-event sample, 1 µs (``_EVENT_TOL``) later,
+    reads the settling. Identical inputs give identical traces.
     """
     compiled = _compile_probed(net, cfg)
     probes = compiled.probes
     probe_rows = slice(len(compiled.control), None)
-    rest = compiled.rest_volume
 
     times: list[float] = []
     rows: list[np.ndarray] = []  # blocks of probe rows, kPa
@@ -1083,23 +1084,28 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     bursts = _Bursts(compiled, volumes)
     next_sample = cfg.sample_interval
     post = 0.0  # the settled start is sampled at 0, each later settling this long after its event
-    for seg in _segments(compiled, is_open, volumes, cfg.t_end, cfg.event_tol):
+    for seg in _segments(compiled, is_open, volumes, cfg.t_end):
         t = seg.t
         events.extend((t, compiled.valve_names[v], _state(o)) for v, o in seg.flips)
         if seg.note:
             warnings.append(seg.note)
         if seg.kpa is not None:
             emit([t + post], seg.kpa[None, probe_rows])
-            post = min(cfg.event_tol, cfg.sample_interval / 8.0)
+            post = min(_EVENT_TOL, cfg.sample_interval / 8.0)
 
         # the grid samples up to the segment's end, then its last sample
         grid = []
         while next_sample < seg.t_next - (1.0e-15 if seg.event else 0.0):
             grid.append(next_sample)
             next_sample += cfg.sample_interval
-        x = seg.x(np.array(grid) - t)
-        shown = grid if seg.change else grid + [seg.t_next]
-        emit(shown, seg.reg.pressures(x[: len(shown)] + rest, probe_rows) / KPA)
+        taus = np.array(grid) - t
+        if not seg.change:
+            grid.append(seg.t_next)
+            taus = np.append(taus, seg.tau)
+        kpa = _values(*seg.wave(probe_rows), taus)
+        if not np.isfinite(kpa).all():
+            raise SingularNetworkError("flow-balance system is numerically singular")
+        emit(grid, kpa)
         warnings.extend(bursts(seg, seg.tau))
 
     kpa = np.concatenate(rows) if rows else np.zeros((0, len(probes)))
@@ -1151,7 +1157,7 @@ class _Cycle(NamedTuple):
 
 
 def _limit_cycle(
-    compiled: _Compiled, is_open: np.ndarray, volumes: np.ndarray, t_end: float, event_tol: float
+    compiled: _Compiled, is_open: np.ndarray, volumes: np.ndarray, t_end: float
 ) -> _Cycle:
     """The run from ``is_open`` and ``volumes``, read unsampled until its
     valve events repeat.
@@ -1166,7 +1172,7 @@ def _limit_cycle(
     each key occurs once a cycle. The warnings are ``simulate``'s, up to
     where the run stops or ``t_end``.
     """
-    run = _segments(compiled, is_open, volumes, math.inf, event_tol)
+    run = _segments(compiled, is_open, volumes, math.inf)
     segments: list[_Segment] = []
     keys, times, starts = [], [], []  # per valve event: its key, time and segment
     seen: dict[tuple, list[int]] = {}
@@ -1211,21 +1217,12 @@ def _limit_cycle(
                   events, cap, warnings)
 
 
-def _wave(seg: _Segment, row: int):
-    """The kPa of the watched node ``row`` over ``seg`` as ``c + Σ_j b_j
-    e^(λ_j τ)``: ``(c, b, lam)``."""
-    reg, modes = seg.reg, seg.modes
-    c = (reg.a0[row] + reg.A[row] @ (modes.D * seg.xc)) / KPA
-    b = (reg.A[row] * modes.D / KPA) @ modes.T * seg.d
-    return c, b, modes.lam
-
-
 def _span(segments: list[_Segment], row: int) -> tuple[float, float]:
     """The least and the greatest kPa of the watched node ``row`` over
     ``segments``, in closed form (``_extremes``)."""
     lo, hi = math.inf, -math.inf
     for seg in segments:
-        seg_lo, seg_hi = _extremes(*_wave(seg, row), seg.tau)
+        seg_lo, seg_hi = _extremes(*seg.wave(row), seg.tau)
         lo, hi = min(lo, seg_lo), max(hi, seg_hi)
     return lo, hi
 
@@ -1237,13 +1234,13 @@ def _pieces(segments: list[_Segment], row: int, level: float):
     Empty pieces are left out."""
     t, length, v = [], [], []
     for seg in segments:
-        c, b, lam = _wave(seg, row)
+        c, b, lam = seg.wave(row)
         b, lam = _distinct(b, lam)
         cuts = np.array([0.0, *_zeros(c - level, 0.0, b, lam, seg.tau), seg.tau])
         middles = 0.5 * (cuts[:-1] + cuts[1:])
         t.append(seg.t + cuts[:-1])
         length.append(np.diff(cuts))
-        v.append(c - level + np.exp(np.multiply.outer(middles, lam)) @ b)
+        v.append(_values(c - level, b, lam, middles))
     t, length, v = (np.concatenate(a) for a in (t, length, v))
     keep = length > 0.0
     return t[keep], length[keep], v[keep]
@@ -1376,7 +1373,14 @@ def measure_oscillation(
     """
     compiled = _compile_probed(net, cfg)
     cycle = _limit_cycle(compiled, compiled.initial_states(cfg.initial_valve_states),
-                         compiled.initial_volumes(cfg.initial_pressures_kpa), cfg.t_end, cfg.event_tol)
+                         compiled.initial_volumes(cfg.initial_pressures_kpa), cfg.t_end)
+    return _report(compiled, cycle, min_amplitude_kpa)
+
+
+def _report(compiled: _Compiled, cycle: _Cycle, min_amplitude_kpa: float) -> OscillationReport:
+    """``measure_oscillation``'s analysis of the ``cycle`` read from a run
+    of ``compiled``, at its probes, the first the reference; it raises
+    NoOscillation as ``measure_oscillation`` describes."""
     warnings = tuple(cycle.warnings)
     if not cycle.segments:
         if cycle.cap is None:
@@ -1435,27 +1439,6 @@ class CalibrationBounds:
     open_conductance: tuple[float, float] = (1.0e-8, 1.0e-3)
 
 
-def _measure(
-    net: PneumaticNetwork, probe: str, min_amplitude_kpa: float
-) -> tuple[int, int, float | None, float | None]:
-    """Run ``net`` from its declared state until its valve events repeat
-    (``_limit_cycle``) and measure that limit cycle at ``probe``:
-    ``(cycles, events, frequency_hz, peak_kpa)``, the last two None where
-    it shows no oscillation: no full cycle, rest, or a swing under
-    ``min_amplitude_kpa``. The frequency is the reciprocal of the last
-    cycle's length, and its peak comes in closed form (``_extremes``).
-    """
-    compiled = _Compiled(net.validate(), (probe,))
-    cycle = _limit_cycle(compiled, compiled.initial_states(None), compiled.initial_volumes(None),
-                         math.inf, SimConfig.event_tol)
-    if not cycle.segments:
-        return cycle.cycles, cycle.events, None, None
-    lo, hi = _span(cycle.segments, len(compiled.control))
-    if hi - lo < min_amplitude_kpa:
-        return cycle.cycles, cycle.events, None, None
-    return cycle.cycles, cycle.events, 1.0 / cycle.period, hi
-
-
 def calibrate_oscillator(
     template: PneumaticNetwork,
     target_frequency_hz: float,
@@ -1476,11 +1459,13 @@ def calibrate_oscillator(
     best result found and every evaluation, if both targets cannot be met
     within ``tolerance`` relative error.
 
-    Each evaluation is one ``_measure``: the circuit runs until its valve
-    events repeat, and its frequency and peak are those of that limit
-    cycle. One that comes to rest, or swings less than
-    ``min_amplitude_kpa``, shows no oscillation. The result's
-    ``evaluations`` logs each one in order.
+    Each evaluation runs the circuit from its declared state, with no end
+    time, until its valve events repeat (``_limit_cycle``), and takes its
+    frequency and its peak at ``probe`` from the report that
+    ``measure_oscillation`` makes of that limit cycle (``_report``), as
+    ``tblsim freq`` reads them. One that raises NoOscillation, at rest,
+    with no full cycle or with a swing under ``min_amplitude_kpa``, shows
+    no oscillation. The result's ``evaluations`` logs each one in order.
 
     The fit fails fast on a frequency out of reach. It assumes that the
     frequency rises with the conductance, so the point measured at the
@@ -1513,8 +1498,16 @@ def calibrate_oscillator(
 
     def evaluate(c: float, g: float) -> CalibrationEvaluation | None:
         net = template.with_uniform_params(compliance=c, open_conductance=g)
-        log.append(CalibrationEvaluation(c, g, *_measure(net, probe, min_amplitude_kpa)))
-        return log[-1] if log[-1].frequency_hz is not None else None
+        compiled = _Compiled(net.validate(), (probe,))
+        cycle = _limit_cycle(compiled, compiled.initial_open, compiled.initial_volumes(None), math.inf)
+        try:
+            rep = _report(compiled, cycle, min_amplitude_kpa)
+        except NoOscillationError:
+            f = peak = None
+        else:
+            f, peak = rep.frequency_hz, rep.peaks_kpa[probe]
+        log.append(CalibrationEvaluation(c, g, cycle.cycles, cycle.events, f, peak))
+        return log[-1] if f is not None else None
 
     def record(ev: CalibrationEvaluation) -> CalibrationResult:
         nonlocal best

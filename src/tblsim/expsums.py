@@ -1,13 +1,13 @@
-"""Sign changes, first rises and extremes of exponential sums.
+"""Values, sign changes, first rises and extremes of exponential sums.
 
 Within one regime segment a valve margin, a balloon's distance from a mode
 edge and a probe pressure each have the form ``f(τ) = c + r τ + Σ_j b_j
-e^(λ_j τ)`` with every ``λ`` at most 0. These functions locate where such
-a sum changes sign, first rises through 0 and peaks on ``[0, h]``, with no
-step size: the zeros of ``f'``, a sum of one term fewer, split ``[0, h]``
-into pieces on which ``f`` is monotone, and each sign change is then
-bracketed and refined by regula falsi. The engine imports them; they know
-nothing of networks.
+e^(λ_j τ)`` with every ``λ`` at most 0. These functions evaluate such a
+sum and locate where it changes sign, first rises through 0 and peaks on
+``[0, h]``, with no step size: the zeros of ``f'``, a sum of one term
+fewer, split ``[0, h]`` into pieces on which ``f`` is monotone, and each
+sign change is then bracketed and refined by regula falsi. The engine
+imports them; they know nothing of networks.
 """
 
 from __future__ import annotations
@@ -134,10 +134,16 @@ def _first_rises(c, M, d, lam, h, f0, r=None) -> np.ndarray:
     return t
 
 
+def _values(c, b: np.ndarray, lam: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``c + Σ_j b_j e^(λ_j τ)`` at each of the times ``taus``, by one
+    product: one value per time for a 1-D ``b``; for a 2-D ``b``, one sum
+    per row of ``b`` and of ``c``, as one row per time."""
+    return c + np.exp(np.multiply.outer(taus, lam)) @ b.T
+
+
 def _extremes(c: float, b: np.ndarray, lam: np.ndarray, h: float) -> tuple[float, float]:
     """The least and the greatest value of ``c + Σ_j b_j e^(λ_j τ)`` over
     ``[0, h]``: each lies at an end or at a zero of the derivative."""
     b, lam = _distinct(b, lam)
-    taus = np.array([0.0, *_zeros(0.0, 0.0, b * lam, lam, h), h])
-    v = c + np.exp(np.multiply.outer(taus, lam)) @ b
+    v = _values(c, b, lam, np.array([0.0, *_zeros(0.0, 0.0, b * lam, lam, h), h]))
     return float(v.min()), float(v.max())

@@ -1010,25 +1010,22 @@ def _rc_charge():
     ids=["ring3_calibrated", "ring5", "ring101", "rc"],
 )
 def test_batched_samples_match_a_per_sample_full_map(make_net, monkeypatch):
-    # the rc run is one event-free segment of 500 grid samples
+    # a segment's samples are one product of its probes' waves, and each
+    # sample taken on its own gives the same bits; the rc run is one
+    # event-free segment of 500 grid samples
     net = make_net()
     cfg = SimConfig(t_end=0.5, probes=None if net.probes else ("r.q1", "r.q50", "r.g7.b"))
     batched = simulate(net, cfg)
-    x = engine._Modes.x
+    values, batch = engine._values, []
 
-    def one_time_at_a_time(self, xc, w, d, taus):
-        return np.array([x(self, xc, w, d, taus[i : i + 1])[0] for i in range(len(taus))])
+    def one_time_at_a_time(c, b, lam, taus):
+        batch.append(len(taus))
+        one = [values(c, b, lam, taus[i : i + 1])[0] for i in range(len(taus))]
+        return np.array(one).reshape(len(taus), len(c))
 
-    pressures = engine._Regime.pressures
-
-    def one_row_at_a_time(self, volumes, rows=slice(None)):
-        if np.ndim(volumes) == 2:  # a block of samples: one vector each
-            return np.array([pressures(self, v, rows) for v in volumes])
-        return pressures(self, volumes, rows)
-
-    monkeypatch.setattr(engine._Modes, "x", one_time_at_a_time)
-    monkeypatch.setattr(engine._Regime, "pressures", one_row_at_a_time)
+    monkeypatch.setattr(engine, "_values", one_time_at_a_time)
     reference = simulate(net, cfg)
+    assert max(batch) > 1
     assert len(batched.times) > 400 and (len(batched.events) > 10 or not net.valves)
     assert np.array_equal(batched.times, reference.times)
     assert np.array_equal(batched.pressures_kpa, reference.pressures_kpa)
@@ -1201,8 +1198,9 @@ def test_unbounded_first_rise_matches_a_long_window(c, r, terms):
 
 
 def test_ring101_flips_in_lock_step():
-    # one stage's K entry sits an ulp from the others': event_tol keeps the
-    # ring's 101 stages flipping together, in two regimes
+    # one stage's K entry sits an ulp from the others': the valves rising
+    # within engine._EVENT_TOL of a flip flip with it, which keeps the ring's
+    # 101 stages flipping together, in two regimes
     tr = simulate(_ring101(), SimConfig(t_end=1.0, probes=("r.q1",)))
     flipped = {}
     for t, name, _state in tr.events:
@@ -1211,16 +1209,19 @@ def test_ring101_flips_in_lock_step():
     assert all(len(names) == 101 for names in flipped.values())
 
 
+VACUUM_TEXT = (
+    "source V pressure=-20kPa\nsource SUP pressure=150kPa\n"
+    "tube t1 from=V to=x length=5cm\ntube t2 from=x to=y length=7.5cm\n"
+    "tube t3 from=y to=SUP length=15cm\n"
+    "balloon bx node=x volume=0.1mL init=5kPa\nballoon by node=y compliance=2e-9\n"
+    "probe x\nprobe y\n"
+)
+
+
 def test_vacuum_balloon_drains_below_rest_and_refills_as_the_solver_does():
     # x is pulled below rest by V, then refills once y has charged: the
     # closed form's mode changes against the solver's clamped right-hand side
-    net = build(
-        "source V pressure=-20kPa\nsource SUP pressure=150kPa\n"
-        "tube t1 from=V to=x length=5cm\ntube t2 from=x to=y length=7.5cm\n"
-        "tube t3 from=y to=SUP length=15cm\n"
-        "balloon bx node=x volume=0.1mL init=5kPa\nballoon by node=y compliance=2e-9\n"
-        "probe x\nprobe y\n"
-    )
+    net = build(VACUUM_TEXT)
     tr = simulate(net, SimConfig(t_end=0.5))
     (volumes,) = _solve_ivp_reference(net, 0.5, 0)[0]
     names = net.node_order()
@@ -1246,6 +1247,21 @@ def test_burst_warning_at_the_burst_level_itself(relative, warned):
     assert len(tr.warnings) == warned
     if warned:
         assert tr.warnings[0].startswith("balloon b1 passed its burst pressure (200.0 kPa) at t=")
+
+
+def test_balloon_starting_past_its_burst_level_warns_at_the_start_as_it_drains():
+    net = build(
+        "source SUP pressure=145kPa\ntube t1 from=SUP to=x length=7.5cm\n"
+        "balloon b1 node=x init=210kPa\nprobe x\n"
+    )
+    want = ("balloon b1 passed its burst pressure (200.0 kPa) at t=0 s",)
+    tr = simulate(net, SimConfig(t_end=0.5))
+    x = tr.column("x")
+    assert x[0] == pytest.approx(210.0) and x[-1] == pytest.approx(145.0, rel=1e-3)
+    assert tr.warnings == want
+    with pytest.raises(NoOscillationError, match="comes to rest") as err:
+        measure_oscillation(net, SimConfig(t_end=0.5))
+    assert err.value.warnings == want
 
 
 def test_no_spurious_flip_after_an_event():
@@ -1346,7 +1362,7 @@ def test_initial_state_overrides_are_checked():
         simulate(net, SimConfig(t_end=0.1, initial_pressures_kpa={"nope": 10.0}))
 
 
-@pytest.mark.parametrize("field", ["t_end", "event_tol", "sample_interval"])
+@pytest.mark.parametrize("field", ["t_end", "sample_interval"])
 def test_sim_config_fields_must_be_finite(field):
     with pytest.raises(ValueError, match=f"SimConfig.{field} must be positive and finite"):
         SimConfig(**{"t_end": 1.0, field: math.inf})
@@ -1551,7 +1567,10 @@ def _count_segments(monkeypatch):
 def test_network_with_no_valve_is_at_rest_after_one_segment(monkeypatch):
     # an RC charge: no valve can ever rise, so its first segment never ends
     runs = _count_segments(monkeypatch)
-    assert engine._measure(build(RC_TEXT), "x", 1.0) == (0, 0, None, None)
+    with pytest.raises(CalibrationFailedError) as err:
+        calibrate_oscillator(build(RC_TEXT), 15.0, 35.0)
+    (ev,) = err.value.evaluations
+    assert (ev.cycles, ev.events, ev.frequency_hz, ev.peak_kpa) == (0, 0, None, None)
     assert [len(run) for run in runs] == [1]
     assert runs[0][0].tau == math.inf
 
@@ -1570,7 +1589,9 @@ def _ring3_set_variant():
 )
 def test_measured_limit_cycle_matches_a_long_run(make_net):
     net = make_net()
-    cycles, events, f, peak = engine._measure(net, "m1", 1.0)
+    rep = measure_oscillation(net, SimConfig(t_end=2.0))
+    assert rep.probe == "m1"
+    cycles, f, peak = rep.cycles, rep.frequency_hz, rep.peaks_kpa["m1"]
     assert 2 <= cycles <= 8
     tr = simulate(net, SimConfig(t_end=2.0))
     # the period between the last two occurrences of the run's last event
@@ -1589,16 +1610,22 @@ def test_unconverged_run_reports_its_last_full_cycle(monkeypatch):
     # the last cycle whose events repeat the one before
     net = _ring3_calibrated()
     monkeypatch.setattr(engine, "_MAX_CYCLES", 2)
-    cycles, events, f, peak = engine._measure(net, "m1", 1.0)
+    rep = measure_oscillation(net, SimConfig(t_end=2.0))
+    assert rep.probe == "m1"
+    cycles, f, peak = rep.cycles, rep.frequency_hz, rep.peaks_kpa["m1"]
     assert cycles == 2
     assert f == pytest.approx(15.0, rel=0.02)
     assert peak == pytest.approx(35.0, rel=0.02)
 
 
 def test_swing_under_the_amplitude_floor_is_no_oscillation():
-    cycles, events, f, peak = engine._measure(_ring3_calibrated(), "m1", 100.0)
-    assert events > 0
-    assert (f, peak) == (None, None)
+    with pytest.raises(CalibrationFailedError) as err:
+        calibrate_oscillator(_ring3_calibrated(), 15.0, 35.0, probe="m1", min_amplitude_kpa=100.0)
+    (ev,) = err.value.evaluations
+    assert ev.events > 0
+    assert (ev.frequency_hz, ev.peak_kpa) == (None, None)
+    with pytest.raises(NoOscillationError, match="below the 100 kPa oscillation floor"):
+        measure_oscillation(_ring3_calibrated(), SimConfig(t_end=2.0), min_amplitude_kpa=100.0)
 
 
 def _ring3_per_stage(sets):
@@ -1641,6 +1668,30 @@ def test_limit_cycle_report_agrees_with_a_sampled_run(make_net):
         assert abs((rep.phase_deg[name] - ref.phase_deg[name] + 180.0) % 360.0 - 180.0) <= 0.01
     # samples straddle each valve flip, so the sampled duty is off by a few 1e-3
     assert rep.duty == pytest.approx(ref.duty, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "make_net",
+    [_ring3_calibrated, lambda: _ring3_per_stage(_PER_STAGE["per_stage_a"]),
+     lambda: build(VACUUM_TEXT)],
+    ids=["ring3_calibrated", "per_stage_a", "vacuum"],
+)
+def test_sampling_reads_the_run_without_changing_it(make_net, monkeypatch):
+    # the segments and valve events of simulate's run are those of the
+    # same run read unsampled, bit for bit
+    net = make_net()
+    cfg = SimConfig(t_end=0.5)
+    runs = _count_segments(monkeypatch)
+    tr = simulate(net, cfg)
+    compiled = engine._compile_probed(net, cfg)
+    unsampled = []
+    for seg in engine._segments(compiled, compiled.initial_states(None),
+                                compiled.initial_volumes(None), cfg.t_end):
+        unsampled.extend((seg.t, compiled.valve_names[v], engine._state(o)) for v, o in seg.flips)
+    sampled, read = ([(seg.t, seg.tau, seg.event, seg.change) for seg in run] for run in runs)
+    assert len(sampled) > 4 and (len(tr.events) > 20 or not net.valves)
+    assert sampled == read
+    assert list(tr.events) == unsampled
 
 
 def test_event_cap_after_a_full_cycle_reports_it_with_a_warning(monkeypatch):
