@@ -16,7 +16,11 @@ how an evaluation ends shows. The ``calibrate_slow`` line covers a
 0.05 Hz target on ``ring3_calibrated.tbl``, out of reach of the
 compliance bounds: the evaluations its fit ran before failing, their
 cycles and events, and the failure's best point (compliance,
-conductance, frequency, peak). The ``osc3`` line covers the per-stage
+conductance, frequency, peak). The ``calibrate_peak`` line prints the
+same for a 15 Hz / 200 kPa target on ``ring3_calibrated.tbl``, a peak
+out of reach at the upper conductance bound: the fit is one round, so it
+fails after the upper bound's evaluation and one at the rescaled
+compliance. The ``osc3`` line covers the per-stage
 ``--set`` variants of the benchmark's osc3 workload for seeds 1 and 3,
 from ``perfbench/inputs.py``, which it only imports: each gives every
 valve of ``ring3_calibrated.tbl`` its own compliance and conductance,
@@ -194,6 +198,19 @@ def _per_evaluation(evaluations) -> str:
             f"events={','.join(str(ev.events) for ev in evaluations)}")
 
 
+def _failed_fit(template, target_frequency_hz: float, target_peak_kpa: float) -> str:
+    """The evaluations of a fit that fails, their cycles and events, and
+    its best point (compliance, conductance, frequency, peak)."""
+    try:
+        calibrate_oscillator(template, target_frequency_hz, target_peak_kpa)
+        return "fitted"
+    except CalibrationFailedError as err:
+        best = err.best
+        return (f"evaluations={len(err.evaluations)} {_per_evaluation(err.evaluations)} "
+                f"best={best.compliance!r},{best.open_conductance!r},"
+                f"{best.frequency_hz!r},{best.peak_kpa!r}")
+
+
 def _logic_line() -> str:
     bench_inputs = _bench_inputs()
     levels = LogicLevels()
@@ -254,15 +271,8 @@ def main() -> None:
     digest = hashlib.sha256(repr(fit).encode()).hexdigest()
     print(f"calibrate: iterations={fit.iterations} evaluations={len(fit.evaluations)} "
           f"{_per_evaluation(fit.evaluations)} sha256={digest}")
-    try:
-        calibrate_oscillator(ring3, 0.05, 35.0)
-        slow = "fitted"
-    except CalibrationFailedError as err:
-        best = err.best
-        slow = (f"evaluations={len(err.evaluations)} {_per_evaluation(err.evaluations)} "
-                f"best={best.compliance!r},{best.open_conductance!r},"
-                f"{best.frequency_hz!r},{best.peak_kpa!r}")
-    print(f"calibrate_slow: {slow}")
+    print(f"calibrate_slow: {_failed_fit(ring3, 0.05, 35.0)}")
+    print(f"calibrate_peak: {_failed_fit(ring3, 15.0, 200.0)}")
     print(_freq_line())
 
     h = hashlib.sha256()

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class SimConfig:
         for name in ("t_end", "sample_interval"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"SimConfig.{name} must be positive and finite")
+        twice = sorted({p for p in self.probes or () if self.probes.count(p) > 1})
+        if twice:
+            raise ValueError(f"SimConfig.probes names {', '.join(twice)} more than once")
 
 
 @dataclass(frozen=True)
@@ -1251,6 +1254,30 @@ def _pieces(segments: list[_Segment], row: int, level: float):
 # ---------------------------------------------------------------------------
 
 
+def _check_floor(min_amplitude_kpa: float) -> None:
+    if not 0.0 <= min_amplitude_kpa < math.inf:
+        raise ValueError(f"min_amplitude_kpa must be finite and at least 0, got {min_amplitude_kpa!r}")
+
+
+def _check_swing(span: float, floor: float, warnings=()) -> None:
+    """Raise NoOscillation, with ``warnings``, where the reference's
+    peak-to-trough ``span`` is under the oscillation ``floor``."""
+    if span < floor:
+        raise NoOscillationError(f"peak-to-trough span {span:.3g} kPa is below the "
+                                 f"{floor:.3g} kPa oscillation floor", warnings)
+
+
+def _phase_deg(ref: np.ndarray, own: np.ndarray, period: float) -> float:
+    """The circular mean, in degrees, of each crossing in ``own``'s offset
+    from the last in ``ref`` at or before it, both sorted; those before
+    ``ref[0]`` are left out, and with none left the phase is NaN."""
+    prior = np.searchsorted(ref, own, side="right") - 1
+    angle = (own[prior >= 0] - ref[prior[prior >= 0]]) % period / period * 2.0 * math.pi
+    if not len(angle):
+        return math.nan
+    return math.degrees(math.atan2(np.sin(angle).mean(), np.cos(angle).mean())) % 360.0
+
+
 def _rising_crossings(t: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
     idx = np.nonzero((y[:-1] < level) & (y[1:] >= level))[0]
     if len(idx) == 0:
@@ -1269,8 +1296,10 @@ def extract_frequency(
     midline; fewer than 3 crossings, or a peak-to-trough span under
     ``min_amplitude_kpa``, raises NoOscillation. Peaks and troughs are
     averaged over cycles; phases of the other probes are reported in
-    degrees relative to ``probe``.
+    degrees relative to ``probe`` (``_phase_deg``). A ``min_amplitude_kpa``
+    that is negative or not finite raises ValueError.
     """
+    _check_floor(min_amplitude_kpa)
     if probe not in trace.probes:
         raise ValueError(f"probe {probe!r} not in trace")
     if len(trace.times) < 2:
@@ -1283,12 +1312,7 @@ def extract_frequency(
     if len(t) < 2:
         raise NoOscillationError("trace too short after transient removal")
 
-    span = float(ref.max() - ref.min())
-    if span < min_amplitude_kpa:
-        raise NoOscillationError(
-            f"peak-to-trough span {span:.3g} kPa is below the "
-            f"{min_amplitude_kpa:.3g} kPa oscillation floor"
-        )
+    _check_swing(float(ref.max() - ref.min()), min_amplitude_kpa)
     mid = 0.5 * float(ref.max() + ref.min())
     crossings = _rising_crossings(t, ref, mid)
     if len(crossings) < 3:
@@ -1307,37 +1331,18 @@ def extract_frequency(
     peaks: dict[str, float] = {}
     troughs: dict[str, float] = {}
     phases: dict[str, float] = {}
-    cycle_edges = crossings
     for name in trace.probes:
         y = np.asarray(trace.column(name), dtype=float)[keep]
         cyc_max, cyc_min = [], []
-        for a, b in zip(cycle_edges[:-1], cycle_edges[1:]):
+        for a, b in zip(crossings[:-1], crossings[1:]):
             m = (t >= a) & (t < b)
             if m.any():
                 cyc_max.append(float(y[m].max()))
                 cyc_min.append(float(y[m].min()))
         peaks[name] = float(np.mean(cyc_max)) if cyc_max else float(y.max())
         troughs[name] = float(np.mean(cyc_min)) if cyc_min else float(y.min())
-        if name == probe:
-            phases[name] = 0.0
-            continue
-        own_mid = 0.5 * float(y.max() + y.min())
-        own = _rising_crossings(t, y, own_mid)
-        if len(own) == 0:
-            phases[name] = float("nan")
-            continue
-        # circular mean of the offsets from the latest reference crossing
-        deltas = []
-        for tc in own:
-            prior = crossings[crossings <= tc]
-            if len(prior):
-                deltas.append(((tc - prior[-1]) % period) / period * 2.0 * math.pi)
-        if not deltas:
-            phases[name] = float("nan")
-        else:
-            s = np.mean(np.sin(deltas))
-            c = np.mean(np.cos(deltas))
-            phases[name] = float(math.degrees(math.atan2(s, c)) % 360.0)
+        own = _rising_crossings(t, y, 0.5 * float(y.max() + y.min()))
+        phases[name] = 0.0 if name == probe else _phase_deg(crossings, own, period)
 
     return OscillationReport(
         probe=probe,
@@ -1369,8 +1374,11 @@ def measure_oscillation(
     Raises NoOscillation, with the run's warnings, when the run comes to
     rest or stops at a cap before one full cycle, or when the reference
     swings less than ``min_amplitude_kpa``. A run stopped at a cap after a
-    full cycle reports that cycle, and its last warning names the cap.
+    full cycle reports that cycle, and its last warning names the cap. A
+    ``min_amplitude_kpa`` that is negative or not finite raises ValueError
+    before the run.
     """
+    _check_floor(min_amplitude_kpa)
     compiled = _compile_probed(net, cfg)
     cycle = _limit_cycle(compiled, compiled.initial_states(cfg.initial_valve_states),
                          compiled.initial_volumes(cfg.initial_pressures_kpa), cfg.t_end)
@@ -1397,24 +1405,12 @@ def _report(compiled: _Compiled, cycle: _Cycle, min_amplitude_kpa: float) -> Osc
         t, length, v = _pieces(cycle.segments, row, 0.5 * (lo + hi))
         rising[name] = t[(v >= 0.0) & (np.roll(v, 1) < 0.0)]  # the cycle wraps around
         if row == nv:  # the reference
-            if hi - lo < min_amplitude_kpa:
-                raise NoOscillationError(
-                    f"peak-to-trough span {hi - lo:.3g} kPa is below the "
-                    f"{min_amplitude_kpa:.3g} kPa oscillation floor", warnings
-                )
+            _check_swing(hi - lo, min_amplitude_kpa, warnings)
             duty = float(length[v > 0.0].sum() / length.sum())
     probe, ref = compiled.probes[0], rising[compiled.probes[0]]
+    ref = np.r_[ref[-1:] - period, ref]  # the cycle wraps around
     for name, own in rising.items():
-        if name == probe:
-            phases[name] = 0.0
-        elif not len(own) or not len(ref):
-            phases[name] = float("nan")
-        else:
-            # each crossing's offset from the reference's last crossing before it
-            prior = np.searchsorted(ref, own, side="right") - 1
-            deltas = (own - np.where(prior >= 0, ref[prior], ref[-1] - period)) % period
-            angle = deltas / period * 2.0 * math.pi
-            phases[name] = math.degrees(math.atan2(np.sin(angle).mean(), np.cos(angle).mean())) % 360.0
+        phases[name] = 0.0 if name == probe else _phase_deg(ref, own, period)
     return OscillationReport(
         probe=probe,
         frequency_hz=1.0 / period,
@@ -1435,8 +1431,16 @@ def _report(compiled: _Compiled, cycle: _Cycle, min_amplitude_kpa: float) -> Osc
 
 @dataclass(frozen=True)
 class CalibrationBounds:
+    """The ``(lo, hi)`` range of each fitted parameter, with ``0 < lo < hi``."""
+
     compliance: tuple[float, float] = (5.0e-11, 1.0e-8)
     open_conductance: tuple[float, float] = (1.0e-8, 1.0e-3)
+
+    def __post_init__(self):
+        for name in ("compliance", "open_conductance"):
+            lo, hi = getattr(self, name)
+            if not 0.0 < lo < hi < math.inf:
+                raise ValueError(f"CalibrationBounds.{name} needs 0 < lo < hi, finite, got {(lo, hi)!r}")
 
 
 def calibrate_oscillator(
@@ -1451,13 +1455,18 @@ def calibrate_oscillator(
     """Fit balloon compliance and valve open conductance to measurements.
 
     Free parameters are applied uniformly to every balloon and valve in
-    the template. Peak amplitude at the probe depends (in steady state)
-    on the conductance alone, while the period scales linearly with
-    compliance, so the search alternates a bisection on conductance
-    against the peak target with a direct rescale of the compliance
-    against the frequency target. Raises CalibrationFailed, carrying the
-    best result found and every evaluation, if both targets cannot be met
-    within ``tolerance`` relative error.
+    the template. Above its rest volume a balloon's pressure is ``(v -
+    rest) / C``, so with one ``C`` on every balloon the run in pressure
+    space does not depend on ``C``, and its time scales with ``C``: the
+    peak at the probe is set by the conductance alone. So the fit is one
+    round: a bisection on the conductance against the peak target, then
+    one rescale of the compliance against the frequency target. A verify
+    evaluation at the rescaled point gives the result, as the scaling is
+    exact only while no balloon is below rest: a sub-atmospheric source
+    can pull one there, to refill a slack volume that does not scale, and
+    a ``tolerance`` finer than the drift that leaves may then not be met.
+    Raises CalibrationFailed, carrying the last point recorded and every
+    evaluation, if both targets cannot be met within ``tolerance``.
 
     Each evaluation runs the circuit from its declared state, with no end
     time, until its valve events repeat (``_limit_cycle``), and takes its
@@ -1475,10 +1484,15 @@ def calibrate_oscillator(
     reaches it. Likewise the point at the conductance fitted to the peak
     sets the frequency at that peak: if the target falls below ``f * C /
     C_hi`` by more than ``tolerance``, it is out of reach. Either way
-    CalibrationFailed is raised at once.
+    CalibrationFailed is raised at once. Targets that are not finite and
+    positive, a ``tolerance`` outside (0, 1) or a bad ``min_amplitude_kpa``
+    raise ValueError before any evaluation.
     """
-    if target_frequency_hz <= 0.0 or target_peak_kpa <= 0.0:
-        raise ValueError("calibration targets must be positive")
+    if not (0.0 < target_frequency_hz < math.inf and 0.0 < target_peak_kpa < math.inf):
+        raise ValueError("calibration targets must be finite and positive")
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance!r}")
+    _check_floor(min_amplitude_kpa)
     if probe is None:
         if not template.probes:
             raise ValueError("template has no probes")
@@ -1492,8 +1506,6 @@ def calibrate_oscillator(
         "is downstream of the pull-down resistance, not at the valve outlet",
         "valve reopening threshold (p_deflate) is a modeling assumption",
     )
-
-    best: CalibrationResult | None = None
     log: list[CalibrationEvaluation] = []
 
     def evaluate(c: float, g: float) -> CalibrationEvaluation | None:
@@ -1510,8 +1522,7 @@ def calibrate_oscillator(
         return log[-1] if f is not None else None
 
     def record(ev: CalibrationEvaluation) -> CalibrationResult:
-        nonlocal best
-        result = CalibrationResult(
+        return CalibrationResult(
             compliance=ev.compliance,
             open_conductance=ev.open_conductance,
             frequency_hz=ev.frequency_hz,
@@ -1522,62 +1533,50 @@ def calibrate_oscillator(
             notes=notes,
             evaluations=tuple(log),
         )
-        if best is None or sum(x * x for x in result.relative_errors) < sum(
-            x * x for x in best.relative_errors
-        ):
-            best = result
+
+    def fail(best: CalibrationResult | None, why: str = "") -> NoReturn:
+        msg = "calibration could not reach the requested targets"
+        if best is not None:
+            ef, ep = best.relative_errors
+            msg += (f": best fit {best.frequency_hz:.4g} Hz / {best.peak_kpa:.4g} kPa "
+                    f"(relative errors {ef:.2%} / {ep:.2%})")
+        raise CalibrationFailedError(msg + why, best=best, evaluations=tuple(log))
+
+    # 1) bisect the conductance against the peak target
+    lo, hi = g_lo, g_hi
+    ev = evaluate(compliance, hi)
+    if ev is None:
+        fail(None)
+    f_max = ev.frequency_hz * compliance / c_lo
+    if target_frequency_hz > f_max * (1.0 + tolerance):
+        fail(record(ev), f"; at most {f_max:.4g} Hz is reachable within the bounds")
+    # a peak target at or above the upper bound's peak keeps that bound
+    if ev.peak_kpa > target_peak_kpa:
+        for _ in range(40):
+            mid = math.sqrt(lo * hi)  # geometric: conductance spans decades
+            ev_mid = evaluate(compliance, mid)
+            if ev_mid is None or ev_mid.peak_kpa < target_peak_kpa:
+                lo = mid
+            else:
+                hi, ev = mid, ev_mid
+            if abs(ev.peak_kpa - target_peak_kpa) <= 0.25 * tolerance * target_peak_kpa:
+                break
+            if hi / lo < 1.0 + 1.0e-6:
+                break
+    f_min = ev.frequency_hz * compliance / c_hi
+    if target_frequency_hz < f_min * (1.0 - tolerance):
+        fail(record(ev), f"; at least {f_min:.4g} Hz at this peak within the bounds")
+
+    # 2) the period scales with compliance: rescale and verify
+    compliance = min(max(compliance * ev.frequency_hz / target_frequency_hz, c_lo), c_hi)
+    ev = evaluate(compliance, ev.open_conductance)
+    if ev is None:
+        fail(None)
+    result = record(ev)
+    ef, ep = result.relative_errors
+    if ef <= tolerance and ep <= tolerance:
         return result
-
-    out_of_reach = ""
-    for _outer in range(4):
-        # 1) bisect the conductance against the peak target
-        lo, hi = g_lo, g_hi
-        ev_hi = evaluate(compliance, hi)
-        if ev_hi is None:
-            break
-        f_max = ev_hi.frequency_hz * compliance / c_lo
-        if target_frequency_hz > f_max * (1.0 + tolerance):
-            record(ev_hi)
-            out_of_reach = f"; at most {f_max:.4g} Hz is reachable within the bounds"
-            break
-        ev = ev_hi
-        # a peak target at or above the upper bound's peak keeps that bound
-        if ev_hi.peak_kpa > target_peak_kpa:
-            for _ in range(40):
-                mid = math.sqrt(lo * hi)  # geometric: conductance spans decades
-                ev_mid = evaluate(compliance, mid)
-                if ev_mid is None or ev_mid.peak_kpa < target_peak_kpa:
-                    lo = mid
-                else:
-                    hi, ev = mid, ev_mid
-                if abs(ev.peak_kpa - target_peak_kpa) <= 0.25 * tolerance * target_peak_kpa:
-                    break
-                if hi / lo < 1.0 + 1.0e-6:
-                    break
-        f_min = ev.frequency_hz * compliance / c_hi
-        if target_frequency_hz < f_min * (1.0 - tolerance):
-            record(ev)
-            out_of_reach = f"; at least {f_min:.4g} Hz at this peak within the bounds"
-            break
-
-        # 2) the period scales with compliance: rescale and verify
-        compliance = min(max(compliance * ev.frequency_hz / target_frequency_hz, c_lo), c_hi)
-        ev = evaluate(compliance, ev.open_conductance)
-        if ev is None:
-            break
-        result = record(ev)
-        ef, ep = result.relative_errors
-        if ef <= tolerance and ep <= tolerance:
-            return result
-
-    msg = "calibration could not reach the requested targets"
-    if best is not None:
-        ef, ep = best.relative_errors
-        msg += (
-            f": best fit {best.frequency_hz:.4g} Hz / {best.peak_kpa:.4g} kPa "
-            f"(relative errors {ef:.2%} / {ep:.2%})"
-        )
-    raise CalibrationFailedError(msg + out_of_reach, best=best, evaluations=tuple(log))
+    fail(result)
 
 
 def template_compliance(net: PneumaticNetwork) -> float:

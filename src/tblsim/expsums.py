@@ -4,10 +4,12 @@ Within one regime segment a valve margin, a balloon's distance from a mode
 edge and a probe pressure each have the form ``f(τ) = c + r τ + Σ_j b_j
 e^(λ_j τ)`` with every ``λ`` at most 0. These functions evaluate such a
 sum and locate where it changes sign, first rises through 0 and peaks on
-``[0, h]``, with no step size: the zeros of ``f'``, a sum of one term
-fewer, split ``[0, h]`` into pieces on which ``f`` is monotone, and each
-sign change is then bracketed and refined by regula falsi. The engine
-imports them; they know nothing of networks.
+``[0, h]``, with no step size, through one sign-change search
+(``_zeros``): the zeros of ``f'``, a sum of one term fewer, split ``[0,
+h]`` into pieces on which ``f`` is monotone, and each sign change is then
+bracketed and refined by regula falsi. A first rise is one of those sign
+changes, and the extremes lie at zeros of ``f'``. The engine imports
+them; they know nothing of networks.
 """
 
 from __future__ import annotations
@@ -88,35 +90,29 @@ def _horizon(c, r, b: np.ndarray, lam: np.ndarray) -> float:
 
 def _first_rise(c, r, b: np.ndarray, lam: np.ndarray, h: float, f0) -> float:
     """The least ``τ`` in ``[0, h]`` at which ``f(τ) = c + r τ + Σ_j b_j
-    e^(λ_j τ)`` rises from below 0 to 0 or above, or inf: the zeros of
-    ``f'`` split ``[0, h]`` into monotone pieces, and the rise is bracketed
-    in the first that ends at 0 or above from below 0. ``f0`` stands for
+    e^(λ_j τ)`` rises from below 0 to 0 or above, or inf. ``f0`` stands for
     ``f(0)``; where it is below 0 and ``f(0)`` is not, the rise is at 0.
-    An infinite ``h`` is searched up to ``_horizon``, past which ``f``
-    cannot rise."""
+    Otherwise it is a sign change of ``f`` (``_zeros``): they alternate, so
+    it is the first where ``f(0)`` is below 0, else the second, whatever
+    ``f0``. An infinite ``h`` is searched up to ``_horizon``, past which
+    ``f`` cannot rise."""
     b, lam = _distinct(b, lam)
     if h == math.inf:
         h = _horizon(c, r, b, lam)
-
-    def f(t):
-        return c + r * t + b @ np.exp(lam * t)
-
-    cuts = [0.0, *_zeros(r, 0.0, b * lam, lam, h), h]
-    for lo, hi in zip(cuts, cuts[1:]):
-        fhi = f(hi)
-        if f0 < 0.0 <= fhi:
-            flo = f(lo)
-            return lo if flo >= 0.0 else _root(f, lo, hi, flo, fhi)
-        f0 = fhi
-    return math.inf
+    at0 = c + r * 0.0 + b @ np.exp(lam * 0.0)  # f(0) as _zeros evaluates it
+    if f0 < 0.0 <= at0:
+        return 0.0
+    rises = _zeros(c, r, b, lam, h)[0 if at0 < 0.0 else 1 :: 2]  # sign changes alternate
+    return rises[0] if rises else math.inf
 
 
 def _first_rises(c, M, d, lam, h, f0, r=None) -> np.ndarray:
     """``_first_rise`` of each row ``c_i + r_i τ + Σ_j M_ij d_j e^(λ_j τ)``,
     with ``f0`` per row. Every ``λ`` is at most 0, so a row that cannot
     reach 0 is skipped, and a row of one exponential and no ``r`` rises at
-    ``log(-c/b)/λ``: that closed form is taken for all such rows at once.
-    ``h`` may be inf."""
+    ``log(-c/b)/λ`` where ``f0`` is below 0: that closed form is taken for
+    all such rows at once, and ``_first_rise`` for the others. ``h`` may
+    be inf."""
     r = np.zeros(len(c)) if r is None else r
     t = np.full(len(c), np.inf)
     climb = np.maximum(r, 0.0) * h if h < math.inf else np.where(r > 0.0, math.inf, 0.0)

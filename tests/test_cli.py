@@ -133,6 +133,21 @@ def test_freq_reports_calibrated_ring(capsys):
     assert "phase" in out
 
 
+@pytest.mark.parametrize(
+    "flags, what",
+    [(["--min-amplitude", "nan"], "min_amplitude_kpa"), (["--min-amplitude", "-5"], "min_amplitude_kpa"),
+     (["--probe", "m1", "--probe", "m1"], "m1 more than once")],
+    ids=["nan-floor", "negative-floor", "repeated-probe"],
+)
+def test_freq_bad_options_are_usage_errors(flags, what, capsys):
+    rc = main(["freq", circuit("ring3_calibrated.tbl"), *flags])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("tblsim: error: ")
+    assert what in captured.err
+
+
 def test_freq_on_static_circuit_exits_3(capsys):
     rc = main(["freq", circuit("not.tbl"), "--t-end", "0.2"])
     err = capsys.readouterr().err

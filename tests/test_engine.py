@@ -1197,6 +1197,20 @@ def test_unbounded_first_rise_matches_a_long_window(c, r, terms):
     assert t == t_long or abs(t - t_long) <= 1.0e-9 * max(1.0, t_long)
 
 
+def test_first_rise_counts_a_rise_in_the_first_piece_whatever_f0():
+    # f = 1 - 1.5 e^-τ - 0.5 e^-3τ rises from f(0) = -1 through 0 in its
+    # one monotone piece; a caller's f0 at or above 0 does not hide that
+    # rise, and the rise is the one found with f0 below 0
+    c, b, lam = 1.0, np.array([-1.5, -0.5]), np.array([-1.0, -3.0])
+    t = expsums._first_rise(c, 0.0, b, lam, 2.0, -1.0)
+    assert 0.0 < t < 2.0
+    assert abs(c + b @ np.exp(lam * t)) <= 1.0e-12
+    for f0 in (0.0, 1.0):
+        assert expsums._first_rise(c, 0.0, b, lam, 2.0, f0) == t
+    # f0 below 0 and f(0) not: the rise is at 0
+    assert expsums._first_rise(1.0, 0.0, -b, lam, 2.0, -1.0) == 0.0
+
+
 def test_ring101_flips_in_lock_step():
     # one stage's K entry sits an ulp from the others': the valves rising
     # within engine._EVENT_TOL of a flip flip with it, which keeps the ring's
@@ -1531,6 +1545,82 @@ def test_peak_out_of_reach_keeps_the_upper_conductance_bound():
     assert best.open_conductance == 1e-3
     assert best.frequency_hz == pytest.approx(15.0, rel=0.02)
     assert best.peak_kpa < 100.0
+    # the upper bound and the rescaled point: a uniform compliance only
+    # rescales time, so a second round could only repeat the first
+    assert len(err.value.evaluations) == 2
+    assert err.value.best.evaluations == err.value.evaluations
+
+
+_C_BOUNDS = engine.CalibrationBounds().compliance
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.floats(*_C_BOUNDS))
+def test_uniform_compliance_only_rescales_time(c):
+    # above rest a balloon's pressure is (v - rest) / C: with one C on every
+    # balloon the run in pressure space is the same, and time scales with C
+    net = _ring3_calibrated()
+    c0 = engine.template_compliance(net)
+    cfg = SimConfig(t_end=1.0e4)
+    ref = measure_oscillation(net, cfg)
+    rep = measure_oscillation(net.with_uniform_params(compliance=c), cfg)
+    assert (rep.cycles, rep.events) == (ref.cycles, ref.events)
+    assert rep.frequency_hz * c == pytest.approx(ref.frequency_hz * c0, rel=1e-9)
+    assert rep.peaks_kpa == pytest.approx(ref.peaks_kpa, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [dict(compliance=(1.0e-8, 5.0e-11)), dict(compliance=(5.0e-11, 5.0e-11)),
+     dict(compliance=(math.nan, 1.0e-8)), dict(compliance=(5.0e-11, math.inf)),
+     dict(open_conductance=(0.0, 1.0e-3)), dict(open_conductance=(-1.0e-8, 1.0e-3))],
+    ids=["reversed", "empty", "nan", "inf", "zero", "negative"],
+)
+def test_calibration_bounds_need_finite_positive_increasing_ends(bounds):
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        engine.CalibrationBounds(**bounds)
+
+
+def _no_evaluation(monkeypatch):
+    def evaluate(*_args):
+        raise AssertionError("an input check ran after an evaluation")
+
+    monkeypatch.setattr(engine, "_limit_cycle", evaluate)
+
+
+@pytest.mark.parametrize(
+    "kwargs, what",
+    [(dict(target_frequency_hz=math.nan), "targets"), (dict(target_frequency_hz=math.inf), "targets"),
+     (dict(target_frequency_hz=0.0), "targets"), (dict(target_peak_kpa=math.nan), "targets"),
+     (dict(target_peak_kpa=-35.0), "targets"), (dict(tolerance=-0.1), "tolerance"),
+     (dict(tolerance=0.0), "tolerance"), (dict(tolerance=1.0), "tolerance"),
+     (dict(tolerance=math.nan), "tolerance"), (dict(min_amplitude_kpa=math.nan), "min_amplitude"),
+     (dict(min_amplitude_kpa=-5.0), "min_amplitude"), (dict(min_amplitude_kpa=math.inf), "min_amplitude")],
+    ids=["f-nan", "f-inf", "f-zero", "peak-nan", "peak-negative", "tol-negative", "tol-zero",
+         "tol-one", "tol-nan", "floor-nan", "floor-negative", "floor-inf"],
+)
+def test_calibration_rejects_bad_inputs_before_any_evaluation(kwargs, what, monkeypatch):
+    net = _ring3_calibrated()
+    _no_evaluation(monkeypatch)
+    args = dict(target_frequency_hz=15.0, target_peak_kpa=35.0) | kwargs
+    with pytest.raises(ValueError, match=what):
+        calibrate_oscillator(net, **args)
+
+
+@pytest.mark.parametrize("floor", [math.nan, -5.0, math.inf])
+def test_oscillation_reports_reject_a_bad_amplitude_floor(floor, monkeypatch):
+    net = _ring3_calibrated()
+    tr = simulate(net, SimConfig(t_end=0.5))
+    _no_evaluation(monkeypatch)
+    with pytest.raises(ValueError, match="min_amplitude_kpa"):
+        measure_oscillation(net, SimConfig(t_end=2.0), min_amplitude_kpa=floor)
+    with pytest.raises(ValueError, match="min_amplitude_kpa"):
+        extract_frequency(tr, "m1", min_amplitude_kpa=floor)
+
+
+def test_probe_named_twice_is_rejected():
+    with pytest.raises(ValueError, match="m1 more than once"):
+        SimConfig(t_end=1.0, probes=("m1", "m2", "m1"))
 
 
 def test_dead_evaluation_is_one_run_with_no_event():
@@ -1692,6 +1782,24 @@ def test_sampling_reads_the_run_without_changing_it(make_net, monkeypatch):
     assert len(sampled) > 4 and (len(tr.events) > 20 or not net.valves)
     assert sampled == read
     assert list(tr.events) == unsampled
+
+
+def test_phase_skips_crossings_before_the_reference_and_wraps_when_given_one():
+    period = 1.0
+    ref = np.array([1.0, 2.0])
+    # extract_frequency's convention: a crossing before the first reference
+    # crossing has no offset and is left out
+    assert engine._phase_deg(ref, np.array([0.5, 1.25, 2.25]), period) == pytest.approx(90.0)
+    assert math.isnan(engine._phase_deg(ref, np.array([0.5]), period))
+    assert math.isnan(engine._phase_deg(ref, np.array([]), period))
+    # _report's convention: the cycle wraps around, so the last reference
+    # crossing less one period stands before the first
+    ref = np.array([0.6])
+    wrapped = np.r_[ref[-1:] - period, ref]
+    assert math.isnan(engine._phase_deg(ref, np.array([0.1]), period))
+    assert engine._phase_deg(wrapped, np.array([0.1]), period) == pytest.approx(180.0)
+    assert engine._phase_deg(wrapped, np.array([0.1, 0.85]), period) == pytest.approx(135.0)
+    assert math.isnan(engine._phase_deg(np.r_[ref[:0] - period, ref[:0]], np.array([0.1]), period))
 
 
 def test_event_cap_after_a_full_cycle_reports_it_with_a_warning(monkeypatch):
