@@ -56,13 +56,26 @@ only imports: every input row of each circuit's truth table goes through
 flow balances (``engine._Compiled.solve`` calls: layer maps and point
 solves, however many stacked LUs each takes) the rows took, and one
 digest of every row's ``SteadyState`` repr (valve states, every node
-pressure and the fixed points).
+pressure and the fixed points). The ``calibrate_vacuum`` line covers
+three fits of ``ring3_calibrated.tbl`` with every pull-down sent to a
+-30 kPa source, at ``tolerance=0.005``: 10 Hz / 16.5 kPa, 8 Hz /
+16.2 kPa and 3 Hz / 16.0 kPa. Balloons there drain below rest, so the
+compliance rescale is inexact and is repeated. It prints each fit's
+evaluations and best point (compliance, conductance, frequency, peak),
+fitted or not. The ``cli`` line covers the stdout of 14 ``tblsim``
+invocations (``_CLI_RUNS``), run in-process through ``cli.main``: every
+command as text, ``sim`` as CSV and as JSON lines, ``truth``, ``freq``
+and ``bom`` as JSON lines, and ``check`` with and without
+``--canonical``. It prints one digest of each invocation's arguments,
+exit code and stdout; stderr is not digested.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import itertools
 import os
 import sys
@@ -73,6 +86,7 @@ from tblsim import CalibrationFailedError, SimConfig, calibrate_oscillator, engi
 from tblsim import measure_oscillation  # noqa: E402
 from tblsim import LogicLevels, fanout_limit, truth_table  # noqa: E402
 from tblsim import PhysicalDefaults  # noqa: E402
+from tblsim import cli  # noqa: E402
 from tblsim.cli import _apply_overrides  # noqa: E402
 from tblsim import (  # noqa: E402
     Balloon,
@@ -198,17 +212,70 @@ def _per_evaluation(evaluations) -> str:
             f"events={','.join(str(ev.events) for ev in evaluations)}")
 
 
+def _point(fit) -> str:
+    """A fit's point: compliance, conductance, frequency, peak."""
+    return f"{fit.compliance!r},{fit.open_conductance!r},{fit.frequency_hz!r},{fit.peak_kpa!r}"
+
+
 def _failed_fit(template, target_frequency_hz: float, target_peak_kpa: float) -> str:
     """The evaluations of a fit that fails, their cycles and events, and
-    its best point (compliance, conductance, frequency, peak)."""
+    its best point."""
     try:
         calibrate_oscillator(template, target_frequency_hz, target_peak_kpa)
         return "fitted"
     except CalibrationFailedError as err:
-        best = err.best
         return (f"evaluations={len(err.evaluations)} {_per_evaluation(err.evaluations)} "
-                f"best={best.compliance!r},{best.open_conductance!r},"
-                f"{best.frequency_hz!r},{best.peak_kpa!r}")
+                f"best={_point(err.best)}")
+
+
+def _vacuum_line() -> str:
+    """The evaluations and the best point of three fits of
+    ``ring3_calibrated.tbl`` with its pull-downs sent to a -30 kPa source."""
+    text = _read("circuits/ring3_calibrated.tbl").replace("to=ATM", "to=VAC")
+    net = _net(text + "source VAC pressure=-30kPa\n")
+    counts, points = [], []
+    for target_frequency_hz, target_peak_kpa in ((10.0, 16.5), (8.0, 16.2), (3.0, 16.0)):
+        try:
+            fit = calibrate_oscillator(net, target_frequency_hz, target_peak_kpa, tolerance=0.005)
+        except CalibrationFailedError as err:
+            fit = err.best
+            counts.append(len(err.evaluations))
+        else:
+            counts.append(len(fit.evaluations))
+        points.append(_point(fit))
+    return (f"calibrate_vacuum: evaluations={','.join(map(str, counts))} "
+            f"best={';'.join(points)}")
+
+
+#: ``tblsim`` invocations whose stdout is pinned: every command as text,
+#: ``sim`` as CSV and as JSON lines, the other commands' JSON lines where
+#: they were JSON already, and ``check --canonical``
+_CLI_RUNS = [
+    ["sim", "--t-end", "0.05", "circuits/ring3_calibrated.tbl"],
+    ["--format", "csv", "sim", "--t-end", "0.05", "circuits/ring3_calibrated.tbl"],
+    ["--format", "json-lines", "sim", "--t-end", "0.05", "circuits/ring3_calibrated.tbl"],
+    ["truth", "--inputs", "a", "--output", "q", "circuits/not.tbl"],
+    ["truth", "--inputs", "a,b", "--output", "q", "--expect", "!(a&b)", "circuits/nand.tbl"],
+    ["--format", "json-lines", "truth", "--inputs", "a,b", "--output", "q", "circuits/nor.tbl"],
+    ["--format", "csv", "truth", "--inputs", "a,b", "--output", "q", "circuits/and.tbl"],
+    ["freq", "--t-end", "1.5", "circuits/ring3_calibrated.tbl"],
+    ["--format", "json-lines", "freq", "--t-end", "1.5", "circuits/ring3_calibrated.tbl"],
+    ["bom", "circuits/ring3.tbl"],
+    ["--format", "json-lines", "bom", "circuits/ring3.tbl"],
+    ["check", "circuits/nor.tbl"],
+    ["check", "circuits/ring3.tbl"],
+    ["check", "--canonical", "circuits/ring3_calibrated.tbl"],
+]
+
+
+def _cli_line() -> str:
+    h = hashlib.sha256()
+    for argv in _CLI_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(argv)
+        h.update(repr((argv, rc, out.getvalue())).encode())
+    return f"cli: runs={len(_CLI_RUNS)} sha256={h.hexdigest()}"
 
 
 def _logic_line() -> str:
@@ -273,6 +340,7 @@ def main() -> None:
           f"{_per_evaluation(fit.evaluations)} sha256={digest}")
     print(f"calibrate_slow: {_failed_fit(ring3, 0.05, 35.0)}")
     print(f"calibrate_peak: {_failed_fit(ring3, 15.0, 200.0)}")
+    print(_vacuum_line())
     print(_freq_line())
 
     h = hashlib.sha256()
@@ -288,6 +356,7 @@ def main() -> None:
     digest = hashlib.sha256(repr(fanout.samples).encode()).hexdigest()
     print(f"fanout: limit={fanout.limit} sha256={digest}")
     print(_logic_line())
+    print(_cli_line())
 
 
 if __name__ == "__main__":

@@ -4,7 +4,13 @@
     tblsim truth CIRCUIT --inputs a,b --output q [--expect EXPR]
     tblsim freq CIRCUIT [--t-end T] [--probe NODE ...]
     tblsim bom CIRCUIT
-    tblsim check CIRCUIT
+    tblsim check CIRCUIT [--canonical]
+
+Each command builds its output once in two forms, records and text, and
+hands both to one writer, ``_write``. Under ``--format json-lines`` it
+writes the records, one JSON object per line; otherwise it writes the
+text, which is CSV for ``sim``. Warnings and mismatch details go to
+stderr.
 
 Exit codes: 0 success, 1 usage, 2 netlist or network error, 3 simulation
 or analysis error, 4 a verification check that ran but did not match.
@@ -154,24 +160,26 @@ def _diag(exc: TblError, path: str) -> str:
     return f"{loc}: {exc.code}: {exc}"
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(args, records, text) -> None:
+    """Write a command's output to ``--out``, where the command has it, or
+    to stdout: each of ``records`` as one JSON line under ``--format
+    json-lines``, else ``text()``. Only the chosen form is built, so a long
+    ``records`` is a generator and ``text`` is always a callable."""
+    if args.format == "json-lines":
+        out = "".join(json.dumps(rec) + "\n" for rec in records)
     else:
-        sys.stdout.write(text)
+        out = text()
+    path = getattr(args, "out", None)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
 
 
 def _warn(warnings) -> None:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-
-
-def _simulate(net, cfg: SimConfig):
-    """Run ``simulate`` and print the trace's warnings to stderr."""
-    trace = simulate(net, cfg)
-    _warn(trace.warnings)
-    return trace
 
 
 def _svg_plot(trace, path: str):
@@ -216,6 +224,12 @@ def _svg_plot(trace, path: str):
         fh.write("\n".join(parts) + "\n")
 
 
+def _samples(trace):
+    """``sim``'s records: one per sample, its time and each probe's kPa."""
+    for t, row in zip(trace.times.tolist(), trace.pressures_kpa.tolist()):
+        yield {"time_s": t, **dict(zip(trace.probes, row))}
+
+
 def _cmd_sim(args, ast, defaults) -> int:
     net = expand(ast, defaults)
     cfg = SimConfig(
@@ -223,18 +237,9 @@ def _cmd_sim(args, ast, defaults) -> int:
         sample_interval=args.sample_interval,
         probes=tuple(args.probe) if args.probe else None,
     )
-    trace = _simulate(net, cfg)
-    if args.format == "json-lines":
-        lines = []
-        for k, t in enumerate(trace.times):
-            rec = {"time_s": float(t)}
-            rec.update(
-                {p: float(trace.pressures_kpa[k, i]) for i, p in enumerate(trace.probes)}
-            )
-            lines.append(json.dumps(rec))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(trace.to_csv(), args.out)
+    trace = simulate(net, cfg)
+    _warn(trace.warnings)
+    _write(args, _samples(trace), trace.to_csv)
     if args.svg:
         _svg_plot(trace, args.svg)
     return 0
@@ -246,37 +251,23 @@ def _cmd_truth(args, ast, defaults) -> int:
     if unknown := sorted(set(inputs) - set(net.node_order())):
         raise ValueError(f"--inputs names no node of the circuit: {', '.join(unknown)}")
     table = truth_table(net, inputs, args.output, LogicLevels.from_defaults(defaults))
-    if args.format == "json-lines":
-        for row in table.rows:
-            print(
-                json.dumps(
-                    {
-                        "inputs": dict(zip(table.input_nodes, row.inputs)),
-                        "output": row.output,
-                        "output_kpa": round(row.output_kpa, 3),
-                    }
-                )
-            )
-    else:
-        head = " ".join(table.input_nodes)
-        print(f"{head} | {table.output_node} (kPa)")
-        for row in table.rows:
-            bits = " ".join(str(b) for b in row.inputs)
-            print(f"{bits} | {row.output} ({row.output_kpa:.2f})")
-    if args.expect:
-        report = check_against_boolean(table, args.expect)
-        if not report.passed:
-            for m in report.mismatches:
-                assign = ", ".join(
-                    f"{n}={b}" for n, b in zip(table.input_nodes, m.inputs)
-                )
-                print(
-                    f"mismatch at {assign}: expected {m.expected}, "
-                    f"got {m.actual} ({m.output_kpa:.2f} kPa)",
-                    file=sys.stderr,
-                )
-            return MISMATCH_EXIT
-        print(f"matches {args.expect}")
+    report = check_against_boolean(table, args.expect) if args.expect else None
+    records = [{"inputs": dict(zip(table.input_nodes, row.inputs)), "output": row.output,
+                "output_kpa": round(row.output_kpa, 3)} for row in table.rows]
+    if report:
+        records.append({"expect": args.expect, "matches": report.passed})
+    text = [f"{' '.join(table.input_nodes)} | {table.output_node} (kPa)"]
+    text += [f"{' '.join(map(str, row.inputs))} | {row.output} ({row.output_kpa:.2f})"
+             for row in table.rows]
+    if report and report.passed:
+        text.append(f"matches {args.expect}")
+    _write(args, records, lambda: "\n".join(text) + "\n")
+    if report and not report.passed:
+        for m in report.mismatches:
+            assign = ", ".join(f"{n}={b}" for n, b in zip(table.input_nodes, m.inputs))
+            print(f"mismatch at {assign}: expected {m.expected}, "
+                  f"got {m.actual} ({m.output_kpa:.2f} kPa)", file=sys.stderr)
+        return MISMATCH_EXIT
     return 0
 
 
@@ -284,96 +275,64 @@ def _cmd_freq(args, ast, defaults) -> int:
     net = expand(ast, defaults)
     cfg = SimConfig(t_end=args.t_end, probes=tuple(args.probe) if args.probe else None)
     try:
-        report = measure_oscillation(net, cfg, min_amplitude_kpa=args.min_amplitude)
+        rep = measure_oscillation(net, cfg, min_amplitude_kpa=args.min_amplitude)
     except NoOscillationError as exc:
         _warn(exc.warnings)
         raise
-    _warn(report.warnings)
-    if args.format == "json-lines":
-        for probe in report.peaks_kpa:
-            print(
-                json.dumps(
-                    {
-                        "probe": probe,
-                        "frequency_hz": report.frequency_hz,
-                        "peak_kpa": report.peaks_kpa[probe],
-                        "trough_kpa": report.troughs_kpa[probe],
-                        "phase_deg": report.phase_deg[probe],
-                        "duty": report.duty,
-                        "cycles": report.cycles,
-                    }
-                )
-            )
-    else:
-        print(
-            f"frequency: {report.frequency_hz:.3f} Hz over {report.cycles} cycles "
-            f"(duty {report.duty:.2f}, reference probe {report.probe})"
-        )
-        for probe in report.peaks_kpa:
-            print(
-                f"  {probe}: peak {report.peaks_kpa[probe]:.2f} kPa, trough "
-                f"{report.troughs_kpa[probe]:.2f} kPa, phase {report.phase_deg[probe]:.1f} deg"
-            )
+    _warn(rep.warnings)
+    records = [{"probe": probe, "frequency_hz": rep.frequency_hz, "peak_kpa": rep.peaks_kpa[probe],
+                "trough_kpa": rep.troughs_kpa[probe], "phase_deg": rep.phase_deg[probe],
+                "duty": rep.duty, "cycles": rep.cycles} for probe in rep.peaks_kpa]
+    text = [f"frequency: {rep.frequency_hz:.3f} Hz over {rep.cycles} cycles "
+            f"(duty {rep.duty:.2f}, reference probe {rep.probe})"]
+    text += [f"  {probe}: peak {rep.peaks_kpa[probe]:.2f} kPa, trough "
+             f"{rep.troughs_kpa[probe]:.2f} kPa, phase {rep.phase_deg[probe]:.1f} deg"
+             for probe in rep.peaks_kpa]
+    _write(args, records, lambda: "\n".join(text) + "\n")
     return 0
 
 
 def _cmd_bom(args, ast, defaults) -> int:
     bill = make_bom(ast, defaults)
-    if args.format == "json-lines":
-        for line in bill.lines:
-            print(
-                json.dumps(
-                    {
-                        "item": line.description,
-                        "quantity": line.quantity,
-                        "unit": line.unit,
-                        "cost_usd": str(line.cost),
-                    }
-                )
-            )
-        print(
-            json.dumps(
-                {
-                    "devices": bill.device_count,
-                    "total_usd": str(bill.total),
-                    "note": bill.note,
-                }
-            )
-        )
-    else:
-        print(f"devices: {bill.device_count}")
-        for line in bill.lines:
-            qty = f"{line.quantity} {line.unit}".strip()
-            print(f"  {line.description}: {qty} (${line.cost})")
-        print(f"total: ${bill.total}")
-        print(f"note: {bill.note}")
+    records = [{"item": line.description, "quantity": line.quantity, "unit": line.unit,
+                "cost_usd": str(line.cost)} for line in bill.lines]
+    records.append({"devices": bill.device_count, "total_usd": str(bill.total), "note": bill.note})
+    text = [f"devices: {bill.device_count}"]
+    text += [f"  {line.description}: {f'{line.quantity} {line.unit}'.strip()} (${line.cost})"
+             for line in bill.lines]
+    text += [f"total: ${bill.total}", f"note: {bill.note}"]
+    _write(args, records, lambda: "\n".join(text) + "\n")
     return 0
 
 
 def _cmd_check(args, ast, defaults) -> int:
     net = expand(ast, defaults)
     if args.canonical:
-        sys.stdout.write(format_circuit(ast))
+        netlist = format_circuit(ast)
+        _write(args, [{"netlist": netlist}], lambda: netlist)
         return 0
-    n_nodes = len(net.node_order())
-    print(
-        f"ok: {len(net.valves)} valves, {len(net.tubes)} tubes, "
-        f"{len(net.balloons) + sum(1 for v in net.valves if v.balloon)} balloons, "
-        f"{n_nodes} nodes"
-    )
+    counts = {"valves": len(net.valves), "tubes": len(net.tubes),
+              "balloons": len(net.balloons) + sum(1 for v in net.valves if v.balloon),
+              "nodes": len(net.node_order())}
     try:
         steady = dc_operating_point(net)
     except EngineError as exc:
         if exc.code != "AstableCircuit":
             raise
-        print("operating point: none (astable; every assignment re-switches)")
-        return 0
-    states = ", ".join(
-        f"{name}={state.value}" for name, state in sorted(steady.valve_states.items())
-    )
-    print(f"operating point: {states if states else 'no valves'}")
-    if len(steady.fixed_points) > 1:
-        print(f"note: {len(steady.fixed_points)} distinct operating points exist")
+        states, points = None, 0
+    else:
+        states = {name: s.value for name, s in sorted(steady.valve_states.items())}
+        points = max(1, len(steady.fixed_points))  # one unless the search enumerated them
+    text = ["ok: " + ", ".join(f"{n} {k}" for k, n in counts.items())]
+    if states is None:
+        text.append("operating point: none (astable; every assignment re-switches)")
+    else:
+        assigned = ", ".join(f"{name}={state}" for name, state in states.items())
+        text.append(f"operating point: {assigned or 'no valves'}")
+    if points > 1:
+        text.append(f"note: {points} distinct operating points exist")
+    _write(args, [{**counts, "operating_point": states, "fixed_points": points}],
+           lambda: "\n".join(text) + "\n")
     return 0
 
 

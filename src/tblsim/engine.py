@@ -884,13 +884,16 @@ class _Segment:
     e^(λτ))`` of ``modes``, for ``τ`` in ``[0, tau]``.
 
     ``flips`` lists the valve transitions logged as it starts, ``(valve,
-    now open)`` in order, and ``note`` the warning of a settling that gave
-    up. ``kpa`` holds the watched nodes' kPa at its start once settled; it
-    is None where a balloon mode change starts it. ``c`` holds the watched
-    nodes' kPa at ``xc``, the constant of their waves (``wave``). A valve
-    event (``event``) or a mode change (``change``) ends it; where neither
-    does, it is the run's last, and with no end time ``tau`` is inf: no
-    valve rises again.
+    now open)`` in order. ``kpa`` holds the watched nodes' kPa at its start
+    once settled; it is None where a balloon mode change starts it. ``c``
+    holds the watched nodes' kPa at ``xc``, the constant of their waves
+    (``wave``). A valve event (``event``) or a mode change (``change``) by
+    the run's end time ends it; where neither does, it is the run's last
+    and runs to that end, which ``_segments`` owns. It is at ``rest`` where
+    no valve or mode would rise again, however long it ran; then, with no
+    end time, ``tau`` is inf. ``warnings`` are the run's own from within
+    it: a settling that gave up as it starts, and each balloon first
+    reaching its burst pressure by its end.
     """
 
     t: float
@@ -898,8 +901,9 @@ class _Segment:
     t_next: float
     event: bool
     change: bool
+    rest: bool
     flips: list[tuple[int, bool]]
-    note: str | None
+    warnings: list[str]
     kpa: np.ndarray | None
     modes: _Modes
     xc: np.ndarray
@@ -917,8 +921,8 @@ def _segments(
     compiled: _Compiled, is_open: np.ndarray, volumes: np.ndarray, t_end: float
 ) -> Iterator[_Segment]:
     """The run from the valve states ``is_open`` and balloon ``volumes`` at
-    t = 0 to ``t_end``, one ``_Segment`` at a time; with ``t_end`` inf it
-    goes on while it is read, or until it comes to rest.
+    t = 0 to the caller's ``t_end``, one ``_Segment`` at a time; with
+    ``t_end`` inf it goes on while it is read, or until it comes to rest.
 
     Each regime segment is a linear ODE with constant coefficients, solved
     exactly (``_Modes``), so every valve margin is a constant plus a sum of
@@ -928,27 +932,57 @@ def _segments(
     below 0 to 0 or above ends the segment (``_first_rises``); the valves
     that rise within ``_EVENT_TOL`` of it flip with it, and the valves are
     settled in the new regime. With a sub-atmospheric source a balloon
-    crossing its rest volume or emptying ends a segment too. The run goes
-    on from a segment's end volumes, one closed-form evaluation at its end
-    here, so what a reader does with the segments cannot change the run.
+    crossing its rest volume or emptying ends a segment too. Rises are
+    searched without bound, so a segment nothing ends is marked ``rest``,
+    and ``t_end`` only cuts the last segment short. The run goes on from a
+    segment's end volumes, one closed-form evaluation at its end here, so
+    what a reader does with the segments cannot change the run.
+
+    Each segment carries its warnings: the settling's, and the burst check
+    up to its end, so never past ``t_end``. A balloon at or past its burst
+    level as a segment starts warns at that start, whether it then rises or
+    drains: at t = 0 for one that starts the run there. The network is
+    passive, so no balloon rises above the highest of the fixed pressures
+    and the balloons' own at the start; one whose burst level lies above
+    that is never checked.
     """
     ctrl_rows = slice(0, len(compiled.control))
-    rest = compiled.rest_volume
+    v_rest = compiled.rest_volume
     vacuum = bool((compiled.fixed_pa < 0.0).any())  # else no balloon goes below rest
+    top = max(compiled.fixed_pa.max(),
+              _balloon_pa(volumes, v_rest, compiled.compliance).max(initial=0.0))
+    watch = np.flatnonzero(compiled.burst_kpa * KPA <= top * (1.0 + 1.0e-9))  # not yet warned
+
+    def bursts(t: float, tau: float, modes: _Modes, xc: np.ndarray, d: np.ndarray) -> list[str]:
+        """The warnings of the balloons that first reach their burst
+        pressure within the segment ``xc, d`` of ``modes`` from ``t`` for
+        ``tau``."""
+        nonlocal watch
+        ks = watch[modes.mode[watch] == _ABOVE] if len(watch) else watch
+        if not len(ks):
+            return []
+        c, M = xc[ks] - compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA, modes.V[ks]
+        f0 = c + M @ d  # at the segment's start
+        t_ks = t + np.where(f0 >= 0.0, 0.0, _first_rises(c, M, d, modes.lam, tau, f0))
+        hit = t_ks < math.inf
+        watch = np.setdiff1d(watch, ks[hit])
+        return [f"balloon {compiled.cap_names[k]} passed its burst pressure "
+                f"({compiled.burst_kpa[k].tolist()} kPa) at t={tk:.6g} s"
+                for k, tk in zip(ks[hit].tolist(), t_ks[hit].tolist())]
 
     def settle(t: float, is_open: np.ndarray, volumes: np.ndarray, switch: np.ndarray):
         """Flip the valves ``switch`` at time ``t``, then every valve whose
         margin is >= 0 at ``volumes``, until none is. Returns the valve
         states, their regime, the margins, the watched nodes' kPa at
-        ``volumes``, the transitions logged and the warning of a relaxation
-        that gave up.
+        ``volumes``, the transitions logged and the warning, in a list, of
+        a relaxation that gave up.
 
         Balloon controls cannot react to flips; free-node controls get a
         bounded relaxation. When that gives up, the warning names the valves
         still changing, and they are left past their thresholds: a valve
         flips only where its margin rises from below 0.
         """
-        flips, note = [], None
+        flips, notes = [], []
         limit = 4 * max(1, len(is_open))
         for relaxation in range(limit + 1):
             is_open = is_open.copy()
@@ -962,84 +996,53 @@ def _segments(
                 break
             if relaxation == limit:
                 names = ", ".join(compiled.valve_names[vi] for vi in switch.tolist())
-                note = (f"valve states did not settle at t={t:.6g} s after {limit} "
-                        f"relaxations; still changing: {names}")
+                notes.append(f"valve states did not settle at t={t:.6g} s after {limit} "
+                             f"relaxations; still changing: {names}")
                 break
-        return is_open, reg, m, kpa, flips, note
+        return is_open, reg, m, kpa, flips, notes
 
     t = 0.0
-    is_open, reg, m0, kpa, flips, note = settle(t, is_open, volumes, np.zeros(0, dtype=int))
-    mode = reg.modes_at(volumes) if vacuum else np.full(len(rest), _ABOVE)
+    is_open, reg, m0, kpa, flips, notes = settle(t, is_open, volumes, np.zeros(0, dtype=int))
+    mode = reg.modes_at(volumes) if vacuum else np.full(len(v_rest), _ABOVE)
     while True:
         modes = reg.above if (mode == _ABOVE).all() else _Modes(reg, mode)
-        xc, w, d = modes.segment(volumes - rest)
-        h = t_end - t
+        xc, w, d = modes.segment(volumes - v_rest)
         c = (reg.a0 + reg.A @ (modes.D * xc)) / KPA  # the watched nodes' kPa at xc
         # the valve margins, each a constant plus exponentials
         M = np.where(is_open, 1.0, -1.0)[:, None] * modes.W[ctrl_rows]
-        t_valve = _first_rises(compiled.margin(is_open, c[ctrl_rows]), M, d, modes.lam, h, m0)
+        t_valve = _first_rises(compiled.margin(is_open, c[ctrl_rows]), M, d, modes.lam, math.inf, m0)
         t_flip = t_valve.min(initial=math.inf)
         t_mode = math.inf
         if vacuum:
             beta, alpha, who, goes = modes.exits(reg)
             cm, Mm = alpha + beta @ xc, beta @ modes.V
-            t_exit = _first_rises(cm, Mm, d, modes.lam, h, cm + Mm @ d, beta @ w)
+            t_exit = _first_rises(cm, Mm, d, modes.lam, math.inf, cm + Mm @ d, beta @ w)
             t_mode = t_exit.min(initial=math.inf)
-        event = t_flip <= min(t_mode, h)
-        change = not event and t_mode <= h
-        tau = t_flip if event else t_mode if change else h
-        t_next = t + tau if event or change else t_end
-        yield _Segment(t, tau, t_next, event, change, flips, note, kpa, modes, xc, d, c)
-        if not (event or change):
+        tau = min(t_flip, t_mode)
+        rest = tau == math.inf
+        ends = not rest and tau <= t_end - t  # an event or a mode change by t_end
+        event, change = ends and t_flip <= t_mode, ends and t_mode < t_flip
+        tau, t_next = (tau, t + tau) if ends else (t_end - t, t_end)
+        yield _Segment(t, tau, t_next, event, change, rest, flips,
+                       notes + bursts(t, tau, modes, xc, d), kpa, modes, xc, d, c)
+        if not ends:
             return
-        volumes = np.maximum(modes.x(xc, w, d, np.array([tau]))[0] + rest, 0.0)
+        volumes = np.maximum(modes.x(xc, w, d, np.array([tau]))[0] + v_rest, 0.0)
         t = t_next
 
         if event:
             switch = np.flatnonzero(t_valve <= t_flip + _EVENT_TOL)
-            is_open, reg, m0, kpa, flips, note = settle(t, is_open, volumes, switch)
+            is_open, reg, m0, kpa, flips, notes = settle(t, is_open, volumes, switch)
             if vacuum:
                 mode = reg.modes_at(volumes)
         else:
             # the balloons leaving their mode start it from its edge
             hit = t_exit == t_mode
             k, to = who[hit], goes[hit]
-            volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), rest[k], 0.0)
+            volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), v_rest[k], 0.0)
             mode[k] = to
             m0 = compiled.margin(is_open, reg.pressures(volumes)[ctrl_rows] / KPA)
-            flips, note, kpa = [], None, None
-
-
-class _Bursts:
-    """The burst check of one run from ``volumes``: called on each segment
-    in turn with the time ``h`` it runs, it gives the warnings of the
-    balloons that first reach their burst pressure within it. A balloon at
-    or past its burst level as a segment starts warns at that start,
-    whether it then rises or drains: at t = 0 for one that starts the run
-    there. The network is passive, so no balloon rises above the highest
-    of the fixed pressures and the balloons' own at the start; a balloon
-    whose burst level lies above that is never checked."""
-
-    def __init__(self, compiled: _Compiled, volumes: np.ndarray):
-        top = max(compiled.fixed_pa.max(),
-                  _balloon_pa(volumes, compiled.rest_volume, compiled.compliance).max(initial=0.0))
-        self.compiled, self.seen = compiled, compiled.burst_kpa * KPA > top * (1.0 + 1.0e-9)
-        self.done = bool(self.seen.all())
-
-    def __call__(self, seg: _Segment, h: float) -> list[str]:
-        if self.done:
-            return []
-        compiled, modes = self.compiled, seg.modes
-        ks = np.flatnonzero(~self.seen & (modes.mode == _ABOVE))
-        c, M = seg.xc[ks] - compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA, modes.V[ks]
-        f0 = c + M @ seg.d  # at the segment's start
-        t_ks = seg.t + np.where(f0 >= 0.0, 0.0, _first_rises(c, M, seg.d, modes.lam, h, f0))
-        hit = t_ks < math.inf
-        self.seen[ks[hit]] = True
-        self.done = bool(self.seen.all())
-        return [f"balloon {compiled.cap_names[k]} passed its burst pressure "
-                f"({compiled.burst_kpa[k].tolist()} kPa) at t={tk:.6g} s"
-                for k, tk in zip(ks[hit].tolist(), t_ks[hit].tolist())]
+            flips, notes, kpa = [], [], None
 
 
 def _compile_probed(net: PneumaticNetwork, cfg: SimConfig) -> _Compiled:
@@ -1056,13 +1059,13 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     """Solve the circuit in closed form and return a sampled Trace.
 
     The run is ``_segments``' closed-form segments, sampled; sampling
-    reads the run and does not change it. A relaxation that does not
-    settle is reported in ``Trace.warnings``, as is the time each balloon
-    first reaches its burst pressure, or t = 0 for one that starts at or
-    past it. Samples land on a regular grid plus a pre/post pair at each
-    event, so switching edges stay sharp: a segment's grid samples and its
-    last sample are one product, the probes' waves (``_Segment.wave``) at
-    those times, and the post-event sample, 1 µs (``_EVENT_TOL``) later,
+    reads the run and does not change it. ``Trace.warnings`` are the
+    segments' own: a relaxation that does not settle, and the time each
+    balloon first reaches its burst pressure, or t = 0 for one that starts
+    at or past it. Samples land on a regular grid plus a pre/post pair at
+    each event, so switching edges stay sharp: a segment's grid samples and
+    its last sample are one product, the probes' waves (``_Segment.wave``)
+    at those times, and the post-event sample, 1 µs (``_EVENT_TOL``) later,
     reads the settling. Identical inputs give identical traces.
     """
     compiled = _compile_probed(net, cfg)
@@ -1084,14 +1087,12 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
 
     is_open = compiled.initial_states(cfg.initial_valve_states)
     volumes = compiled.initial_volumes(cfg.initial_pressures_kpa)
-    bursts = _Bursts(compiled, volumes)
     next_sample = cfg.sample_interval
     post = 0.0  # the settled start is sampled at 0, each later settling this long after its event
     for seg in _segments(compiled, is_open, volumes, cfg.t_end):
         t = seg.t
         events.extend((t, compiled.valve_names[v], _state(o)) for v, o in seg.flips)
-        if seg.note:
-            warnings.append(seg.note)
+        warnings.extend(seg.warnings)
         if seg.kpa is not None:
             emit([t + post], seg.kpa[None, probe_rows])
             post = min(_EVENT_TOL, cfg.sample_interval / 8.0)
@@ -1109,7 +1110,6 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
         if not np.isfinite(kpa).all():
             raise SingularNetworkError("flow-balance system is numerically singular")
         emit(grid, kpa)
-        warnings.extend(bursts(seg, seg.tau))
 
     kpa = np.concatenate(rows) if rows else np.zeros((0, len(probes)))
     return Trace(tuple(probes), np.array(times), kpa, tuple(events), tuple(warnings))
@@ -1167,28 +1167,25 @@ def _limit_cycle(
 
     Each valve event is keyed by the (valve, new state) pairs it logs. The
     run stops once its last two cycles have the same keys in the same
-    order (``_last_cycle``). A run in which no valve can rise again is at
-    rest and has no cycle. One whose next event would come after
-    ``t_end``, or that reaches ``_MAX_CYCLES`` or ``_MAX_EVENTS``, stops
-    there, names that cap and keeps its last full cycle. ``cycles`` counts
-    the earlier occurrences of the last event's key: the cycles run, where
-    each key occurs once a cycle. The warnings are ``simulate``'s, up to
-    where the run stops or ``t_end``.
+    order (``_last_cycle``). A run at ``rest`` has no cycle. One whose
+    segment ends in neither an event nor a mode change, so ``_segments``
+    ended it at ``t_end``, or that reaches ``_MAX_CYCLES`` or
+    ``_MAX_EVENTS``, stops there, names that cap and keeps its last full
+    cycle. ``cycles`` counts the earlier occurrences of the last event's
+    key: the cycles run, where each key occurs once a cycle. The warnings
+    are the segments' own, as ``simulate`` reports them, up to where the
+    run stops.
     """
-    run = _segments(compiled, is_open, volumes, math.inf)
     segments: list[_Segment] = []
     keys, times, starts = [], [], []  # per valve event: its key, time and segment
     seen: dict[tuple, list[int]] = {}
     warnings: list[str] = []
-    bursts = _Bursts(compiled, volumes)
     cycles = events = 0
     full = None  # the last event that closed a full cycle, and that cycle's length in events
     cap = None
-    for seg in run:
-        if seg.note:
-            warnings.append(seg.note)
-        warnings.extend(bursts(seg, min(seg.tau, t_end - seg.t)))
-        if seg.tau == math.inf:
+    for seg in _segments(compiled, is_open, volumes, t_end):
+        warnings.extend(seg.warnings)
+        if seg.rest:
             return _Cycle([], 0.0, cycles, events, None, warnings)
         segments.append(seg)
         if seg.flips:
@@ -1210,7 +1207,7 @@ def _limit_cycle(
             if events >= _MAX_EVENTS:
                 cap = f"{_MAX_EVENTS} valve events"
                 break
-        if seg.t_next > t_end:
+        if not (seg.event or seg.change):
             cap = f"t_end = {t_end:g} s"
             break
     if full is None:
@@ -1459,14 +1456,17 @@ def calibrate_oscillator(
     rest) / C``, so with one ``C`` on every balloon the run in pressure
     space does not depend on ``C``, and its time scales with ``C``: the
     peak at the probe is set by the conductance alone. So the fit is one
-    round: a bisection on the conductance against the peak target, then
-    one rescale of the compliance against the frequency target. A verify
-    evaluation at the rescaled point gives the result, as the scaling is
-    exact only while no balloon is below rest: a sub-atmospheric source
-    can pull one there, to refill a slack volume that does not scale, and
-    a ``tolerance`` finer than the drift that leaves may then not be met.
-    Raises CalibrationFailed, carrying the last point recorded and every
-    evaluation, if both targets cannot be met within ``tolerance``.
+    round: a bisection on the conductance against the peak target, then a
+    rescale of the compliance against the frequency target, ``C f /
+    f_target``, and a verify evaluation at the rescaled point. The scaling
+    is exact only while no balloon is below rest: a sub-atmospheric source
+    can pull one there, to refill a slack volume that does not scale. So
+    while the verified frequency misses, the rescale repeats at the fitted
+    conductance as a secant on log C, through the last two points, for at
+    most 8 rescales; it stops where a compliance bound holds it, or where
+    the frequency stops falling with C. Raises CalibrationFailed, carrying
+    the last point recorded and every evaluation, if both targets cannot
+    be met within ``tolerance``.
 
     Each evaluation runs the circuit from its declared state, with no end
     time, until its valve events repeat (``_limit_cycle``), and takes its
@@ -1567,15 +1567,26 @@ def calibrate_oscillator(
     if target_frequency_hz < f_min * (1.0 - tolerance):
         fail(record(ev), f"; at least {f_min:.4g} Hz at this peak within the bounds")
 
-    # 2) the period scales with compliance: rescale and verify
-    compliance = min(max(compliance * ev.frequency_hz / target_frequency_hz, c_lo), c_hi)
-    ev = evaluate(compliance, ev.open_conductance)
-    if ev is None:
-        fail(None)
-    result = record(ev)
-    ef, ep = result.relative_errors
-    if ef <= tolerance and ep <= tolerance:
-        return result
+    # 2) the period scales with compliance: rescale and verify; while the
+    # frequency misses, rescale again by the secant of log f on log C
+    slope = -1.0  # of log f on log C: exact while no balloon is below rest
+    for step in range(8):
+        k = -1.0 / slope
+        c = min(max(ev.compliance * ev.frequency_hz**k / target_frequency_hz**k, c_lo), c_hi)
+        if step and c == ev.compliance:  # held at a compliance bound
+            break
+        prev, ev = ev, evaluate(c, ev.open_conductance)
+        if ev is None:
+            fail(None)
+        result = record(ev)
+        ef, ep = result.relative_errors
+        if ef <= tolerance and ep <= tolerance:
+            return result
+        if ef <= tolerance or c == prev.compliance:
+            break
+        slope = math.log(ev.frequency_hz / prev.frequency_hz) / math.log(c / prev.compliance)
+        if not slope < 0.0:
+            break
     fail(result)
 
 

@@ -445,3 +445,55 @@ def test_check_notes_several_operating_points(tmp_path, capsys):
     assert rc == 0
     assert "operating point: g1.v=open, g2.v=closed\n" in out
     assert out.endswith("note: 2 distinct operating points exist\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim", circuit("not.tbl"), "--t-end", "0.003"],
+        ["truth", circuit("nand.tbl"), "--inputs", "a,b", "--output", "q", "--expect", "!(a&b)"],
+        ["freq", "--t-end", "1.5", circuit("ring3_calibrated.tbl")],
+        ["bom", circuit("ring3.tbl")],
+        ["check", circuit("nor.tbl")],
+    ],
+    ids=["sim", "truth", "freq", "bom", "check"],
+)
+def test_json_lines_output_is_json_on_every_line(argv, capsys):
+    rc = main(["--format", "json-lines", *argv])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.endswith("\n")
+    for line in out.splitlines():
+        assert isinstance(json.loads(line), dict)
+
+
+@pytest.mark.parametrize("expr, rc, matches", [("!(a&b)", 0, True), ("!(a|b)", 4, False)])
+def test_truth_json_lines_ends_with_its_verdict(expr, rc, matches, capsys):
+    argv = ["--format", "json-lines", "truth", circuit("nand.tbl"), "--inputs", "a,b",
+            "--output", "q", "--expect", expr]
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    recs = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(recs) == 5 and all("output" in r for r in recs[:4])
+    assert recs[-1] == {"expect": expr, "matches": matches}
+    assert ("mismatch at" in captured.err) is not matches
+
+
+def test_check_json_lines_is_one_record(tmp_path, capsys):
+    latch = write(
+        tmp_path,
+        "source SUP pressure=145kPa\n"
+        "gate NOT g1 in=q2 out=q1 supply=SUP\n"
+        "gate NOT g2 in=q1 out=q2 supply=SUP\n",
+    )
+    recs = {}
+    for name, path in (("nor", circuit("nor.tbl")), ("ring3", circuit("ring3.tbl")),
+                       ("latch", latch)):
+        assert main(["--format", "json-lines", "check", path]) == 0
+        (recs[name],) = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert recs["nor"] == {"valves": 2, "tubes": 4, "balloons": 2, "nodes": 9,
+                           "operating_point": {"g1.v1": "open", "g1.v2": "open"},
+                           "fixed_points": 1}
+    assert recs["ring3"]["operating_point"] is None and recs["ring3"]["fixed_points"] == 0
+    assert recs["latch"]["operating_point"] == {"g1.v": "open", "g2.v": "closed"}
+    assert recs["latch"]["fixed_points"] == 2
