@@ -52,11 +52,14 @@ output kPa. The ``fanout`` line covers
 the sweep's samples. The ``logic`` line covers the seeded logic circuits
 of the benchmark's seeds 1 and 3, from ``perfbench/inputs.py``, which it
 only imports: every input row of each circuit's truth table goes through
-``engine._dc_rows``. It prints the row count, ``solves``, the number of
-flow balances (``engine._Compiled.solve`` calls: layer maps and point
-solves, however many stacked LUs each takes) the rows took, and one
-digest of every row's ``SteadyState`` repr (valve states, every node
-pressure and the fixed points). The ``calibrate_vacuum`` line covers
+``engine._dc_rows``. It prints the row count; ``solves``, the number of
+``engine._Compiled.solve`` calls the rows took (layer maps, and point
+solves of every row of a table at once, however many stacked LUs each
+takes); ``systems``, the flow balances those calls solved (one per layer
+map, one per row of a stacked call), so that the same work shows as the
+same count however it is stacked; and one digest of every row's
+``SteadyState`` repr (valve states, every node pressure and the fixed
+points). The ``calibrate_vacuum`` line covers
 three fits of ``ring3_calibrated.tbl`` with every pull-down sent to a
 -30 kPa source, at ``tolerance=0.005``: 10 Hz / 16.5 kPa, 8 Hz /
 16.2 kPa and 3 Hz / 16.0 kPa. Balloons there drain below rest, so the
@@ -282,11 +285,12 @@ def _logic_line() -> str:
     bench_inputs = _bench_inputs()
     levels = LogicLevels()
     solve = engine._Compiled.solve
-    solves = 0
+    solves = systems = 0
 
     def counting_solve(self, g, rows, P):
-        nonlocal solves
+        nonlocal solves, systems
         solves += 1
+        systems += g.size // len(self.branch_a)  # the rows of a stacked call
         return solve(self, g, rows, P)
 
     h = hashlib.sha256()
@@ -304,7 +308,7 @@ def _logic_line() -> str:
                     rows += 1
     finally:
         engine._Compiled.solve = solve
-    return f"logic: rows={rows} solves={solves} sha256={h.hexdigest()}"
+    return f"logic: rows={rows} solves={solves} systems={systems} sha256={h.hexdigest()}"
 
 
 def main() -> None:

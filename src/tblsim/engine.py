@@ -23,12 +23,12 @@ valve state inside this module; ``ValveState`` appears only in the inputs
 and the results.
 
 The DC search steps all valves at once on the pressures of one solve per
-assignment, starting where a walk over the network's regions (the parts
-that fixed nodes cut it into) leaves it: on a feed-forward circuit the
-first solve only confirms the walk. Components over the conducting
-branches decide which nodes a solve must leave out: balloons cut off from
-every fixed node keep their charge, and nodes sealed off from every fixed
-node and every balloon read ambient.
+assignment, starting where a walk over the regions (the parts that fixed
+nodes cut a network into) leaves it, for all rows of a truth table in one
+stacked solve: on a feed-forward circuit it only confirms the walk. The
+conducting branches decide which nodes a solve leaves out: balloons cut
+off from every fixed node keep their charge, and nodes sealed off from
+every fixed node and every balloon read ambient.
 
 The continuous state of a circuit is the vector of balloon volumes; all
 other node pressures are algebraic. Each regime (one set of valve states)
@@ -52,7 +52,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -61,12 +61,14 @@ from .elements import (
     KPA,
     PneumaticNetwork,
     ValveState,
+    check_pressure,
     node_components,
 )
 from .expsums import _distinct, _extremes, _first_rises, _values, _zeros
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
+    NetworkError,
     NoOscillationError,
     SingularNetworkError,
     TooManyValvesError,
@@ -201,15 +203,22 @@ def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
 def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the flow balance ``G x = rhs`` by dense LU: one system, or a
     stack of them, each with one or more columns; a singular or inaccurate
-    solve raises SingularNetworkError."""
+    solve raises SingularNetworkError. A 4-D stack ``(R, k, s, s)`` holds
+    R networks, and each is checked as it would be alone."""
     try:
         x = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:  # the factor is exactly singular
         raise SingularNetworkError(f"flow-balance system is singular: {exc}") from exc
-    scale = max(1.0, np.abs(rhs).max())
-    if not np.isfinite(x).all() or np.abs(G @ x - rhs).max() > 1.0e-6 * scale:
+    each = G.shape[:-3] + (-1,)
+    scale = np.abs(rhs).reshape(each).max(axis=-1, initial=1.0)
+    if not np.isfinite(x).all() or (np.abs(G @ x - rhs).reshape(each).max(axis=-1) > 1.0e-6 * scale).any():
         raise SingularNetworkError("flow-balance system is numerically singular")
     return x
+
+
+def _tile(idx: np.ndarray, copies: int, size: int) -> np.ndarray:
+    """``idx`` in each of ``copies`` stacked ranges of ``size``, flat."""
+    return idx if copies == 1 else (idx + size * np.arange(copies)[:, None]).ravel()
 
 
 class _Compiled:
@@ -281,24 +290,18 @@ class _Compiled:
     # -- assembly ------------------------------------------------------------
 
     def conductances(self, is_open: np.ndarray) -> np.ndarray:
-        """Branch conductances for a boolean valve open-state array."""
-        return np.concatenate([self.g_static, np.where(is_open, self.g_open, self.g_leak)])
+        """Branch conductances for a boolean valve open-state array, or a stack of them."""
+        valves = np.where(is_open, self.g_open, self.g_leak)
+        g = np.empty(valves.shape[:-1] + self.branch_a.shape)
+        g[..., : len(self.g_static)], g[..., len(self.g_static) :] = self.g_static, valves
+        return g
 
     def margin(self, is_open, ctrl_kpa, valves=slice(None)):
         """The hysteresis rule, for the valves ``valves`` in the states
         ``is_open`` at control pressures ``ctrl_kpa``: how far each control
         is past the threshold of its pending transition, ``ctrl - p_inflate``
         for an open valve and ``p_deflate - ctrl`` for a closed one. A valve
-        switches where this is >= 0; a NaN control never switches.
-
-        Elementwise over arrays. For one valve (``valves`` an int) it takes
-        and gives scalars: the DC walk asks it valve by valve, and a numpy
-        call there would cost more than the rest of the step.
-        """
-        if isinstance(valves, int):
-            if is_open:
-                return ctrl_kpa - self.p_inflate[valves]
-            return self.p_deflate[valves] - ctrl_kpa
+        switches where this is >= 0; a NaN control never switches."""
         return np.where(
             is_open, ctrl_kpa - self.p_inflate[valves], self.p_deflate[valves] - ctrl_kpa
         )
@@ -306,13 +309,15 @@ class _Compiled:
     def components(self, g: np.ndarray):
         """Component labels over the conducting branches, and per label
         whether it holds a fixed node and whether it holds a fixed node or
-        a balloon."""
-        on = g > 0.0
-        labels = node_components(self.n, self.branch_a[on], self.branch_b[on])
-        fixed = np.zeros(self.n, dtype=bool)
-        fixed[labels[self.fixed_idx]] = True
+        a balloon; for a stack of rows, over one copy of the nodes per row."""
+        on = g.ravel() > 0.0
+        copies = on.size // len(self.branch_a)
+        a, b = _tile(self.branch_a, copies, self.n), _tile(self.branch_b, copies, self.n)
+        labels = node_components(copies * self.n, a[on], b[on])
+        fixed = np.zeros(copies * self.n, dtype=bool)
+        fixed[labels[_tile(self.fixed_idx, copies, self.n)]] = True
         anchored = fixed.copy()
-        anchored[labels[self.cap_idx]] = True
+        anchored[labels[_tile(self.cap_idx, copies, self.n)]] = True
         return labels, fixed, anchored
 
     @cached_property
@@ -330,10 +335,11 @@ class _Compiled:
     def _blocks(self):
         """The layout of the region solve. Regions of one size ``s`` stack
         as ``(k, s, s)`` blocks, and every stack lies in one flat array of
-        the blocks' entries; no block is padded. Per node (-1 at the fixed
-        nodes): its row in the stacked right-hand sides and its diagonal
-        entry; per branch joining two unfixed nodes, its two off-diagonal
-        entries; per stack, ``(s, k, first row, first entry)``."""
+        the blocks' entries, no block padded, of the size given last. Per
+        node, its row in the stacked right-hand sides (-1 if fixed); per
+        branch, its ends' diagonal entries, and its two off-diagonal ones
+        where it joins two unfixed nodes (else -1); the unfixed nodes and
+        their diagonal entries; per stack, ``(s, k, first row, first entry)``."""
         region = self.region
         nodes = np.flatnonzero(region >= 0)
         _labels, inv, counts = np.unique(region[nodes], return_inverse=True, return_counts=True)
@@ -355,7 +361,7 @@ class _Compiled:
         ab = np.where(inner, start[a] + at[a] * width[a] + at[b], -1)
         ba = np.where(inner, start[b] + at[b] * width[b] + at[a], -1)
         diag = np.where(row >= 0, start + at * width + at, -1)
-        return row, diag, ab, ba, nodes, stacks
+        return row, diag[a], diag[b], ab, ba, nodes, diag[nodes], stacks, int((nrows * sizes).sum())
 
     def solve(self, g: np.ndarray, rows: np.ndarray, P: np.ndarray) -> None:
         """Fill ``P[rows]`` from the flow balance of those nodes, every other
@@ -363,40 +369,49 @@ class _Compiled:
         columns at once. ``G = L[rows][:, rows]`` is block-diagonal by
         region: each region's block is assembled with the other nodes of
         the region on a unit diagonal, and the blocks of each region size
-        are factored by one stacked dense LU."""
+        are factored by one stacked dense LU. For a stack of ``R`` rows of
+        ``g``, ``P`` is ``(R, n, ...)``, ``rows`` index its ``R * n`` nodes,
+        and each region size is one LU over ``(R, k, s, s)``."""
         if not len(rows):
             return
-        row, diag, ab, ba, nodes, stacks = self._blocks
-        unknown = np.zeros(self.n, dtype=bool)
+        row, da, db, ab, ba, nodes, dn, stacks, size = self._blocks
+        copies, n, m = g.size // len(self.branch_a), self.n, len(nodes)
+        unknown = np.zeros(copies * n, dtype=bool)
         unknown[rows] = True
-        on = g > 0.0
-        ta, tb = on & unknown[self.branch_a], on & unknown[self.branch_b]
+        gf = g.ravel()
+        on = gf > 0.0
+        ta, tb = on & unknown[_tile(self.branch_a, copies, n)], on & unknown[_tile(self.branch_b, copies, n)]
         both = ta & tb
-        known = nodes[~unknown[nodes]]
+        known = _tile(dn, copies, size)[~unknown[_tile(nodes, copies, n)]]
         entries = np.bincount(
-            np.concatenate([diag[self.branch_a[ta]], diag[self.branch_b[tb]], ab[both], ba[both],
-                            diag[known]]),
-            np.concatenate([g[ta], g[tb], -g[both], -g[both], np.ones(len(known))]),
-            minlength=sum(k * s * s for s, k, _r, _e in stacks),
-        )
-        P2 = P.reshape(self.n, -1)  # a view with an explicit column axis
+            np.concatenate([_tile(da, copies, size)[ta], _tile(db, copies, size)[tb],
+                            _tile(ab, copies, size)[both], _tile(ba, copies, size)[both], known]),
+            np.concatenate([gf[ta], gf[tb], -gf[both], -gf[both], np.ones(len(known))]),
+            minlength=copies * size,
+        ).reshape(copies, size)
+        P2 = P.reshape(copies * n, -1)  # a view with an explicit column axis
         cols = P2.shape[1]
-        rhs = np.zeros((len(nodes), cols))
-        rhs[row[rows]] = self.inflow(g, P2)[rows]
+        at = _tile(row, copies, m)[rows]  # each unknown's row of the stacked right-hand sides
+        rhs = np.zeros((copies * m, cols))
+        rhs[at] = self.inflow(g, P2)[rows]
         x = np.empty_like(rhs)
+        rhs3, x3, lead = rhs.reshape(copies, m, cols), x.reshape(copies, m, cols), g.shape[:-1]
         for s, k, r, e in stacks:
-            G = entries[e : e + k * s * s].reshape(k, s, s)
-            x[r : r + k * s] = _solve(G, rhs[r : r + k * s].reshape(k, s, cols)).reshape(-1, cols)
-        P2[rows] = x[row[rows]]
+            G = entries[:, e : e + k * s * s].reshape(lead + (k, s, s))
+            b = rhs3[:, r : r + k * s].reshape(lead + (k, s, cols))
+            x3[:, r : r + k * s] = _solve(G, b).reshape(copies, k * s, cols)
+        P2[rows] = x[at]
 
     def inflow(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Net inflow ``-L(s) P = -Bᵀ diag(g) B P`` at every node, for node
-        values ``P`` with one row per node and one or more columns."""
+        values ``P`` with one row per node and one or more columns; for a
+        stack of conductance rows, one row per node of the stack."""
+        a, b = (_tile(ends, g.size // len(ends), self.n) for ends in (self.branch_a, self.branch_b))
         gk = g.reshape((-1,) + (1,) * (P.ndim - 1))
-        flow = gk * (P[self.branch_a] - P[self.branch_b])  # from a to b
+        flow = gk * (P[a] - P[b])  # from a to b
         out = np.zeros_like(P)
-        np.add.at(out, self.branch_b, flow)
-        np.subtract.at(out, self.branch_a, flow)
+        np.add.at(out, b, flow)
+        np.subtract.at(out, a, flow)
         return out
 
     # -- DC solve (balloons act as open circuits) ------------------------------
@@ -405,7 +420,8 @@ class _Compiled:
         """Node values (Pa) under the DC flow balance of the branch
         conductances ``g``: ``drive`` gives the fixed nodes' rows, with one or
         more columns; pinned balloons add their pressures to the first
-        column, and ``solve`` fills in the rest.
+        column, and ``solve`` fills in the rest. For a stack of rows of
+        ``g``, ``drive`` and the result stack one per row.
 
         Balloons in components that reach a fixed node equilibrate (zero
         flow, so they are plain unknowns); balloons cut off from every
@@ -416,19 +432,21 @@ class _Compiled:
         flow, and read ambient (0) rather than making the solve singular.
         """
         labels, fixed, anchored = self.components(g)
+        copies = len(labels) // self.n
+        fixed_idx, cap_idx = _tile(self.fixed_idx, copies, self.n), _tile(self.cap_idx, copies, self.n)
         known = ~anchored[labels]  # dead nodes
-        known[self.fixed_idx] = True
-        P = np.zeros((self.n,) + drive.shape[1:])
-        P[self.fixed_idx] = drive
-        cap_labels = labels[self.cap_idx]
+        known[fixed_idx] = True
+        P = np.zeros(g.shape[:-1] + (self.n,) + drive.shape[g.ndim :])
+        P2 = P.reshape(copies * self.n, -1)  # a view with an explicit column axis
+        P2[fixed_idx] = drive.reshape(len(fixed_idx), -1)
+        cap_labels = labels[cap_idx]
         pinned = ~fixed[cap_labels]
         if pinned.any():
-            lab, c = cap_labels[pinned], self.compliance[pinned]
+            lab, c = cap_labels[pinned], np.tile(self.compliance, copies)[pinned]
             c_total = np.bincount(lab, weights=c)
-            charge = np.bincount(lab, weights=c * self.initial_kpa[pinned])
-            # column 0 of P, through a view that is 2-D even where P is 1-D
-            P.reshape(self.n, -1)[self.cap_idx[pinned], 0] = charge[lab] / c_total[lab] * KPA
-            known[self.cap_idx[pinned]] = True
+            charge = np.bincount(lab, weights=c * np.tile(self.initial_kpa, copies)[pinned])
+            P2[cap_idx[pinned], 0] = charge[lab] / c_total[lab] * KPA
+            known[cap_idx[pinned]] = True
         self.solve(g, np.flatnonzero(~known), P)
         return P
 
@@ -628,7 +646,8 @@ class _Walk:
     the regions are walked in dependency order: each valve of a region is
     stepped once by ``_Compiled.margin``, from its given state, on its
     settled control pressure, and the region then reads its control nodes
-    from the layer its own valves select.
+    from the layer its own valves select. A level of that order, regions
+    that depend only on earlier levels, is one step for a stack of rows.
 
     Layer ``a`` opens every region's j-th valve iff bit j of ``a`` is set.
     One ``_Compiled.dc_map`` gives its node pressures in
@@ -638,21 +657,29 @@ class _Walk:
     compiled network, whatever its fixed pressures.
     """
 
-    def __init__(self, compiled: _Compiled, region: np.ndarray, home: np.ndarray, order):
-        # per region in dependency order, its valves and its control nodes as
-        # (node, row of a layer map); the valves whose branch joins two fixed
-        # nodes come last, as they change no pressure
+    def __init__(self, compiled: _Compiled, region: np.ndarray, home: np.ndarray, levels):
+        # per level: its valves, their control nodes and bits, and its control
+        # nodes, the span of their region's valves and their rows of a layer
+        # map; last, the valves joining two fixed nodes (they move no pressure)
         self.read = np.unique(compiled.control[region[compiled.control] >= 0])
-        valves = {r: [] for r in order + [-1]}
+        valves = {r: [] for level in levels for r in level}
         self.local = []  # each valve's index j in its region
         for v, r in enumerate(home.tolist()):
             self.local.append(len(valves[r]))
             valves[r].append(v)
-        rows = {r: [] for r in order + [-1]}
+        rows = {r: [] for r in valves}
         for k, node in enumerate(self.read.tolist()):
-            rows[int(region[node])].append((node, k))
-        self.steps = [(valves[r], rows[r]) for r in order + [-1]]
-        self.control = compiled.control.tolist()
+            rows[int(region[node])].append(k)
+        # each valve's bit in a layer number; past 63 bits, a Python int
+        weight = np.array([1 << j for j in self.local], object if max(self.local, default=0) > 62 else int)
+        self.levels = []
+        for level in levels:
+            vs, ks, lo, hi = [], [], [], []
+            for r in level:
+                ks, lo, vs = ks + rows[r], lo + [len(vs)] * len(rows[r]), vs + valves[r]
+                hi += [len(vs)] * len(rows[r])
+            vs, ks = np.array(vs, dtype=int), np.array(ks, dtype=int)
+            self.levels.append((vs, compiled.control[vs], weight[vs], lo, hi, self.read[ks], ks))
         self.layers: dict[int, np.ndarray] = {}  # the filled layer maps, by layer
 
     @classmethod
@@ -671,44 +698,43 @@ class _Walk:
             if r >= 0:
                 sorter.add(r, *([rc] if rc >= 0 else []))
         try:
-            order = list(sorter.static_order())
+            sorter.prepare()
         except CycleError:
             return None
-        return cls(c, region, home, order)
+        levels = []
+        while sorter.is_active():
+            levels.append(list(sorter.get_ready()))
+            sorter.done(*levels[-1])
+        return cls(c, region, home, levels + [[-1]])
 
-    def fill(self, compiled: _Compiled, a: int) -> None:
-        """Solve layer ``a``; a singular layer raises SingularNetworkError."""
-        is_open = np.array([(a >> j) & 1 for j in self.local], dtype=bool)
-        nf = len(compiled.fixed_idx)
-        g = compiled.conductances(is_open)
-        self.layers[a] = compiled.dc_map(g, np.eye(nf, 1 + nf, 1))[self.read]
+    def fill(self, compiled: _Compiled, a: int) -> np.ndarray:
+        """Layer ``a``'s map, solved the first time it is asked for; a
+        singular layer raises SingularNetworkError."""
+        if a not in self.layers:
+            g = compiled.conductances(np.array([(a >> j) & 1 for j in self.local], dtype=bool))
+            nf = len(compiled.fixed_idx)
+            self.layers[a] = compiled.dc_map(g, np.eye(nf, 1 + nf, 1))[self.read]
+        return self.layers[a]
 
-    def start(self, compiled: _Compiled, is_open: np.ndarray) -> np.ndarray:
-        """The open-state array after stepping each valve once from
-        ``is_open``, in region order, at ``compiled``'s fixed pressures.
-
-        A region holds a valve or two, so the walk runs on Python scalars:
-        per region, a numpy call would cost more than its arithmetic."""
-        drive = np.concatenate([[1.0], compiled.fixed_pa])
-        # the control-node pressures (Pa) of every filled layer
-        at = {a: (m @ drive).tolist() for a, m in self.layers.items()}
-        p = np.zeros(compiled.n)
-        p[compiled.fixed_idx] = compiled.fixed_pa
-        p = p.tolist()
-        is_open = is_open.tolist()
-        for valves, rows in self.steps:
-            a = 0  # the layer this region's valves select
-            for j, v in enumerate(valves):
-                if compiled.margin(is_open[v], p[self.control[v]] / KPA, v) >= 0.0:
-                    is_open[v] = not is_open[v]
-                a |= is_open[v] << j
-            if rows:
-                if a not in at:
-                    self.fill(compiled, a)
-                    at[a] = (self.layers[a] @ drive).tolist()
-                for node, k in rows:
-                    p[node] = at[a][k]
-        return np.array(is_open, dtype=bool)
+    def start(self, compiled: _Compiled, is_open: np.ndarray, fixed_pa: np.ndarray) -> np.ndarray:
+        """The open-state arrays after stepping each valve once, in region
+        order, from each row of ``is_open`` at the fixed pressures of the
+        same row of ``fixed_pa``."""
+        drive = np.hstack([np.ones((len(fixed_pa), 1)), fixed_pa])
+        p = np.zeros((len(fixed_pa), compiled.n))
+        p[:, compiled.fixed_idx] = fixed_pa
+        is_open = is_open.copy()
+        for valves, ctrl, weight, lo, hi, nodes, k in self.levels:
+            is_open[:, valves] ^= compiled.margin(is_open[:, valves], p[:, ctrl] / KPA, valves) >= 0.0
+            # each control node's layer, the bits of its region's valves, and
+            # its value there, by a sum whose order no stack size changes
+            bits = np.zeros((len(p), len(valves) + 1), dtype=weight.dtype)
+            np.cumsum(is_open[:, valves] * weight, axis=1, out=bits[:, 1:])
+            layers, at = np.unique(bits[:, hi] - bits[:, lo], return_inverse=True)
+            maps = [self.fill(compiled, a)[k] for a in layers.tolist()]
+            maps = np.reshape(maps, (len(maps), len(k), drive.shape[1]))
+            p[:, nodes] = (maps[at.reshape(len(p), -1), np.arange(len(k))] * drive[:, None]).sum(-1)
+        return is_open
 
 
 def dc_operating_point(
@@ -735,15 +761,20 @@ def dc_operating_point(
     all assignments (up to 16 valves), keeping those the same rule leaves
     unchanged. Multiple fixed points are all listed, with the first in
     enumeration order reported as the operating point when the iteration
-    itself did not converge. Each assignment is one ``_Compiled.solve_dc``:
+    itself did not converge. Each assignment is one ``_Compiled.dc_map``:
     one flow balance over its unknown nodes, solved region by region.
+    ``truth_table`` runs the same search for all its rows at once.
 
     Raises AstableCircuit when no assignment is self-consistent, Singular
     when the flow-balance system cannot be solved uniquely, and
     TooManyValves when enumeration would be needed but is intractable.
     """
     compiled = _Compiled(net.validate())
-    return _dc_search(compiled, compiled.initial_states(initial_states))
+    return next(_dc_search(compiled, compiled.initial_states(initial_states)[None], compiled.fixed_pa[None]))
+
+
+#: rows that ``_dc_rows`` searches together: a table's memory stays bounded
+_DC_CHUNK = 256
 
 
 def _dc_rows(
@@ -752,68 +783,95 @@ def _dc_rows(
     """``dc_operating_point(net.with_pins(...))`` for each row of pressures
     (kPa) of ``rows`` on the nodes ``pins`` in turn. The pinned network is
     validated and compiled once; a row gets the checks of ``with_pins``
-    and ``fixed_pressures`` and then changes only the fixed pressures."""
+    and ``fixed_pressures``, with their errors, and changes only the fixed
+    pressures. Up to ``_DC_CHUNK`` rows are searched together, by one
+    ``_dc_search``, and an error in any of them raises before they are
+    yielded."""
+    rows = iter(rows)
     compiled = None
-    for values in rows:
-        pinned = net.with_pins(dict(zip(pins, values)))
-        fixed = pinned.fixed_pressures()
+    while chunk := [dict(zip(pins, values)) for values in islice(rows, _DC_CHUNK)]:
         if compiled is None:
-            compiled = _Compiled(pinned.validate())
-        compiled.fixed_pa[: len(fixed)] = [p * KPA for p in fixed.values()]
-        yield _dc_search(compiled, compiled.initial_open)
+            pinned, unpinned = net.with_pins(chunk[0]), net.fixed_pressures()
+            fixed, compiled = pinned.fixed_pressures(), _Compiled(pinned.validate())
+        fixed_pa = np.tile(compiled.fixed_pa, (len(chunk), 1))
+        for r, pin in enumerate(chunk):
+            # every pin's vacuum check first, then its clash with a fixed node
+            clash = [n for n, p in pin.items() if check_pressure(p, f"pin {n}") != unpinned.get(n, p)]
+            if clash:
+                raise NetworkError(f"node {clash[0]} pinned to conflicting pressures")
+            fixed_pa[r, : len(fixed)] = [p * KPA for p in {**fixed, **pin}.values()]
+        yield from _dc_search(compiled, np.tile(compiled.initial_open, (len(chunk), 1)), fixed_pa)
 
 
-def _dc_search(compiled: _Compiled, is_open: np.ndarray) -> SteadyState:
-    """``dc_operating_point``'s search, from the open-state array ``is_open``.
+#: a valve's state by its open bit
+_STATES = np.array([ValveState.CLOSED, ValveState.OPEN], dtype=object)
+
+
+def _dc_search(
+    compiled: _Compiled, is_open: np.ndarray, fixed_pa: np.ndarray
+) -> Iterator[SteadyState]:
+    """``dc_operating_point``'s search for a stack of rows, one result per
+    row: from the open-state arrays ``is_open`` at the fixed pressures
+    ``fixed_pa``, one row of each per row. The walk steps every row at
+    once, and each round of the iteration is one stacked ``dc_map`` of the
+    rows that still switch, each with its own seen keys; a row whose
+    iteration cycles is enumerated on its own. So each row's result is
+    bit-identical to its search alone. An error raises before any result.
 
     The iteration's first solve confirms ``compiled.walk``: a control
     within roundoff of a threshold can read differently in a layer map and
     in the exact solve. A layer that cannot be solved drops the walk for
-    good, leaving any error to the iteration.
+    good, for every row of the stack, leaving any error to the iteration.
     """
+    is_open = is_open.copy()
     if compiled.walk is not None:
         try:
-            is_open = compiled.walk.start(compiled, is_open)
+            is_open = compiled.walk.start(compiled, is_open, fixed_pa)
         except SingularNetworkError:
             compiled.walk = None
 
-    def named(is_open):
-        return {n: _state(o) for n, o in zip(compiled.valve_names, is_open.tolist())}
+    p_pa, seen, cycled, todo = np.zeros((len(is_open), compiled.n)), set(), [], np.arange(len(is_open))
+    while len(todo):
+        keys = [(i, k.tobytes()) for i, k in zip(todo.tolist(), np.packbits(is_open[todo], axis=1))]
+        again = np.array([key in seen for key in keys], dtype=bool)
+        seen.update(keys)
+        cycled += todo[again].tolist()
+        if not len(todo := todo[~again]):
+            break
+        p = compiled.dc_map(compiled.conductances(is_open[todo]), fixed_pa[todo])
+        switch = compiled.margin(is_open[todo], p[:, compiled.control] / KPA) >= 0.0
+        settled = ~switch.any(axis=1)
+        p_pa[todo[settled]] = p[settled]
+        is_open[todo] ^= switch
+        todo = todo[~settled]
 
-    def result(is_open, p_pa, fixed_points=()):
-        return SteadyState(
-            named(is_open), compiled.pressures_kpa(p_pa), tuple(named(fp) for fp in fixed_points)
-        )
-
-    seen = set()
-    while (key := np.packbits(is_open).tobytes()) not in seen:
-        seen.add(key)
-        p_pa = compiled.solve_dc(is_open)
-        switch = compiled.margin(is_open, p_pa[compiled.control] / KPA) >= 0.0
-        if not switch.any():
-            return result(is_open, p_pa)
-        is_open = is_open ^ switch
-
-    # iteration cycled; enumerate every assignment
-    if len(is_open) > _MAX_ENUM_VALVES:
+    # a row whose iteration cycled: enumerate every assignment
+    fixed_points = [[] for _ in is_open]
+    if cycled and is_open.shape[1] > _MAX_ENUM_VALVES:
         raise TooManyValvesError(
-            f"{len(is_open)} valves exceed the exhaustive search cap of {_MAX_ENUM_VALVES}"
+            f"{is_open.shape[1]} valves exceed the exhaustive search cap of {_MAX_ENUM_VALVES}"
         )
-    fixed_points = []
-    for bits in product((True, False), repeat=len(is_open)):
-        assign = np.array(bits, dtype=bool)
-        try:
-            p_pa = compiled.solve_dc(assign)
-        except SingularNetworkError:
-            continue  # a floating regime cannot be an operating point
-        if not (compiled.margin(assign, p_pa[compiled.control] / KPA) >= 0.0).any():
-            fixed_points.append((assign, p_pa))
-    if not fixed_points:
-        raise AstableCircuitError(
-            "no self-consistent valve-state assignment exists; the circuit is astable at DC"
-        )
-    chosen, p_pa = fixed_points[0]
-    return result(chosen, p_pa, [fp for fp, _p in fixed_points])
+    for i in sorted(cycled):
+        for bits in product((True, False), repeat=is_open.shape[1]):
+            assign = np.array(bits, dtype=bool)
+            try:
+                p = compiled.dc_map(compiled.conductances(assign), fixed_pa[i])
+            except SingularNetworkError:
+                continue  # a floating regime cannot be an operating point
+            if not (compiled.margin(assign, p[compiled.control] / KPA) >= 0.0).any():
+                fixed_points[i].append((assign, p))
+        if not fixed_points[i]:
+            raise AstableCircuitError(
+                "no self-consistent valve-state assignment exists; the circuit is astable at DC"
+            )
+        is_open[i], p_pa[i] = fixed_points[i][0]
+
+    def named(is_open):
+        return dict(zip(compiled.valve_names, _STATES[is_open.astype(np.intp)].tolist()))
+
+    kpa = p_pa[:, compiled.named_idx] / KPA
+    for o, row, fps in zip(is_open, kpa, fixed_points):
+        yield SteadyState(named(o), dict(zip(compiled.named, row)), tuple(named(fp) for fp, _p in fps))
 
 
 def solve_pressures(

@@ -92,8 +92,9 @@ def truth_table(
 
     Inputs are held by ideal sources; each row starts from the network's
     declared valve states so rows are independent of one another, and
-    differ only in the pinned pressures of one compiled network. An input
-    named twice, or an output node the network lacks, is a ValueError.
+    differ only in the pinned pressures of one compiled network, searched
+    together (one stacked solve for all rows of a feed-forward table). An
+    input named twice, or an output node the network lacks, is a ValueError.
     """
     levels = levels or LogicLevels()
     input_nodes = tuple(input_nodes)

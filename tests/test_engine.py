@@ -423,6 +423,12 @@ def _reference_dc(net):
     return _declared_state_search(compiled, compiled.initial_open)
 
 
+def _one_search(compiled):
+    """``engine._dc_search`` of one row: the declared states at the fixed pressures."""
+    (steady,) = engine._dc_search(compiled, compiled.initial_open[None], compiled.fixed_pa[None])
+    return steady
+
+
 def _outcome(search, net):
     """The search's SteadyState, or the class of the DC error it raised."""
     try:
@@ -522,13 +528,15 @@ def test_the_search_confirms_a_walk_read_within_roundoff():
 
 
 def _count_solves(monkeypatch):
-    """The column count of every flow balance (``_Compiled.solve`` call)
-    from now on: 1 for a point solve, 1 + the fixed nodes for a layer map."""
+    """The rows and the column count of every flow balance
+    (``_Compiled.solve`` call) from now on: ``(R, 1)`` for the point solves
+    of a stack of R rows, ``(1, 1 + the fixed nodes)`` for a layer map."""
     calls = []
     solve = engine._Compiled.solve
 
     def counting_solve(self, g, rows, P):
-        calls.append(P.reshape(len(P), -1).shape[1])
+        copies = g.size // len(self.branch_a)
+        calls.append((copies, P.reshape(copies * self.n, -1).shape[1]))
         return solve(self, g, rows, P)
 
     monkeypatch.setattr(engine._Compiled, "solve", counting_solve)
@@ -548,13 +556,74 @@ def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
     calls = _count_solves(monkeypatch)
     table = truth_table(net, inputs, "q")
     assert len(table.rows) == 16
-    rows = [c for c in calls if c == 1]  # the search's solves
-    layers = [c for c in calls if c > 1]  # the walk's layer maps
-    assert len(rows) == 16 and len(layers) <= 4
+    rows = [r for r, c in calls if c == 1]  # the search's solves
+    layers = [c for r, c in calls if c > 1]  # the walk's layer maps
+    assert rows == [16] and len(layers) <= 4
     calls.clear()
     for bits in itertools.product((0.0, 145.0), repeat=len(inputs)):
         _reference_dc(net.with_pins(dict(zip(inputs, bits))))
     assert len(calls) > 3 * 16  # the iteration alone settles a level per solve
+
+
+def _rows_alone(net, pins, rows):
+    """``dc_operating_point`` of ``net`` pinned at each row on its own."""
+    return [dc_operating_point(net.with_pins(dict(zip(pins, row)))) for row in rows]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_gate_trees())
+def test_a_table_searches_every_row_as_it_would_alone(net):
+    # up to 4 of the tree's pinned inputs go through every row of a table;
+    # the others keep the level they were drawn at
+    driven = [s.node for s in net.sources if s.name.startswith("__pin_")][:4]
+    sources = tuple(s for s in net.sources if s.name != f"__pin_{s.node}" or s.node not in driven)
+    net = dataclasses.replace(net, sources=sources)
+    rows = list(itertools.product((0.0, 145.0), repeat=len(driven)))
+    assert list(engine._dc_rows(net, tuple(driven), rows)) == _rows_alone(net, driven, rows)
+
+
+def test_a_latch_table_iterates_its_rows_together_and_enumerates_the_hold_row(monkeypatch):
+    # an SR latch of two NOR gates has no walk; at S = R = 0 the synchronous
+    # iteration cycles, so that row alone goes to the enumeration
+    net = build(
+        "source SUP pressure=145kPa\n"
+        "gate NOR g1 in=R,qb out=q supply=SUP\n"
+        "gate NOR g2 in=S,q out=qb supply=SUP\n"
+    )
+    rows = list(itertools.product((0.0, 145.0), repeat=2))
+    want = _rows_alone(net, ("S", "R"), rows)
+    calls = _count_solves(monkeypatch)
+    got = list(engine._dc_rows(net, ("S", "R"), rows))
+    assert got == want
+    assert [len(ss.fixed_points) for ss in got] == [2, 0, 0, 0]
+    assert calls[0] == (4, 1)  # the first round solves every row at once
+    assert calls[-16:] == [(1, 1)] * 16  # the hold row's enumeration
+
+
+def test_rows_of_one_table_confirm_their_walks_each_on_its_own(monkeypatch):
+    # the network of the test above, driven at 0 and at 145 kPa: only the
+    # row at 0 reads g2's control on its threshold, and only it is flipped
+    # by the confirming solve and solved again
+    net = build(
+        "source SUP pressure=145kPa\n"
+        "gate NOT g1 in=a out=n1 supply=SUP\n"
+        "gate NOT g2 in=n1 out=q supply=SUP\n"
+    )
+    states = {"g1.v": ValveState.OPEN, "g2.v": ValveState.OPEN}
+    ctrl = solve_pressures(net.with_pins({"a": 0.0}), states)["g2.b"]
+    valves = tuple(
+        dataclasses.replace(v, thresholds=dataclasses.replace(v.thresholds, p_inflate=ctrl))
+        if v.name == "g2.v" else v
+        for v in net.valves
+    )
+    net = dataclasses.replace(net, valves=valves)
+    rows = [(0.0,), (145.0,)]
+    want = _rows_alone(net, ("a",), rows)
+    calls = _count_solves(monkeypatch)
+    got = list(engine._dc_rows(net, ("a",), rows))
+    assert got == want
+    assert [ss.valve_states["g2.v"] for ss in got] == [ValveState.CLOSED, ValveState.OPEN]
+    assert [r for r, c in calls if c == 1] == [2, 1]
 
 
 @pytest.mark.parametrize(
@@ -582,7 +651,7 @@ def test_a_region_of_70_valves_walks_like_any_other():
     net = build("source SUP pressure=145kPa\n" + "\n".join(lines) + "\n")
     net = net.with_pins({f"i{k}": 145.0 if k % 3 else 0.0 for k in range(70)})
     compiled = engine._Compiled(net)
-    assert engine._dc_search(compiled, compiled.initial_open) == _reference_dc(net)
+    assert _one_search(compiled) == _reference_dc(net)
     assert len(compiled.walk.layers) == 2 and max(compiled.walk.layers) >= 2**64
 
 
@@ -593,7 +662,7 @@ def test_a_singular_layer_drops_the_warm_start(monkeypatch):
     monkeypatch.setattr(engine._Walk, "fill", singular)
     net = _read_circuit("and").with_pins({"a": 145.0, "b": 0.0})
     compiled = engine._Compiled(net)
-    assert engine._dc_search(compiled, compiled.initial_open) == _reference_dc(net)
+    assert _one_search(compiled) == _reference_dc(net)
     assert compiled.walk is None
 
 
@@ -614,20 +683,25 @@ def _laplacian(compiled, g):
 @contextlib.contextmanager
 def _solves_checked_against_dense():
     """Check every ``_Compiled.solve`` from now on against one dense solve of
-    ``L[rows][:, rows]``, each column within 1e-10 of its largest value
-    (roundoff, at condition numbers far beyond these networks'); yields
-    the list of the row counts solved."""
+    ``L[rows][:, rows]`` per row of a stack, each column within 1e-10 of
+    its largest value (roundoff, at condition numbers far beyond these
+    networks'); yields the list of the row counts solved, one per row of a
+    stack."""
     calls = []
     solve = engine._Compiled.solve
 
     def checked(self, g, rows, P):
-        L = _laplacian(self, g)
-        want = P.reshape(len(P), -1).copy()
-        want[rows] = np.linalg.solve(L[np.ix_(rows, rows)], -(L @ want)[rows])
+        copies = g.size // len(self.branch_a)
+        want = P.reshape(copies, self.n, -1).copy()
+        mine = [rows[rows // self.n == r] % self.n for r in range(copies)]
+        for r, (gr, u) in enumerate(zip(g.reshape(copies, -1), mine)):
+            L = _laplacian(self, gr)
+            want[r, u] = np.linalg.solve(L[np.ix_(u, u)], -(L @ want[r])[u])
         solve(self, g, rows, P)
-        got = P.reshape(len(P), -1)
-        assert (np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=0)).all()
-        calls.append(len(rows))
+        got = P.reshape(copies, self.n, -1)
+        for r, u in enumerate(mine):
+            assert (np.abs(got[r] - want[r]) <= 1e-10 * np.abs(want[r]).max(axis=0)).all()
+            calls.append(len(u))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Compiled, "solve", checked)
