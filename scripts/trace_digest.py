@@ -70,7 +70,12 @@ invocations (``_CLI_RUNS``), run in-process through ``cli.main``: every
 command as text, ``sim`` as CSV and as JSON lines, ``truth``, ``freq``
 and ``bom`` as JSON lines, and ``check`` with and without
 ``--canonical``. It prints one digest of each invocation's arguments,
-exit code and stdout; stderr is not digested.
+exit code and stdout; stderr is not digested. The ``expand`` line covers
+the macro expansion of every gate type, a 5-ring, a 3-ring with a central
+pull-down and two of its three taps named, and every file in
+``circuits/``: it prints the element count and one digest of the
+expanded networks' reprs, so a change in an element's name, endpoints,
+parameters or order shows.
 """
 
 from __future__ import annotations
@@ -281,6 +286,23 @@ def _cli_line() -> str:
     return f"cli: runs={len(_CLI_RUNS)} sha256={h.hexdigest()}"
 
 
+#: netlists whose expansion the ``expand`` line pins, besides ``circuits/``
+_EXPAND_TEXTS = [
+    *(f"source SUP pressure=145kPa\ngate {gt} g in={'a' if gt == 'NOT' else 'a,b'} "
+      "out=q supply=SUP\n" for gt in ("NOT", "NOR", "NAND", "AND", "OR")),
+    "source SUP pressure=145kPa\nring r n=5 supply=SUP\n",
+    "source SUP pressure=145kPa\nring r n=3 supply=SUP pulldown=central taps=x,y\n",
+]
+
+
+def _expand_line() -> str:
+    texts = _EXPAND_TEXTS + [_read(f"circuits/{f}") for f in sorted(os.listdir("circuits"))]
+    nets = [_net(text) for text in texts]
+    elements = sum(len(n.tubes) + len(n.valves) + len(n.balloons) + len(n.sources) for n in nets)
+    digest = hashlib.sha256(repr(nets).encode()).hexdigest()
+    return f"expand: networks={len(nets)} elements={elements} sha256={digest}"
+
+
 def _logic_line() -> str:
     bench_inputs = _bench_inputs()
     levels = LogicLevels()
@@ -361,6 +383,7 @@ def main() -> None:
     print(f"fanout: limit={fanout.limit} sha256={digest}")
     print(_logic_line())
     print(_cli_line())
+    print(_expand_line())
 
 
 if __name__ == "__main__":

@@ -17,10 +17,12 @@ Grammar (one statement per line, ``#`` starts a comment):
     probe   <node>
 
 Quantities take an optional unit suffix from {kPa, mL, cm, mm, m, s};
-bare numbers are SI. Node names are created implicitly on first use;
-element identifiers must be unique per kind. ``format_circuit`` emits a
-canonical form (sorted keys, normalized units, LF endings) whose parse
-is structurally identical to the AST it came from.
+bare numbers are SI. Node names are created implicitly on first use.
+Statement names are unique per kind; element names, a macro's
+``<id>.<part>`` included, are unique across the netlist. A gate or ring
+stage is one device per input; see ``_Builder.device``. ``format_circuit``
+emits a canonical form (sorted keys, normalized units, LF endings) whose
+parse is structurally identical to the AST it came from.
 """
 
 from __future__ import annotations
@@ -53,14 +55,24 @@ from .errors import (
 )
 from .units import DIMENSION, Quantity, from_si
 
-GATE_TYPES = ("NOT", "NOR", "NAND", "AND", "OR")
+#: gate type -> (inputs, one supply path through every valve in series
+#: rather than one per valve in parallel, output inverted through a NOT)
+_GATES = {
+    "NOT": (1, True, False),
+    "NOR": (2, True, False),
+    "NAND": (2, False, False),
+    "AND": (2, False, True),
+    "OR": (2, True, True),
+}
+GATE_TYPES = tuple(_GATES)
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 _NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z]*)$")
 _TOKEN_RE = re.compile(r"\S+")
 
 # value kinds: q:<dimension>, ident, idents, int, flag words. Every gate and
-# ring is built from one device: device tubes, a valve and its balloon.
+# ring stage is built from one device (_Builder.device): device tubes, a
+# valve per input and its balloon, and a pull-down.
 _BALLOON = {"volume": "q:volume", "compliance": "q:raw", "burst": "q:pressure"}
 _VALVE = {
     "inflate": "q:pressure", "deflate": "q:pressure", "open_conductance": "q:raw",
@@ -360,11 +372,44 @@ class _Builder:
         self.sources: list[SourceElement] = []
         self.probes: list[str] = []
         self.atmosphere = "ATM"
+        self.gp: _GateParams  # the parameters of the statement being expanded
+        self.made_by: dict[str, Statement] = {}  # element name -> its statement
 
-    def tube(self, name, a, b, length, diameter):
-        self.tubes.append(
-            TubeElement.from_geometry(name, a, b, length, diameter, self.defaults.air_viscosity)
-        )
+    def add(self, group: list, element) -> None:
+        """Append ``element`` to ``group``; a name another statement's
+        element has is reported at the later of the two statements."""
+        first = self.made_by.setdefault(element.name, self.gp.stmt)
+        if first is not self.gp.stmt:
+            first, later = sorted((first, self.gp.stmt), key=lambda s: s.line)
+            raise DuplicateIdError(
+                f"{later.kind} {later.name!r}: element {element.name!r} already made by "
+                f"{first.kind} {first.name!r} on line {first.line}", line=later.line,
+            )
+        group.append(element)
+
+    def tube(self, name: str, a: str, b: str, length: str = "length"):
+        self.add(self.tubes, TubeElement.from_geometry(
+            name, a, b, self.gp[length], self.gp["id"], self.defaults.air_viscosity
+        ))
+
+    def device(self, name: str, inputs, out: str, supply: str, series=True, with_pulldown=True):
+        """One switching device per input, its balloon ``<name>.b<k>`` fed
+        from that input, and a pull-down from ``out`` to atmosphere. In
+        series one supply path runs through every valve (``<name>.s``,
+        ``<name>.m``, out); in parallel each valve has its own path
+        (``<name>.s<k>``), joined at ``out``. A lone device has no index k."""
+        ks = [""] if len(inputs) == 1 else [str(k) for k in range(1, len(inputs) + 1)]
+        heads = ["s"] if series else [f"s{k}" for k in ks]
+        for h in heads:
+            self.tube(f"{name}.t{h}", supply, f"{name}.{h}")
+        for k, node in zip(ks, inputs):
+            self.tube(f"{name}.tc{k}", node, f"{name}.b{k}")
+        path = [f"{name}.s", f"{name}.m"][: len(ks)] + [out]
+        for j, k in enumerate(ks):
+            a, z = (path[j], path[j + 1]) if series else (f"{name}.{heads[j]}", out)
+            self.add(self.valves, self.gp.valve(f"{name}.v{k}", a, z, f"{name}.b{k}"))
+        if with_pulldown:
+            self.tube(f"{name}.tp", out, self.atmosphere, "pulldown_length")
 
     def network(self) -> PneumaticNetwork:
         return PneumaticNetwork(
@@ -375,46 +420,6 @@ class _Builder:
             atmosphere=self.atmosphere,
             probes=tuple(self.probes),
         )
-
-
-def _expand_not(
-    b: _Builder, name: str, gp: _GateParams, input_node: str, out: str,
-    supply_node: str, with_pulldown: bool = True,
-):
-    """supply --tube--> valve --> out; control balloon fed from the input;
-    pull-down from out to atmosphere."""
-    s1 = f"{name}.s"
-    bal = f"{name}.b"
-    b.tube(f"{name}.ts", supply_node, s1, gp["length"], gp["id"])
-    b.tube(f"{name}.tc", input_node, bal, gp["length"], gp["id"])
-    b.valves.append(gp.valve(f"{name}.v", s1, out, bal))
-    if with_pulldown:
-        b.tube(f"{name}.tp", out, b.atmosphere, gp["pulldown_length"], gp["id"])
-
-
-def _expand_nor(b, name, gp, in_a, in_b, out, supply_node):
-    """Two devices in series on one supply path; one pull-down at the output."""
-    s1, mid = f"{name}.s", f"{name}.m"
-    ba, bb = f"{name}.b1", f"{name}.b2"
-    b.tube(f"{name}.ts", supply_node, s1, gp["length"], gp["id"])
-    b.tube(f"{name}.tc1", in_a, ba, gp["length"], gp["id"])
-    b.tube(f"{name}.tc2", in_b, bb, gp["length"], gp["id"])
-    b.valves.append(gp.valve(f"{name}.v1", s1, mid, ba))
-    b.valves.append(gp.valve(f"{name}.v2", mid, out, bb))
-    b.tube(f"{name}.tp", out, b.atmosphere, gp["pulldown_length"], gp["id"])
-
-
-def _expand_nand(b, name, gp, in_a, in_b, out, supply_node):
-    """Two parallel supply branches joined at the output; one pull-down."""
-    s1, s2 = f"{name}.s1", f"{name}.s2"
-    ba, bb = f"{name}.b1", f"{name}.b2"
-    b.tube(f"{name}.ts1", supply_node, s1, gp["length"], gp["id"])
-    b.tube(f"{name}.ts2", supply_node, s2, gp["length"], gp["id"])
-    b.tube(f"{name}.tc1", in_a, ba, gp["length"], gp["id"])
-    b.tube(f"{name}.tc2", in_b, bb, gp["length"], gp["id"])
-    b.valves.append(gp.valve(f"{name}.v1", s1, out, ba))
-    b.valves.append(gp.valve(f"{name}.v2", s2, out, bb))
-    b.tube(f"{name}.tp", out, b.atmosphere, gp["pulldown_length"], gp["id"])
 
 
 def _supply_node(stmt: Statement, sources: dict) -> str:
@@ -428,34 +433,25 @@ def _supply_node(stmt: Statement, sources: dict) -> str:
     return sources[supply].node
 
 
-def _expand_gate(b: _Builder, stmt: Statement, gp: _GateParams, sources: dict):
+def _expand_gate(b: _Builder, stmt: Statement, sources: dict):
     inputs = stmt.get("in", ())
     out = stmt.get("out")
     supply_node = _supply_node(stmt, sources)
-    gt = stmt.gate_type
-    need = 1 if gt == "NOT" else 2
+    need, series, inverted = _GATES[stmt.gate_type]
     if len(inputs) != need or out is None:
         raise UnboundPortError(
-            f"gate {stmt.name}: {gt} takes {need} input(s) and one output",
+            f"gate {stmt.name}: {stmt.gate_type} takes {need} input(s) and one output",
             line=stmt.line,
         )
-    if gt == "NOT":
-        _expand_not(b, stmt.name, gp, inputs[0], out, supply_node)
-    elif gt == "NOR":
-        _expand_nor(b, stmt.name, gp, inputs[0], inputs[1], out, supply_node)
-    elif gt == "NAND":
-        _expand_nand(b, stmt.name, gp, inputs[0], inputs[1], out, supply_node)
-    elif gt == "AND":
+    if inverted:
         mid = f"{stmt.name}.q"
-        _expand_nand(b, f"{stmt.name}.n", gp, inputs[0], inputs[1], mid, supply_node)
-        _expand_not(b, f"{stmt.name}.i", gp, mid, out, supply_node)
-    elif gt == "OR":
-        mid = f"{stmt.name}.q"
-        _expand_nor(b, f"{stmt.name}.n", gp, inputs[0], inputs[1], mid, supply_node)
-        _expand_not(b, f"{stmt.name}.i", gp, mid, out, supply_node)
+        b.device(f"{stmt.name}.n", inputs, mid, supply_node, series)
+        b.device(f"{stmt.name}.i", (mid,), out, supply_node)
+    else:
+        b.device(stmt.name, inputs, out, supply_node, series)
 
 
-def _expand_ring(b: _Builder, stmt: Statement, gp: _GateParams, sources: dict):
+def _expand_ring(b: _Builder, stmt: Statement, sources: dict):
     n = stmt.get("n")
     if n is None or n < 3 or n % 2 == 0:
         raise EvenRingError(
@@ -467,8 +463,7 @@ def _expand_ring(b: _Builder, stmt: Statement, gp: _GateParams, sources: dict):
         raise UnboundPortError(
             f"ring {stmt.name}: {len(taps)} taps for {n} gates", line=stmt.line
         )
-    while len(taps) < n:
-        taps.append(f"{stmt.name}.q{len(taps) + 1}")
+    taps += [f"{stmt.name}.q{i + 1}" for i in range(len(taps), n)]
     mode = stmt.get("pulldown", "per-gate")
     if mode not in ("per-gate", "central"):
         raise UnknownKeywordError(
@@ -476,50 +471,43 @@ def _expand_ring(b: _Builder, stmt: Statement, gp: _GateParams, sources: dict):
             line=stmt.line,
         )
     per_gate = mode == "per-gate"
-    for i in range(n):
-        gate_name = f"{stmt.name}.g{i + 1}"
-        input_node = taps[i - 1]  # cyclic: gate 1 is driven by gate n
-        _expand_not(
-            b, gate_name, gp, input_node, taps[i], supply_node, with_pulldown=per_gate
+    for i in range(n):  # cyclic: gate 1 is driven by gate n
+        b.device(
+            f"{stmt.name}.g{i + 1}", (taps[i - 1],), taps[i], supply_node, with_pulldown=per_gate
         )
     if not per_gate:
-        centre = f"{stmt.name}.c"
         for i in range(n):
-            b.tube(f"{stmt.name}.tl{i + 1}", taps[i], centre, gp["length"], gp["id"])
-        b.tube(f"{stmt.name}.tp", centre, b.atmosphere, gp["pulldown_length"], gp["id"])
+            b.tube(f"{stmt.name}.tl{i + 1}", taps[i], f"{stmt.name}.c")
+        b.tube(f"{stmt.name}.tp", f"{stmt.name}.c", b.atmosphere, "pulldown_length")
 
 
-def _expand_statement(
-    b: _Builder, stmt: Statement, defaults: PhysicalDefaults, sources: dict
-) -> None:
+def _expand_statement(b: _Builder, stmt: Statement, sources: dict) -> None:
     """Add the elements of one statement to ``b``."""
-    gp = _GateParams(defaults, stmt)
+    b.gp = gp = _GateParams(b.defaults, stmt)
     if stmt.kind == "source":
         resistance = stmt.get("resistance")
         sources[stmt.name] = src = SourceElement(
             stmt.name, stmt.name, gp["pressure"], resistance.si if resistance else 0.0
         )
-        b.sources.append(src)
+        b.add(b.sources, src)
     elif stmt.kind == "tube":
-        b.tube(stmt.name, stmt.get("from"), stmt.get("to"), gp["length"], gp["id"])
+        b.tube(stmt.name, stmt.get("from"), stmt.get("to"))
     elif stmt.kind == "balloon":
-        b.balloons.append(Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp["init"]))
+        b.add(b.balloons, Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp["init"]))
     elif stmt.kind == "valve":
         state_txt = stmt.get("state", "open")
         if state_txt not in ("open", "closed"):
             raise NetlistSyntaxError(
                 f"valve {stmt.name}: state must be open or closed", line=stmt.line
             )
-        b.valves.append(
-            gp.valve(
-                stmt.name, stmt.get("from"), stmt.get("to"), stmt.get("control"),
-                state=ValveState(state_txt), initial_control_kpa=gp["init"],
-            )
-        )
+        b.add(b.valves, gp.valve(
+            stmt.name, stmt.get("from"), stmt.get("to"), stmt.get("control"),
+            state=ValveState(state_txt), initial_control_kpa=gp["init"],
+        ))
     elif stmt.kind == "gate":
-        _expand_gate(b, stmt, gp, sources)
+        _expand_gate(b, stmt, sources)
     elif stmt.kind == "ring":
-        _expand_ring(b, stmt, gp, sources)
+        _expand_ring(b, stmt, sources)
     elif stmt.kind == "probe":
         b.probes.append(stmt.name)
 
@@ -529,7 +517,9 @@ def expand(ast: CircuitAst, defaults: PhysicalDefaults | None = None) -> Pneumat
 
     Gate and ring macros expand to tubes, valves and balloons with
     namespaced internal nodes (``<gate>.b`` and friends). Sources come
-    first, so a gate or ring may name one declared anywhere. A value an
+    first, so a gate or ring may name one declared anywhere. An element
+    named as one another statement made raises DuplicateIdError at the
+    later statement's line, naming the earlier one. A value an
     element rejects raises BadValueError at its statement's line, its
     message naming the element once. The returned network is validated.
     """
@@ -541,7 +531,7 @@ def expand(ast: CircuitAst, defaults: PhysicalDefaults | None = None) -> Pneumat
     sources: dict[str, SourceElement] = {}
     for stmt in ast.of_kind("source") + [s for s in ast.statements if s.kind != "source"]:
         try:
-            _expand_statement(b, stmt, defaults, sources)
+            _expand_statement(b, stmt, sources)
         except ValueError as exc:
             # an element's message names the element where it is not already named
             msg, named = str(exc), f"{stmt.kind} {stmt.name}: "
@@ -573,7 +563,7 @@ _BOM_UNITS = (
     ("sealing film", 6, "cm^2", Decimal("0.03")),
 )
 
-COST_PER_DEVICE = Decimal("0.45")
+COST_PER_DEVICE = sum(price for *_, price in _BOM_UNITS)
 
 BOM_NOTE = (
     "30 cm tubing per device = two 7.5 cm device tubes + one 15 cm pull-down"

@@ -251,7 +251,6 @@ def fanout_limit(
     supply_kpa: float | None = None,
     internal_resistance: float = 0.0,
     defaults: PhysicalDefaults | None = None,
-    levels: LogicLevels | None = None,
 ) -> FanoutReport:
     """Largest load count a high output can still switch.
 
@@ -264,14 +263,14 @@ def fanout_limit(
     at the same pressures and act as one load with each branch n times as
     conductive, so a probe solves the same small network at any n, which
     is compiled once. The supply defaults to that of ``defaults``, and the
-    threshold to ``levels.read_high_min_kpa``, else to the read-high
-    threshold of gates built from ``defaults``: the sweep reads no other
-    level, so a supply below that threshold reports a limit of 0.
+    threshold is the read-high threshold of gates built from ``defaults``:
+    the sweep reads no other level, so a supply below that threshold
+    reports a limit of 0.
     """
     defaults = defaults or PhysicalDefaults()
     if supply_kpa is None:
         supply_kpa = defaults.supply_kpa
-    threshold = _read_thresholds(defaults)[0] if levels is None else levels.read_high_min_kpa
+    threshold = _read_thresholds(defaults)[0]
     net = _fanout_network(supply_kpa, internal_resistance, defaults)
     samples: dict[int, float] = {}
 

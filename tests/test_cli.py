@@ -212,6 +212,31 @@ def test_netlist_errors_exit_2_with_position(tmp_path, capsys, text, code_word):
     assert path in err
 
 
+@pytest.mark.parametrize(
+    "text, line, first",
+    [
+        ("tube SUP from=a to=b length=5cm\nsource SUP pressure=145kPa\n", 2, "tube 'SUP' on line 1"),
+        ("balloon b1 node=x\nvalve b1 from=a to=b control=x\n", 2, "balloon 'b1' on line 1"),
+        ("source S pressure=145kPa\ngate NOT g in=a out=q supply=S\n"
+         "tube g.ts from=a to=b length=5cm\n", 3, "gate 'g' on line 2"),
+        ("source S pressure=145kPa\ngate AND g in=a,b out=q supply=S\n"
+         "gate NOT g.n in=a out=r supply=S\n", 3, "gate 'g' on line 2"),
+        ("source S pressure=145kPa\nring r n=3 supply=S\n"
+         "gate NOT r.g1 in=a out=b supply=S\n", 3, "ring 'r' on line 2"),
+    ],
+    ids=["source-tube", "balloon-valve", "tube-gate", "gate-gate", "gate-ring"],
+)
+def test_an_element_name_two_statements_make_exits_2_at_the_later_line(
+    tmp_path, capsys, text, line, first
+):
+    path = write(tmp_path, text)
+    rc = main(["check", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"{path}:{line}: DuplicateId: ")
+    assert err.rstrip().endswith(f"already made by {first}")
+
+
 def test_missing_file_exits_2(capsys):
     rc = main(["sim", "/nonexistent/file.tbl"])
     assert rc == 2

@@ -176,18 +176,72 @@ def test_not_macro_structure():
     assert pull.length == pytest.approx(0.15)
 
 
-def test_two_input_macros_have_two_devices():
-    for gt in ("NOR", "NAND"):
-        net = expand(
-            parse(f"source SUP pressure=145kPa\ngate {gt} g in=a,b out=q supply=SUP\n")
-        )
-        assert len(net.valves) == 2
-        assert len([t for t in net.tubes if t.name.endswith("tp")]) == 1
-    for gt in ("AND", "OR"):
-        net = expand(
-            parse(f"source SUP pressure=145kPa\ngate {gt} g in=a,b out=q supply=SUP\n")
-        )
-        assert len(net.valves) == 3  # two-device stage plus an inverter
+_T, _V = "tube", "valve"
+
+#: every element of each macro, in order: (kind, name, endpoints, control)
+_WIRING = {
+    "NOT": [
+        (_T, "g.ts", "SUP", "g.s", None), (_T, "g.tc", "a", "g.b", None),
+        (_T, "g.tp", "q", "ATM", None), (_V, "g.v", "g.s", "q", "g.b"),
+    ],
+    "NOR": [  # one supply path through both valves in series
+        (_T, "g.ts", "SUP", "g.s", None), (_T, "g.tc1", "a", "g.b1", None),
+        (_T, "g.tc2", "b", "g.b2", None), (_T, "g.tp", "q", "ATM", None),
+        (_V, "g.v1", "g.s", "g.m", "g.b1"), (_V, "g.v2", "g.m", "q", "g.b2"),
+    ],
+    "NAND": [  # one supply path per valve, joined at the output
+        (_T, "g.ts1", "SUP", "g.s1", None), (_T, "g.ts2", "SUP", "g.s2", None),
+        (_T, "g.tc1", "a", "g.b1", None), (_T, "g.tc2", "b", "g.b2", None),
+        (_T, "g.tp", "q", "ATM", None),
+        (_V, "g.v1", "g.s1", "q", "g.b1"), (_V, "g.v2", "g.s2", "q", "g.b2"),
+    ],
+    "AND": [
+        (_T, "g.n.ts1", "SUP", "g.n.s1", None), (_T, "g.n.ts2", "SUP", "g.n.s2", None),
+        (_T, "g.n.tc1", "a", "g.n.b1", None), (_T, "g.n.tc2", "b", "g.n.b2", None),
+        (_T, "g.n.tp", "g.q", "ATM", None), (_T, "g.i.ts", "SUP", "g.i.s", None),
+        (_T, "g.i.tc", "g.q", "g.i.b", None), (_T, "g.i.tp", "q", "ATM", None),
+        (_V, "g.n.v1", "g.n.s1", "g.q", "g.n.b1"), (_V, "g.n.v2", "g.n.s2", "g.q", "g.n.b2"),
+        (_V, "g.i.v", "g.i.s", "q", "g.i.b"),
+    ],
+    "OR": [
+        (_T, "g.n.ts", "SUP", "g.n.s", None), (_T, "g.n.tc1", "a", "g.n.b1", None),
+        (_T, "g.n.tc2", "b", "g.n.b2", None), (_T, "g.n.tp", "g.q", "ATM", None),
+        (_T, "g.i.ts", "SUP", "g.i.s", None), (_T, "g.i.tc", "g.q", "g.i.b", None),
+        (_T, "g.i.tp", "q", "ATM", None),
+        (_V, "g.n.v1", "g.n.s", "g.n.m", "g.n.b1"), (_V, "g.n.v2", "g.n.m", "g.q", "g.n.b2"),
+        (_V, "g.i.v", "g.i.s", "q", "g.i.b"),
+    ],
+    "per-gate": [
+        (_T, "r.g1.ts", "SUP", "r.g1.s", None), (_T, "r.g1.tc", "r.q3", "r.g1.b", None),
+        (_T, "r.g1.tp", "r.q1", "ATM", None), (_T, "r.g2.ts", "SUP", "r.g2.s", None),
+        (_T, "r.g2.tc", "r.q1", "r.g2.b", None), (_T, "r.g2.tp", "r.q2", "ATM", None),
+        (_T, "r.g3.ts", "SUP", "r.g3.s", None), (_T, "r.g3.tc", "r.q2", "r.g3.b", None),
+        (_T, "r.g3.tp", "r.q3", "ATM", None),
+        (_V, "r.g1.v", "r.g1.s", "r.q1", "r.g1.b"), (_V, "r.g2.v", "r.g2.s", "r.q2", "r.g2.b"),
+        (_V, "r.g3.v", "r.g3.s", "r.q3", "r.g3.b"),
+    ],
+    "central": [
+        (_T, "r.g1.ts", "SUP", "r.g1.s", None), (_T, "r.g1.tc", "r.q3", "r.g1.b", None),
+        (_T, "r.g2.ts", "SUP", "r.g2.s", None), (_T, "r.g2.tc", "r.q1", "r.g2.b", None),
+        (_T, "r.g3.ts", "SUP", "r.g3.s", None), (_T, "r.g3.tc", "r.q2", "r.g3.b", None),
+        (_T, "r.tl1", "r.q1", "r.c", None), (_T, "r.tl2", "r.q2", "r.c", None),
+        (_T, "r.tl3", "r.q3", "r.c", None), (_T, "r.tp", "r.c", "ATM", None),
+        (_V, "r.g1.v", "r.g1.s", "r.q1", "r.g1.b"), (_V, "r.g2.v", "r.g2.s", "r.q2", "r.g2.b"),
+        (_V, "r.g3.v", "r.g3.s", "r.q3", "r.g3.b"),
+    ],
+}
+
+
+@pytest.mark.parametrize("macro", list(_WIRING))
+def test_macros_wire_their_devices_as_pinned(macro):
+    if macro in ("per-gate", "central"):
+        line = f"ring r n=3 supply=SUP pulldown={macro}"
+    else:
+        line = f"gate {macro} g in={'a' if macro == 'NOT' else 'a,b'} out=q supply=SUP"
+    net = expand(parse(f"source SUP pressure=145kPa\n{line}\n"))
+    got = [(_T, t.name, t.node_a, t.node_b, None) for t in net.tubes]
+    got += [(_V, v.name, v.flow_from, v.flow_to, v.control_node) for v in net.valves]
+    assert got == _WIRING[macro]
 
 
 def test_ring_macro_wiring_is_cyclic():
