@@ -49,7 +49,12 @@ of the shipped ``not``, ``nand``, ``nor``, ``and`` and ``or`` circuits:
 the row count and one digest of every row's input bits, output bit and
 output kPa. The ``fanout`` line covers
 ``fanout_limit(internal_resistance=1.2e5)``: the limit and a digest of
-the sweep's samples. The ``logic`` line covers the seeded logic circuits
+the sweep's samples. The ``fanout_edges`` line covers four sweeps at the
+edges of the search (``_FANOUT_EDGE_RINTS``): an ideal source, where
+every doubling count switches up to the cap; a source resistance at
+which one load already misses the threshold (limit 0); 1.971e6, a
+limit of 10; and 3e4, whose bisection window ends at the cap of 1024.
+It prints their limits and one digest of their samples. The ``logic`` line covers the seeded logic circuits
 of the benchmark's seeds 1 and 3, from ``perfbench/inputs.py``, which it
 only imports: every input row of each circuit's truth table goes through
 ``engine._dc_rows``. It prints the row count; ``solves``, the number of
@@ -303,6 +308,18 @@ def _expand_line() -> str:
     return f"expand: networks={len(nets)} elements={elements} sha256={digest}"
 
 
+#: source internal resistances of the ``fanout_edges`` sweeps: an ideal
+#: source; one load's control node at 84 kPa, below the 85 kPa threshold;
+#: a limit of 10; a limit between 512 and the cap of 1024
+_FANOUT_EDGE_RINTS = (0.0, 12460487.983840635, 1.971e6, 3.0e4)
+
+
+def _fanout_edges_line() -> str:
+    reports = [fanout_limit(internal_resistance=rint) for rint in _FANOUT_EDGE_RINTS]
+    digest = hashlib.sha256(repr([rep.samples for rep in reports]).encode()).hexdigest()
+    return f"fanout_edges: limits={','.join(str(rep.limit) for rep in reports)} sha256={digest}"
+
+
 def _logic_line() -> str:
     bench_inputs = _bench_inputs()
     levels = LogicLevels()
@@ -381,6 +398,7 @@ def main() -> None:
     fanout = fanout_limit(internal_resistance=1.2e5)
     digest = hashlib.sha256(repr(fanout.samples).encode()).hexdigest()
     print(f"fanout: limit={fanout.limit} sha256={digest}")
+    print(_fanout_edges_line())
     print(_logic_line())
     print(_cli_line())
     print(_expand_line())

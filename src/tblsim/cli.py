@@ -19,6 +19,7 @@ or analysis error, 4 a verification check that ran but did not match.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,7 +54,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built once per process: parsing leaves it
+    as it was, every list default included."""
     p = _Parser(prog="tblsim", description="tube-balloon logic circuit simulator")
     p.add_argument(
         "--format",

@@ -31,18 +31,27 @@ class ValveState(enum.Enum):
     CLOSED = "closed"
 
 
+def _finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _positive(name: str, value: float) -> None:
+    _finite(name, value)
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _nonnegative(name: str, value: float) -> None:
+    _finite(name, value)
     if value < 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def check_pressure(value_kpa: float, what: str = "pressure") -> float:
-    """Reject gauge pressures below perfect vacuum."""
+    """Reject gauge pressures that are not finite or lie below perfect vacuum."""
+    if not math.isfinite(value_kpa):
+        raise ValueError(f"{what} {value_kpa!r} kPa is not a finite number")
     if not value_kpa >= VACUUM_KPA:
         raise ValueError(f"{what} {value_kpa!r} kPa is below vacuum ({VACUUM_KPA} kPa)")
     return value_kpa

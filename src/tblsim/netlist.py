@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
+from functools import cached_property
 
 from .defaults import PhysicalDefaults
 from .elements import (
@@ -42,6 +43,7 @@ from .elements import (
     SourceElement,
     TubeElement,
     ValveState,
+    tube_resistance,
 )
 from .errors import (
     BadValueError,
@@ -332,31 +334,50 @@ def _render_value(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _GateParams:
-    """Element parameters of a statement: ``gp[key]`` is its own value
-    where given, else its default. Pressures are kPa, the rest SI."""
+    """Element parameters of a statement, each resolved at its first use
+    and shared by every element the statement makes: ``gp[key]`` is its
+    own value where given, else its default. Pressures are kPa, the rest SI."""
 
-    defaults: PhysicalDefaults
-    stmt: Statement
+    def __init__(self, defaults: PhysicalDefaults, stmt: Statement):
+        self.defaults, self.stmt = defaults, stmt
+        self._values: dict[str, float] = {}
+        self._resistances: dict[str, float] = {}
 
     def __getitem__(self, key: str) -> float:
-        v = self.stmt.get(key)
-        if v is None:
-            return getattr(self.defaults, _DEFAULT_OF[key]) if key != "init" else 0.0
-        return v.si / KPA if _SCHEMA[self.stmt.kind][key] == "q:pressure" else v.si
+        if key not in self._values:
+            v = self.stmt.get(key)
+            if v is None:
+                v = getattr(self.defaults, _DEFAULT_OF[key]) if key != "init" else 0.0
+            else:
+                v = v.si / KPA if _SCHEMA[self.stmt.kind][key] == "q:pressure" else v.si
+            self._values[key] = v
+        return self._values[key]
 
+    @cached_property
     def balloon(self) -> BalloonParams:
         return BalloonParams(
             rest_volume=self["volume"], compliance=self["compliance"], burst_kpa=self["burst"]
         )
 
+    @cached_property
+    def thresholds(self) -> HysteresisThresholds:
+        return HysteresisThresholds(p_inflate=self["inflate"], p_deflate=self["deflate"])
+
+    def tube(self, name: str, a: str, b: str, length: str) -> TubeElement:
+        """A tube of the length ``self[length]`` and the diameter ``self["id"]``."""
+        if length not in self._resistances:
+            self._resistances[length] = tube_resistance(
+                self[length], self["id"], self.defaults.air_viscosity
+            )
+        return TubeElement(name, a, b, self[length], self["id"], self._resistances[length])
+
     def valve(self, name: str, flow_from: str, flow_to: str, control: str, **kw):
         """A switching device with these parameters; ``kw`` sets the rest."""
         return KinkValveDevice(
             name, flow_from, flow_to, control,
-            balloon=self.balloon(),
-            thresholds=HysteresisThresholds(p_inflate=self["inflate"], p_deflate=self["deflate"]),
+            balloon=self.balloon,
+            thresholds=self.thresholds,
             open_conductance=self["open_conductance"],
             leak_conductance=self["leak"],
             **kw,
@@ -388,9 +409,7 @@ class _Builder:
         group.append(element)
 
     def tube(self, name: str, a: str, b: str, length: str = "length"):
-        self.add(self.tubes, TubeElement.from_geometry(
-            name, a, b, self.gp[length], self.gp["id"], self.defaults.air_viscosity
-        ))
+        self.add(self.tubes, self.gp.tube(name, a, b, length))
 
     def device(self, name: str, inputs, out: str, supply: str, series=True, with_pulldown=True):
         """One switching device per input, its balloon ``<name>.b<k>`` fed
@@ -493,7 +512,7 @@ def _expand_statement(b: _Builder, stmt: Statement, sources: dict) -> None:
     elif stmt.kind == "tube":
         b.tube(stmt.name, stmt.get("from"), stmt.get("to"))
     elif stmt.kind == "balloon":
-        b.add(b.balloons, Balloon(stmt.name, stmt.get("node"), gp.balloon(), gp["init"]))
+        b.add(b.balloons, Balloon(stmt.name, stmt.get("node"), gp.balloon, gp["init"]))
     elif stmt.kind == "valve":
         state_txt = stmt.get("state", "open")
         if state_txt not in ("open", "closed"):

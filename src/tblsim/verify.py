@@ -235,6 +235,9 @@ def check_against_boolean(table: TruthTable, expression: str) -> CheckReport:
 
 _FANOUT_CAP = 1024
 
+#: levels of the bisection tree whose midpoints one stacked probe solves
+_BISECT_LEVELS = 4
+
 
 @dataclass(frozen=True)
 class FanoutReport:
@@ -266,33 +269,60 @@ def fanout_limit(
     threshold is the read-high threshold of gates built from ``defaults``:
     the sweep reads no other level, so a supply below that threshold
     reports a limit of 0.
+
+    The search doubles the count until one fails, then bisects; the
+    samples are the counts it visits. Its probes are solved ahead of it
+    as stacks (``_load_control_kpa``): every doubling count at once, then
+    the midpoints of the next ``_BISECT_LEVELS`` levels of the bisection
+    from where it stands. A stack also solves counts the search never
+    visits, and a singular row raises for the whole stack; with every
+    valve open each branch conducts, so no count is singular.
     """
     defaults = defaults or PhysicalDefaults()
     if supply_kpa is None:
         supply_kpa = defaults.supply_kpa
     threshold = _read_thresholds(defaults)[0]
     net = _fanout_network(supply_kpa, internal_resistance, defaults)
+    solved: dict[int, float] = {}
     samples: dict[int, float] = {}
 
+    def probe(counts: list[int]) -> None:
+        solved.update(zip(counts, _load_control_kpa(net, np.array(counts)).tolist()))
+
     def ok(n: int) -> bool:
-        samples[n] = _load_control_kpa(net, n)
+        samples[n] = solved[n]
         return samples[n] >= threshold
 
-    lo, hi = 0, 1  # the largest count known to switch (0: none), the next to try
-    while ok(hi):
-        lo = hi
-        if lo == _FANOUT_CAP:
+    doubling = [1]
+    while doubling[-1] < _FANOUT_CAP:
+        doubling.append(min(doubling[-1] * 2, _FANOUT_CAP))
+    probe(doubling)
+    lo = 0  # the largest count known to switch (0: none)
+    for hi in doubling:
+        if not ok(hi):
             break
-        hi = min(hi * 2, _FANOUT_CAP)
-    else:
-        # invariant: lo switches (or is 0), hi does not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
+        lo = hi
+    # invariant: lo switches (or is 0), hi does not, unless lo is the cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid not in solved:
+            probe(_midpoints(lo, hi, _BISECT_LEVELS))
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
     return FanoutReport(lo, lo == _FANOUT_CAP, threshold, tuple(sorted(samples.items())))
+
+
+def _midpoints(lo: int, hi: int, levels: int) -> list[int]:
+    """The counts a bisection of ``(lo, hi)`` may visit in its next
+    ``levels`` steps, whichever way each step goes."""
+    mids, windows = [], [(lo, hi)]
+    for _ in range(levels):
+        windows = [(a, b) for a, b in windows if b - a > 1]
+        mids += [(a + b) // 2 for a, b in windows]
+        windows = [w for a, b in windows for w in ((a, (a + b) // 2), ((a + b) // 2, b))]
+    return mids
 
 
 class _FanoutNetwork(NamedTuple):
@@ -325,9 +355,13 @@ def _fanout_network(
     return _FanoutNetwork(compiled, g, load, compiled.index["load.b"])
 
 
-def _load_control_kpa(net: _FanoutNetwork, n: int) -> float:
+def _load_control_kpa(net: _FanoutNetwork, counts) -> np.ndarray:
     """The control pressure (kPa) of the fan-out network's load standing
-    for ``n`` identical loads in parallel, with every valve open: each of
-    its branches ``n`` times as conductive."""
-    p_pa = net.compiled.dc_map(np.where(net.load, net.g * n, net.g), net.compiled.fixed_pa)
-    return float(p_pa[net.control] / KPA)
+    for n identical loads in parallel, with every valve open: each of its
+    branches n times as conductive. One value per count n of ``counts``,
+    from one ``dc_map`` over a stack of conductance rows, one per count;
+    the stack raises SingularNetworkError if any of its rows is singular."""
+    counts = np.asarray(counts, dtype=float)
+    g = np.where(net.load, net.g * counts[..., None], net.g)
+    drive = np.broadcast_to(net.compiled.fixed_pa, counts.shape + net.compiled.fixed_pa.shape)
+    return net.compiled.dc_map(g, drive)[..., net.control] / KPA

@@ -275,6 +275,18 @@ def test_set_overrides_default(capsys):
     assert "IndeterminateLevel" in err
 
 
+def test_one_parser_serves_every_call_afresh(capsys):
+    # a bad --set before a good call, and a usage error between: no value
+    # or list default of one call reaches the next
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["--set", "SUP.warp=1", "check", circuit("not.tbl")]) == 2
+    assert main(["check", "--bogus", circuit("not.tbl")]) == 1
+    capsys.readouterr()
+    assert main(["check", circuit("not.tbl")]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+    assert cli._build_parser().parse_args(["bom", "x.tbl"]).overrides == []
+
+
 def test_override_annotations_resolve():
     assert typing.get_type_hints(cli._apply_overrides)["defaults"] is PhysicalDefaults
 

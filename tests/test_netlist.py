@@ -244,6 +244,17 @@ def test_macros_wire_their_devices_as_pinned(macro):
     assert got == _WIRING[macro]
 
 
+def test_a_statement_resolves_its_device_parameters_once():
+    # every device of one statement shares its balloon and its band; each
+    # statement has its own, equal where their values are
+    text = "source SUP pressure=145kPa\nring r n=5 supply=SUP\ngate NOR g in=a,b out=q supply=SUP\n"
+    net = expand(parse(text))
+    ring, gate = net.valves[:5], net.valves[5:]
+    assert all(v.balloon is ring[0].balloon and v.thresholds is ring[0].thresholds for v in ring)
+    assert gate[1].balloon is gate[0].balloon and gate[0].balloon is not ring[0].balloon
+    assert gate[0].balloon == ring[0].balloon and gate[0].thresholds == ring[0].thresholds
+
+
 def test_ring_macro_wiring_is_cyclic():
     net = expand(parse("source SUP pressure=145kPa\nring r n=5 supply=SUP\n"))
     assert len(net.valves) == 5

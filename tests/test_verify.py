@@ -1,10 +1,16 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tblsim import (
     IndeterminateLevelError,
     LogicLevels,
     NetworkError,
     PhysicalDefaults,
+    SourceElement,
     ValveState,
     UnknownVariableError,
     VerifyError,
@@ -262,3 +268,73 @@ def test_one_expand_per_fanout_sweep(monkeypatch):
     assert rep.limit == 187
     assert len(rep.samples) > 10
     assert len(calls) == 1
+
+
+def _one_count_at_a_time(supply_kpa, rint, defaults):
+    """``fanout_limit`` as a plain doubling-then-bisection that solves each
+    count it visits on its own, one ``dc_map`` per count."""
+    threshold = defaults.inflate_kpa
+    net = verify._fanout_network(supply_kpa, rint, defaults)
+    samples = {}
+
+    def ok(n):
+        g = np.where(net.load, net.g * n, net.g)
+        samples[n] = float(net.compiled.dc_map(g, net.compiled.fixed_pa)[net.control] / 1.0e3)
+        return samples[n] >= threshold
+
+    lo, hi = 0, 1
+    while ok(hi):
+        lo = hi
+        if lo == verify._FANOUT_CAP:
+            break
+        hi = min(hi * 2, verify._FANOUT_CAP)
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return verify.FanoutReport(lo, lo == verify._FANOUT_CAP, threshold, tuple(sorted(samples.items())))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    log_rint=st.floats(3.0, 8.0),
+    supply_kpa=st.floats(90.0, 200.0),
+    inflate_kpa=st.floats(61.0, 140.0),
+)
+def test_stacked_fanout_probes_give_the_one_count_at_a_time_sweep(log_rint, supply_kpa, inflate_kpa):
+    defaults = PhysicalDefaults().merged({"inflate_kpa": inflate_kpa})
+    rint = 10.0 ** log_rint
+    rep = fanout_limit(supply_kpa, rint, defaults)
+    assert rep == _one_count_at_a_time(supply_kpa, rint, defaults)
+
+
+@pytest.mark.parametrize("rint, most", [(1.2e5, 4), (0.0, 1)])
+def test_a_fanout_sweep_takes_a_few_stacked_solves(monkeypatch, rint, most):
+    rows = []
+    real = engine._Compiled.dc_map
+
+    def counting_dc_map(self, g, drive):
+        rows.append(len(np.atleast_2d(g)))
+        return real(self, g, drive)
+
+    monkeypatch.setattr(engine._Compiled, "dc_map", counting_dc_map)
+    rep = fanout_limit(internal_resistance=rint)
+    assert len(rows) <= most
+    assert rows[0] == 11  # every doubling count, 1 to 1024, at once
+    assert sum(rows) >= len(rep.samples)
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: fanout_limit(internal_resistance=math.nan), "internal_resistance must be a finite number"),
+        (lambda: fanout_limit(internal_resistance=math.inf), "internal_resistance must be a finite number"),
+        (lambda: fanout_limit(supply_kpa=math.nan), "pressure nan kPa is not a finite number"),
+        (lambda: fanout_limit(supply_kpa=math.inf), "pressure inf kPa is not a finite number"),
+        (lambda: SourceElement("S", "S", 145.0, math.nan), "internal_resistance must be a finite number"),
+    ],
+    ids=["rint-nan", "rint-inf", "supply-nan", "supply-inf", "source-rint-nan"],
+)
+def test_non_finite_element_values_are_refused(make, what):
+    with pytest.raises(ValueError, match=what):
+        make()
