@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -35,11 +36,17 @@ class PhysicalDefaults:
     supply_kpa: float = 145.0
 
     def merged(self, overrides: dict) -> "PhysicalDefaults":
+        """A copy with ``overrides`` applied by field name; an unknown name
+        or a value that is NaN or infinite is a ValueError naming it."""
         known = {f.name for f in fields(self)}
         bad = sorted(set(overrides) - known)
         if bad:
             raise ValueError(f"unknown default parameter(s): {', '.join(bad)}")
-        return replace(self, **{k: float(v) for k, v in overrides.items()})
+        values = {k: float(v) for k, v in overrides.items()}
+        for k, v in values.items():
+            if not math.isfinite(v):
+                raise ValueError(f"default parameter {k} must be finite, got {v!r}")
+        return replace(self, **values)
 
 
 def load_defaults(path: str | None = None) -> PhysicalDefaults:

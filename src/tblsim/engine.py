@@ -18,9 +18,10 @@ pressure past the threshold of its pending transition (``p_inflate`` while
 open, ``p_deflate`` while closed); the valve switches where that margin is
 at or above 0, and a NaN control never switches. The DC search, the
 transient settling after a flip and the transient event search all decide
-through it, on the boolean open-state array, which is the only form of
-valve state inside this module; ``ValveState`` appears only in the inputs
-and the results.
+through it (a transient regime holds it for its own valve states as
+``_Regime.margin``, the same floats), on the boolean open-state array,
+which is the only form of valve state inside this module; ``ValveState``
+appears only in the inputs and the results.
 
 The DC search steps all valves at once on the pressures of one solve per
 assignment, starting where a walk over the regions (the parts that fixed
@@ -42,6 +43,19 @@ cycle's extrema and crossings all read it. Read unsampled until its valve
 events repeat (``_limit_cycle``), the same run gives an oscillator's limit
 cycle; ``measure_oscillation`` reports it (``_report``), and calibration
 takes its frequency and peak from that same report.
+
+Each array is built once, on the object whose lifetime matches what it
+depends on, and the event loop only reads it. ``_Compiled`` owns what
+depends on the network alone: its index arrays, the region solve's block
+layout and its tiled copies per stack size, the balloon modes' block
+layout per set of balloons above rest (``_ModeBlocks``), a regime's drive
+columns, the branches that reach a balloon and, where no valve can cut
+one off, the free nodes that every regime solves. ``_Regime`` owns what
+depends on one valve-state assignment: its reduced maps and the two terms
+of each valve's margin. ``_Modes`` owns what depends on that and on the
+balloons' modes: the eigenbasis, the waves' terms ``W``, the valves'
+signed margin rows and the grouping of the rates. A segment, a settling
+and a cycle report compute only what depends on where they start.
 """
 
 from __future__ import annotations
@@ -64,7 +78,7 @@ from .elements import (
     check_pressure,
     node_components,
 )
-from .expsums import _distinct, _extremes, _first_rises, _values, _zeros
+from .expsums import _Rates, _extremes, _first_rises, _one_zero, _values, _zeros
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
@@ -221,6 +235,25 @@ def _tile(idx: np.ndarray, copies: int, size: int) -> np.ndarray:
     return idx if copies == 1 else (idx + size * np.arange(copies)[:, None]).ravel()
 
 
+class _Tiled(NamedTuple):
+    """A network's index arrays over a stack of its copies (``_tile``):
+    branch ends and the fixed, balloon and unfixed nodes over its nodes;
+    each node's row of the stacked right-hand sides over the unfixed
+    nodes; and the entries of ``_Compiled._blocks`` over its flat blocks."""
+
+    a: np.ndarray
+    b: np.ndarray
+    fixed: np.ndarray
+    cap: np.ndarray
+    nodes: np.ndarray
+    row: np.ndarray
+    da: np.ndarray
+    db: np.ndarray
+    ab: np.ndarray
+    ba: np.ndarray
+    dn: np.ndarray
+
+
 class _Compiled:
     """Index arrays of a network, built once, for the linear solves.
 
@@ -234,6 +267,15 @@ class _Compiled:
 
     ``watch`` lists the nodes a transient run reads: every valve's control
     node, in valve order, then the ``probes`` nodes.
+
+    Everything that depends on the network alone is built here once, at
+    its first use: the region solve's block layout (``_blocks``), the
+    index arrays of each stack size that a stacked solve meets
+    (``tiled``), the block layout of the balloon modes for each set of
+    balloons above rest (``mode_blocks``), a regime's drive columns
+    (``regime_drive``), the branches that reach a balloon
+    (``cap_inflow``) and the free nodes that no valve can cut off
+    (``anchored_free``); and each valve-state assignment's ``_Regime``.
     """
 
     def __init__(self, net: PneumaticNetwork, probes: Sequence[str] = ()):
@@ -286,6 +328,7 @@ class _Compiled:
         free[self.cap_idx] = False
         self.free_idx = np.flatnonzero(free)
         self._regimes: dict[bytes, _Regime] = {}
+        self._tiled: dict[int, _Tiled] = {}
 
     # -- assembly ------------------------------------------------------------
 
@@ -312,12 +355,12 @@ class _Compiled:
         a balloon; for a stack of rows, over one copy of the nodes per row."""
         on = g.ravel() > 0.0
         copies = on.size // len(self.branch_a)
-        a, b = _tile(self.branch_a, copies, self.n), _tile(self.branch_b, copies, self.n)
-        labels = node_components(copies * self.n, a[on], b[on])
+        t = self.tiled(copies)
+        labels = node_components(copies * self.n, t.a[on], t.b[on])
         fixed = np.zeros(copies * self.n, dtype=bool)
-        fixed[labels[_tile(self.fixed_idx, copies, self.n)]] = True
+        fixed[labels[t.fixed]] = True
         anchored = fixed.copy()
-        anchored[labels[_tile(self.cap_idx, copies, self.n)]] = True
+        anchored[labels[t.cap]] = True
         return labels, fixed, anchored
 
     @cached_property
@@ -363,6 +406,18 @@ class _Compiled:
         diag = np.where(row >= 0, start + at * width + at, -1)
         return row, diag[a], diag[b], ab, ba, nodes, diag[nodes], stacks, int((nrows * sizes).sum())
 
+    def tiled(self, copies: int) -> _Tiled:
+        """The index arrays of a stack of ``copies`` rows, tiled at the
+        first stacked call of that many rows and kept for the next."""
+        t = self._tiled.get(copies)
+        if t is None:
+            row, da, db, ab, ba, nodes, dn, _stacks, size = self._blocks
+            n, m = self.n, len(nodes)
+            spans = ((self.branch_a, n), (self.branch_b, n), (self.fixed_idx, n), (self.cap_idx, n),
+                     (nodes, n), (row, m), (da, size), (db, size), (ab, size), (ba, size), (dn, size))
+            t = self._tiled[copies] = _Tiled(*(_tile(idx, copies, span) for idx, span in spans))
+        return t
+
     def solve(self, g: np.ndarray, rows: np.ndarray, P: np.ndarray) -> None:
         """Fill ``P[rows]`` from the flow balance of those nodes, every other
         row of ``P`` given and ``P[rows]`` zero on entry, for all of ``P``'s
@@ -374,24 +429,24 @@ class _Compiled:
         and each region size is one LU over ``(R, k, s, s)``."""
         if not len(rows):
             return
-        row, da, db, ab, ba, nodes, dn, stacks, size = self._blocks
+        _row, _da, _db, _ab, _ba, nodes, _dn, stacks, size = self._blocks
         copies, n, m = g.size // len(self.branch_a), self.n, len(nodes)
+        t = self.tiled(copies)
         unknown = np.zeros(copies * n, dtype=bool)
         unknown[rows] = True
         gf = g.ravel()
         on = gf > 0.0
-        ta, tb = on & unknown[_tile(self.branch_a, copies, n)], on & unknown[_tile(self.branch_b, copies, n)]
+        ta, tb = on & unknown[t.a], on & unknown[t.b]
         both = ta & tb
-        known = _tile(dn, copies, size)[~unknown[_tile(nodes, copies, n)]]
+        known = t.dn[~unknown[t.nodes]]
         entries = np.bincount(
-            np.concatenate([_tile(da, copies, size)[ta], _tile(db, copies, size)[tb],
-                            _tile(ab, copies, size)[both], _tile(ba, copies, size)[both], known]),
+            np.concatenate([t.da[ta], t.db[tb], t.ab[both], t.ba[both], known]),
             np.concatenate([gf[ta], gf[tb], -gf[both], -gf[both], np.ones(len(known))]),
             minlength=copies * size,
         ).reshape(copies, size)
         P2 = P.reshape(copies * n, -1)  # a view with an explicit column axis
         cols = P2.shape[1]
-        at = _tile(row, copies, m)[rows]  # each unknown's row of the stacked right-hand sides
+        at = t.row[rows]  # each unknown's row of the stacked right-hand sides
         rhs = np.zeros((copies * m, cols))
         rhs[at] = self.inflow(g, P2)[rows]
         x = np.empty_like(rhs)
@@ -406,12 +461,37 @@ class _Compiled:
         """Net inflow ``-L(s) P = -Bᵀ diag(g) B P`` at every node, for node
         values ``P`` with one row per node and one or more columns; for a
         stack of conductance rows, one row per node of the stack."""
-        a, b = (_tile(ends, g.size // len(ends), self.n) for ends in (self.branch_a, self.branch_b))
+        t = self.tiled(g.size // len(self.branch_a))
+        a, b = t.a, t.b
         gk = g.reshape((-1,) + (1,) * (P.ndim - 1))
         flow = gk * (P[a] - P[b])  # from a to b
         out = np.zeros_like(P)
         np.add.at(out, b, flow)
         np.subtract.at(out, a, flow)
+        return out
+
+    @cached_property
+    def _cap_ends(self):
+        """The branches with a balloon at their ``b`` end, then those with
+        one at their ``a`` end: per group, the branches, their two ends and
+        that balloon's index."""
+        at = np.full(self.n, -1)
+        at[self.cap_idx] = np.arange(len(self.cap_idx))
+        ends = []
+        for end in (self.branch_b, self.branch_a):
+            k = np.flatnonzero(at[end] >= 0)
+            ends.append((k, self.branch_a[k], self.branch_b[k], at[end[k]]))
+        return ends
+
+    def cap_inflow(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """``inflow(g, P)[cap_idx]`` for one row of ``g`` and a 2-D ``P``,
+        from the branches that reach a balloon alone: each balloon's flows
+        add and subtract in the same order, so the bits are the same."""
+        (kb, ab, bb, cb), (ka, aa, ba, ca) = self._cap_ends
+        out = np.zeros((len(self.cap_idx), P.shape[1]))
+        np.add.at(out, cb, g[kb, None] * (P[ab] - P[bb]))
+        if len(ka):
+            np.subtract.at(out, ca, g[ka, None] * (P[aa] - P[ba]))
         return out
 
     # -- DC solve (balloons act as open circuits) ------------------------------
@@ -433,7 +513,7 @@ class _Compiled:
         """
         labels, fixed, anchored = self.components(g)
         copies = len(labels) // self.n
-        fixed_idx, cap_idx = _tile(self.fixed_idx, copies, self.n), _tile(self.cap_idx, copies, self.n)
+        fixed_idx, cap_idx = self.tiled(copies)[2:4]
         known = ~anchored[labels]  # dead nodes
         known[fixed_idx] = True
         P = np.zeros(g.shape[:-1] + (self.n,) + drive.shape[g.ndim :])
@@ -457,7 +537,7 @@ class _Compiled:
 
     def pressures_kpa(self, p_pa: np.ndarray) -> dict[str, float]:
         """Node pressures (kPa) by name, leaving out source internal nodes."""
-        return dict(zip(self.named, p_pa[self.named_idx] / KPA))
+        return dict(zip(self.named, (p_pa[self.named_idx] / KPA).tolist()))
 
     @cached_property
     def walk(self) -> "_Walk | None":
@@ -466,6 +546,31 @@ class _Compiled:
         return _Walk.build(self)
 
     # -- transient regime (balloon nodes pinned by their volumes) -------------
+
+    @cached_property
+    def anchored_free(self) -> np.ndarray | None:
+        """The free nodes, where each reaches a fixed node or a balloon over
+        the constant-conductance branches alone, and so does in every
+        regime; else None, and each regime finds its own."""
+        static = np.flatnonzero(self.g_static > 0.0)
+        labels = node_components(self.n, self.branch_a[static], self.branch_b[static])
+        anchored = np.zeros(self.n, dtype=bool)
+        anchored[labels[np.r_[self.fixed_idx, self.cap_idx]]] = True
+        return self.free_idx if anchored[labels[self.free_idx]].all() else None
+
+    @cached_property
+    def mode_blocks(self) -> "_ModeBlocks":
+        return _ModeBlocks(self.region[self.cap_idx], self.compliance)
+
+    @cached_property
+    def regime_drive(self) -> np.ndarray:
+        """A regime's node values before its solve: the fixed pressures in
+        the first column, then one column per unit balloon pressure."""
+        nc = len(self.cap_idx)
+        P = np.zeros((self.n, 1 + nc))
+        P[self.fixed_idx, 0] = self.fixed_pa
+        P[self.cap_idx, 1 + np.arange(nc)] = 1.0
+        return P
 
     def regime(self, is_open: np.ndarray) -> "_Regime":
         key = is_open.tobytes()
@@ -506,6 +611,44 @@ def _by_name(names: list[str], overrides: dict | None, what: str) -> list:
 #: is affine in its volume; below it, reading 0; or empty and holding
 _ABOVE, _BELOW, _EMPTY = 0, 1, 2
 
+_EPS = np.finfo(float).eps
+
+#: the sets of balloon modes whose ``_Modes`` a regime keeps, and whose
+#: block layout a network keeps
+_MAX_MODES = 64
+
+
+class _ModeBlocks:
+    """The block layout of a network's balloon modes (``_Modes``), one per
+    set of balloons above rest, built at its first use: it depends on the
+    network alone, so every regime of one ``_Compiled`` shares it. The
+    balloons above rest form blocks by region; per block size ``s``, their
+    indices ``(k, s)``, as rows ``(k, s, 1)`` and columns ``(k, 1, s)``,
+    their ``sqrt(C)`` by row and the scale ``2 sqrt(C_i C_j)`` of each
+    block's symmetrized entries."""
+
+    def __init__(self, region: np.ndarray, compliance: np.ndarray):
+        self.region, self.compliance = region, compliance
+        self._layouts: dict[bytes, list] = {}
+
+    def __call__(self, above: np.ndarray) -> list:
+        key = above.tobytes()
+        layout = self._layouts.get(key)
+        if layout is None:
+            bal = np.flatnonzero(above)
+            _labels, inv, counts = np.unique(self.region[bal], return_inverse=True, return_counts=True)
+            order = np.lexsort((bal, inv, counts[inv]))  # by block size, then block
+            bal, size = bal[order], counts[inv][order]
+            layout = []
+            for s in np.unique(size).tolist():
+                idx = bal[size == s].reshape(-1, s)
+                rows, cols = idx[:, :, None], idx[:, None, :]
+                h = np.sqrt(self.compliance[rows])
+                layout.append((idx, rows, cols, h, 2.0 * h * h.transpose(0, 2, 1)))
+            if len(self._layouts) < _MAX_MODES:
+                self._layouts[key] = layout
+        return layout
+
 
 class _Regime:
     """The linear network of one valve-state assignment, reduced once.
@@ -517,39 +660,64 @@ class _Regime:
     Kron reduction onto the balloon nodes gives their net inflows as
     ``K @ cap_pa + k0``; ``K`` is symmetric and block-diagonal by region.
     The free nodes go through the same region solve as the DC solve, once,
-    with one column for the fixed-node drive and one per balloon.
+    with one column for the fixed-node drive and one per balloon
+    (``_Compiled.regime_drive``), and the inflows are read off the branches
+    that reach a balloon (``_Compiled.cap_inflow``).
+
+    Besides these maps a regime owns what depends on its valve states and
+    nothing else: ``sign``, +1 for an open valve and -1 for a closed one,
+    and ``offset``, ``-p_inflate`` or ``p_deflate``, the two terms of each
+    valve's margin (``margin``), and a ``_Modes`` per set of balloon modes
+    that its segments meet (``modes``), built at the first.
     """
 
     def __init__(self, compiled: _Compiled, is_open: np.ndarray):
-        # only the reduced matrices and the balloon arrays are kept, never
+        # only the reduced matrices and the network's arrays are kept, never
         # the _Compiled that caches this regime: a reference cycle would keep
         # both, and their matrices, alive until the next full gc pass
         self.rest_volume, self.compliance = compiled.rest_volume, compiled.compliance
-        self.region = compiled.region[compiled.cap_idx]
-        n, nc = compiled.n, len(compiled.cap_idx)
+        self.region, self.mode_blocks = compiled.mode_blocks.region, compiled.mode_blocks
+        self.sign = np.where(is_open, 1.0, -1.0)
+        self.offset = np.where(is_open, -compiled.p_inflate, compiled.p_deflate)
+        self._modes: dict[bytes, _Modes] = {}
         g = compiled.conductances(is_open)
-        labels, _fixed, anchored = compiled.components(g)
-        # columns: the fixed-node drive, then one per unit balloon pressure
-        P = np.zeros((n, 1 + nc))
-        P[compiled.fixed_idx, 0] = compiled.fixed_pa
-        P[compiled.cap_idx, 1 + np.arange(nc)] = 1.0
-        # nodes sealed off in this regime carry no flow; they read ambient
-        f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
+        f = compiled.anchored_free
+        if f is None:
+            # nodes sealed off in this regime carry no flow; they read ambient
+            labels, _fixed, anchored = compiled.components(g)
+            f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
+        P = compiled.regime_drive.copy()
         compiled.solve(g, f, P)
-        Q = compiled.inflow(g, P)[compiled.cap_idx]
+        Q = compiled.cap_inflow(g, P)
         self.a0, self.A = P[compiled.watch, 0], P[compiled.watch, 1:]
         self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
+
+    def margin(self, ctrl_kpa: np.ndarray) -> np.ndarray:
+        """``_Compiled.margin`` of every valve in this regime's states:
+        ``ctrl - p_inflate`` is ``ctrl + -p_inflate`` and ``p_deflate -
+        ctrl`` is ``-ctrl + p_deflate``, bit for bit, NaN included."""
+        return self.sign * ctrl_kpa + self.offset
 
     def pressures(self, volumes: np.ndarray) -> np.ndarray:
         """The pressures (Pa) of the watched nodes at one vector of balloon volumes."""
         p = _balloon_pa(volumes, self.rest_volume, self.compliance) @ self.A.T + self.a0
-        if not np.isfinite(p).all():
+        if not np.logical_and.reduce(np.isfinite(p)):
             raise SingularNetworkError("flow-balance system is numerically singular")
         return p
 
     @cached_property
     def above(self) -> "_Modes":
-        return _Modes(self, np.full(len(self.k0), _ABOVE))
+        return self.modes(np.full(len(self.k0), _ABOVE))
+
+    def modes(self, mode: np.ndarray) -> "_Modes":
+        """The ``_Modes`` of the balloon modes ``mode``, built once."""
+        key = mode.tobytes()
+        modes = self._modes.get(key)
+        if modes is None:
+            modes = _Modes(self, mode.copy())
+            if len(self._modes) < _MAX_MODES:
+                self._modes[key] = modes
+        return modes
 
     def modes_at(self, volumes: np.ndarray) -> np.ndarray:
         """Each balloon's mode at ``volumes``: at rest volume it is above
@@ -575,6 +743,12 @@ class _Modes:
     on balloons sealed off from every fixed node and so undriven, holds.
     ``W``, built block by block, maps the modes to every ``watch`` node's
     kPa, the terms of its wave (``_Segment.wave``).
+
+    Everything that depends on the regime and the modes alone is built
+    here once and read by every segment that starts in them: besides
+    ``T``, ``V``, ``W`` and ``lam``, the valves' signed margin rows ``M``
+    (``W``'s control rows times the regime's ``sign``) and the grouping of
+    ``lam`` by rate (``rates``, ``expsums._Rates``).
     """
 
     def __init__(self, reg: _Regime, mode: np.ndarray):
@@ -584,32 +758,37 @@ class _Modes:
         lam, T = np.zeros(nc), np.zeros((nc, nc))
         # the watched kPa per mode: AD T, with AD = A D / KPA zero off above rest
         AD, self.W = reg.A * self.D / KPA, np.zeros((len(reg.a0), nc))
-        bal = np.flatnonzero(above)
-        _labels, inv, counts = np.unique(reg.region[bal], return_inverse=True, return_counts=True)
-        order = np.lexsort((bal, inv, counts[inv]))  # by block size, then block
-        bal, size = bal[order], counts[inv][order]
-        for s in np.unique(size).tolist():
-            idx = bal[size == s].reshape(-1, s)
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            h, Kb = np.sqrt(reg.compliance[rows]), reg.K[rows, cols]
-            lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / (2.0 * h * h.transpose(0, 2, 1)))
-            lb[lb > -64.0 * np.finfo(float).eps * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
-            lam[idx], T[rows, cols] = lb, h * U
-            self.W[:, idx] = np.matmul(AD[:, idx].transpose(1, 0, 2), h * U).transpose(1, 0, 2)
+        for idx, rows, cols, h, hh in reg.mode_blocks(above):
+            Kb = reg.K[rows, cols]
+            lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / hh)
+            lb[lb > -64.0 * _EPS * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
+            hU = h * U
+            lam[idx], T[rows, cols] = lb, hU
+            self.W[:, idx] = np.matmul(AD[:, idx].transpose(1, 0, 2), hU).transpose(1, 0, 2)
         # x = T z above rest, and z = Tᵀ D x
-        self.lam, self.T, self.moving = lam, T, lam != 0.0
+        self.lam, self.T, self.moving, self.V = lam, T, lam != 0.0, T
+        self.no_w = np.zeros(nc)  # w with no balloon below rest, read only
         self.zstar = np.divide(-(T.T @ (self.D * reg.k0)), lam, out=np.zeros(nc), where=self.moving)
-        # below rest, x' = R z + k0, integrated term by term
-        self.R, self.k0 = (reg.K[self.below] * self.D) @ T, reg.k0[self.below]
-        self.V = T.copy() if self.below.any() else T
-        self.V[self.below] = np.divide(self.R, lam, out=np.zeros_like(self.R), where=self.moving)
+        self.M = reg.sign[:, None] * self.W[: len(reg.sign)]
+        self.any_below = bool(self.below.any())
+        if self.any_below:
+            # below rest, x' = R z + k0, integrated term by term
+            self.R, self.k0 = (reg.K[self.below] * self.D) @ T, reg.k0[self.below]
+            self.V = T.copy()
+            self.V[self.below] = np.divide(self.R, lam, out=np.zeros_like(self.R), where=self.moving)
+
+    @cached_property
+    def rates(self) -> _Rates:
+        return _Rates(self.lam)
 
     def segment(self, x0: np.ndarray):
         """``(xc, w, d)`` of the segment that starts from ``x0``."""
         z0 = self.T.T @ (self.D * x0)
         d = np.where(self.moving, z0 - self.zstar, 0.0)
-        w = np.zeros_like(x0)
-        w[self.below] = self.R @ np.where(self.moving, self.zstar, z0) + self.k0
+        w = self.no_w
+        if self.any_below:
+            w = np.zeros_like(x0)
+            w[self.below] = self.R @ np.where(self.moving, self.zstar, z0) + self.k0
         return x0 - self.V @ d, w, d
 
     def x(self, xc, w, d, taus: np.ndarray) -> np.ndarray:
@@ -869,7 +1048,7 @@ def _dc_search(
     def named(is_open):
         return dict(zip(compiled.valve_names, _STATES[is_open.astype(np.intp)].tolist()))
 
-    kpa = p_pa[:, compiled.named_idx] / KPA
+    kpa = (p_pa[:, compiled.named_idx] / KPA).tolist()
     for o, row, fps in zip(is_open, kpa, fixed_points):
         yield SteadyState(named(o), dict(zip(compiled.named, row)), tuple(named(fp) for fp, _p in fps))
 
@@ -1016,7 +1195,7 @@ def _segments(
         pressure within the segment ``xc, d`` of ``modes`` from ``t`` for
         ``tau``."""
         nonlocal watch
-        ks = watch[modes.mode[watch] == _ABOVE] if len(watch) else watch
+        ks = watch[modes.mode[watch] == _ABOVE]
         if not len(ks):
             return []
         c, M = xc[ks] - compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA, modes.V[ks]
@@ -1044,11 +1223,11 @@ def _segments(
         limit = 4 * max(1, len(is_open))
         for relaxation in range(limit + 1):
             is_open = is_open.copy()
-            is_open[switch] = ~is_open[switch]
+            is_open[switch] ^= True
             flips.extend(zip(switch.tolist(), is_open[switch].tolist()))
             reg = compiled.regime(is_open)
             kpa = reg.pressures(volumes) / KPA
-            m = compiled.margin(is_open, kpa[ctrl_rows])
+            m = reg.margin(kpa[ctrl_rows])
             switch = (m >= 0.0).nonzero()[0]
             if not len(switch):
                 break
@@ -1063,26 +1242,26 @@ def _segments(
     is_open, reg, m0, kpa, flips, notes = settle(t, is_open, volumes, np.zeros(0, dtype=int))
     mode = reg.modes_at(volumes) if vacuum else np.full(len(v_rest), _ABOVE)
     while True:
-        modes = reg.above if (mode == _ABOVE).all() else _Modes(reg, mode)
+        modes = reg.modes(mode) if vacuum else reg.above
         xc, w, d = modes.segment(volumes - v_rest)
         c = (reg.a0 + reg.A @ (modes.D * xc)) / KPA  # the watched nodes' kPa at xc
         # the valve margins, each a constant plus exponentials
-        M = np.where(is_open, 1.0, -1.0)[:, None] * modes.W[ctrl_rows]
-        t_valve = _first_rises(compiled.margin(is_open, c[ctrl_rows]), M, d, modes.lam, math.inf, m0)
-        t_flip = t_valve.min(initial=math.inf)
+        t_valve = _first_rises(reg.margin(c[ctrl_rows]), modes.M, d, modes.lam, math.inf, m0)
+        t_flip = np.minimum.reduce(t_valve, initial=math.inf)
         t_mode = math.inf
         if vacuum:
             beta, alpha, who, goes = modes.exits(reg)
             cm, Mm = alpha + beta @ xc, beta @ modes.V
             t_exit = _first_rises(cm, Mm, d, modes.lam, math.inf, cm + Mm @ d, beta @ w)
-            t_mode = t_exit.min(initial=math.inf)
+            t_mode = np.minimum.reduce(t_exit, initial=math.inf)
         tau = min(t_flip, t_mode)
         rest = tau == math.inf
         ends = not rest and tau <= t_end - t  # an event or a mode change by t_end
         event, change = ends and t_flip <= t_mode, ends and t_mode < t_flip
         tau, t_next = (tau, t + tau) if ends else (t_end - t, t_end)
-        yield _Segment(t, tau, t_next, event, change, rest, flips,
-                       notes + bursts(t, tau, modes, xc, d), kpa, modes, xc, d, c)
+        if len(watch):
+            notes = notes + bursts(t, tau, modes, xc, d)
+        yield _Segment(t, tau, t_next, event, change, rest, flips, notes, kpa, modes, xc, d, c)
         if not ends:
             return
         volumes = np.maximum(modes.x(xc, w, d, np.array([tau]))[0] + v_rest, 0.0)
@@ -1099,7 +1278,7 @@ def _segments(
             k, to = who[hit], goes[hit]
             volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), v_rest[k], 0.0)
             mode[k] = to
-            m0 = compiled.margin(is_open, reg.pressures(volumes)[ctrl_rows] / KPA)
+            m0 = reg.margin(reg.pressures(volumes)[ctrl_rows] / KPA)
             flips, notes, kpa = [], [], None
 
 
@@ -1275,31 +1454,75 @@ def _limit_cycle(
                   events, cap, warnings)
 
 
-def _span(segments: list[_Segment], row: int) -> tuple[float, float]:
-    """The least and the greatest kPa of the watched node ``row`` over
-    ``segments``, in closed form (``_extremes``)."""
+class _Waves(NamedTuple):
+    """The kPa of one watched node over each segment of a cycle, summed by
+    rate (``_Modes.rates``): ``c`` per segment, and ``(b, l)``, its one
+    exponential ``b e^(l τ)``, or 0.0 and 0.0 where it has none. Where it
+    has more, ``many`` maps the segment to its ``(b, lam)``."""
+
+    c: np.ndarray
+    b: np.ndarray
+    l: np.ndarray
+    many: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _waves(segments: list[_Segment], row: int) -> _Waves:
+    """The watched node ``row``'s ``_Waves`` over ``segments``: one
+    product for the terms of every segment, and a grouping by rate only
+    where a segment has two terms or more."""
+    terms = np.array([seg.modes.W[row] for seg in segments]) * np.array([seg.d for seg in segments])
+    nonzero = terms != 0.0
+    count, first = np.add.reduce(nonzero, axis=1), nonzero.argmax(axis=1)
+    one = count == 1
+    at = np.arange(len(segments)), first
+    b = np.where(one, terms[at], 0.0)
+    l = np.where(one, np.array([seg.modes.lam for seg in segments])[at], 0.0)
+    many = {k: segments[k].modes.rates(terms[k]) for k in np.flatnonzero(count > 1).tolist()}
+    return _Waves(np.array([seg.c[row] for seg in segments]), b, l, many)
+
+
+def _span(segments: list[_Segment], waves: _Waves) -> tuple[float, float]:
+    """The least and the greatest kPa of ``waves`` over ``segments``, in
+    closed form: one exponential or none at its ends, more by
+    ``_extremes``. Those ends are the values ``_extremes`` would give,
+    ``c + b`` at 0 (``e^(l 0)`` is 1) and ``c + e^(l tau) b``."""
+    tau = np.array([seg.tau for seg in segments])
+    start, end = (waves.c + waves.b).tolist(), (waves.c + np.exp(tau * waves.l) * waves.b).tolist()
     lo, hi = math.inf, -math.inf
-    for seg in segments:
-        seg_lo, seg_hi = _extremes(*seg.wave(row), seg.tau)
+    for k, (v0, v1) in enumerate(zip(start, end)):
+        if k in waves.many:
+            seg_lo, seg_hi = _extremes(waves.c[k], *waves.many[k], segments[k].tau)
+        else:
+            seg_lo, seg_hi = min(v0, v1), max(v0, v1)
         lo, hi = min(lo, seg_lo), max(hi, seg_hi)
     return lo, hi
 
 
-def _pieces(segments: list[_Segment], row: int, level: float):
-    """``segments`` cut where the watched node ``row`` crosses ``level``
-    (``_zeros``), as arrays over the pieces, in order: each piece's start
-    time, its length, and the node's kPa less ``level`` at its middle.
-    Empty pieces are left out."""
-    t, length, v = [], [], []
-    for seg in segments:
-        c, b, lam = seg.wave(row)
-        b, lam = _distinct(b, lam)
-        cuts = np.array([0.0, *_zeros(c - level, 0.0, b, lam, seg.tau), seg.tau])
-        middles = 0.5 * (cuts[:-1] + cuts[1:])
-        t.append(seg.t + cuts[:-1])
-        length.append(np.diff(cuts))
-        v.append(_values(c - level, b, lam, middles))
-    t, length, v = (np.concatenate(a) for a in (t, length, v))
+def _pieces(segments: list[_Segment], waves: _Waves, level: float):
+    """``segments`` cut where ``waves`` cross ``level`` (``_zeros``), as
+    arrays over the pieces, in order: each piece's start time, its length,
+    and the node's kPa less ``level`` at its middle. Empty pieces are left
+    out. One exponential or none crosses once at most (``_one_zero``),
+    and the middles of all such pieces are read by one product."""
+    t, length, middle, at, general = [], [], [], [], {}
+    cs = waves.c - level
+    for k, (seg, c, b, l) in enumerate(zip(segments, cs.tolist(), waves.b.tolist(), waves.l.tolist())):
+        if k in waves.many:
+            cuts = [0.0, *_zeros(cs[k], 0.0, *waves.many[k], seg.tau), seg.tau]
+        else:
+            cuts = [0.0, *_one_zero(c, b, l, seg.tau), seg.tau]
+        middles = [0.5 * (lo + hi) for lo, hi in zip(cuts, cuts[1:])]
+        if k in waves.many:
+            general[len(t)] = _values(cs[k], *waves.many[k], np.array(middles))
+        t += [seg.t + lo for lo in cuts[:-1]]
+        length += [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+        middle += middles
+        at += [k] * len(middles)
+    at = np.array(at)
+    v = cs[at] + np.exp(np.array(middle) * waves.l[at]) * waves.b[at]
+    for i, vk in general.items():
+        v[i : i + len(vk)] = vk
+    t, length = np.array(t), np.array(length)
     keep = length > 0.0
     return t[keep], length[keep], v[keep]
 
@@ -1456,8 +1679,9 @@ def _report(compiled: _Compiled, cycle: _Cycle, min_amplitude_kpa: float) -> Osc
     period, nv = cycle.period, len(compiled.control)
     peaks, troughs, phases, rising = {}, {}, {}, {}
     for row, name in enumerate(compiled.probes, nv):
-        troughs[name], peaks[name] = lo, hi = _span(cycle.segments, row)
-        t, length, v = _pieces(cycle.segments, row, 0.5 * (lo + hi))
+        waves = _waves(cycle.segments, row)
+        troughs[name], peaks[name] = lo, hi = _span(cycle.segments, waves)
+        t, length, v = _pieces(cycle.segments, waves, 0.5 * (lo + hi))
         rising[name] = t[(v >= 0.0) & (np.roll(v, 1) < 0.0)]  # the cycle wraps around
         if row == nv:  # the reference
             _check_swing(hi - lo, min_amplitude_kpa, warnings)

@@ -8,8 +8,9 @@ sum and locate where it changes sign, first rises through 0 and peaks on
 (``_zeros``): the zeros of ``f'``, a sum of one term fewer, split ``[0,
 h]`` into pieces on which ``f`` is monotone, and each sign change is then
 bracketed and refined by regula falsi. A first rise is one of those sign
-changes, and the extremes lie at zeros of ``f'``. The engine imports
-them; they know nothing of networks.
+changes, and the extremes lie at zeros of ``f'``. ``_Rates`` groups the
+terms of many sums over one set of rates, as ``_distinct`` groups one. The
+engine imports them; they know nothing of networks.
 """
 
 from __future__ import annotations
@@ -47,14 +48,11 @@ def _zeros(c, r, b: np.ndarray, lam: np.ndarray, h: float) -> list[float]:
     into pieces on which ``f`` is monotone, and ``f'`` is a sum of one term
     fewer: ``r + Σ_j b_j λ_j e^(λ_j τ)``, or where ``r`` is 0, ``e^(λ_0 τ)
     (b_0 λ_0 + Σ_{j>0} b_j λ_j e^((λ_j - λ_0) τ))``. One exponential alone
-    has its zero in closed form."""
+    has its zero in closed form (``_one_zero``)."""
     keep = b != 0.0  # a term may underflow to 0
     b, lam = b[keep], lam[keep]
     if not r and len(b) <= 1:
-        t = 0.0
-        if len(b) and c != 0.0 and (c < 0.0) != (b[0] < 0.0):
-            t = (math.log(abs(c)) - math.log(abs(b[0]))) / lam[0]
-        return [t] if 0.0 < t < h else []
+        return _one_zero(c, b[0], lam[0], h) if len(b) else []
     turns = (_zeros(r, 0.0, b * lam, lam, h) if r else
              _zeros(b[0] * lam[0], 0.0, b[1:] * lam[1:], lam[1:] - lam[0], h))
     cuts = [0.0, *turns, h]
@@ -67,12 +65,41 @@ def _zeros(c, r, b: np.ndarray, lam: np.ndarray, h: float) -> list[float]:
             if (flo < 0.0) != (fhi < 0.0)]
 
 
+def _one_zero(c, b, lam, h) -> list[float]:
+    """The time in ``(0, h)`` at which ``c + b e^(λ τ)`` changes sign, as
+    a list of none or one: ``log(-c/b)/λ``, where ``c`` and ``b`` are
+    nonzero and of opposite signs."""
+    t = 0.0
+    if b and c and (c < 0.0) != (b < 0.0):
+        t = (math.log(abs(c)) - math.log(abs(b))) / lam
+    return [t] if 0.0 < t < h else []
+
+
 def _distinct(b: np.ndarray, lam: np.ndarray):
     """The terms ``b_j e^(λ_j τ)`` summed by rate, zero terms left out:
     ``(b, lam)`` with distinct ``lam`` in descending order."""
     keep = b != 0.0
     lam, at = np.unique(lam[keep], return_inverse=True)
     return np.bincount(at, b[keep], minlength=len(lam))[::-1], lam[::-1]
+
+
+class _Rates:
+    """``_distinct`` over one ``lam`` (with no -0.0) for many ``b``: the
+    rates are grouped once. A zero term adds nothing to its rate's sum,
+    which starts at 0.0 as ``_distinct``'s does, and a rate is kept where
+    any of its terms is nonzero, so each ``(b, lam)`` is ``_distinct``'s
+    bit for bit, a rate whose terms cancel to 0 included. Both are
+    reversed views, as ``_distinct``'s are: a product with them takes the
+    same path, and so gives the same bits."""
+
+    def __init__(self, lam: np.ndarray):
+        self.lam, self.at = np.unique(lam, return_inverse=True)
+
+    def __call__(self, b: np.ndarray):
+        """``_distinct(b, lam)``."""
+        k = len(self.lam)
+        keep = np.bincount(self.at, b != 0.0, minlength=k) > 0.0
+        return np.bincount(self.at, b, minlength=k)[keep][::-1], self.lam[keep][::-1]
 
 
 def _horizon(c, r, b: np.ndarray, lam: np.ndarray) -> float:
@@ -108,25 +135,31 @@ def _first_rise(c, r, b: np.ndarray, lam: np.ndarray, h: float, f0) -> float:
 
 def _first_rises(c, M, d, lam, h, f0, r=None) -> np.ndarray:
     """``_first_rise`` of each row ``c_i + r_i τ + Σ_j M_ij d_j e^(λ_j τ)``,
-    with ``f0`` per row. Every ``λ`` is at most 0, so a row that cannot
-    reach 0 is skipped, and a row of one exponential and no ``r`` rises at
-    ``log(-c/b)/λ`` where ``f0`` is below 0: that closed form is taken for
-    all such rows at once, and ``_first_rise`` for the others. ``h`` may
-    be inf."""
-    r = np.zeros(len(c)) if r is None else r
-    t = np.full(len(c), np.inf)
-    climb = np.maximum(r, 0.0) * h if h < math.inf else np.where(r > 0.0, math.inf, 0.0)
-    can = np.flatnonzero(c + np.abs(M) @ np.abs(d) + climb >= 0.0)
-    b = M[can] * d
-    one = (np.count_nonzero(b, axis=1) == 1) & (r[can] == 0.0)
-    if one.any():
-        i, bi, ci = can[one], b[one].sum(axis=1), c[can[one]]
-        li = lam[np.argmax(b[one] != 0.0, axis=1)]
-        rises = (f0[i] < 0.0) & (bi < 0.0) & (ci > 0.0)  # λ < 0: a rise toward c > 0
-        ti = (np.log(np.where(rises, ci, 1.0)) - np.log(np.where(rises, -bi, 1.0))) / li
-        t[i] = np.where(rises & (ti <= h), np.maximum(ti, 0.0), np.inf)
-    for i, row in zip(can[~one].tolist(), b[~one]):
-        t[i] = _first_rise(c[i], r[i], row, lam, h, f0[i])
+    with ``f0`` per row; ``r`` None stands for 0 on every row. Every ``λ``
+    is at most 0, so a row of one exponential and no ``r`` rises only
+    toward ``c > 0``, at ``log(-c/b)/λ``, where ``f0`` is below 0: that
+    closed form is taken for all such rows at once. Of the other rows,
+    one that cannot reach 0 is skipped, and ``_first_rise`` takes the
+    rest. ``h`` may be inf."""
+    b = M * d
+    nonzero = b != 0.0
+    one = np.add.reduce(nonzero, axis=1) == 1
+    if r is not None:
+        one &= r == 0.0
+    if np.logical_or.reduce(one):
+        bi = np.add.reduce(b, axis=1)
+        rises = one & (f0 < 0.0) & (bi < 0.0) & (c > 0.0)  # λ < 0: a rise toward c > 0
+        li = np.where(rises, lam[nonzero.argmax(axis=1)], 1.0)
+        ti = (np.log(np.where(rises, c, 1.0)) - np.log(np.where(rises, -bi, 1.0))) / li
+        t = np.where(rises & (ti <= h), np.maximum(ti, 0.0), math.inf)
+    else:
+        t = np.full(len(c), math.inf)
+    if not np.logical_and.reduce(one):
+        reach = c + np.abs(M) @ np.abs(d)
+        if r is not None:
+            reach += np.maximum(r, 0.0) * h if h < math.inf else np.where(r > 0.0, math.inf, 0.0)
+        for k in ((reach >= 0.0) & ~one).nonzero()[0].tolist():
+            t[k] = _first_rise(c[k], 0.0 if r is None else r[k], b[k], lam, h, f0[k])
     return t
 
 
@@ -138,8 +171,8 @@ def _values(c, b: np.ndarray, lam: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def _extremes(c: float, b: np.ndarray, lam: np.ndarray, h: float) -> tuple[float, float]:
-    """The least and the greatest value of ``c + Σ_j b_j e^(λ_j τ)`` over
-    ``[0, h]``: each lies at an end or at a zero of the derivative."""
-    b, lam = _distinct(b, lam)
+    """The least and the greatest value of ``c + Σ_j b_j e^(λ_j τ)``,
+    summed by rate (``_distinct``), over ``[0, h]``: each lies at an end or
+    at a zero of the derivative."""
     v = _values(c, b, lam, np.array([0.0, *_zeros(0.0, 0.0, b * lam, lam, h), h]))
     return float(v.min()), float(v.max())

@@ -328,6 +328,20 @@ def test_defaults_file_flag(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, json_text", [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")])
+@pytest.mark.parametrize("key", ["supply_kpa", "inflate_kpa"])
+def test_non_finite_default_is_usage_error_naming_the_key(tmp_path, capsys, key, text, json_text):
+    argv = ["truth", circuit("not.tbl"), "--inputs", "a", "--output", "q"]
+    assert main(["--set", f"{key}={text}"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tblsim: error: --set") and key in err and "finite" in err
+    cfg = tmp_path / "defs.json"
+    cfg.write_text(f'{{"{key}": {json_text}}}')
+    assert main(["--defaults", str(cfg)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tblsim: error: defaults") and key in err and "finite" in err
+
+
 def test_env_defaults_respected(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "defs.json"
     cfg.write_text(json.dumps({"pulldown_length": 0.30}))

@@ -172,6 +172,17 @@ def test_solve_pressures_with_forced_states():
     assert p["q"] == pytest.approx(want, rel=1e-9)
 
 
+def test_node_pressures_are_python_floats():
+    # as annotated: a repr reads 96.6..., not np.float64(96.6...)
+    net = pinned_not(145.0)
+    rows = [dc_operating_point(net).node_pressures_kpa, solve_pressures(net, {"inv.v": ValveState.OPEN})]
+    unpinned = build("source SUP pressure=145kPa\ngate NOT inv in=a out=q supply=SUP\n")
+    rows += [s.node_pressures_kpa for s in engine._dc_rows(unpinned, ("a",), [[0.0], [145.0]])]
+    for kpa in rows:
+        assert kpa and all(type(v) is float for v in kpa.values())
+    assert "np.float64" not in repr(rows)
+
+
 def _dense_laplacian(net, valve_states):
     """Node names (the solver's order), the dense Laplacian and component
     labels over the conducting branches, and the fixed pressures (kPa),
@@ -1071,6 +1082,23 @@ def test_regime_maps_match_a_dense_reduction(make_net):
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def test_regime_network_arrays_match_their_whole_network_forms():
+    # a regime solves the free nodes that no valve can cut off, where there
+    # are such, and reads the balloons' inflows off the branches that reach
+    # them: the rows of the whole-network inflow, bit for bit
+    ring = engine._Compiled(_ring3_calibrated())
+    assert np.array_equal(ring.anchored_free, ring.free_idx)
+    dead = engine._Compiled(_DC_PROPERTY_NETS["dead_segment"](), ("x", "y"))
+    assert dead.anchored_free is None  # x-y is cut off once both valves close
+    assert (dead.regime(np.zeros(2, dtype=bool)).pressures(dead.initial_volumes(None))[-2:] == 0.0).all()
+    rng = np.random.default_rng(3)
+    for compiled in (ring, dead, engine._Compiled(_fanout([(2.0e-10, 1.0, 7.5), (7.0e-10, 0.7, 12.0)]))):
+        for _ in range(5):
+            g = compiled.conductances(rng.random(len(compiled.valve_names)) < 0.5)
+            P = rng.normal(size=(compiled.n, 3))
+            assert compiled.cap_inflow(g, P).tobytes() == compiled.inflow(g, P)[compiled.cap_idx].tobytes()
+
+
 def _rc_charge():
     return build(
         "source SUP pressure=145kPa\ntube t1 from=SUP to=x length=5cm\n"
@@ -1283,6 +1311,70 @@ def test_first_rise_counts_a_rise_in_the_first_piece_whatever_f0():
         assert expsums._first_rise(c, 0.0, b, lam, 2.0, f0) == t
     # f0 below 0 and f(0) not: the rise is at 0
     assert expsums._first_rise(1.0, 0.0, -b, lam, 2.0, -1.0) == 0.0
+
+
+#: rates and coefficients drawn from small sets, so that rates repeat and
+#: terms of one rate can cancel to exactly 0
+_RATES = st.sampled_from([-0.5, -1.0, -3.0, -7.5, -60.0])
+_COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 0.25]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _rise_rows(draw):
+    """``(c, M, d, lam, h, f0, r)`` for ``_first_rises``: rows with zero
+    and repeated coefficients, ``d`` with entries exactly 0, ``f0`` the
+    rows' value at 0, finite or infinite ``h``, and ``r`` or none. A ``c``
+    within float spacing of the terms' total has its rise, if any, past
+    the horizon of an unbounded search (``_horizon``), where the closed
+    form still finds it: ``c`` is 0 or at least 1e-6."""
+    rows, terms = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    lam = np.array(draw(st.lists(_RATES, min_size=terms, max_size=terms)))
+    M = np.array(draw(st.lists(_COEFFS, min_size=rows * terms, max_size=rows * terms))).reshape(rows, terms)
+    d = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -0.5, 2.0]), min_size=terms, max_size=terms)))
+    c = st.one_of(st.just(0.0), st.floats(-1.0, 1.0).filter(lambda c: abs(c) >= 1.0e-6))
+    c = np.array(draw(st.lists(c, min_size=rows, max_size=rows)))
+    h = draw(st.sampled_from([math.inf, 0.3, 2.0]))
+    r = draw(st.one_of(st.none(), st.lists(st.sampled_from([0.0, 1.0e-3, -1.0e-3, 0.5, -1.0]),
+                                           min_size=rows, max_size=rows).map(np.array)))
+    return c, M, d, lam, h, c + M @ d, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rise_rows())
+def test_first_rises_match_the_row_by_row_reference(args):
+    # the closed form of a one-exponential row against the root isolation
+    # of _first_rise, row by row: the same rises, within roundoff
+    got, want = expsums._first_rises(*args), _rises_one_by_one(*args)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1.0e-9 * np.maximum(1.0, want[finite]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_RATES, min_size=n, max_size=n),
+    st.lists(st.lists(_COEFFS, min_size=n, max_size=n), min_size=1, max_size=4),
+)))
+def test_rate_grouping_gives_distinct_bit_for_bit(case):
+    # one grouping of the rates, many coefficient rows: each row summed by
+    # rate as _distinct sums it, a rate whose terms cancel to 0 included
+    lam, rows = np.array(case[0]), case[1]
+    rates = expsums._Rates(lam)
+    for b in map(np.array, rows):
+        (b1, l1), (b2, l2) = rates(b), expsums._distinct(b, lam)
+        assert b1.tobytes() == b2.tobytes() and l1.tobytes() == l2.tobytes()
+        assert b1.strides == b2.strides and l1.strides == l2.strides  # a product reads them alike
+
+
+def test_regime_margin_is_the_hysteresis_rule_bit_for_bit():
+    compiled = engine._Compiled(_ring3_calibrated())
+    ctrl = np.array([85.0, 60.0, 0.0, -0.0, 72.5, 1.0e300, math.inf, -math.inf, math.nan])
+    for bits in itertools.product((False, True), repeat=3):
+        is_open = np.array(bits)
+        reg = compiled.regime(is_open)
+        for k in itertools.product(range(len(ctrl)), repeat=3):
+            want = compiled.margin(is_open, ctrl[list(k)])
+            assert reg.margin(ctrl[list(k)]).tobytes() == want.tobytes()
 
 
 def test_ring101_flips_in_lock_step():
