@@ -129,6 +129,15 @@ def _read_circuit(path: str) -> str:
         raise NetlistError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; one that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _apply_overrides(ast, defaults: PhysicalDefaults, pairs: list[str]):
     """NAME.KEY=VALUE patches one statement; KEY=VALUE patches a default.
     A bad default patch is a usage error (ValueError), as a bad defaults file is."""
@@ -175,8 +184,7 @@ def _write(args, records, text) -> None:
         out = text()
     path = getattr(args, "out", None)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write_file(path, out)
     else:
         sys.stdout.write(out)
 
@@ -224,8 +232,7 @@ def _svg_plot(trace, path: str):
             f'fill="{c}">{probe}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_file(path, "\n".join(parts) + "\n")
 
 
 def _samples(trace):

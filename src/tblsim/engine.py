@@ -48,14 +48,13 @@ Each array is built once, on the object whose lifetime matches what it
 depends on, and the event loop only reads it. ``_Compiled`` owns what
 depends on the network alone: its index arrays, the region solve's block
 layout and its tiled copies per stack size, the balloon modes' block
-layout per set of balloons above rest (``_ModeBlocks``), a regime's drive
-columns, the branches that reach a balloon and, where no valve can cut
-one off, the free nodes that every regime solves. ``_Regime`` owns what
-depends on one valve-state assignment: its reduced maps and the two terms
-of each valve's margin. ``_Modes`` owns what depends on that and on the
-balloons' modes: the eigenbasis, the waves' terms ``W``, the valves'
-signed margin rows and the grouping of the rates. A segment, a settling
-and a cycle report compute only what depends on where they start.
+layout per set of balloons above rest (``_ModeBlocks``) and, where no
+valve can cut one off, the free nodes that every regime solves.
+``_Regime`` owns what depends on one valve-state assignment: its reduced
+maps and the two terms of each valve's margin. ``_Modes`` owns what
+depends on that and on the balloons' modes: the eigenbasis, the waves'
+terms ``W`` and the valves' signed margin rows. A segment, a settling and
+a cycle report compute only what depends on where they start.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from .elements import (
     check_pressure,
     node_components,
 )
-from .expsums import _Rates, _extremes, _first_rises, _one_zero, _values, _zeros
+from .expsums import _distinct, _extremes, _first_rises, _one_zero, _values, _zeros
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
@@ -272,10 +271,9 @@ class _Compiled:
     its first use: the region solve's block layout (``_blocks``), the
     index arrays of each stack size that a stacked solve meets
     (``tiled``), the block layout of the balloon modes for each set of
-    balloons above rest (``mode_blocks``), a regime's drive columns
-    (``regime_drive``), the branches that reach a balloon
-    (``cap_inflow``) and the free nodes that no valve can cut off
-    (``anchored_free``); and each valve-state assignment's ``_Regime``.
+    balloons above rest (``mode_blocks``) and the free nodes that no valve
+    can cut off (``anchored_free``); and each valve-state assignment's
+    ``_Regime``.
     """
 
     def __init__(self, net: PneumaticNetwork, probes: Sequence[str] = ()):
@@ -470,30 +468,6 @@ class _Compiled:
         np.subtract.at(out, a, flow)
         return out
 
-    @cached_property
-    def _cap_ends(self):
-        """The branches with a balloon at their ``b`` end, then those with
-        one at their ``a`` end: per group, the branches, their two ends and
-        that balloon's index."""
-        at = np.full(self.n, -1)
-        at[self.cap_idx] = np.arange(len(self.cap_idx))
-        ends = []
-        for end in (self.branch_b, self.branch_a):
-            k = np.flatnonzero(at[end] >= 0)
-            ends.append((k, self.branch_a[k], self.branch_b[k], at[end[k]]))
-        return ends
-
-    def cap_inflow(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """``inflow(g, P)[cap_idx]`` for one row of ``g`` and a 2-D ``P``,
-        from the branches that reach a balloon alone: each balloon's flows
-        add and subtract in the same order, so the bits are the same."""
-        (kb, ab, bb, cb), (ka, aa, ba, ca) = self._cap_ends
-        out = np.zeros((len(self.cap_idx), P.shape[1]))
-        np.add.at(out, cb, g[kb, None] * (P[ab] - P[bb]))
-        if len(ka):
-            np.subtract.at(out, ca, g[ka, None] * (P[aa] - P[ba]))
-        return out
-
     # -- DC solve (balloons act as open circuits) ------------------------------
 
     def dc_map(self, g: np.ndarray, drive: np.ndarray) -> np.ndarray:
@@ -561,16 +535,6 @@ class _Compiled:
     @cached_property
     def mode_blocks(self) -> "_ModeBlocks":
         return _ModeBlocks(self.region[self.cap_idx], self.compliance)
-
-    @cached_property
-    def regime_drive(self) -> np.ndarray:
-        """A regime's node values before its solve: the fixed pressures in
-        the first column, then one column per unit balloon pressure."""
-        nc = len(self.cap_idx)
-        P = np.zeros((self.n, 1 + nc))
-        P[self.fixed_idx, 0] = self.fixed_pa
-        P[self.cap_idx, 1 + np.arange(nc)] = 1.0
-        return P
 
     def regime(self, is_open: np.ndarray) -> "_Regime":
         key = is_open.tobytes()
@@ -660,9 +624,7 @@ class _Regime:
     Kron reduction onto the balloon nodes gives their net inflows as
     ``K @ cap_pa + k0``; ``K`` is symmetric and block-diagonal by region.
     The free nodes go through the same region solve as the DC solve, once,
-    with one column for the fixed-node drive and one per balloon
-    (``_Compiled.regime_drive``), and the inflows are read off the branches
-    that reach a balloon (``_Compiled.cap_inflow``).
+    with one column for the fixed-node drive and one per balloon.
 
     Besides these maps a regime owns what depends on its valve states and
     nothing else: ``sign``, +1 for an open valve and -1 for a closed one,
@@ -676,7 +638,7 @@ class _Regime:
         # the _Compiled that caches this regime: a reference cycle would keep
         # both, and their matrices, alive until the next full gc pass
         self.rest_volume, self.compliance = compiled.rest_volume, compiled.compliance
-        self.region, self.mode_blocks = compiled.mode_blocks.region, compiled.mode_blocks
+        self.mode_blocks = compiled.mode_blocks
         self.sign = np.where(is_open, 1.0, -1.0)
         self.offset = np.where(is_open, -compiled.p_inflate, compiled.p_deflate)
         self._modes: dict[bytes, _Modes] = {}
@@ -686,9 +648,13 @@ class _Regime:
             # nodes sealed off in this regime carry no flow; they read ambient
             labels, _fixed, anchored = compiled.components(g)
             f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
-        P = compiled.regime_drive.copy()
+        # columns: the fixed-node drive, then one per unit balloon pressure
+        nc = len(compiled.cap_idx)
+        P = np.zeros((compiled.n, 1 + nc))
+        P[compiled.fixed_idx, 0] = compiled.fixed_pa
+        P[compiled.cap_idx, 1 + np.arange(nc)] = 1.0
         compiled.solve(g, f, P)
-        Q = compiled.cap_inflow(g, P)
+        Q = compiled.inflow(g, P)[compiled.cap_idx]
         self.a0, self.A = P[compiled.watch, 0], P[compiled.watch, 1:]
         self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
 
@@ -704,10 +670,6 @@ class _Regime:
         if not np.logical_and.reduce(np.isfinite(p)):
             raise SingularNetworkError("flow-balance system is numerically singular")
         return p
-
-    @cached_property
-    def above(self) -> "_Modes":
-        return self.modes(np.full(len(self.k0), _ABOVE))
 
     def modes(self, mode: np.ndarray) -> "_Modes":
         """The ``_Modes`` of the balloon modes ``mode``, built once."""
@@ -747,8 +709,7 @@ class _Modes:
     Everything that depends on the regime and the modes alone is built
     here once and read by every segment that starts in them: besides
     ``T``, ``V``, ``W`` and ``lam``, the valves' signed margin rows ``M``
-    (``W``'s control rows times the regime's ``sign``) and the grouping of
-    ``lam`` by rate (``rates``, ``expsums._Rates``).
+    (``W``'s control rows times the regime's ``sign``).
     """
 
     def __init__(self, reg: _Regime, mode: np.ndarray):
@@ -776,10 +737,6 @@ class _Modes:
             self.R, self.k0 = (reg.K[self.below] * self.D) @ T, reg.k0[self.below]
             self.V = T.copy()
             self.V[self.below] = np.divide(self.R, lam, out=np.zeros_like(self.R), where=self.moving)
-
-    @cached_property
-    def rates(self) -> _Rates:
-        return _Rates(self.lam)
 
     def segment(self, x0: np.ndarray):
         """``(xc, w, d)`` of the segment that starts from ``x0``."""
@@ -1242,7 +1199,7 @@ def _segments(
     is_open, reg, m0, kpa, flips, notes = settle(t, is_open, volumes, np.zeros(0, dtype=int))
     mode = reg.modes_at(volumes) if vacuum else np.full(len(v_rest), _ABOVE)
     while True:
-        modes = reg.modes(mode) if vacuum else reg.above
+        modes = reg.modes(mode)
         xc, w, d = modes.segment(volumes - v_rest)
         c = (reg.a0 + reg.A @ (modes.D * xc)) / KPA  # the watched nodes' kPa at xc
         # the valve margins, each a constant plus exponentials
@@ -1292,6 +1249,10 @@ def _compile_probed(net: PneumaticNetwork, cfg: SimConfig) -> _Compiled:
     return _Compiled(net, probes)
 
 
+#: ``simulate`` refuses a sample grid of more values (samples times probes)
+_MAX_SAMPLE_VALUES = 10**7
+
+
 def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     """Solve the circuit in closed form and return a sampled Trace.
 
@@ -1303,10 +1264,16 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     each event, so switching edges stay sharp: a segment's grid samples and
     its last sample are one product, the probes' waves (``_Segment.wave``)
     at those times, and the post-event sample, 1 µs (``_EVENT_TOL``) later,
-    reads the settling. Identical inputs give identical traces.
+    reads the settling. Identical inputs give identical traces. A grid of
+    more than ``_MAX_SAMPLE_VALUES`` values, its samples times the probes,
+    raises ValueError before the run.
     """
     compiled = _compile_probed(net, cfg)
     probes = compiled.probes
+    samples = math.floor(cfg.t_end / cfg.sample_interval) + 1
+    if samples * len(probes) > _MAX_SAMPLE_VALUES:
+        raise ValueError(f"the sample grid of {samples} samples of {len(probes)} probe(s) exceeds the "
+                         f"cap of {_MAX_SAMPLE_VALUES} values; raise sample_interval or lower t_end")
     probe_rows = slice(len(compiled.control), None)
 
     times: list[float] = []
@@ -1456,7 +1423,7 @@ def _limit_cycle(
 
 class _Waves(NamedTuple):
     """The kPa of one watched node over each segment of a cycle, summed by
-    rate (``_Modes.rates``): ``c`` per segment, and ``(b, l)``, its one
+    rate (``_distinct``): ``c`` per segment, and ``(b, l)``, its one
     exponential ``b e^(l τ)``, or 0.0 and 0.0 where it has none. Where it
     has more, ``many`` maps the segment to its ``(b, lam)``."""
 
@@ -1477,7 +1444,7 @@ def _waves(segments: list[_Segment], row: int) -> _Waves:
     at = np.arange(len(segments)), first
     b = np.where(one, terms[at], 0.0)
     l = np.where(one, np.array([seg.modes.lam for seg in segments])[at], 0.0)
-    many = {k: segments[k].modes.rates(terms[k]) for k in np.flatnonzero(count > 1).tolist()}
+    many = {k: _distinct(terms[k], segments[k].modes.lam) for k in np.flatnonzero(count > 1).tolist()}
     return _Waves(np.array([seg.c[row] for seg in segments]), b, l, many)
 
 

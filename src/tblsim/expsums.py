@@ -8,9 +8,8 @@ sum and locate where it changes sign, first rises through 0 and peaks on
 (``_zeros``): the zeros of ``f'``, a sum of one term fewer, split ``[0,
 h]`` into pieces on which ``f`` is monotone, and each sign change is then
 bracketed and refined by regula falsi. A first rise is one of those sign
-changes, and the extremes lie at zeros of ``f'``. ``_Rates`` groups the
-terms of many sums over one set of rates, as ``_distinct`` groups one. The
-engine imports them; they know nothing of networks.
+changes, and the extremes lie at zeros of ``f'``. The engine imports
+them; they know nothing of networks.
 """
 
 from __future__ import annotations
@@ -83,36 +82,20 @@ def _distinct(b: np.ndarray, lam: np.ndarray):
     return np.bincount(at, b[keep], minlength=len(lam))[::-1], lam[::-1]
 
 
-class _Rates:
-    """``_distinct`` over one ``lam`` (with no -0.0) for many ``b``: the
-    rates are grouped once. A zero term adds nothing to its rate's sum,
-    which starts at 0.0 as ``_distinct``'s does, and a rate is kept where
-    any of its terms is nonzero, so each ``(b, lam)`` is ``_distinct``'s
-    bit for bit, a rate whose terms cancel to 0 included. Both are
-    reversed views, as ``_distinct``'s are: a product with them takes the
-    same path, and so gives the same bits."""
-
-    def __init__(self, lam: np.ndarray):
-        self.lam, self.at = np.unique(lam, return_inverse=True)
-
-    def __call__(self, b: np.ndarray):
-        """``_distinct(b, lam)``."""
-        k = len(self.lam)
-        keep = np.bincount(self.at, b != 0.0, minlength=k) > 0.0
-        return np.bincount(self.at, b, minlength=k)[keep][::-1], self.lam[keep][::-1]
-
-
 def _horizon(c, r, b: np.ndarray, lam: np.ndarray) -> float:
     """A time past which ``f(τ) = c + r τ + Σ_j b_j e^(λ_j τ)``, every
     ``λ`` below 0 and the slowest first, keeps its sign: where the line
     outgrows the exponentials' total ``s``, or else where they have decayed
-    under ``|c| / 2``, or under ``s`` times the float spacing for ``c = 0``."""
+    under ``|c| / 2``, or under ``s`` times the float spacing where that is
+    larger; the ratio is bounded directly, as ``eps * s`` underflows to 0
+    for a subnormal ``s``."""
     s = float(np.abs(b).sum())
     if r:
         return 2.0 * (abs(c) + s) / abs(r)
     if not s:
         return 0.0
-    return max(math.log(s / max(0.5 * abs(c), np.finfo(float).eps * s)) / -lam[0], 0.0)
+    ratio = min(s / (0.5 * abs(c)) if c else math.inf, 1.0 / np.finfo(float).eps)
+    return max(math.log(ratio) / -lam[0], 0.0)
 
 
 def _first_rise(c, r, b: np.ndarray, lam: np.ndarray, h: float, f0) -> float:
@@ -122,9 +105,11 @@ def _first_rise(c, r, b: np.ndarray, lam: np.ndarray, h: float, f0) -> float:
     Otherwise it is a sign change of ``f`` (``_zeros``): they alternate, so
     it is the first where ``f(0)`` is below 0, else the second, whatever
     ``f0``. An infinite ``h`` is searched up to ``_horizon``, past which
-    ``f`` cannot rise."""
+    ``f`` cannot rise, where ``r`` is nonzero or ``f`` has two terms or
+    more; one exponential alone crosses in closed form (``_one_zero``),
+    however late, as in ``_first_rises``."""
     b, lam = _distinct(b, lam)
-    if h == math.inf:
+    if h == math.inf and (r or len(b) > 1):
         h = _horizon(c, r, b, lam)
     at0 = c + r * 0.0 + b @ np.exp(lam * 0.0)  # f(0) as _zeros evaluates it
     if f0 < 0.0 <= at0:

@@ -100,6 +100,16 @@ def test_sim_svg_plot(tmp_path):
     assert body.count("<polyline") == 3
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+@pytest.mark.parametrize("name, reason", [("no/such/dir.csv", "No such file or directory"),
+                                          (".", "Is a directory")], ids=["missing-dir", "a-dir"])
+def test_sim_unwritable_output_is_a_usage_error(tmp_path, capsys, flag, name, reason):
+    path = tmp_path / name
+    rc = main(["sim", circuit("not.tbl"), "--t-end", "0.05", flag, str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"tblsim: error: cannot write {path}: {reason}\n"
+
+
 def test_sim_rejects_bad_t_end(capsys):
     rc = main(["sim", circuit("not.tbl"), "--t-end", "-2"])
     assert rc == 1
@@ -112,8 +122,10 @@ def test_sim_rejects_bad_t_end(capsys):
         (["sim", "--probe", "nosuch", circuit("not.tbl")], "nosuch"),
         (["freq", "--t-end", "-1", circuit("ring3_calibrated.tbl")], "t_end"),
         (["sim", "--sample-interval", "0", circuit("not.tbl")], "sample_interval"),
+        (["sim", "--t-end", "1e9", circuit("not.tbl")],
+         "1000000000001 samples of 1 probe(s) exceeds the cap of 10000000 values"),
     ],
-    ids=["unknown-probe", "negative-t-end", "zero-sample-interval"],
+    ids=["unknown-probe", "negative-t-end", "zero-sample-interval", "unbounded-sample-grid"],
 )
 def test_bad_option_values_are_usage_errors(argv, what, capsys):
     rc = main(argv)
