@@ -80,7 +80,13 @@ the macro expansion of every gate type, a 5-ring, a 3-ring with a central
 pull-down and two of its three taps named, and every file in
 ``circuits/``: it prints the element count and one digest of the
 expanded networks' reprs, so a change in an element's name, endpoints,
-parameters or order shows.
+parameters or order shows. The ``csv`` line covers ``Trace.to_csv`` on
+three traces: the ring101 workload's ring over 1 s with its 101 stage
+outputs probed, ``ring3_calibrated.tbl`` with every node probed over
+10 s, which spans several of its render blocks, and a 31-stage ring
+started with its valves alternating closed and open from gate 1 and
+every balloon at 70 kPa. It prints each text's byte count and one digest
+of the three texts.
 """
 
 from __future__ import annotations
@@ -108,6 +114,7 @@ from tblsim import (  # noqa: E402
     PneumaticNetwork,
     SourceElement,
     TubeElement,
+    ValveState,
 )
 from tblsim.netlist import expand, parse  # noqa: E402
 
@@ -350,6 +357,27 @@ def _logic_line() -> str:
     return f"logic: rows={rows} solves={solves} systems={systems} sha256={h.hexdigest()}"
 
 
+def _csv_line() -> str:
+    ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
+    ring3 = _net(_read("circuits/ring3_calibrated.tbl"))
+    ring31 = _net("source SUP pressure=145kPa\nring r n=31 supply=SUP\n")
+    stages = range(1, 32)
+    start_b = SimConfig(
+        t_end=1.0, probes=tuple(f"r.q{k}" for k in stages),
+        initial_valve_states={f"r.g{k}.v": (ValveState.CLOSED if k % 2 else ValveState.OPEN)
+                              for k in stages},
+        initial_pressures_kpa={f"r.g{k}.v": 70.0 for k in stages},
+    )
+    traces = [
+        simulate(ring101, SimConfig(t_end=1.0, probes=tuple(f"r.q{k}" for k in range(1, 102)))),
+        simulate(ring3, SimConfig(t_end=10.0, probes=tuple(ring3.node_order()))),
+        simulate(ring31, start_b),
+    ]
+    texts = [trace.to_csv().encode() for trace in traces]
+    digest = hashlib.sha256(b"".join(texts)).hexdigest()
+    return f"csv: bytes={','.join(str(len(text)) for text in texts)} sha256={digest}"
+
+
 def main() -> None:
     ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
     probes = tuple(f"r.q{k}" for k in range(1, 102))
@@ -402,6 +430,7 @@ def main() -> None:
     print(_logic_line())
     print(_cli_line())
     print(_expand_line())
+    print(_csv_line())
 
 
 if __name__ == "__main__":

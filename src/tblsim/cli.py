@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .defaults import PhysicalDefaults, load_defaults
@@ -129,13 +130,23 @@ def _read_circuit(path: str) -> str:
         raise NetlistError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, text: str, mode: str = "w") -> None:
     """Write ``text`` to ``path``; one that cannot be written is a usage error."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Raise ``_write_file``'s error now if ``path`` cannot be written, and
+    leave it as it was: a file is opened to append, so not truncated, and
+    one that this makes is removed."""
+    existed = os.path.lexists(path)
+    _write_file(path, "", mode="a")
+    if not existed:
+        os.remove(path)
 
 
 def _apply_overrides(ast, defaults: PhysicalDefaults, pairs: list[str]):
@@ -248,6 +259,9 @@ def _cmd_sim(args, ast, defaults) -> int:
         sample_interval=args.sample_interval,
         probes=tuple(args.probe) if args.probe else None,
     )
+    for path in (args.out, args.svg):  # before the run, which can be long
+        if path:
+            _check_writable(path)
     trace = simulate(net, cfg)
     _warn(trace.warnings)
     _write(args, _samples(trace), trace.to_csv)

@@ -90,6 +90,10 @@ from .errors import (
 #: exhaustive valve-state enumeration is capped at 2**16 assignments
 _MAX_ENUM_VALVES = 16
 
+#: ``Trace.to_csv`` renders at most this many values (a row at least) per
+#: block, so its sort and its strings stay small however long the trace
+_CSV_BLOCK_VALUES = 1 << 12
+
 
 # ---------------------------------------------------------------------------
 # configuration and result types
@@ -130,10 +134,24 @@ class Trace:
         return self.pressures_kpa[:, self.probes.index(probe)]
 
     def to_csv(self) -> str:
-        """Render the samples as CSV with LF line endings."""
+        """Render the samples as CSV with LF line endings, each value as its
+        ``repr`` (``-0.0`` as ``0.0``). The rows go in blocks of at most
+        ``_CSV_BLOCK_VALUES`` values, and each distinct value of a block is
+        rendered once: a logic trace holds few levels, so most cells share
+        a string. The bytes are those of one ``repr`` per cell."""
         lines = ["time_s," + ",".join(f"{p}_kPa" for p in self.probes)]
-        for t, row in zip(self.times.tolist(), self.pressures_kpa):  # + 0.0: -0.0 reads 0.0
-            lines.append(",".join(map(repr, [t + 0.0] + (row + 0.0).tolist())))
+        step = max(1, _CSV_BLOCK_VALUES // (len(self.probes) + 1))
+        for start in range(0, len(self.times), step):
+            rows = slice(start, start + step)
+            block = np.column_stack((self.times[rows], self.pressures_kpa[rows]))
+            block = np.add(block, 0.0, dtype=np.float64)
+            # one string per bit pattern: + 0.0 has made -0.0 into 0.0, so only
+            # NaNs share a text ("nan") but not their bits; sorting the bits,
+            # unlike the floats, left a sim's peak memory as it was
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.fromiter(map(repr, bits.view(np.float64).tolist()), dtype=object,
+                               count=len(bits))
+            lines += map(",".join, text[inverse.reshape(block.shape)].tolist())
         return "\n".join(lines) + "\n"
 
 

@@ -110,6 +110,37 @@ def test_sim_unwritable_output_is_a_usage_error(tmp_path, capsys, flag, name, re
     assert capsys.readouterr().err == f"tblsim: error: cannot write {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_sim_unwritable_output_fails_before_the_run(tmp_path, monkeypatch, capsys, flag):
+    def no_run(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    path = tmp_path / "no" / "such.csv"
+    rc = main(["sim", circuit("ring3.tbl"), "--t-end", "100", flag, str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"tblsim: error: cannot write {path}: ")
+
+
+def test_sim_unwritable_svg_writes_no_csv(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["sim", circuit("not.tbl"), "--t-end", "0.05", "--out", str(out),
+               "--svg", str(tmp_path / "no" / "such.svg")])
+    assert rc == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sim_failed_run_leaves_its_outputs_as_they_were(tmp_path, capsys):
+    out, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+    out.write_text("an earlier trace\n")
+    rc = main(["sim", circuit("not.tbl"), "--t-end", "1e9", "--out", str(out), "--svg", str(svg)])
+    assert rc == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert out.read_text() == "an earlier trace\n"
+    assert not svg.exists()
+
+
 def test_sim_rejects_bad_t_end(capsys):
     rc = main(["sim", circuit("not.tbl"), "--t-end", "-2"])
     assert rc == 1

@@ -838,6 +838,62 @@ def test_trace_csv_text_of_signed_zeros_and_nonfinite_values():
     assert trace.to_csv() == "time_s,a_kPa,b_kPa\n0.0,0.0,nan\n0.001,inf,-inf\n"
 
 
+#: values whose text is tricky: signed zeros and NaNs, infinities,
+#: subnormals, the smallest normal and the huge
+_CSV_VALUES = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e300, -1e300, 145.0, 0.1, 85.00000000000001)
+
+
+def _csv_one_cell_at_a_time(trace) -> str:
+    lines = ["time_s," + ",".join(f"{p}_kPa" for p in trace.probes)]
+    for t, row in zip(trace.times.tolist(), trace.pressures_kpa.tolist()):
+        lines.append(",".join(map(repr, [t + 0.0] + [p + 0.0 for p in row])))
+    return "\n".join(lines) + "\n"
+
+
+def _pooled_trace(probes: int, rows: int, pool, seed: int):
+    """A trace whose every value, time included, is drawn from ``pool``."""
+    rng = np.random.default_rng(seed)
+    return engine.Trace(
+        probes=tuple(f"p{k}" for k in range(probes)),
+        times=rng.choice(pool, rows),
+        pressures_kpa=rng.choice(pool, (rows, probes)),
+        events=(),
+    )
+
+
+@st.composite
+def _repetitive_traces(draw):
+    """A block size for ``to_csv``, the module's own or a small one, and a
+    trace of a few drawn values, so they repeat, with a row count near a
+    multiple of the rows per block."""
+    block_values = draw(st.sampled_from([4, 64, engine._CSV_BLOCK_VALUES]))
+    probes = draw(st.sampled_from([1, 2, 7, 300]))
+    block_rows = max(1, block_values // (probes + 1))
+    blocks = draw(st.integers(0, 2))
+    rows = draw(st.integers(0, 3) if blocks == 0 else
+                st.integers(blocks * block_rows - 1, blocks * block_rows + 1))
+    pool = draw(st.lists(st.sampled_from(_CSV_VALUES) | st.floats(), min_size=1, max_size=6))
+    return block_values, _pooled_trace(probes, rows, pool, draw(st.integers(0, 2**32 - 1)))
+
+
+_BLOCK = engine._CSV_BLOCK_VALUES
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_repetitive_traces())
+@example((_BLOCK, _pooled_trace(1, 1, (-0.0,), 0)))
+@example((_BLOCK, _pooled_trace(1, _BLOCK // 2 + 1, _CSV_VALUES, 1)))
+@example((_BLOCK, _pooled_trace(300, 2 * (_BLOCK // 301) - 1, _CSV_VALUES, 2)))
+@example((4, engine.Trace(("a", "b"), np.array([0.1, 0.2], dtype=np.float32),
+                          np.array([[0.1, -0.0], [7, 0.1]], dtype=np.float32), ())))
+def test_trace_csv_is_one_repr_per_cell(case):
+    block_values, trace = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_CSV_BLOCK_VALUES", block_values)
+        assert trace.to_csv() == _csv_one_cell_at_a_time(trace)
+
+
 def test_trace_times_strictly_increasing_and_bounded():
     net = build("source SUP pressure=145kPa\nring r n=3 supply=SUP\nprobe r.q1\n")
     tr = simulate(net, SimConfig(t_end=0.4))
