@@ -86,7 +86,15 @@ outputs probed, ``ring3_calibrated.tbl`` with every node probed over
 10 s, which spans several of its render blocks, and a 31-stage ring
 started with its valves alternating closed and open from gate 1 and
 every balloon at 70 kPa. It prints each text's byte count and one digest
-of the three texts.
+of the three texts. The ``extract`` line covers ``extract_frequency``
+on three traces: the ring101 workload's 1-s trace with its 101 stage
+outputs probed in seed 1's order, read against the first of them;
+``ring3_calibrated.tbl`` over 10 s with every node probed, read against
+each node in turn; and ``not.tbl`` over 1 s, whose flat output raises
+NoOscillation. It prints the counts of reports and of NoOscillation
+errors and one digest of the reports' reprs and the errors' messages.
+The ``svg`` line covers the plot that ``tblsim sim --svg`` writes for
+``ring3_calibrated.tbl`` over 2 s: its byte count and its digest.
 """
 
 from __future__ import annotations
@@ -98,11 +106,12 @@ import io
 import itertools
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
-from tblsim import CalibrationFailedError, SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
-from tblsim import measure_oscillation  # noqa: E402
+from tblsim import CalibrationFailedError, NoOscillationError, SimConfig, calibrate_oscillator, engine, simulate  # noqa: E402
+from tblsim import extract_frequency, measure_oscillation  # noqa: E402
 from tblsim import LogicLevels, fanout_limit, truth_table  # noqa: E402
 from tblsim import PhysicalDefaults  # noqa: E402
 from tblsim import cli  # noqa: E402
@@ -378,6 +387,36 @@ def _csv_line() -> str:
     return f"csv: bytes={','.join(str(len(text)) for text in texts)} sha256={digest}"
 
 
+def _extract_line() -> str:
+    """``extract_frequency`` on the ring101 workload's trace, on
+    ``ring3_calibrated.tbl`` against each node, and on a flat ``not.tbl``."""
+    text, probes = _bench_inputs().ring101(1)
+    ring101 = simulate(_net(text), SimConfig(t_end=1.0, probes=tuple(probes)))
+    ring3 = _net(_read("circuits/ring3_calibrated.tbl"))
+    ring3 = simulate(ring3, SimConfig(t_end=10.0, probes=tuple(ring3.node_order())))
+    flat = simulate(_net(_read("circuits/not.tbl")), SimConfig(t_end=1.0))
+    runs = [(ring101, probes[0]), *((ring3, p) for p in ring3.probes), (flat, flat.probes[0])]
+    reports, errors = [], []
+    for trace, probe in runs:
+        try:
+            reports.append(repr(extract_frequency(trace, probe)))
+        except NoOscillationError as err:
+            errors.append(str(err))
+    digest = hashlib.sha256(repr((reports, errors)).encode()).hexdigest()
+    return f"extract: reports={len(reports)} errors={len(errors)} sha256={digest}"
+
+
+def _svg_line() -> str:
+    """The SVG plot of ``ring3_calibrated.tbl`` over 2 s."""
+    trace = simulate(_net(_read("circuits/ring3_calibrated.tbl")), SimConfig(t_end=2.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plot.svg")
+        cli._svg_plot(trace, path)
+        with open(path, "rb") as fh:
+            svg = fh.read()
+    return f"svg: bytes={len(svg)} sha256={hashlib.sha256(svg).hexdigest()}"
+
+
 def main() -> None:
     ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
     probes = tuple(f"r.q{k}" for k in range(1, 102))
@@ -431,6 +470,8 @@ def main() -> None:
     print(_cli_line())
     print(_expand_line())
     print(_csv_line())
+    print(_extract_line())
+    print(_svg_line())
 
 
 if __name__ == "__main__":

@@ -215,13 +215,8 @@ def _svg_plot(trace, path: str):
     t0, t1 = float(trace.times[0]), float(trace.times[-1])
     if t1 - t0 <= 0:
         t1 = t0 + 1.0
-
-    def sx(t):
-        return pad + (t - t0) / (t1 - t0) * (width - 2 * pad)
-
-    def sy(p):
-        return height - pad - (p - lo) / (hi - lo) * (height - 2 * pad)
-
+    xs = (pad + (trace.times - t0) / (t1 - t0) * (width - 2 * pad)).tolist()
+    ys = height - pad - (trace.pressures_kpa - lo) / (hi - lo) * (height - 2 * pad)
     colours = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -230,10 +225,7 @@ def _svg_plot(trace, path: str):
         f"({lo:.1f} to {hi:.1f} kPa, {t0:g} to {t1:g} s)</text>",
     ]
     for i, probe in enumerate(trace.probes):
-        col = trace.column(probe)
-        pts = " ".join(
-            f"{sx(t):.2f},{sy(p):.2f}" for t, p in zip(trace.times, col)
-        )
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys[:, i].tolist())))
         c = colours[i % len(colours)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{c}" stroke-width="1"/>'
@@ -253,6 +245,8 @@ def _samples(trace):
 
 
 def _cmd_sim(args, ast, defaults) -> int:
+    if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
+        raise ValueError(f"--out and --svg name one file: {args.svg}")
     net = expand(ast, defaults)
     cfg = SimConfig(
         t_end=args.t_end,

@@ -66,12 +66,19 @@ def tube_resistance(length: float, inner_diameter: float, viscosity: float) -> f
     """Laminar flow resistance of a straight circular tube, Pa*s/m3.
 
     R = 128 * mu * L / (pi * d**4). Zero length gives zero resistance;
-    diameter and viscosity must be positive.
+    diameter and viscosity must be positive, and a resistance or ``d**4``
+    out of the float range raises ValueError.
     """
     _nonnegative("length", length)
     _positive("inner_diameter", inner_diameter)
     _positive("viscosity", viscosity)
-    return 128.0 * viscosity * length / (math.pi * inner_diameter**4)
+    try:
+        resistance = 128.0 * viscosity * length / (math.pi * inner_diameter**4)
+    except (OverflowError, ZeroDivisionError):  # d**4 overflows, or underflows to 0
+        resistance = math.inf
+    if not math.isfinite(resistance):
+        raise ValueError(f"inner_diameter {inner_diameter!r} puts the resistance out of the float range")
+    return resistance
 
 
 @dataclass(frozen=True)

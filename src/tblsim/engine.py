@@ -1543,8 +1543,6 @@ def _phase_deg(ref: np.ndarray, own: np.ndarray, period: float) -> float:
 
 def _rising_crossings(t: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
     idx = np.nonzero((y[:-1] < level) & (y[1:] >= level))[0]
-    if len(idx) == 0:
-        return np.zeros(0)
     frac = (level - y[idx]) / (y[idx + 1] - y[idx])
     return t[idx] + frac * (t[idx + 1] - t[idx])
 
@@ -1568,16 +1566,18 @@ def extract_frequency(
     if len(trace.times) < 2:
         raise ValueError("trace needs at least two samples")
     t = np.asarray(trace.times, dtype=float)
-    start = t[0] + 0.2 * (t[-1] - t[0])
-    keep = t >= start
-    t = t[keep]
-    ref = np.asarray(trace.column(probe), dtype=float)[keep]
+    keep = np.searchsorted(t, t[0] + 0.2 * (t[-1] - t[0]))  # the times increase
+    t = t[keep:]
     if len(t) < 2:
         raise NoOscillationError("trace too short after transient removal")
-
-    _check_swing(float(ref.max() - ref.min()), min_amplitude_kpa)
-    mid = 0.5 * float(ref.max() + ref.min())
-    crossings = _rising_crossings(t, ref, mid)
+    y = np.asarray(trace.pressures_kpa, dtype=float)[keep:].T  # a view, one row per column
+    rows = [trace.probes.index(name) for name in trace.probes]  # the rows ``Trace.column`` reads
+    hi, lo = y.max(axis=1), y.min(axis=1)
+    mid = 0.5 * (hi + lo)
+    r = trace.probes.index(probe)
+    ref = y[r]
+    _check_swing(float(hi[r] - lo[r]), min_amplitude_kpa)
+    crossings = _rising_crossings(t, ref, mid[r])
     if len(crossings) < 3:
         raise NoOscillationError(
             f"only {len(crossings)} midline crossings; need at least 3"
@@ -1586,33 +1586,30 @@ def extract_frequency(
     frequency = 1.0 / period
 
     # duty: fraction of time the reference spends above its midline
-    above = ref > mid
+    above = ref > mid[r]
     seg = np.diff(t)
     w = 0.5 * (above[:-1].astype(float) + above[1:].astype(float))
     duty = float(np.sum(seg * w) / np.sum(seg))
 
-    peaks: dict[str, float] = {}
-    troughs: dict[str, float] = {}
-    phases: dict[str, float] = {}
-    for name in trace.probes:
-        y = np.asarray(trace.column(name), dtype=float)[keep]
-        cyc_max, cyc_min = [], []
-        for a, b in zip(crossings[:-1], crossings[1:]):
-            m = (t >= a) & (t < b)
-            if m.any():
-                cyc_max.append(float(y[m].max()))
-                cyc_min.append(float(y[m].min()))
-        peaks[name] = float(np.mean(cyc_max)) if cyc_max else float(y.max())
-        troughs[name] = float(np.mean(cyc_min)) if cyc_min else float(y.min())
-        own = _rising_crossings(t, y, 0.5 * float(y.max() + y.min()))
-        phases[name] = 0.0 if name == probe else _phase_deg(crossings, own, period)
-
+    # a cycle runs from one rising crossing to the next; in floats one can
+    # hold no sample, so repeated starts are dropped (np.unique would import
+    # numpy.ma). reduceat's output is C-ordered, so each mean sums a probe's
+    # cycles in the order that ``np.mean`` of a list does
+    starts = np.searchsorted(t, crossings)
+    starts = starts[np.r_[True, starts[1:] > starts[:-1]]]
+    cycles = y[:, :starts[-1]]
+    peaks = np.maximum.reduceat(cycles, starts[:-1], axis=1).mean(axis=1)[rows]
+    troughs = np.minimum.reduceat(cycles, starts[:-1], axis=1).mean(axis=1)[rows]
+    phases = {
+        name: 0.0 if name == probe else _phase_deg(crossings, _rising_crossings(t, y[k], mid[k]), period)
+        for name, k in zip(trace.probes, rows)
+    }
     return OscillationReport(
         probe=probe,
         frequency_hz=frequency,
         duty=duty,
-        peaks_kpa=peaks,
-        troughs_kpa=troughs,
+        peaks_kpa=dict(zip(trace.probes, peaks.tolist())),
+        troughs_kpa=dict(zip(trace.probes, troughs.tolist())),
         phase_deg=phases,
         cycles=len(crossings) - 1,
     )

@@ -220,13 +220,13 @@ def check_against_boolean(table: TruthTable, expression: str) -> CheckReport:
     Variables in the expression are the table's input node names.
     """
     tree = _BoolParser(expression).parse()
-    bad = []
-    for row in table.rows:
-        env = dict(zip(table.input_nodes, row.inputs))
-        want = _eval_bool(tree, env)
-        if want != row.output:
-            bad.append(Mismatch(row.inputs, want, row.output, row.output_kpa))
-    return CheckReport(passed=not bad, expression=expression, mismatches=tuple(bad))
+    env = {name: np.array([row.inputs[k] for row in table.rows], dtype=int)
+           for k, name in enumerate(table.input_nodes)}
+    # a constant expression evaluates to one int, whatever the rows
+    want = np.broadcast_to(_eval_bool(tree, env), len(table.rows)).tolist()
+    bad = tuple(Mismatch(row.inputs, w, row.output, row.output_kpa)
+                for row, w in zip(table.rows, want) if w != row.output)
+    return CheckReport(passed=not bad, expression=expression, mismatches=bad)
 
 
 # ---------------------------------------------------------------------------

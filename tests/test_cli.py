@@ -131,6 +131,20 @@ def test_sim_unwritable_svg_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sim_one_file_for_out_and_svg_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    out = tmp_path / "t.csv"
+    out.write_text("an earlier trace\n")
+    svg = os.path.join(str(tmp_path), ".", "t.csv")
+    rc = main(["sim", circuit("ring3.tbl"), "--out", str(out), "--svg", svg])
+    assert rc == 1
+    assert capsys.readouterr().err == f"tblsim: error: --out and --svg name one file: {svg}\n"
+    assert out.read_text() == "an earlier trace\n"
+
+
 def test_sim_failed_run_leaves_its_outputs_as_they_were(tmp_path, capsys):
     out, svg = tmp_path / "t.csv", tmp_path / "t.svg"
     out.write_text("an earlier trace\n")
@@ -419,6 +433,24 @@ def test_bad_element_values_exit_2_at_their_line(tmp_path, capsys, text, line, w
     assert rc == 2
     assert err.startswith(f"{path}:{line}: BadValue: {what}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "sim", "freq", "bom"])
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("source S pressure=145kPa\ntube t from=S to=ATM length=5cm id=1e-300\n",
+         "tube t: inner_diameter 1e-300"),
+        ("source S pressure=145kPa\nring r n=3 supply=S id=1e300\n", "ring r: inner_diameter 1e+300"),
+    ],
+    ids=["d4-underflows", "d4-overflows"],
+)
+def test_a_diameter_out_of_the_float_range_exits_2_at_its_line(tmp_path, capsys, command, text, what):
+    path = write(tmp_path, text)
+    rc = main([command, path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"{path}:2: BadValue: {what} puts the resistance out of the float range\n"
 
 
 def test_check_names_a_vacuum_source_once(tmp_path, capsys):

@@ -54,6 +54,14 @@ def test_tube_resistance_rejects_bad_geometry(d, mu):
         tube_resistance(0.1, d, mu)
 
 
+@pytest.mark.parametrize("length, d", [(0.05, 1e-300), (0.0, 1e-300), (0.05, 1e-80), (0.05, 1e300)],
+                         ids=["d4-underflows", "zero-length", "resistance-overflows", "d4-overflows"])
+def test_tube_resistance_out_of_the_float_range_is_a_value_error(length, d):
+    with pytest.raises(ValueError) as err:
+        tube_resistance(length, d, MU)
+    assert str(err.value) == f"inner_diameter {d!r} puts the resistance out of the float range"
+
+
 def test_balloon_pressure_piecewise():
     p = BalloonParams(rest_volume=1.0e-6, compliance=4.0e-10)
     assert balloon_pressure(0.0, p) == 0.0

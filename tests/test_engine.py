@@ -1706,6 +1706,116 @@ def test_flat_latch_raises_no_oscillation():
         extract_frequency(simulate(net, cfg), "q1")
 
 
+def _rising_crossings_one_by_one(t, y, level):
+    idx = np.nonzero((y[:-1] < level) & (y[1:] >= level))[0]
+    if len(idx) == 0:
+        return np.zeros(0)
+    frac = (level - y[idx]) / (y[idx + 1] - y[idx])
+    return t[idx] + frac * (t[idx + 1] - t[idx])
+
+
+def _extract_cycle_by_cycle(trace, probe, min_amplitude_kpa):
+    """``extract_frequency`` probe by probe and cycle by cycle, with a mask
+    per cycle: the reference of its array form."""
+    engine._check_floor(min_amplitude_kpa)
+    if probe not in trace.probes:
+        raise ValueError(f"probe {probe!r} not in trace")
+    if len(trace.times) < 2:
+        raise ValueError("trace needs at least two samples")
+    t = np.asarray(trace.times, dtype=float)
+    start = t[0] + 0.2 * (t[-1] - t[0])
+    keep = t >= start
+    t = t[keep]
+    ref = np.asarray(trace.column(probe), dtype=float)[keep]
+    if len(t) < 2:
+        raise NoOscillationError("trace too short after transient removal")
+    engine._check_swing(float(ref.max() - ref.min()), min_amplitude_kpa)
+    mid = 0.5 * float(ref.max() + ref.min())
+    crossings = _rising_crossings_one_by_one(t, ref, mid)
+    if len(crossings) < 3:
+        raise NoOscillationError(f"only {len(crossings)} midline crossings; need at least 3")
+    period = float(np.mean(np.diff(crossings)))
+    above = ref > mid
+    seg = np.diff(t)
+    w = 0.5 * (above[:-1].astype(float) + above[1:].astype(float))
+    duty = float(np.sum(seg * w) / np.sum(seg))
+    peaks, troughs, phases = {}, {}, {}
+    for name in trace.probes:
+        y = np.asarray(trace.column(name), dtype=float)[keep]
+        cyc_max, cyc_min = [], []
+        for a, b in zip(crossings[:-1], crossings[1:]):
+            m = (t >= a) & (t < b)
+            if m.any():
+                cyc_max.append(float(y[m].max()))
+                cyc_min.append(float(y[m].min()))
+        peaks[name] = float(np.mean(cyc_max)) if cyc_max else float(y.max())
+        troughs[name] = float(np.mean(cyc_min)) if cyc_min else float(y.min())
+        own = _rising_crossings_one_by_one(t, y, 0.5 * float(y.max() + y.min()))
+        phases[name] = 0.0 if name == probe else engine._phase_deg(crossings, own, period)
+    return engine.OscillationReport(probe, 1.0 / period, duty, peaks, troughs, phases,
+                                    len(crossings) - 1)
+
+
+def _extraction(extract, trace, probe, min_amplitude_kpa):
+    try:
+        return repr(extract(trace, probe, min_amplitude_kpa))
+    except (NoOscillationError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: levels a drawn sample often takes: they repeat, and the midline of a
+#: column spanning 0 to 4 is one of them
+_LEVELS = (0.0, 1.0, 2.0, 3.0, 4.0)
+
+
+@st.composite
+def _sampled_traces(draw):
+    n = draw(st.integers(2, 60))
+    steps = draw(st.lists(st.sampled_from([0.25, 1.0]) | st.floats(1.0e-3, 10.0),
+                          min_size=n - 1, max_size=n - 1))
+    times = np.cumsum([draw(st.floats(-5.0, 5.0)), *steps])
+    value = st.sampled_from(_LEVELS) | st.floats(-5.0, 10.0)
+    probes = tuple(f"p{k}" for k in range(draw(st.integers(1, 4))))
+    columns = [draw(st.lists(value, min_size=n, max_size=n)) for _ in probes]
+    pressures = np.array(columns).T
+    if draw(st.booleans()):  # a simulated trace's layout, rows contiguous
+        pressures = np.ascontiguousarray(pressures)
+    trace = engine.Trace(probes, times, pressures, events=())
+    return trace, draw(st.sampled_from(probes)), draw(st.sampled_from([0.0, 1.0, 3.0]))
+
+
+def _square_wave_trace():
+    """The reference rising through its midline exactly three times after
+    the first 20 % of the trace, and two columns both named ``b``, of which
+    ``Trace.column`` reads the first."""
+    times = np.arange(9) * 0.5
+    ref = np.array([0.0, 4.0, 0.0, 4.0, 0.0, 4.0, 0.0, 4.0, 0.0])
+    columns = np.column_stack((ref, np.roll(ref, 1) + 1.0, 2.0 * ref))
+    return engine.Trace(("a", "b", "b"), times, columns, events=()), "a", 1.0
+
+
+def _empty_cycle_trace():
+    """A trace whose first two rising crossings round to one time: the
+    first rises to the midline exactly, so it lies at its second sample,
+    where ``a + (b - a)`` rounds past ``b``; the second starts just below
+    the midline at the next sample, so it lies on that sample. The cycle
+    between them holds no sample."""
+    a, b = 0.5 + 1.5 * 2.0**-52, 1.5 + 3.0 * 2.0**-52
+    times = np.array([0.0, 0.25, a, b, np.nextafter(b, 2.0), 2.0, 2.2, 2.4, 2.5])
+    ref = [0.0, 0.0, 0.0, 1.0, np.nextafter(1.0, 0.0), 2.0, 0.0, 2.0, 0.0]
+    return engine.Trace(("a",), times, np.array(ref)[:, None], events=()), "a", 1.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sampled_traces())
+@example(_square_wave_trace())
+@example(_empty_cycle_trace())
+def test_extract_frequency_matches_the_cycle_by_cycle_reference(case):
+    trace, probe, floor = case
+    assert (_extraction(extract_frequency, trace, probe, floor)
+            == _extraction(_extract_cycle_by_cycle, trace, probe, floor))
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
