@@ -32,7 +32,12 @@ freq`` prints (``measure_oscillation``, capped at each run's
 ``--t-end``): the stock ``ring3_calibrated.tbl``, the six osc3
 variants, and ``ring3.tbl`` and ``ring5.tbl`` at ``freq``'s default
 cap. It prints the cycles and valve events each run took, in order, and
-one digest of the reports' reprs. The ``free``
+one digest of the reports' reprs. The ``ring_b`` line covers the
+travelling wave of a 101-stage ring macro from start B (valves
+alternating closed and open from gate 1, every balloon at 70 kPa, every
+stage output probed), measured by ``measure_oscillation`` with a
+1,000-s cap: its frequency, f·n, valve events and cycles, and a digest
+of the report's repr. The ``free``
 line covers two valves controlled by a free node rather than a balloon:
 one reading a divider tap, whose crossing is located on its own row of
 the pressure map, and one reading its own outlet, whose settling gives
@@ -366,21 +371,35 @@ def _logic_line() -> str:
     return f"logic: rows={rows} solves={solves} systems={systems} sha256={h.hexdigest()}"
 
 
-def _csv_line() -> str:
-    ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
-    ring3 = _net(_read("circuits/ring3_calibrated.tbl"))
-    ring31 = _net("source SUP pressure=145kPa\nring r n=31 supply=SUP\n")
-    stages = range(1, 32)
-    start_b = SimConfig(
-        t_end=1.0, probes=tuple(f"r.q{k}" for k in stages),
+def _start_b(n: int, t_end: float):
+    """A ring of ``n`` stock stages and a run of it to ``t_end`` from start
+    B: valves alternating closed and open from gate 1, every balloon at
+    70 kPa, every stage output probed."""
+    stages = range(1, n + 1)
+    return _net(f"source SUP pressure=145kPa\nring r n={n} supply=SUP\n"), SimConfig(
+        t_end=t_end, probes=tuple(f"r.q{k}" for k in stages),
         initial_valve_states={f"r.g{k}.v": (ValveState.CLOSED if k % 2 else ValveState.OPEN)
                               for k in stages},
         initial_pressures_kpa={f"r.g{k}.v": 70.0 for k in stages},
     )
+
+
+def _ring_b_line() -> str:
+    """``measure_oscillation`` of a 101-stage ring from start B."""
+    n = 101
+    report = measure_oscillation(*_start_b(n, 1000.0))
+    digest = hashlib.sha256(repr(report).encode()).hexdigest()
+    return (f"ring_b: frequency={report.frequency_hz!r} fn={report.frequency_hz * n:.6f} "
+            f"events={report.events} cycles={report.cycles} sha256={digest}")
+
+
+def _csv_line() -> str:
+    ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
+    ring3 = _net(_read("circuits/ring3_calibrated.tbl"))
     traces = [
         simulate(ring101, SimConfig(t_end=1.0, probes=tuple(f"r.q{k}" for k in range(1, 102)))),
         simulate(ring3, SimConfig(t_end=10.0, probes=tuple(ring3.node_order()))),
-        simulate(ring31, start_b),
+        simulate(*_start_b(31, 1.0)),
     ]
     texts = [trace.to_csv().encode() for trace in traces]
     digest = hashlib.sha256(b"".join(texts)).hexdigest()
@@ -452,6 +471,7 @@ def main() -> None:
     print(f"calibrate_peak: {_failed_fit(ring3, 15.0, 200.0)}")
     print(_vacuum_line())
     print(_freq_line())
+    print(_ring_b_line())
 
     h = hashlib.sha256()
     rows = 0

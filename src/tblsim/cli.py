@@ -247,6 +247,9 @@ def _samples(trace):
 def _cmd_sim(args, ast, defaults) -> int:
     if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
         raise ValueError(f"--out and --svg name one file: {args.svg}")
+    for flag, path in (("--out", args.out), ("--svg", args.svg)):
+        if path and os.path.realpath(path) == os.path.realpath(args.circuit):
+            raise ValueError(f"{flag} names the circuit file: {path}")
     net = expand(ast, defaults)
     cfg = SimConfig(
         t_end=args.t_end,

@@ -47,9 +47,10 @@ takes its frequency and peak from that same report.
 Each array is built once, on the object whose lifetime matches what it
 depends on, and the event loop only reads it. ``_Compiled`` owns what
 depends on the network alone: its index arrays, the region solve's block
-layout and its tiled copies per stack size, the balloon modes' block
-layout per set of balloons above rest (``_ModeBlocks``) and, where no
-valve can cut one off, the free nodes that every regime solves.
+layout and its tiled copies per stack size, the balloons' column slots
+of a regime solve, the balloon modes' block layout per set of balloons
+above rest (``_ModeBlocks``) and, where no valve can cut one off, the
+free nodes that every regime solves.
 ``_Regime`` owns what depends on one valve-state assignment: its reduced
 maps and the two terms of each valve's margin. ``_Modes`` owns what
 depends on that and on the balloons' modes: the eigenbasis, the waves'
@@ -288,10 +289,10 @@ class _Compiled:
     Everything that depends on the network alone is built here once, at
     its first use: the region solve's block layout (``_blocks``), the
     index arrays of each stack size that a stacked solve meets
-    (``tiled``), the block layout of the balloon modes for each set of
-    balloons above rest (``mode_blocks``) and the free nodes that no valve
-    can cut off (``anchored_free``); and each valve-state assignment's
-    ``_Regime``.
+    (``tiled``), the balloons' column slots of a regime solve (``slots``),
+    the block layout of the balloon modes for each set of balloons above
+    rest (``mode_blocks``) and the free nodes that no valve can cut off
+    (``anchored_free``); and each valve-state assignment's ``_Regime``.
     """
 
     def __init__(self, net: PneumaticNetwork, probes: Sequence[str] = ()):
@@ -551,6 +552,23 @@ class _Compiled:
         return self.free_idx if anchored[labels[self.free_idx]].all() else None
 
     @cached_property
+    def slots(self):
+        """The balloon columns of a regime solve: regions do not couple, so
+        the j-th balloon of every region takes column ``1 + j``. Each
+        balloon's slot, the slot count ``width``, and for ``A`` and ``K``
+        the entries whose row and balloon share a region, the only ones not
+        0, as flat indices into the map and into the solve's node values
+        (for ``A``) or inflows (for ``K``)."""
+        region = self.region[self.cap_idx]
+        slot = np.tril(region[:, None] == region, -1).sum(axis=1)  # earlier balloons of its region
+        nc, width = len(region), int(slot.max(initial=-1)) + 1
+        maps = []
+        for nodes in (self.watch, self.cap_idx):
+            row, cap = np.nonzero(self.region[nodes][:, None] == region)
+            maps.append((row * nc + cap, nodes[row] * (1 + width) + 1 + slot[cap]))
+        return slot, width, *maps
+
+    @cached_property
     def mode_blocks(self) -> "_ModeBlocks":
         return _ModeBlocks(self.region[self.cap_idx], self.compliance)
 
@@ -642,7 +660,9 @@ class _Regime:
     Kron reduction onto the balloon nodes gives their net inflows as
     ``K @ cap_pa + k0``; ``K`` is symmetric and block-diagonal by region.
     The free nodes go through the same region solve as the DC solve, once,
-    with one column for the fixed-node drive and one per balloon.
+    with one column for the fixed-node drive and one per balloon slot
+    (``_Compiled.slots``): the j-th balloons of all regions share a
+    column, and every entry of ``A`` and ``K`` across two regions is 0.
 
     Besides these maps a regime owns what depends on its valve states and
     nothing else: ``sign``, +1 for an open valve and -1 for a closed one,
@@ -666,15 +686,16 @@ class _Regime:
             # nodes sealed off in this regime carry no flow; they read ambient
             labels, _fixed, anchored = compiled.components(g)
             f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
-        # columns: the fixed-node drive, then one per unit balloon pressure
-        nc = len(compiled.cap_idx)
-        P = np.zeros((compiled.n, 1 + nc))
+        # columns: the fixed-node drive, then one per balloon slot
+        slot, width, (a, pa), (k, qk) = compiled.slots
+        P = np.zeros((compiled.n, 1 + width))
         P[compiled.fixed_idx, 0] = compiled.fixed_pa
-        P[compiled.cap_idx, 1 + np.arange(nc)] = 1.0
+        P[compiled.cap_idx, 1 + slot] = 1.0
         compiled.solve(g, f, P)
-        Q = compiled.inflow(g, P)[compiled.cap_idx]
-        self.a0, self.A = P[compiled.watch, 0], P[compiled.watch, 1:]
-        self.k0, self.K = Q[:, 0].copy(), Q[:, 1:].copy()
+        Q = compiled.inflow(g, P)
+        self.a0, self.k0 = P[compiled.watch, 0], Q[compiled.cap_idx, 0]
+        self.A, self.K = np.zeros((len(self.a0), len(slot))), np.zeros((len(slot), len(slot)))
+        self.A.ravel()[a], self.K.ravel()[k] = P.ravel()[pa], Q.ravel()[qk]
 
     def margin(self, ctrl_kpa: np.ndarray) -> np.ndarray:
         """``_Compiled.margin`` of every valve in this regime's states:

@@ -145,6 +145,25 @@ def test_sim_one_file_for_out_and_svg_is_a_usage_error(tmp_path, monkeypatch, ca
     assert out.read_text() == "an earlier trace\n"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_sim_output_naming_the_circuit_file_is_a_usage_error(flag, tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    with open(circuit("not.tbl"), encoding="utf-8") as fh:
+        netlist = fh.read()
+    net = tmp_path / "c.tbl"
+    net.write_text(netlist)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    target = os.path.join(".", "sub", "..", "c.tbl")
+    rc = main(["sim", "c.tbl", "--t-end", "0.01", flag, target])
+    assert rc == 1
+    assert capsys.readouterr().err == f"tblsim: error: {flag} names the circuit file: {target}\n"
+    assert net.read_text() == netlist
+
+
 def test_sim_failed_run_leaves_its_outputs_as_they_were(tmp_path, capsys):
     out, svg = tmp_path / "t.csv", tmp_path / "t.svg"
     out.write_text("an earlier trace\n")

@@ -1123,8 +1123,27 @@ def _dense_regime(compiled, is_open):
     return P[compiled.watch, 0], P[compiled.watch, 1:], Q[:, 0], Q[:, 1:]
 
 
-@pytest.mark.parametrize("make_net", [_ring3_calibrated, _ring11], ids=["ring3_calibrated", "ring11"])
+def _assert_regime_maps_match_the_dense_reduction(compiled, is_open):
+    # the balloons of one region take columns of their own, those of two
+    # regions may share one: each entry is the dense one, and one across
+    # two regions is exactly 0
+    reg = engine._Regime(compiled, is_open)
+    cap_region = compiled.region[compiled.cap_idx]
+    for got, ref, rows in zip((reg.a0, reg.A, reg.k0, reg.K), _dense_regime(compiled, is_open),
+                              (None, compiled.watch, None, compiled.cap_idx)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        if rows is not None:
+            assert (got[compiled.region[rows][:, None] != cap_region] == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "make_net", [_ring3_calibrated, _ring11, _DC_PROPERTY_NETS["dead_segment"]],
+    ids=["ring3_calibrated", "ring11", "dead_segment"],
+)
 def test_regime_maps_match_a_dense_reduction(make_net):
+    # dead_segment: its x-y segment is cut off with both valves closed, and
+    # its node order probes the supply; seed 5 draws all four valve states
     net = make_net()
     compiled = engine._Compiled(net, net.node_order())
     rng = np.random.default_rng(5)
@@ -1132,10 +1151,7 @@ def test_regime_maps_match_a_dense_reduction(make_net):
         is_open = compiled.initial_open
         if trial:
             is_open = rng.integers(0, 2, size=len(net.valves)).astype(bool)
-        reg = engine._Regime(compiled, is_open)
-        want = _dense_regime(compiled, is_open)
-        for got, ref in zip((reg.a0, reg.A, reg.k0, reg.K), want):
-            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        _assert_regime_maps_match_the_dense_reduction(compiled, is_open)
 
 
 def test_regime_network_arrays_match_their_whole_network_forms():
@@ -1294,6 +1310,20 @@ def test_coupled_segment_matches_the_matrix_exponential(loads, open_frac, tau, s
     aug[:n, :n], aug[:n, n] = reg.K / compiled.compliance, reg.k0
     want = (linalg.expm(tau * aug) @ np.append(x0, 1.0))[:n]
     assert np.abs(got - want).max() <= 1.0e-10 * np.abs(want).max()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_loads, st.integers(0, 2**32 - 1))
+def test_regime_slot_layout_matches_a_dense_reduction_on_fanouts(loads, seed):
+    net = _fanout(loads)
+    compiled = engine._Compiled(net, net.node_order())
+    assert "SUP" in compiled.probes
+    # d's balloon is alone in its region and shares slot 0 with a load's
+    _labels, sizes = np.unique(compiled.region[compiled.cap_idx], return_counts=True)
+    assert sorted(sizes.tolist()) == [1, len(loads)] and compiled.slots[1] == len(loads)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        _assert_regime_maps_match_the_dense_reduction(compiled, rng.random(len(net.valves)) < 0.5)
 
 
 def test_fanout_events_match_solve_ivp():
