@@ -220,10 +220,6 @@ class CalibrationResult:
 # ---------------------------------------------------------------------------
 
 
-def _state(is_open: bool) -> ValveState:
-    return ValveState.OPEN if is_open else ValveState.CLOSED
-
-
 def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
     """Balloon pressures in Pa, elementwise: the balloon law of
     ``balloon_pressure``, which these equal bit for bit once divided by
@@ -555,22 +551,19 @@ class _Compiled:
     def slots(self):
         """The balloon columns of a regime solve: regions do not couple, so
         the j-th balloon of every region takes column ``1 + j``. Each
-        balloon's slot, the slot count ``width``, and for ``A`` and ``K``
-        the entries whose row and balloon share a region, the only ones not
-        0, as flat indices into the map and into the solve's node values
-        (for ``A``) or inflows (for ``K``)."""
+        balloon's slot, the slot count ``width``, and the column maps of
+        ``A``'s rows (``watch``) and ``K``'s (balloons): the balloon in each
+        slot of the row's region, or -1, a pad."""
         region = self.region[self.cap_idx]
         slot = np.tril(region[:, None] == region, -1).sum(axis=1)  # earlier balloons of its region
-        nc, width = len(region), int(slot.max(initial=-1)) + 1
-        maps = []
-        for nodes in (self.watch, self.cap_idx):
-            row, cap = np.nonzero(self.region[nodes][:, None] == region)
-            maps.append((row * nc + cap, nodes[row] * (1 + width) + 1 + slot[cap]))
-        return slot, width, *maps
+        width = int(slot.max(initial=-1)) + 1
+        by_region = np.full((self.n + 1, width), -1)  # the last row, for fixed nodes, all pads
+        by_region[region, slot] = np.arange(len(region))
+        return slot, width, by_region[self.region[self.watch]], by_region[region]
 
     @cached_property
     def mode_blocks(self) -> "_ModeBlocks":
-        return _ModeBlocks(self.region[self.cap_idx], self.compliance)
+        return _ModeBlocks(self.region[self.cap_idx], self.slots[0], self.compliance)
 
     def regime(self, is_open: np.ndarray) -> "_Regime":
         key = is_open.tobytes()
@@ -623,12 +616,12 @@ class _ModeBlocks:
     set of balloons above rest, built at its first use: it depends on the
     network alone, so every regime of one ``_Compiled`` shares it. The
     balloons above rest form blocks by region; per block size ``s``, their
-    indices ``(k, s)``, as rows ``(k, s, 1)`` and columns ``(k, 1, s)``,
-    their ``sqrt(C)`` by row and the scale ``2 sqrt(C_i C_j)`` of each
-    block's symmetrized entries."""
+    indices ``(k, s)``, as rows ``(k, s, 1)`` and as slots of their
+    region ``(k, 1, s)``, their ``sqrt(C)`` by row and the scale ``2
+    sqrt(C_i C_j)`` of each block's symmetrized entries."""
 
-    def __init__(self, region: np.ndarray, compliance: np.ndarray):
-        self.region, self.compliance = region, compliance
+    def __init__(self, region: np.ndarray, slot: np.ndarray, compliance: np.ndarray):
+        self.region, self.slot, self.compliance = region, slot, compliance
         self._layouts: dict[bytes, list] = {}
 
     def __call__(self, above: np.ndarray) -> list:
@@ -642,12 +635,17 @@ class _ModeBlocks:
             layout = []
             for s in np.unique(size).tolist():
                 idx = bal[size == s].reshape(-1, s)
-                rows, cols = idx[:, :, None], idx[:, None, :]
+                rows = idx[:, :, None]
                 h = np.sqrt(self.compliance[rows])
-                layout.append((idx, rows, cols, h, 2.0 * h * h.transpose(0, 2, 1)))
+                layout.append((idx, rows, self.slot[idx][:, None, :], h, 2.0 * h * h.transpose(0, 2, 1)))
             if len(self._layouts) < _MAX_MODES:
                 self._layouts[key] = layout
         return layout
+
+
+def _gather(B: np.ndarray, col: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``B @ v`` for a slot-compact ``B`` with the column map ``col``."""
+    return np.vecdot(B, v[col])
 
 
 class _Regime:
@@ -663,6 +661,10 @@ class _Regime:
     with one column for the fixed-node drive and one per balloon slot
     (``_Compiled.slots``): the j-th balloons of all regions share a
     column, and every entry of ``A`` and ``K`` across two regions is 0.
+
+    So ``A`` (watch × width) and ``K`` (balloons × width) are kept as the
+    solve gives them (the ELLPACK layout), with the column maps ``acol`` and
+    ``kcol``; a pad's entry is 0, and ``A @ v`` is a gather (``_gather``).
 
     Besides these maps a regime owns what depends on its valve states and
     nothing else: ``sign``, +1 for an open valve and -1 for a closed one,
@@ -686,16 +688,15 @@ class _Regime:
             # nodes sealed off in this regime carry no flow; they read ambient
             labels, _fixed, anchored = compiled.components(g)
             f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
-        # columns: the fixed-node drive, then one per balloon slot
-        slot, width, (a, pa), (k, qk) = compiled.slots
+        # columns: the fixed-node drive, then one per balloon slot (a pad's is 0)
+        slot, width, self.acol, self.kcol = compiled.slots
         P = np.zeros((compiled.n, 1 + width))
         P[compiled.fixed_idx, 0] = compiled.fixed_pa
         P[compiled.cap_idx, 1 + slot] = 1.0
         compiled.solve(g, f, P)
-        Q = compiled.inflow(g, P)
-        self.a0, self.k0 = P[compiled.watch, 0], Q[compiled.cap_idx, 0]
-        self.A, self.K = np.zeros((len(self.a0), len(slot))), np.zeros((len(slot), len(slot)))
-        self.A.ravel()[a], self.K.ravel()[k] = P.ravel()[pa], Q.ravel()[qk]
+        Q = compiled.inflow(g, P)[compiled.cap_idx]
+        P = P[compiled.watch]
+        self.a0, self.A, self.k0, self.K = P[:, 0], P[:, 1:], Q[:, 0], Q[:, 1:]
 
     def margin(self, ctrl_kpa: np.ndarray) -> np.ndarray:
         """``_Compiled.margin`` of every valve in this regime's states:
@@ -705,7 +706,7 @@ class _Regime:
 
     def pressures(self, volumes: np.ndarray) -> np.ndarray:
         """The pressures (Pa) of the watched nodes at one vector of balloon volumes."""
-        p = _balloon_pa(volumes, self.rest_volume, self.compliance) @ self.A.T + self.a0
+        p = _gather(self.A, self.acol, _balloon_pa(volumes, self.rest_volume, self.compliance)) + self.a0
         if not np.logical_and.reduce(np.isfinite(p)):
             raise SingularNetworkError("flow-balance system is numerically singular")
         return p
@@ -724,7 +725,8 @@ class _Regime:
         """Each balloon's mode at ``volumes``: at rest volume it is above
         rest unless its inflow is negative, at 0 empty unless it is positive."""
         x = volumes - self.rest_volume
-        inflow = self.K @ _balloon_pa(volumes, self.rest_volume, self.compliance) + self.k0
+        pa = _balloon_pa(volumes, self.rest_volume, self.compliance)
+        inflow = _gather(self.K, self.kcol, pa) + self.k0
         empty = (volumes <= 0.0) & (inflow <= 0.0)
         return np.where((x > 0.0) | ((x == 0.0) & (inflow >= 0.0)), _ABOVE, _BELOW + empty)
 
@@ -742,66 +744,75 @@ class _Modes:
     is ``x(τ) = xc + τ w + V (d ∘ e^(λτ))``. ``K`` is negative
     semidefinite: an eigenvalue within roundoff of 0 is 0, and its mode,
     on balloons sealed off from every fixed node and so undriven, holds.
-    ``W``, built block by block, maps the modes to every ``watch`` node's
-    kPa, the terms of its wave (``_Segment.wave``).
+    ``W`` maps the modes to every ``watch`` node's kPa, the terms of its
+    wave (``_Segment.wave``).
 
     Everything that depends on the regime and the modes alone is built
-    here once and read by every segment that starts in them: besides
-    ``T``, ``V``, ``W`` and ``lam``, the valves' signed margin rows ``M``
-    (``W``'s control rows times the regime's ``sign``).
+    here once and read by every segment that starts in them. A mode
+    couples only the balloons of its region, so each is slot-compact:
+    ``T``, ``Tt`` (``Tᵀ``) and ``V`` by ``kcol``, and ``W`` and the
+    valves' signed margin rows ``M`` (``W``'s control rows times the
+    regime's ``sign``) by ``acol``; ``lam_k`` and ``lam_a`` hold the rates
+    of their entries.
     """
 
     def __init__(self, reg: _Regime, mode: np.ndarray):
-        nc = len(mode)
+        nc, kcol, acol = len(mode), reg.kcol, reg.acol
         self.mode, above, self.below = mode, mode == _ABOVE, mode == _BELOW
+        self.kcol, self.acol = kcol, acol
         self.D = above / reg.compliance
-        lam, T = np.zeros(nc), np.zeros((nc, nc))
-        # the watched kPa per mode: AD T, with AD = A D / KPA zero off above rest
-        AD, self.W = reg.A * self.D / KPA, np.zeros((len(reg.a0), nc))
-        for idx, rows, cols, h, hh in reg.mode_blocks(above):
-            Kb = reg.K[rows, cols]
+        lam, T, Tt = np.zeros(nc), np.zeros(reg.K.shape), np.zeros(reg.K.shape)
+        for idx, rows, slots, h, hh in reg.mode_blocks(above):
+            Kb = reg.K[rows, slots]
             lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / hh)
             lb[lb > -64.0 * _EPS * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
             hU = h * U
-            lam[idx], T[rows, cols] = lb, hU
-            self.W[:, idx] = np.matmul(AD[:, idx].transpose(1, 0, 2), hU).transpose(1, 0, 2)
-        # x = T z above rest, and z = Tᵀ D x
-        self.lam, self.T, self.moving, self.V = lam, T, lam != 0.0, T
+            lam[idx], T[rows, slots] = lb, hU
+            Tt[idx[:, None, :], slots.transpose(0, 2, 1)] = hU
+        # x = T z above rest, z = Tᵀ D x, and the watched kPa per mode A D T / KPA
+        self.lam, self.T, self.Tt, self.moving, self.V = lam, T, Tt, lam != 0.0, T
+        self.lam_k, self.lam_a = lam[kcol], lam[acol]
+        AD = reg.A * self.D[acol] / KPA
+        self.W = np.matmul(AD[:, None, :], T[acol])[:, 0]
         self.no_w = np.zeros(nc)  # w with no balloon below rest, read only
-        self.zstar = np.divide(-(T.T @ (self.D * reg.k0)), lam, out=np.zeros(nc), where=self.moving)
+        self.zstar = np.divide(-_gather(Tt, kcol, self.D * reg.k0), lam, out=np.zeros(nc), where=self.moving)
         self.M = reg.sign[:, None] * self.W[: len(reg.sign)]
         self.any_below = bool(self.below.any())
         if self.any_below:
             # below rest, x' = R z + k0, integrated term by term
-            self.R, self.k0 = (reg.K[self.below] * self.D) @ T, reg.k0[self.below]
+            self.kb = kb = kcol[self.below]
+            self.R = np.matmul((reg.K[self.below] * self.D[kb])[:, None, :], T[kb])[:, 0]
+            self.k0 = reg.k0[self.below]
             self.V = T.copy()
-            self.V[self.below] = np.divide(self.R, lam, out=np.zeros_like(self.R), where=self.moving)
+            self.V[self.below] = np.divide(self.R, lam[kb], out=np.zeros_like(self.R), where=self.moving[kb])
 
     def segment(self, x0: np.ndarray):
         """``(xc, w, d)`` of the segment that starts from ``x0``."""
-        z0 = self.T.T @ (self.D * x0)
+        z0 = _gather(self.Tt, self.kcol, self.D * x0)
         d = np.where(self.moving, z0 - self.zstar, 0.0)
         w = self.no_w
         if self.any_below:
             w = np.zeros_like(x0)
-            w[self.below] = self.R @ np.where(self.moving, self.zstar, z0) + self.k0
-        return x0 - self.V @ d, w, d
+            w[self.below] = _gather(self.R, self.kb, np.where(self.moving, self.zstar, z0)) + self.k0
+        return x0 - _gather(self.V, self.kcol, d), w, d
 
-    def x(self, xc, w, d, taus: np.ndarray) -> np.ndarray:
-        """``x`` at each of the times ``taus`` into the segment, one row each."""
-        return xc + np.multiply.outer(taus, w) + (d * np.exp(np.multiply.outer(taus, self.lam))) @ self.V.T
+    def x(self, xc, w, d, tau: float) -> np.ndarray:
+        """``x`` at the time ``tau`` into the segment."""
+        return xc + tau * w + _gather(self.V, self.kcol, d * np.exp(tau * self.lam))
 
     def exits(self, reg: _Regime):
         """Each way out of a balloon's mode, as a row ``f = alpha + beta·x``
         that rises through 0 there, its balloon and the mode it goes to:
         above rest to below; below rest to above or to empty; and empty, once
-        its inflow turns positive, to below rest."""
-        eye = np.eye(len(self.mode))
+        its inflow turns positive, to below rest; ``beta`` by ``kcol``."""
         above, below, empty = (np.flatnonzero(self.mode == m) for m in (_ABOVE, _BELOW, _EMPTY))
-        beta = np.concatenate([-eye[above], eye[below], -eye[below], reg.K[empty] * self.D])
+        who = np.concatenate([above, below, below, empty])
+        eye = (np.arange(reg.K.shape[1]) == reg.mode_blocks.slot[who[: len(who) - len(empty)], None])
+        sign = np.repeat([-1.0, 1.0, -1.0], [len(above), len(below), len(below)])
+        beta = np.concatenate([sign[:, None] * eye, reg.K[empty] * self.D[self.kcol[empty]]])
         alpha = np.concatenate([np.zeros(len(above) + len(below)), -reg.rest_volume[below], reg.k0[empty]])
         goes = np.repeat([_BELOW, _ABOVE, _EMPTY, _BELOW], [len(above), len(below), len(below), len(empty)])
-        return beta, alpha, np.concatenate([above, below, below, empty]), goes
+        return beta, alpha, who, goes
 
 
 # ---------------------------------------------------------------------------
@@ -1146,8 +1157,10 @@ class _Segment:
     def wave(self, rows):
         """The kPa of the watched nodes ``rows`` (an index or a slice of
         ``watch``) over the segment as ``c + Σ_j b_j e^(λ_j τ)``: ``(c, b,
-        lam)``, with one row of ``b`` per node of a slice."""
-        return self.c[rows], self.modes.W[rows] * self.d, self.modes.lam
+        lam)``, a term per slot of the node's region, with one row of ``b``
+        and of ``lam`` per node of a slice."""
+        m = self.modes
+        return self.c[rows], m.W[rows] * self.d[m.acol[rows]], m.lam_a[rows]
 
 
 def _segments(
@@ -1194,9 +1207,10 @@ def _segments(
         ks = watch[modes.mode[watch] == _ABOVE]
         if not len(ks):
             return []
-        c, M = xc[ks] - compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA, modes.V[ks]
-        f0 = c + M @ d  # at the segment's start
-        t_ks = t + np.where(f0 >= 0.0, 0.0, _first_rises(c, M, d, modes.lam, tau, f0))
+        c = xc[ks] - compiled.compliance[ks] * compiled.burst_kpa[ks] * KPA
+        b = modes.V[ks] * d[modes.kcol[ks]]
+        f0 = c + np.add.reduce(b, axis=1)  # at the segment's start
+        t_ks = t + np.where(f0 >= 0.0, 0.0, _first_rises(c, b, modes.lam_k[ks], tau, f0))
         hit = t_ks < math.inf
         watch = np.setdiff1d(watch, ks[hit])
         return [f"balloon {compiled.cap_names[k]} passed its burst pressure "
@@ -1240,15 +1254,18 @@ def _segments(
     while True:
         modes = reg.modes(mode)
         xc, w, d = modes.segment(volumes - v_rest)
-        c = (reg.a0 + reg.A @ (modes.D * xc)) / KPA  # the watched nodes' kPa at xc
+        c = (reg.a0 + _gather(reg.A, reg.acol, modes.D * xc)) / KPA  # the watched nodes' kPa at xc
         # the valve margins, each a constant plus exponentials
-        t_valve = _first_rises(reg.margin(c[ctrl_rows]), modes.M, d, modes.lam, math.inf, m0)
+        b = modes.M * d[reg.acol[ctrl_rows]]
+        t_valve = _first_rises(reg.margin(c[ctrl_rows]), b, modes.lam_a[ctrl_rows], math.inf, m0)
         t_flip = np.minimum.reduce(t_valve, initial=math.inf)
         t_mode = math.inf
         if vacuum:
             beta, alpha, who, goes = modes.exits(reg)
-            cm, Mm = alpha + beta @ xc, beta @ modes.V
-            t_exit = _first_rises(cm, Mm, d, modes.lam, math.inf, cm + Mm @ d, beta @ w)
+            col = reg.kcol[who]
+            cm, bm = alpha + _gather(beta, col, xc), np.matmul(beta[:, None, :], modes.V[col])[:, 0] * d[col]
+            t_exit = _first_rises(cm, bm, modes.lam_k[who], math.inf, cm + np.add.reduce(bm, axis=1),
+                                  _gather(beta, col, w))
             t_mode = np.minimum.reduce(t_exit, initial=math.inf)
         tau = min(t_flip, t_mode)
         rest = tau == math.inf
@@ -1260,7 +1277,7 @@ def _segments(
         yield _Segment(t, tau, t_next, event, change, rest, flips, notes, kpa, modes, xc, d, c)
         if not ends:
             return
-        volumes = np.maximum(modes.x(xc, w, d, np.array([tau]))[0] + v_rest, 0.0)
+        volumes = np.maximum(modes.x(xc, w, d, tau) + v_rest, 0.0)
         t = t_next
 
         if event:
@@ -1309,9 +1326,10 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     """
     compiled = _compile_probed(net, cfg)
     probes = compiled.probes
-    samples = math.floor(cfg.t_end / cfg.sample_interval) + 1
+    ratio = cfg.t_end / cfg.sample_interval  # floored only once it is known to be small
+    samples = math.floor(ratio) + 1 if ratio < _MAX_SAMPLE_VALUES else ratio + 1.0
     if samples * len(probes) > _MAX_SAMPLE_VALUES:
-        raise ValueError(f"the sample grid of {samples} samples of {len(probes)} probe(s) exceeds the "
+        raise ValueError(f"the sample grid of {samples:.3g} samples of {len(probes)} probe(s) exceeds the "
                          f"cap of {_MAX_SAMPLE_VALUES} values; raise sample_interval or lower t_end")
     probe_rows = slice(len(compiled.control), None)
 
@@ -1319,6 +1337,8 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     rows: list[np.ndarray] = []  # blocks of probe rows, kPa
     events: list[tuple[float, str, ValveState]] = []
     warnings: list[str] = []
+    # each flip's (valve, now open) as its logged (name, state)
+    logged = {(v, o): (name, _STATES[o]) for v, name in enumerate(compiled.valve_names) for o in (0, 1)}
 
     def emit(ts: list[float], kpa: np.ndarray) -> None:
         """Record the probe readings ``kpa`` (kPa, one row each) at the
@@ -1334,7 +1354,7 @@ def simulate(net: PneumaticNetwork, cfg: SimConfig) -> Trace:
     post = 0.0  # the settled start is sampled at 0, each later settling this long after its event
     for seg in _segments(compiled, is_open, volumes, cfg.t_end):
         t = seg.t
-        events.extend((t, compiled.valve_names[v], _state(o)) for v, o in seg.flips)
+        events += [(t,) + logged[flip] for flip in seg.flips]
         warnings.extend(seg.warnings)
         if seg.kpa is not None:
             emit([t + post], seg.kpa[None, probe_rows])
@@ -1473,18 +1493,18 @@ class _Waves(NamedTuple):
 
 
 def _waves(segments: list[_Segment], row: int) -> _Waves:
-    """The watched node ``row``'s ``_Waves`` over ``segments``: one
-    product for the terms of every segment, and a grouping by rate only
-    where a segment has two terms or more."""
-    terms = np.array([seg.modes.W[row] for seg in segments]) * np.array([seg.d for seg in segments])
+    """The watched node ``row``'s ``_Waves`` over ``segments``, from
+    each segment's ``wave``: a grouping by rate only where a segment has
+    two terms or more."""
+    c, terms, lams = (np.array(v) for v in zip(*(seg.wave(row) for seg in segments)))
     nonzero = terms != 0.0
     count, first = np.add.reduce(nonzero, axis=1), nonzero.argmax(axis=1)
     one = count == 1
     at = np.arange(len(segments)), first
     b = np.where(one, terms[at], 0.0)
-    l = np.where(one, np.array([seg.modes.lam for seg in segments])[at], 0.0)
-    many = {k: _distinct(terms[k], segments[k].modes.lam) for k in np.flatnonzero(count > 1).tolist()}
-    return _Waves(np.array([seg.c[row] for seg in segments]), b, l, many)
+    l = np.where(one, lams[at], 0.0)
+    many = {k: _distinct(terms[k], lams[k]) for k in np.flatnonzero(count > 1).tolist()}
+    return _Waves(c, b, l, many)
 
 
 def _span(segments: list[_Segment], waves: _Waves) -> tuple[float, float]:

@@ -10,6 +10,8 @@ h]`` into pieces on which ``f`` is monotone, and each sign change is then
 bracketed and refined by regula falsi. A first rise is one of those sign
 changes, and the extremes lie at zeros of ``f'``. The engine imports
 them; they know nothing of networks.
+
+Stacked sums take ``b`` and ``lam`` as rows by terms, rates per row.
 """
 
 from __future__ import annotations
@@ -118,15 +120,14 @@ def _first_rise(c, r, b: np.ndarray, lam: np.ndarray, h: float, f0) -> float:
     return rises[0] if rises else math.inf
 
 
-def _first_rises(c, M, d, lam, h, f0, r=None) -> np.ndarray:
-    """``_first_rise`` of each row ``c_i + r_i τ + Σ_j M_ij d_j e^(λ_j τ)``,
+def _first_rises(c, b, lam, h, f0, r=None) -> np.ndarray:
+    """``_first_rise`` of each row ``c_i + r_i τ + Σ_j b_ij e^(λ_ij τ)``,
     with ``f0`` per row; ``r`` None stands for 0 on every row. Every ``λ``
     is at most 0, so a row of one exponential and no ``r`` rises only
     toward ``c > 0``, at ``log(-c/b)/λ``, where ``f0`` is below 0: that
     closed form is taken for all such rows at once. Of the other rows,
     one that cannot reach 0 is skipped, and ``_first_rise`` takes the
     rest. ``h`` may be inf."""
-    b = M * d
     nonzero = b != 0.0
     one = np.add.reduce(nonzero, axis=1) == 1
     if r is not None:
@@ -134,25 +135,25 @@ def _first_rises(c, M, d, lam, h, f0, r=None) -> np.ndarray:
     if np.logical_or.reduce(one):
         bi = np.add.reduce(b, axis=1)
         rises = one & (f0 < 0.0) & (bi < 0.0) & (c > 0.0)  # λ < 0: a rise toward c > 0
-        li = np.where(rises, lam[nonzero.argmax(axis=1)], 1.0)
+        li = np.where(rises, lam[np.arange(len(lam)), nonzero.argmax(axis=1)], 1.0)
         ti = (np.log(np.where(rises, c, 1.0)) - np.log(np.where(rises, -bi, 1.0))) / li
         t = np.where(rises & (ti <= h), np.maximum(ti, 0.0), math.inf)
     else:
         t = np.full(len(c), math.inf)
     if not np.logical_and.reduce(one):
-        reach = c + np.abs(M) @ np.abs(d)
+        reach = c + np.add.reduce(np.abs(b), axis=1)
         if r is not None:
             reach += np.maximum(r, 0.0) * h if h < math.inf else np.where(r > 0.0, math.inf, 0.0)
         for k in ((reach >= 0.0) & ~one).nonzero()[0].tolist():
-            t[k] = _first_rise(c[k], 0.0 if r is None else r[k], b[k], lam, h, f0[k])
+            t[k] = _first_rise(c[k], 0.0 if r is None else r[k], b[k], lam[k], h, f0[k])
     return t
 
 
 def _values(c, b: np.ndarray, lam: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """``c + Σ_j b_j e^(λ_j τ)`` at each of the times ``taus``, by one
-    product: one value per time for a 1-D ``b``; for a 2-D ``b``, one sum
-    per row of ``b`` and of ``c``, as one row per time."""
-    return c + np.exp(np.multiply.outer(taus, lam)) @ b.T
+    """``c + Σ_j b_j e^(λ_j τ)`` at each of the times ``taus``: one value
+    per time for a 1-D ``b`` and ``lam``; for 2-D ones, rows by terms, one
+    sum per row of them and of ``c``, as one row per time."""
+    return c + np.vecdot(np.exp(np.multiply.outer(taus, lam)), b)
 
 
 def _extremes(c: float, b: np.ndarray, lam: np.ndarray, h: float) -> tuple[float, float]:

@@ -365,11 +365,15 @@ class _GateParams:
         return HysteresisThresholds(p_inflate=self["inflate"], p_deflate=self["deflate"])
 
     def tube(self, name: str, a: str, b: str, length: str) -> TubeElement:
-        """A tube of the length ``self[length]`` and the diameter ``self["id"]``."""
+        """A tube of the length ``self[length]`` and the diameter ``self["id"]``;
+        a length that gives no resistance is a ValueError."""
         if length not in self._resistances:
             self._resistances[length] = tube_resistance(
                 self[length], self["id"], self.defaults.air_viscosity
             )
+            if not self._resistances[length]:
+                raise ValueError(f"{length} {self[length]!r} gives a tube no resistance; "
+                                 "fold zero-length segments into a neighbouring tube")
         return TubeElement(name, a, b, self[length], self["id"], self._resistances[length])
 
     def valve(self, name: str, flow_from: str, flow_to: str, control: str, **kw):

@@ -187,9 +187,15 @@ def test_sim_rejects_bad_t_end(capsys):
         (["freq", "--t-end", "-1", circuit("ring3_calibrated.tbl")], "t_end"),
         (["sim", "--sample-interval", "0", circuit("not.tbl")], "sample_interval"),
         (["sim", "--t-end", "1e9", circuit("not.tbl")],
-         "1000000000001 samples of 1 probe(s) exceeds the cap of 10000000 values"),
+         "1e+12 samples of 1 probe(s) exceeds the cap of 10000000 values"),
+        (["sim", "--t-end", "1e300", circuit("ring3.tbl")],
+         "1e+303 samples of 3 probe(s) exceeds the cap of 10000000 values"),
+        # the samples' count overflows the float range
+        (["sim", "--t-end", "1e300", "--sample-interval", "1e-300", circuit("ring3.tbl")],
+         "inf samples of 3 probe(s) exceeds the cap of 10000000 values"),
     ],
-    ids=["unknown-probe", "negative-t-end", "zero-sample-interval", "unbounded-sample-grid"],
+    ids=["unknown-probe", "negative-t-end", "zero-sample-interval", "unbounded-sample-grid",
+         "sample-grid-of-1e303", "sample-grid-past-the-float-range"],
 )
 def test_bad_option_values_are_usage_errors(argv, what, capsys):
     rc = main(argv)
@@ -452,6 +458,24 @@ def test_bad_element_values_exit_2_at_their_line(tmp_path, capsys, text, line, w
     assert rc == 2
     assert err.startswith(f"{path}:{line}: BadValue: {what}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("tube t from=S to=ATM length=0cm\n", "tube t: length 0.0"),
+        ("gate NOT g in=ATM out=q supply=S length=0cm\n", "gate g: length 0.0"),
+        ("ring r n=3 supply=S length=0cm\n", "ring r: length 0.0"),
+    ],
+    ids=["tube", "gate", "ring"],
+)
+def test_a_zero_length_tube_exits_2_at_its_line(tmp_path, capsys, text, what):
+    path = write(tmp_path, "source S pressure=145kPa\n" + text)
+    rc = main(["check", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"{path}:2: BadValue: {what} gives a tube no resistance; "
+                   "fold zero-length segments into a neighbouring tube\n")
 
 
 @pytest.mark.parametrize("command", ["check", "sim", "freq", "bom"])
