@@ -63,10 +63,12 @@ It prints their limits and one digest of their samples. The ``logic`` line cover
 of the benchmark's seeds 1 and 3, from ``perfbench/inputs.py``, which it
 only imports: every input row of each circuit's truth table goes through
 ``engine._dc_rows``. It prints the row count; ``solves``, the number of
-``engine._Compiled.solve`` calls the rows took (layer maps, and point
-solves of every row of a table at once, however many stacked LUs each
-takes); ``systems``, the flow balances those calls solved (one per layer
-map, one per row of a stacked call), so that the same work shows as the
+``engine._Compiled.solve`` calls the rows took (one per walk level that
+meets layer maps not yet filled, all of them solved as one stack, and
+point solves of every row of a table at once, however many stacked LUs
+each takes), a count of calls that stacking more work per call lowers;
+``systems``, the flow balances those calls solved (one per layer map,
+one per row of a stacked call), so that the same work shows as the
 same count however it is stacked; and one digest of every row's
 ``SteadyState`` repr (valve states, every node pressure and the fixed
 points). The ``calibrate_vacuum`` line covers

@@ -37,10 +37,11 @@ from .errors import (
     NetworkError,
     NoOscillationError,
     TblError,
+    VerifyError,
 )
 from .netlist import bom as make_bom
 from .netlist import expand, format_circuit, parse
-from .verify import LogicLevels, check_against_boolean, truth_table
+from .verify import LogicLevels, check_against_boolean, parse_reference, truth_table
 
 USAGE_EXIT = 1
 NETLIST_EXIT = 2
@@ -272,6 +273,11 @@ def _cmd_truth(args, ast, defaults) -> int:
     inputs = tuple(s for s in args.inputs.split(",") if s)
     if unknown := sorted(set(inputs) - set(net.node_order())):
         raise ValueError(f"--inputs names no node of the circuit: {', '.join(unknown)}")
+    if args.expect:
+        try:  # before any row is solved
+            parse_reference(args.expect, inputs)
+        except VerifyError as exc:
+            raise ValueError(f"--expect: {exc}") from exc
     table = truth_table(net, inputs, args.output, LogicLevels.from_defaults(defaults))
     report = check_against_boolean(table, args.expect) if args.expect else None
     records = [{"inputs": dict(zip(table.input_nodes, row.inputs)), "output": row.output,

@@ -836,11 +836,11 @@ class _Walk:
     that depend only on earlier levels, is one step for a stack of rows.
 
     Layer ``a`` opens every region's j-th valve iff bit j of ``a`` is set.
-    One ``_Compiled.dc_map`` gives its node pressures in
-    every region at once, as an affine map of the fixed pressures: a
-    constant column, then one column per fixed node. A layer is filled
-    when a walk first needs it and serves every later walk of the same
-    compiled network, whatever its fixed pressures.
+    A row of a ``_Compiled.dc_map`` gives its node pressures in every
+    region at once, as an affine map of the fixed pressures: a constant
+    column, then one column per fixed node. The new layers of a level are
+    filled as one stacked ``dc_map`` and serve every later walk of the
+    same compiled network, whatever its fixed pressures.
     """
 
     def __init__(self, compiled: _Compiled, region: np.ndarray, home: np.ndarray, levels):
@@ -893,14 +893,16 @@ class _Walk:
             sorter.done(*levels[-1])
         return cls(c, region, home, levels + [[-1]])
 
-    def fill(self, compiled: _Compiled, a: int) -> np.ndarray:
-        """Layer ``a``'s map, solved the first time it is asked for; a
-        singular layer raises SingularNetworkError."""
-        if a not in self.layers:
-            g = compiled.conductances(np.array([(a >> j) & 1 for j in self.local], dtype=bool))
+    def fill(self, compiled: _Compiled, layers: list[int]) -> list[np.ndarray]:
+        """The maps of the distinct ``layers``, those not yet filled solved
+        first as one stacked ``dc_map``, each bit for bit as alone; a
+        singular one raises SingularNetworkError."""
+        if new := [a for a in layers if a not in self.layers]:
+            is_open = np.array([[(a >> j) & 1 for j in self.local] for a in new], dtype=bool)
             nf = len(compiled.fixed_idx)
-            self.layers[a] = compiled.dc_map(g, np.eye(nf, 1 + nf, 1))[self.read]
-        return self.layers[a]
+            drive = np.broadcast_to(np.eye(nf, 1 + nf, 1), (len(new), nf, 1 + nf))
+            self.layers.update(zip(new, compiled.dc_map(compiled.conductances(is_open), drive)[:, self.read]))
+        return [self.layers[a] for a in layers]
 
     def start(self, compiled: _Compiled, is_open: np.ndarray, fixed_pa: np.ndarray) -> np.ndarray:
         """The open-state arrays after stepping each valve once, in region
@@ -917,7 +919,7 @@ class _Walk:
             bits = np.zeros((len(p), len(valves) + 1), dtype=weight.dtype)
             np.cumsum(is_open[:, valves] * weight, axis=1, out=bits[:, 1:])
             layers, at = np.unique(bits[:, hi] - bits[:, lo], return_inverse=True)
-            maps = [self.fill(compiled, a)[k] for a in layers.tolist()]
+            maps = [m[k] for m in self.fill(compiled, layers.tolist())]
             maps = np.reshape(maps, (len(maps), len(k), drive.shape[1]))
             p[:, nodes] = (maps[at.reshape(len(p), -1), np.arange(len(k))] * drive[:, None]).sum(-1)
         return is_open
@@ -956,23 +958,21 @@ def dc_operating_point(
     TooManyValves when enumeration would be needed but is intractable.
     """
     compiled = _Compiled(net.validate())
-    return next(_dc_search(compiled, compiled.initial_states(initial_states)[None], compiled.fixed_pa[None]))
+    found = _dc_search(compiled, compiled.initial_states(initial_states)[None], compiled.fixed_pa[None])
+    return next(_steady_states(compiled, *found))
 
 
-#: rows that ``_dc_rows`` searches together: a table's memory stays bounded
+#: rows that ``_dc_chunks`` searches together: a table's memory stays bounded
 _DC_CHUNK = 256
 
 
-def _dc_rows(
-    net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequence[float]]
-) -> Iterator[SteadyState]:
-    """``dc_operating_point(net.with_pins(...))`` for each row of pressures
-    (kPa) of ``rows`` on the nodes ``pins`` in turn. The pinned network is
-    validated and compiled once; a row gets the checks of ``with_pins``
-    and ``fixed_pressures``, with their errors, and changes only the fixed
-    pressures. Up to ``_DC_CHUNK`` rows are searched together, by one
-    ``_dc_search``, and an error in any of them raises before they are
-    yielded."""
+def _dc_chunks(net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequence[float]]):
+    """The search of ``dc_operating_point(net.with_pins(...))`` for each row
+    of pressures (kPa) of ``rows`` on the nodes ``pins``: per chunk of up to
+    ``_DC_CHUNK`` rows, the compiled network and one ``_dc_search`` of them.
+    The pinned network is validated and compiled once; a row gets the
+    checks of ``with_pins`` and ``fixed_pressures``, with their errors, and
+    changes only the fixed pressures."""
     rows = iter(rows)
     compiled = None
     while chunk := [dict(zip(pins, values)) for values in islice(rows, _DC_CHUNK)]:
@@ -986,23 +986,28 @@ def _dc_rows(
             if clash:
                 raise NetworkError(f"node {clash[0]} pinned to conflicting pressures")
             fixed_pa[r, : len(fixed)] = [p * KPA for p in {**fixed, **pin}.values()]
-        yield from _dc_search(compiled, np.tile(compiled.initial_open, (len(chunk), 1)), fixed_pa)
+        yield compiled, _dc_search(compiled, np.tile(compiled.initial_open, (len(chunk), 1)), fixed_pa)
+
+
+def _dc_rows(net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequence[float]]):
+    """Each row's ``dc_operating_point(net.with_pins(...))``, by ``_dc_chunks``."""
+    for compiled, found in _dc_chunks(net, pins, rows):
+        yield from _steady_states(compiled, *found)
 
 
 #: a valve's state by its open bit
 _STATES = np.array([ValveState.CLOSED, ValveState.OPEN], dtype=object)
 
 
-def _dc_search(
-    compiled: _Compiled, is_open: np.ndarray, fixed_pa: np.ndarray
-) -> Iterator[SteadyState]:
-    """``dc_operating_point``'s search for a stack of rows, one result per
-    row: from the open-state arrays ``is_open`` at the fixed pressures
-    ``fixed_pa``, one row of each per row. The walk steps every row at
-    once, and each round of the iteration is one stacked ``dc_map`` of the
-    rows that still switch, each with its own seen keys; a row whose
-    iteration cycles is enumerated on its own. So each row's result is
-    bit-identical to its search alone. An error raises before any result.
+def _dc_search(compiled: _Compiled, is_open: np.ndarray, fixed_pa: np.ndarray):
+    """``dc_operating_point``'s search for a stack of rows, from the
+    open-state arrays ``is_open`` at the fixed pressures ``fixed_pa``, one
+    row of each per row: each row's open states, node pressures (Pa) and
+    (open states, pressures) of its fixed points, none unless enumerated.
+    The walk steps every row at once, and each round of the iteration is
+    one stacked ``dc_map`` of the rows that still switch, each with its own
+    seen keys; a row whose iteration cycles is enumerated on its own. So
+    each row's result is bit-identical to its search alone.
 
     The iteration's first solve confirms ``compiled.walk``: a control
     within roundoff of a threshold can read differently in a layer map and
@@ -1051,7 +1056,11 @@ def _dc_search(
                 "no self-consistent valve-state assignment exists; the circuit is astable at DC"
             )
         is_open[i], p_pa[i] = fixed_points[i][0]
+    return is_open, p_pa, fixed_points
 
+
+def _steady_states(compiled: _Compiled, is_open, p_pa, fixed_points) -> Iterator[SteadyState]:
+    """One SteadyState per row of the arrays ``_dc_search`` returns."""
     def named(is_open):
         return dict(zip(compiled.valve_names, _STATES[is_open.astype(np.intp)].tolist()))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .defaults import PhysicalDefaults
 from .elements import KPA, PneumaticNetwork
-from .engine import _Compiled, _dc_rows
+from .engine import _Compiled, _dc_chunks
 from .errors import IndeterminateLevelError, UnknownVariableError, VerifyError
 from .netlist import CircuitAst, Statement, expand
 from .units import Quantity
@@ -93,21 +93,25 @@ def truth_table(
     Inputs are held by ideal sources; each row starts from the network's
     declared valve states so rows are independent of one another, and
     differ only in the pinned pressures of one compiled network, searched
-    together (one stacked solve for all rows of a feed-forward table). An
-    input named twice, or an output node the network lacks, is a ValueError.
+    together (one stacked solve for all rows of a feed-forward table); the
+    output is read from the solved node pressures. An input named twice, an
+    output node the network lacks, or an output that is also an input, is a
+    ValueError.
     """
     levels = levels or LogicLevels()
     input_nodes = tuple(input_nodes)
     if len(set(input_nodes)) < len(input_nodes):
         raise ValueError(f"input nodes repeat: {', '.join(input_nodes)}")
+    if output_node in input_nodes:
+        raise ValueError(f"output node {output_node!r} is also an input")
     if output_node not in net.node_order():
         raise ValueError(f"output node {output_node!r} is not in the network")
     bits = list(itertools.product((0, 1), repeat=len(input_nodes)))
     drives = ([levels.drive(b) for b in row] for row in bits)
     rows = []
-    for row, steady in zip(bits, _dc_rows(net, input_nodes, drives)):
-        kpa = float(steady.node_pressures_kpa[output_node])
-        rows.append(TruthRow(inputs=row, output=levels.read(kpa, output_node), output_kpa=kpa))
+    for compiled, (_open, p_pa, _fixed_points) in _dc_chunks(net, input_nodes, drives):
+        kpa = (p_pa[:, compiled.index[output_node]] / KPA).tolist()
+        rows += [TruthRow(row, levels.read(k, output_node), k) for row, k in zip(bits[len(rows):], kpa)]
     return TruthTable(input_nodes, output_node, tuple(rows))
 
 
@@ -214,12 +218,22 @@ class CheckReport:
     mismatches: tuple[Mismatch, ...]
 
 
+def parse_reference(expression: str, variables: tuple[str, ...]):
+    """The parse tree of a reference expression that names only
+    ``variables``; VerifyError if it is malformed, UnknownVariableError if
+    it names another variable. It solves nothing, so a table's reference
+    can be checked before the table is built."""
+    tree = _BoolParser(expression).parse()
+    _eval_bool(tree, dict.fromkeys(variables, 0))
+    return tree
+
+
 def check_against_boolean(table: TruthTable, expression: str) -> CheckReport:
     """Compare a measured truth table against a reference expression.
 
     Variables in the expression are the table's input node names.
     """
-    tree = _BoolParser(expression).parse()
+    tree = parse_reference(expression, table.input_nodes)
     env = {name: np.array([row.inputs[k] for row in table.rows], dtype=int)
            for k, name in enumerate(table.input_nodes)}
     # a constant expression evaluates to one int, whatever the rows

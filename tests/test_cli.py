@@ -4,7 +4,7 @@ import typing
 
 import pytest
 
-from tblsim import PhysicalDefaults, cli
+from tblsim import PhysicalDefaults, cli, engine
 from tblsim.cli import main
 
 CIRCUITS = os.path.join(os.path.dirname(__file__), "..", "circuits")
@@ -33,8 +33,8 @@ def test_truth_matches_reference(capsys):
 
 @pytest.mark.parametrize(
     "inputs, output, what",
-    [("a", "zz", "zz"), ("zz", "q", "zz"), ("a,a", "q", "repeat")],
-    ids=["unknown-output", "unknown-input", "repeated-input"],
+    [("a", "zz", "zz"), ("zz", "q", "zz"), ("a,a", "q", "repeat"), ("a,q", "q", "also an input")],
+    ids=["unknown-output", "unknown-input", "repeated-input", "output-is-an-input"],
 )
 def test_truth_bad_node_names_are_usage_errors(inputs, output, what, capsys):
     rc = main(["truth", circuit("not.tbl"), "--inputs", inputs, "--output", output])
@@ -42,6 +42,23 @@ def test_truth_bad_node_names_are_usage_errors(inputs, output, what, capsys):
     assert rc == 1
     assert "Traceback" not in err
     assert err.startswith("tblsim: error: ")
+    assert what in err
+
+
+@pytest.mark.parametrize(
+    "expr, what",
+    [("a&&b", "expected a variable at position 2"), ("!(a|c)", "expression names 'c'")],
+    ids=["malformed", "unknown-variable"],
+)
+def test_truth_bad_expect_is_a_usage_error_before_any_row_is_solved(expr, what, monkeypatch, capsys):
+    def no_search(*args):
+        raise AssertionError("a row was solved")
+
+    monkeypatch.setattr(engine, "_dc_search", no_search)
+    rc = main(["truth", circuit("nand.tbl"), "--inputs", "a,b", "--output", "q", "--expect", expr])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("tblsim: error: --expect: ")
     assert what in err
 
 

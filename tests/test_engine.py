@@ -17,6 +17,7 @@ from tblsim import (
     CalibrationFailedError,
     HysteresisThresholds,
     KinkValveDevice,
+    LogicLevels,
     NoOscillationError,
     PhysicalDefaults,
     PneumaticNetwork,
@@ -436,7 +437,8 @@ def _reference_dc(net):
 
 def _one_search(compiled):
     """``engine._dc_search`` of one row: the declared states at the fixed pressures."""
-    (steady,) = engine._dc_search(compiled, compiled.initial_open[None], compiled.fixed_pa[None])
+    found = engine._dc_search(compiled, compiled.initial_open[None], compiled.fixed_pa[None])
+    (steady,) = engine._steady_states(compiled, *found)
     return steady
 
 
@@ -554,8 +556,9 @@ def _count_solves(monkeypatch):
     return calls
 
 
-def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
-    net = build(
+def _five_gates():
+    """Five gates in a chain, four primary inputs, one gate per level."""
+    return build(
         "source SUP pressure=145kPa\n"
         "gate NAND g1 in=a,b out=n1 supply=SUP\n"
         "gate NOR g2 in=n1,c out=n2 supply=SUP\n"
@@ -563,6 +566,10 @@ def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
         "gate OR g4 in=n3,a out=n4 supply=SUP\n"
         "gate NOT g5 in=n4 out=q supply=SUP\n"
     )
+
+
+def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
+    net = _five_gates()
     inputs = ("a", "b", "c", "d")
     calls = _count_solves(monkeypatch)
     table = truth_table(net, inputs, "q")
@@ -574,6 +581,81 @@ def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
     for bits in itertools.product((0.0, 145.0), repeat=len(inputs)):
         _reference_dc(net.with_pins(dict(zip(inputs, bits))))
     assert len(calls) > 3 * 16  # the iteration alone settles a level per solve
+
+
+def test_the_walk_fills_a_levels_new_layers_in_one_solve(monkeypatch):
+    net, inputs = _five_gates(), ("a", "b", "c", "d")
+    levels_with_new = []
+    fill = engine._Walk.fill
+
+    def watching_fill(self, compiled, layers):
+        levels_with_new.append(any(a not in self.layers for a in layers))
+        return fill(self, compiled, layers)
+
+    monkeypatch.setattr(engine._Walk, "fill", watching_fill)
+    calls = _count_solves(monkeypatch)
+    rows = list(itertools.product((0.0, 145.0), repeat=len(inputs)))
+    ((compiled, _found),) = engine._dc_chunks(net, inputs, rows)
+    layer_solves = [r for r, c in calls if c > 1]
+    assert 0 < len(layer_solves) <= sum(levels_with_new)
+    assert sum(layer_solves) == len(compiled.walk.layers)
+    # each stacked map is bit for bit the map of its layer solved alone
+    walk, nf = compiled.walk, len(compiled.fixed_idx)
+    for a, got in walk.layers.items():
+        g = compiled.conductances(np.array([(a >> j) & 1 for j in walk.local], dtype=bool))
+        assert np.array_equal(got, compiled.dc_map(g, np.eye(nf, 1 + nf, 1))[walk.read])
+
+
+def _table_rows_alone(net, inputs, output, levels=LogicLevels()):
+    """Each row of ``truth_table(net, inputs, output)``, its output level
+    and kPa read from ``dc_operating_point`` of the row's pins alone."""
+    rows = []
+    for bits in itertools.product((0, 1), repeat=len(inputs)):
+        pins = {n: levels.drive(b) for n, b in zip(inputs, bits)}
+        kpa = dc_operating_point(net.with_pins(pins)).node_pressures_kpa[output]
+        rows.append((bits, levels.read(kpa, output), kpa))
+    return rows
+
+
+def test_a_table_of_two_chunks_reads_each_row_as_alone(monkeypatch):
+    # 9 inputs: 512 rows, searched as two chunks of 256
+    net = build(
+        "source SUP pressure=145kPa\n"
+        "gate NAND g1 in=i0,i1 out=n1 supply=SUP\n"
+        "gate NOR g2 in=n1,i2 out=n2 supply=SUP\n"
+        "gate AND g3 in=n2,i3 out=n3 supply=SUP\n"
+        "gate OR g4 in=n3,i4 out=n4 supply=SUP\n"
+        "gate NAND g5 in=n4,i5 out=n5 supply=SUP\n"
+        "gate NOR g6 in=n5,i6 out=n6 supply=SUP\n"
+        "gate AND g7 in=n6,i7 out=n7 supply=SUP\n"
+        "gate OR g8 in=n7,i8 out=q supply=SUP\n"
+    )
+    inputs = tuple(f"i{k}" for k in range(9))
+    chunks = []
+    search = engine._dc_search
+
+    def counting_search(compiled, is_open, fixed_pa):
+        chunks.append(len(is_open))
+        return search(compiled, is_open, fixed_pa)
+
+    monkeypatch.setattr(engine, "_dc_search", counting_search)
+    table = truth_table(net, inputs, "q")
+    assert chunks == [engine._DC_CHUNK, 512 - engine._DC_CHUNK]
+    want = _table_rows_alone(net, inputs, "q")
+    assert [(r.inputs, r.output, r.output_kpa) for r in table.rows] == want
+    assert {r.output for r in table.rows} == {0, 1}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_gate_trees())
+def test_a_table_reads_each_row_as_alone_on_gate_trees(net):
+    # up to 4 of the tree's pinned inputs are the table's; its output is
+    # the last gate's
+    inputs = tuple(s.node for s in net.sources if s.name.startswith("__pin_"))[:4]
+    net = dataclasses.replace(net, sources=tuple(s for s in net.sources if s.node not in inputs))
+    output = max((n for n in net.node_order() if n[0] == "n" and n[1:].isdigit()), key=lambda n: int(n[1:]))
+    table = truth_table(net, inputs, output)
+    assert [(r.inputs, r.output, r.output_kpa) for r in table.rows] == _table_rows_alone(net, inputs, output)
 
 
 def _rows_alone(net, pins, rows):
@@ -667,7 +749,7 @@ def test_a_region_of_70_valves_walks_like_any_other():
 
 
 def test_a_singular_layer_drops_the_warm_start(monkeypatch):
-    def singular(self, compiled, a):
+    def singular(self, compiled, layers):
         raise SingularNetworkError("layer")
 
     monkeypatch.setattr(engine._Walk, "fill", singular)

@@ -106,6 +106,11 @@ def test_boolean_parser_and_errors():
         check_against_boolean(table, "a |")
     with pytest.raises(VerifyError):
         check_against_boolean(table, "(a|b")
+    # the same checks, with no table
+    with pytest.raises(UnknownVariableError):
+        verify.parse_reference("!(a|c)", ("a", "b"))
+    with pytest.raises(VerifyError):
+        verify.parse_reference("a&&b", ("a", "b"))
 
 
 def test_one_compiled_network_per_truth_table(monkeypatch):
@@ -137,6 +142,9 @@ def test_truth_table_rejects_bad_node_names():
         truth_table(net, ("a",), "zz")
     with pytest.raises(ValueError, match="repeat"):
         truth_table(net, ("a", "a"), "q")
+    # the pinned drive would read back as the output
+    with pytest.raises(ValueError, match="output node 'q' is also an input"):
+        truth_table(net, ("a", "q"), "q")
 
 
 def test_an_unused_input_leaves_the_output_as_it_is():
