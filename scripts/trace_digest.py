@@ -101,7 +101,15 @@ each node in turn; and ``not.tbl`` over 1 s, whose flat output raises
 NoOscillation. It prints the counts of reports and of NoOscillation
 errors and one digest of the reports' reprs and the errors' messages.
 The ``svg`` line covers the plot that ``tblsim sim --svg`` writes for
-``ring3_calibrated.tbl`` over 2 s: its byte count and its digest.
+``ring3_calibrated.tbl`` over 2 s: its byte count and its digest. The
+``regimes`` line counts, for four runs in order, the transient regimes
+built (``engine._Regime``), the layer rows solved (``engine._Layers``,
+one row per layer map of a network) and the networks compiled: the
+``tblsim freq`` run of ``ring3_calibrated.tbl`` at ``--t-end 1.5``, the
+ring101 workload's 1-s ``simulate``, the ``ring_b`` run and the stock
+calibration of the ``calibrate`` line. A region's j-th valve sets bit j
+of its layer, so a network solves at most 2^k layer rows, k the most
+valves one region holds: 2 on every ring, one valve per region.
 """
 
 from __future__ import annotations
@@ -438,6 +446,43 @@ def _svg_line() -> str:
     return f"svg: bytes={len(svg)} sha256={hashlib.sha256(svg).hexdigest()}"
 
 
+def _regimes_line() -> str:
+    """The regimes built and the layer rows solved by four runs, and the
+    networks each compiled."""
+    init_regime, init_layers = engine._Regime.__init__, engine._Layers.__init__
+    built, stores = 0, []
+
+    def counting_regime(self, compiled, is_open):
+        nonlocal built
+        built += 1
+        init_regime(self, compiled, is_open)
+
+    def keeping_layers(self, compiled):
+        stores.append(self)
+        init_layers(self, compiled)
+
+    ring3 = _net(_read("circuits/ring3_calibrated.tbl"))
+    ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
+    template = ring3.with_uniform_params(compliance=4.0e-10, open_conductance=1.0e-5)
+    runs = [
+        lambda: measure_oscillation(ring3, SimConfig(t_end=1.5)),
+        lambda: simulate(ring101, SimConfig(t_end=1.0, probes=tuple(f"r.q{k}" for k in range(1, 102)))),
+        lambda: measure_oscillation(*_start_b(101, 1000.0)),
+        lambda: calibrate_oscillator(template, 15.0, 35.0, probe="m1", tolerance=0.02),
+    ]
+    counts = []
+    engine._Regime.__init__, engine._Layers.__init__ = counting_regime, keeping_layers
+    try:
+        for run in runs:
+            built, stores = 0, []
+            run()
+            counts.append((built, sum(len(store.at) for store in stores), len(stores)))
+    finally:
+        engine._Regime.__init__, engine._Layers.__init__ = init_regime, init_layers
+    built, layers, networks = (",".join(map(str, column)) for column in zip(*counts))
+    return f"regimes: built={built} layers={layers} networks={networks}"
+
+
 def main() -> None:
     ring101 = _net("source SUP pressure=145kPa\nring r n=101 supply=SUP\n")
     probes = tuple(f"r.q{k}" for k in range(1, 102))
@@ -494,6 +539,7 @@ def main() -> None:
     print(_csv_line())
     print(_extract_line())
     print(_svg_line())
+    print(_regimes_line())
 
 
 if __name__ == "__main__":

@@ -33,8 +33,9 @@ every fixed node and every balloon read ambient.
 
 The continuous state of a circuit is the vector of balloon volumes; all
 other node pressures are algebraic. Each regime (one set of valve states)
-is factorized once and Kron-reduced onto the balloon nodes (``_Regime``),
-and each stretch between valve transitions is solved in closed form
+is Kron-reduced onto the balloon nodes (``_Regime``), region by region
+from the layer maps its regions' valves select (``_Layers``), and each
+stretch between valve transitions is solved in closed form
 (``_Modes``), so a transient run has no step size and no tolerance, and
 identical inputs give bit-identical traces. Over a segment each watched
 node's kPa is one wave, a constant plus exponentials in time
@@ -48,9 +49,9 @@ Each array is built once, on the object whose lifetime matches what it
 depends on, and the event loop only reads it. ``_Compiled`` owns what
 depends on the network alone: its index arrays, the region solve's block
 layout and its tiled copies per stack size, the balloons' column slots
-of a regime solve, the balloon modes' block layout per set of balloons
-above rest (``_ModeBlocks``) and, where no valve can cut one off, the
-free nodes that every regime solves.
+of a regime, the balloon modes' block layout per set of balloons above
+rest (``_ModeBlocks``), where no valve can cut one off, the free nodes
+that every layer solves, and the layer maps with their eigenbases.
 ``_Regime`` owns what depends on one valve-state assignment: its reduced
 maps and the two terms of each valve's margin. ``_Modes`` owns what
 depends on that and on the balloons' modes: the eigenbasis, the waves'
@@ -231,16 +232,20 @@ def _balloon_pa(volumes: np.ndarray, rest_volume, compliance) -> np.ndarray:
 def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the flow balance ``G x = rhs`` by dense LU: one system, or a
     stack of them, each with one or more columns; a singular or inaccurate
-    solve raises SingularNetworkError. A 4-D stack ``(R, k, s, s)`` holds
-    R networks, and each is checked as it would be alone."""
+    solve raises SingularNetworkError. Each block of a stack is checked
+    as it would be alone: its residual within 1e-6 of its right-hand
+    side's largest entry, or of 1 if that is smaller."""
     try:
         x = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:  # the factor is exactly singular
         raise SingularNetworkError(f"flow-balance system is singular: {exc}") from exc
-    each = G.shape[:-3] + (-1,)
-    scale = np.abs(rhs).reshape(each).max(axis=-1, initial=1.0)
-    if not np.isfinite(x).all() or (np.abs(G @ x - rhs).reshape(each).max(axis=-1) > 1.0e-6 * scale).any():
+    if not np.isfinite(x).all():
         raise SingularNetworkError("flow-balance system is numerically singular")
+    res, each = np.abs(G @ x - rhs), G.shape[:-2] + (-1,)
+    if res.max() > 1.0e-6:  # else every block passes, as no bound is below 1e-6
+        scale = np.abs(rhs).reshape(each).max(axis=-1, initial=1.0)
+        if (res.reshape(each).max(axis=-1) > 1.0e-6 * scale).any():
+            raise SingularNetworkError("flow-balance system is numerically singular")
     return x
 
 
@@ -288,7 +293,9 @@ class _Compiled:
     (``tiled``), the balloons' column slots of a regime solve (``slots``),
     the block layout of the balloon modes for each set of balloons above
     rest (``mode_blocks``) and the free nodes that no valve can cut off
-    (``anchored_free``); and each valve-state assignment's ``_Regime``.
+    (``anchored_free``); the layer maps, each region's maps for each
+    state of its valves, solved as the regimes need them (``layers``);
+    and each valve-state assignment's ``_Regime``, gathered from them.
     """
 
     def __init__(self, net: PneumaticNetwork, probes: Sequence[str] = ()):
@@ -529,6 +536,20 @@ class _Compiled:
         return dict(zip(self.named, (p_pa[self.named_idx] / KPA).tolist()))
 
     @cached_property
+    def valve_bits(self):
+        """The layer numbering of the DC walk and the transient: each
+        valve's region (-1 where it joins two fixed nodes), its index j
+        among its region's valves, and its bit ``1 << j`` in a layer number
+        (a Python int past 63 bits), 0 where it joins two fixed nodes."""
+        nb = len(self.g_static)
+        home = np.maximum(self.region[self.branch_a[nb:]], self.region[self.branch_b[nb:]])
+        order = np.argsort(home, kind="stable")  # by region, in valve order
+        local = np.empty(len(home), dtype=int)
+        local[order] = np.arange(len(home)) - np.searchsorted(home[order], home[order])
+        one = np.array(1, object if local.max(initial=0) > 62 else int)
+        return home, local.tolist(), (home >= 0) * (one << local)
+
+    @cached_property
     def walk(self) -> "_Walk | None":
         """The DC search's region-ordered warm start, built at the first
         search; None when the region graph has a cycle."""
@@ -540,7 +561,7 @@ class _Compiled:
     def anchored_free(self) -> np.ndarray | None:
         """The free nodes, where each reaches a fixed node or a balloon over
         the constant-conductance branches alone, and so does in every
-        regime; else None, and each regime finds its own."""
+        regime; else None, and each layer finds its own."""
         static = np.flatnonzero(self.g_static > 0.0)
         labels = node_components(self.n, self.branch_a[static], self.branch_b[static])
         anchored = np.zeros(self.n, dtype=bool)
@@ -564,6 +585,10 @@ class _Compiled:
     @cached_property
     def mode_blocks(self) -> "_ModeBlocks":
         return _ModeBlocks(self.region[self.cap_idx], self.slots[0], self.compliance)
+
+    @cached_property
+    def layers(self) -> "_Layers":
+        return _Layers(self)
 
     def regime(self, is_open: np.ndarray) -> "_Regime":
         key = is_open.tobytes()
@@ -648,6 +673,101 @@ def _gather(B: np.ndarray, col: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(B, v[col])
 
 
+class _Layers:
+    """The layer maps of a network (``_Compiled.layers``), from which its
+    transient regimes are gathered: per layer, stacked, its watch rows
+    ``P`` (``a0``, ``A``), balloon rows ``Q`` (``k0``, ``K``) and singular
+    region blocks (``bad``), and per set of balloon modes its eigenbasis."""
+
+    def __init__(self, c: _Compiled):
+        region, (self.home, self.local, self.weight) = c.region, c.valve_bits
+        # each row's region, watch rows then balloons; a fixed node's is that of the last balloon,
+        # whose rows its pads (-1) read
+        cap = region[c.cap_idx]
+        watch = np.where(region[c.watch] >= 0, region[c.watch], cap[-1] if len(cap) else -1)
+        self.rows, self.iw, self.ic = np.concatenate([watch, cap]), np.arange(len(watch)), np.arange(len(cap))
+        self.P, self.Q = (np.zeros((0, len(rows), 1 + c.slots[1])) for rows in (watch, cap))
+        self.bad = np.zeros((0, c.n + 1), dtype=bool)  # by region, the fixed nodes' last
+        self.at: dict[int, int] = {}  # each filled layer's index in the stacks
+        self._modes: dict[bytes, tuple] = {}
+
+    def take(self, c: _Compiled, is_open: np.ndarray) -> np.ndarray:
+        """The layer that each row takes under the valve states ``is_open``,
+        as its index in the stacks, those not yet filled solved first as one
+        stack; SingularNetworkError where a row takes a singular block."""
+        lay = np.zeros(c.n + 1, self.weight.dtype)
+        np.add.at(lay, self.home, is_open * self.weight)
+        lay = lay[self.rows]
+        layers = sorted(set(lay.tolist()))
+        if new := [a for a in layers if a not in self.at]:
+            (slot, width), n = c.slots[:2], c.n
+            g = c.conductances(np.array([[(a >> j) & 1 for j in self.local] for a in new], dtype=bool))
+            P = np.zeros((len(new), n, 1 + width))
+            P[:, c.fixed_idx, 0], P[:, c.cap_idx, 1 + slot] = c.fixed_pa, 1.0
+            f = _tile(c.free_idx, len(new), n)
+            if c.anchored_free is None:
+                # nodes sealed off in a layer carry no flow; they read ambient
+                labels, _fixed, anchored = c.components(g)
+                f = f[anchored[labels[f]]]
+            bad = np.zeros((len(new), n + 1), dtype=bool)
+            try:
+                c.solve(g, f, P)
+            except SingularNetworkError:  # it fails the stack: each block alone fails only its rows
+                layer, region = f // n, c.region[f % n]
+                for i, r in set(zip(layer.tolist(), region.tolist())):
+                    try:
+                        c.solve(g[i], f[(layer == i) & (region == r)] % n, P[i])
+                    except SingularNetworkError:
+                        bad[i, r] = True
+            Q = c.inflow(g, P.reshape(-1, 1 + width)).reshape(P.shape)[:, c.cap_idx]
+            self.at.update(zip(new, range(len(self.at), len(self.at) + len(new))))
+            self.P, self.Q = np.concatenate([self.P, P[:, c.watch]]), np.concatenate([self.Q, Q])
+            self.bad = np.concatenate([self.bad, bad])
+        at = np.array([self.at[a] for a in layers], np.min_scalar_type(len(self.at)))  # every regime keeps it
+        at = at[np.searchsorted(layers, lay)]
+        if self.bad[at, self.rows].any():
+            raise SingularNetworkError("flow-balance system is singular")
+        return at
+
+    def modes(self, reg: "_Regime", mode: np.ndarray) -> tuple:
+        """``lam``, ``T``, ``Tt``, ``V``, ``zstar``, ``W`` and ``R`` of the
+        balloon modes ``mode``, stacked over the layers, each as ``_Modes``
+        of a regime of that layer alone would build it, and each built once."""
+        key = mode.tobytes()
+        old = self._modes.get(key, ())
+        if (done := len(old[0]) if old else 0) == len(self.at):
+            return old
+        K, A, k0 = self.Q[done:, :, 1:], self.P[done:, :, 1:], self.Q[done:, :, 0]
+        kcol, acol = reg.kcol, reg.acol
+        D, below = (mode == _ABOVE) / reg.compliance, mode == _BELOW
+        lam, T, Tt = np.zeros(k0.shape), np.zeros(K.shape), np.zeros(K.shape)
+        for idx, rows, slots, h, hh in reg.mode_blocks(mode == _ABOVE):
+            Kb = K[:, rows, slots]
+            lb, U = np.linalg.eigh((Kb + Kb.swapaxes(-1, -2)) / hh)
+            lb[lb > -64.0 * _EPS * np.abs(lb).max(axis=-1, keepdims=True)] = 0.0
+            hU = h * U
+            lam[:, idx], T[:, rows, slots] = lb, hU
+            Tt[:, idx[:, None, :], slots.transpose(0, 2, 1)] = hU
+        # x = T z above rest, z = Tᵀ D x, and the watched kPa per mode A D T / KPA; gathered
+        # by np.take, C-ordered, so that each product runs as one layer's alone would
+        W = np.matmul((A * D[acol] / KPA)[..., None, :], np.take(T, acol, axis=1))[..., 0, :]
+        zstar = np.divide(-np.vecdot(Tt, np.take(D * k0, kcol, axis=1)), lam, out=np.zeros(lam.shape),
+                          where=lam != 0.0)
+        V, R = T, np.zeros((len(K), 0, K.shape[2]))
+        if below.any():
+            # below rest, x' = R z + k0, integrated term by term
+            kb = kcol[below]
+            R = np.matmul((K[:, below] * D[kb])[..., None, :], np.take(T, kb, axis=1))[..., 0, :]
+            V = T.copy()
+            V[:, below] = np.divide(R, lam[:, kb], out=np.zeros_like(R), where=lam[:, kb] != 0.0)
+        new = lam, T, Tt, V, zstar, W, R
+        if old:  # the layers that grew since
+            new = tuple(np.concatenate(x) for x in zip(old, new))
+        if old or len(self._modes) < _MAX_MODES:
+            self._modes[key] = new
+        return new
+
+
 class _Regime:
     """The linear network of one valve-state assignment, reduced once.
 
@@ -657,13 +777,13 @@ class _Regime:
     run reads the margins and the samples as two row slices of one map.
     Kron reduction onto the balloon nodes gives their net inflows as
     ``K @ cap_pa + k0``; ``K`` is symmetric and block-diagonal by region.
-    The free nodes go through the same region solve as the DC solve, once,
-    with one column for the fixed-node drive and one per balloon slot
-    (``_Compiled.slots``): the j-th balloons of all regions share a
-    column, and every entry of ``A`` and ``K`` across two regions is 0.
+    Regions do not couple, so a regime solves nothing: each row is that of
+    the layer its region's valves select (``_Layers``). The j-th balloons
+    of all regions share a column, and every entry of ``A`` and ``K``
+    across two regions is 0.
 
     So ``A`` (watch × width) and ``K`` (balloons × width) are kept as the
-    solve gives them (the ELLPACK layout), with the column maps ``acol`` and
+    layers give them (the ELLPACK layout), with the column maps ``acol`` and
     ``kcol``; a pad's entry is 0, and ``A @ v`` is a gather (``_gather``).
 
     Besides these maps a regime owns what depends on its valve states and
@@ -682,20 +802,11 @@ class _Regime:
         self.sign = np.where(is_open, 1.0, -1.0)
         self.offset = np.where(is_open, -compiled.p_inflate, compiled.p_deflate)
         self._modes: dict[bytes, _Modes] = {}
-        g = compiled.conductances(is_open)
-        f = compiled.anchored_free
-        if f is None:
-            # nodes sealed off in this regime carry no flow; they read ambient
-            labels, _fixed, anchored = compiled.components(g)
-            f = compiled.free_idx[anchored[labels[compiled.free_idx]]]
-        # columns: the fixed-node drive, then one per balloon slot (a pad's is 0)
-        slot, width, self.acol, self.kcol = compiled.slots
-        P = np.zeros((compiled.n, 1 + width))
-        P[compiled.fixed_idx, 0] = compiled.fixed_pa
-        P[compiled.cap_idx, 1 + slot] = 1.0
-        compiled.solve(g, f, P)
-        Q = compiled.inflow(g, P)[compiled.cap_idx]
-        P = P[compiled.watch]
+        _slot, _width, self.acol, self.kcol = compiled.slots
+        self.layers = layers = compiled.layers
+        at = layers.take(compiled, is_open)  # each row's layer, watch rows then balloons
+        self.apick, self.kpick = (at[: len(layers.iw)], layers.iw), (at[len(layers.iw) :], layers.ic)
+        P, Q = layers.P[self.apick], layers.Q[self.kpick]
         self.a0, self.A, self.k0, self.K = P[:, 0], P[:, 1:], Q[:, 0], Q[:, 1:]
 
     def margin(self, ctrl_kpa: np.ndarray) -> np.ndarray:
@@ -737,19 +848,20 @@ class _Modes:
     With ``x = v - rest`` and ``D = diag(1/C)`` over the balloons above
     rest (0 elsewhere), those obey ``x' = K D x + k0``. Per block of ``K``,
     ``S = C^-½ K C^-½ = U diag(λ) Uᵀ``, so the mode coordinates ``z = Uᵀ
-    C^-½ x`` relax apart, ``z' = λ z + f``; the blocks of each size are
-    decomposed by one stacked ``eigh``, and mode ``j`` of a block sits at
-    the index of its ``j``-th balloon. A balloon below rest integrates its
-    inflow, affine in ``z``; an empty one holds. So a segment from ``x0``
-    is ``x(τ) = xc + τ w + V (d ∘ e^(λτ))``. ``K`` is negative
-    semidefinite: an eigenvalue within roundoff of 0 is 0, and its mode,
-    on balloons sealed off from every fixed node and so undriven, holds.
-    ``W`` maps the modes to every ``watch`` node's kPa, the terms of its
-    wave (``_Segment.wave``).
+    C^-½ x`` relax apart, ``z' = λ z + f``; a layer decomposes the blocks
+    of each size by one stacked ``eigh`` (``_Layers.modes``), and mode
+    ``j`` of a block sits at the index of its ``j``-th balloon. A balloon
+    below rest integrates its inflow, affine in ``z``; an empty one holds.
+    So a segment from ``x0`` is ``x(τ) = xc + τ w + V (d ∘ e^(λτ))``.
+    ``K`` is negative semidefinite: an eigenvalue within roundoff of 0 is
+    0, and its mode, on balloons sealed off from every fixed node and so
+    undriven, holds. ``W`` maps the modes to every ``watch`` node's kPa,
+    the terms of its wave (``_Segment.wave``).
 
-    Everything that depends on the regime and the modes alone is built
-    here once and read by every segment that starts in them. A mode
-    couples only the balloons of its region, so each is slot-compact:
+    Everything that depends on the regime and the modes alone is gathered
+    here once, row by row from its layers' (``_Layers.modes``), and read
+    by every segment that starts in them. A mode couples only the balloons
+    of its region, so each is slot-compact:
     ``T``, ``Tt`` (``Tᵀ``) and ``V`` by ``kcol``, and ``W`` and the
     valves' signed margin rows ``M`` (``W``'s control rows times the
     regime's ``sign``) by ``acol``; ``lam_k`` and ``lam_a`` hold the rates
@@ -761,30 +873,17 @@ class _Modes:
         self.mode, above, self.below = mode, mode == _ABOVE, mode == _BELOW
         self.kcol, self.acol = kcol, acol
         self.D = above / reg.compliance
-        lam, T, Tt = np.zeros(nc), np.zeros(reg.K.shape), np.zeros(reg.K.shape)
-        for idx, rows, slots, h, hh in reg.mode_blocks(above):
-            Kb = reg.K[rows, slots]
-            lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / hh)
-            lb[lb > -64.0 * _EPS * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
-            hU = h * U
-            lam[idx], T[rows, slots] = lb, hU
-            Tt[idx[:, None, :], slots.transpose(0, 2, 1)] = hU
-        # x = T z above rest, z = Tᵀ D x, and the watched kPa per mode A D T / KPA
-        self.lam, self.T, self.Tt, self.moving, self.V = lam, T, Tt, lam != 0.0, T
-        self.lam_k, self.lam_a = lam[kcol], lam[acol]
-        AD = reg.A * self.D[acol] / KPA
-        self.W = np.matmul(AD[:, None, :], T[acol])[:, 0]
+        lam, T, Tt, V, zstar, W, R = reg.layers.modes(reg, mode)
+        lam, self.T, self.Tt, self.zstar = (x[reg.kpick] for x in (lam, T, Tt, zstar))
+        self.V = V[reg.kpick] if self.below.any() else self.T  # the same where none is below rest
+        self.W = W[reg.apick]
+        self.lam, self.moving, self.lam_k, self.lam_a = lam, lam != 0.0, lam[kcol], lam[acol]
         self.no_w = np.zeros(nc)  # w with no balloon below rest, read only
-        self.zstar = np.divide(-_gather(Tt, kcol, self.D * reg.k0), lam, out=np.zeros(nc), where=self.moving)
         self.M = reg.sign[:, None] * self.W[: len(reg.sign)]
         self.any_below = bool(self.below.any())
         if self.any_below:
-            # below rest, x' = R z + k0, integrated term by term
-            self.kb = kb = kcol[self.below]
-            self.R = np.matmul((reg.K[self.below] * self.D[kb])[:, None, :], T[kb])[:, 0]
-            self.k0 = reg.k0[self.below]
-            self.V = T.copy()
-            self.V[self.below] = np.divide(self.R, lam[kb], out=np.zeros_like(self.R), where=self.moving[kb])
+            self.kb, self.k0 = kcol[self.below], reg.k0[self.below]
+            self.R = R[reg.kpick[0][self.below], np.arange(len(self.kb))]
 
     def segment(self, x0: np.ndarray):
         """``(xc, w, d)`` of the segment that starts from ``x0``."""
@@ -843,21 +942,18 @@ class _Walk:
     same compiled network, whatever its fixed pressures.
     """
 
-    def __init__(self, compiled: _Compiled, region: np.ndarray, home: np.ndarray, levels):
+    def __init__(self, compiled: _Compiled, region: np.ndarray, levels):
         # per level: its valves, their control nodes and bits, and its control
         # nodes, the span of their region's valves and their rows of a layer
         # map; last, the valves joining two fixed nodes (they move no pressure)
         self.read = np.unique(compiled.control[region[compiled.control] >= 0])
+        home, self.local, weight = compiled.valve_bits  # each valve's region, index j in it, and bit
         valves = {r: [] for level in levels for r in level}
-        self.local = []  # each valve's index j in its region
         for v, r in enumerate(home.tolist()):
-            self.local.append(len(valves[r]))
             valves[r].append(v)
         rows = {r: [] for r in valves}
         for k, node in enumerate(self.read.tolist()):
             rows[int(region[node])].append(k)
-        # each valve's bit in a layer number; past 63 bits, a Python int
-        weight = np.array([1 << j for j in self.local], object if max(self.local, default=0) > 62 else int)
         self.levels = []
         for level in levels:
             vs, ks, lo, hi = [], [], [], []
@@ -873,10 +969,7 @@ class _Walk:
         """The walk over ``compiled``'s regions, or None when a region
         depends on itself, directly or through other regions."""
         c = compiled
-        region = c.region
-        nb = len(c.g_static)
-        # a valve branch between two fixed nodes lies in no region (-1)
-        home = np.maximum(region[c.branch_a[nb:]], region[c.branch_b[nb:]])
+        region, home = c.region, c.valve_bits[0]  # a valve joining two fixed nodes lies in no region (-1)
         sorter = TopologicalSorter()
         for r, rc in zip(home.tolist(), region[c.control].tolist()):
             if rc >= 0:
@@ -891,7 +984,7 @@ class _Walk:
         while sorter.is_active():
             levels.append(list(sorter.get_ready()))
             sorter.done(*levels[-1])
-        return cls(c, region, home, levels + [[-1]])
+        return cls(c, region, levels + [[-1]])
 
     def fill(self, compiled: _Compiled, layers: list[int]) -> list[np.ndarray]:
         """The maps of the distinct ``layers``, those not yet filled solved
@@ -1446,9 +1539,12 @@ def _limit_cycle(
     cycle. ``cycles`` counts the earlier occurrences of the last event's
     key: the cycles run, where each key occurs once a cycle. The warnings
     are the segments' own, as ``simulate`` reports them, up to where the
-    run stops.
+    run stops. Only the segments that a reported cycle can still include
+    are kept: those of the last full cycle, and those from the middle one
+    of the valve events read on, since a cycle spans at most half of them.
     """
-    segments: list[_Segment] = []
+    segments: list[_Segment] = []  # the run's segments from segment ``dropped`` on
+    dropped = 0
     keys, times, starts = [], [], []  # per valve event: its key, time and segment
     seen: dict[tuple, list[int]] = {}
     warnings: list[str] = []
@@ -1464,13 +1560,17 @@ def _limit_cycle(
             events += len(seg.flips)
             keys.append(tuple(seg.flips))
             times.append(seg.t)
-            starts.append(len(segments) - 1)
+            starts.append(dropped + len(segments) - 1)
             earlier = seen.setdefault(keys[-1], [])
             p, converged = _last_cycle(keys, times, earlier)
             cycles = len(earlier)
             earlier.append(len(keys) - 1)
             if p:
                 full = len(keys) - 1, p
+            stale = starts[min(len(keys) // 2, full[0] - full[1] if full else len(keys))] - dropped
+            if 4 * stale > len(segments):  # so the list is cut once per growth by half
+                del segments[:stale]
+                dropped += stale
             if converged:
                 break
             if cycles >= _MAX_CYCLES:
@@ -1485,8 +1585,8 @@ def _limit_cycle(
     if full is None:
         return _Cycle([], 0.0, cycles, events, cap, warnings)
     n, p = full
-    return _Cycle(segments[starts[n - p] : starts[n]], float(times[n] - times[n - p]), cycles,
-                  events, cap, warnings)
+    return _Cycle(segments[starts[n - p] - dropped : starts[n] - dropped], float(times[n] - times[n - p]),
+                  cycles, events, cap, warnings)
 
 
 class _Waves(NamedTuple):

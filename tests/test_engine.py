@@ -1510,6 +1510,107 @@ def test_compact_maps_match_the_dense_layout_on_rings_bit_for_bit(make_net):
         _assert_compact_maps_match_the_dense(compiled, rng, exact=True)
 
 
+def _regime_solved_alone(compiled, is_open):
+    """A regime's ``a0``, ``A``, ``k0`` and ``K`` from a region solve of its
+    own, over the free nodes that its valve states leave anchored, with one
+    column for the fixed-node drive and one per balloon slot."""
+    g = compiled.conductances(is_open)
+    labels, _fixed, anchored = compiled.components(g)
+    slot, width = compiled.slots[:2]
+    P = np.zeros((compiled.n, 1 + width))
+    P[compiled.fixed_idx, 0] = compiled.fixed_pa
+    P[compiled.cap_idx, 1 + slot] = 1.0
+    compiled.solve(g, compiled.free_idx[anchored[labels[compiled.free_idx]]], P)
+    Q = compiled.inflow(g, P)[compiled.cap_idx]
+    P = P[compiled.watch]
+    return P[:, 0], P[:, 1:], Q[:, 0], Q[:, 1:]
+
+
+def _modes_alone(compiled, sign, A, K, k0, mode):
+    """``lam``, ``T``, ``Tt``, ``V``, ``zstar``, ``W`` and ``M`` of the
+    balloon modes ``mode``, decomposed from one regime's own maps: one
+    stacked ``eigh`` per block size of its ``K``, in the slot layout."""
+    kcol, acol = compiled.slots[3], compiled.slots[2]
+    above, below = mode == engine._ABOVE, mode == engine._BELOW
+    D = above / compiled.compliance
+    lam, T, Tt = np.zeros(len(mode)), np.zeros(K.shape), np.zeros(K.shape)
+    for idx, rows, slots, h, hh in compiled.mode_blocks(above):
+        Kb = K[rows, slots]
+        lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / hh)
+        lb[lb > -64.0 * engine._EPS * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
+        lam[idx], T[rows, slots] = lb, h * U
+        Tt[idx[:, None, :], slots.transpose(0, 2, 1)] = h * U
+    W = np.matmul((A * D[acol] / engine.KPA)[:, None, :], T[acol])[:, 0]
+    zstar = np.divide(-engine._gather(Tt, kcol, D * k0), lam, out=np.zeros(len(mode)), where=lam != 0.0)
+    V = T.copy()
+    if below.any():
+        kb = kcol[below]
+        R = np.matmul((K[below] * D[kb])[:, None, :], T[kb])[:, 0]
+        V[below] = np.divide(R, lam[kb], out=np.zeros_like(R), where=lam[kb] != 0.0)
+    return lam, T, Tt, V, zstar, W, sign[:, None] * W[: len(sign)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(st.none(), _loads), st.integers(0, 2**32 - 1))
+def test_gathered_regimes_match_a_solve_of_their_own(loads, seed):
+    # a fan-out of 2-4 loads puts several balloons in one region; None is
+    # the dead_segment net, whose x-y segment no static branch anchors and
+    # whose node order probes the fixed nodes
+    if loads is None:
+        net = _DC_PROPERTY_NETS["dead_segment"]()
+        compiled = engine._Compiled(net, net.node_order())
+        assert compiled.anchored_free is None
+    else:
+        compiled = engine._Compiled(_fanout(loads), ("q", "l0.b", "SUP"))
+        assert compiled.slots[1] == len(loads)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        is_open = rng.random(len(compiled.valve_names)) < 0.5
+        reg = compiled.regime(is_open)
+        a0, A, k0, K = want = _regime_solved_alone(compiled, is_open)
+        for name, w in zip(("a0", "A", "k0", "K"), want):
+            assert np.array_equal(getattr(reg, name), w), name
+        mode = rng.choice([engine._ABOVE, engine._ABOVE, engine._BELOW, engine._EMPTY], size=len(k0))
+        modes = reg.modes(mode)
+        for name, w in zip(("lam", "T", "Tt", "V", "zstar", "W", "M"),
+                           _modes_alone(compiled, reg.sign, A, K, k0, mode)):
+            assert np.array_equal(getattr(modes, name), w), name
+    # a region's j-th valve sets bit j of its layer: at most 2^k layers
+    _homes, per_region = np.unique(compiled.layers.home, return_counts=True)
+    assert 0 < len(compiled.layers.at) <= 2 ** per_region.max()
+
+
+def test_a_singular_block_fails_only_the_regimes_that_take_it():
+    # x1-x2 reaches the fixed nodes only through va and vb, of 1e-300 each:
+    # with either open, the second pivot of its block rounds to exactly 0
+    net = build(
+        "source SUP pressure=145kPa\nsource CTL pressure=100kPa\n"
+        + "".join(f"tube t{k} from=CTL to=k{k} length=7.5cm\n" for k in (1, 2, 3))
+        + "valve va from=SUP to=x1 control=k1 open_conductance=1e-300\n"
+        "tube tx from=x1 to=x2 length=7.5cm\n"
+        "valve vb from=x2 to=ATM control=k2 open_conductance=1e-300\n"
+        "valve vc from=SUP to=y control=k3\n"
+        "tube ty from=y to=z length=7.5cm\nballoon bz node=z\ntube tz from=z to=ATM length=15cm\n"
+    )
+    compiled = engine._Compiled(net, ("x1", "x2", "y", "z"))
+    with pytest.raises(SingularNetworkError, match="system is singular"):
+        _regime_solved_alone(compiled, np.array([True, False, False]))
+    # layers 0 and 1 fill as one stack, and layer 1 holds the singular block
+    with pytest.raises(SingularNetworkError):
+        compiled.regime(np.array([True, False, False]))
+    assert len(compiled.layers.at) == 2
+    # vc open takes layer 1 in y's region and layer 0 in x1-x2's
+    is_open = np.array([False, False, True])
+    reg = compiled.regime(is_open)
+    for got, want in zip((reg.a0, reg.A, reg.k0, reg.K), _regime_solved_alone(compiled, is_open)):
+        assert np.array_equal(got, want)
+    assert reg.a0[-2] > 0.0  # y, fed by vc
+    modes = reg.modes(np.full(1, engine._ABOVE))
+    assert np.isfinite(modes.W).all() and np.isfinite(modes.lam).all()
+    with pytest.raises(SingularNetworkError):
+        compiled.regime(np.array([False, True, True]))
+
+
 def test_no_cached_regime_array_grows_with_the_balloons_times_the_rows():
     # a 101-stage travelling wave caches a regime per valve-state pattern it
     # meets; each array a regime or its modes hold is at most rows x width
