@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -308,8 +309,10 @@ def _cmd_freq(args, ast, defaults) -> int:
         _warn(exc.warnings)
         raise
     _warn(rep.warnings)
+    # a probe that never crosses its midline has no phase, NaN; JSON has no NaN, so it writes null
+    phase = {probe: None if math.isnan(deg) else deg for probe, deg in rep.phase_deg.items()}
     records = [{"probe": probe, "frequency_hz": rep.frequency_hz, "peak_kpa": rep.peaks_kpa[probe],
-                "trough_kpa": rep.troughs_kpa[probe], "phase_deg": rep.phase_deg[probe],
+                "trough_kpa": rep.troughs_kpa[probe], "phase_deg": phase[probe],
                 "duty": rep.duty, "cycles": rep.cycles} for probe in rep.peaks_kpa]
     text = [f"frequency: {rep.frequency_hz:.3f} Hz over {rep.cycles} cycles "
             f"(duty {rep.duty:.2f}, reference probe {rep.probe})"]

@@ -49,9 +49,8 @@ Each array is built once, on the object whose lifetime matches what it
 depends on, and the event loop only reads it. ``_Compiled`` owns what
 depends on the network alone: its index arrays, the region solve's block
 layout and its tiled copies per stack size, the balloons' column slots
-of a regime, the balloon modes' block layout per set of balloons above
-rest (``_ModeBlocks``), where no valve can cut one off, the free nodes
-that every layer solves, and the layer maps with their eigenbases.
+of a regime, and the layer maps (``_Layers``), which fill each layer's
+rows and, per set of balloon modes, their eigenbases as regimes need them.
 ``_Regime`` owns what depends on one valve-state assignment: its reduced
 maps and the two terms of each valve's margin. ``_Modes`` owns what
 depends on that and on the balloons' modes: the eigenbasis, the waves'
@@ -254,6 +253,14 @@ def _tile(idx: np.ndarray, copies: int, size: int) -> np.ndarray:
     return idx if copies == 1 else (idx + size * np.arange(copies)[:, None]).ravel()
 
 
+def _rank(group: np.ndarray) -> np.ndarray:
+    """Each item's index among the earlier items of its group."""
+    order = np.argsort(group, kind="stable")
+    rank = np.empty(len(group), dtype=int)
+    rank[order] = np.arange(len(group)) - np.searchsorted(group[order], group[order])
+    return rank
+
+
 class _Tiled(NamedTuple):
     """A network's index arrays over a stack of its copies (``_tile``):
     branch ends and the fixed, balloon and unfixed nodes over its nodes;
@@ -290,12 +297,10 @@ class _Compiled:
     Everything that depends on the network alone is built here once, at
     its first use: the region solve's block layout (``_blocks``), the
     index arrays of each stack size that a stacked solve meets
-    (``tiled``), the balloons' column slots of a regime solve (``slots``),
-    the block layout of the balloon modes for each set of balloons above
-    rest (``mode_blocks``) and the free nodes that no valve can cut off
-    (``anchored_free``); the layer maps, each region's maps for each
-    state of its valves, solved as the regimes need them (``layers``);
-    and each valve-state assignment's ``_Regime``, gathered from them.
+    (``tiled``), the balloons' column slots of a regime solve (``slots``);
+    the layer maps, each region's maps for each state of its valves,
+    solved as the regimes need them (``layers``); and each valve-state
+    assignment's ``_Regime``, gathered from them.
     """
 
     def __init__(self, net: PneumaticNetwork, probes: Sequence[str] = ()):
@@ -409,9 +414,7 @@ class _Compiled:
         size = counts[inv]
         order = np.lexsort((nodes, inv, size))  # by size, then region, then node
         nodes, inv, size = nodes[order], inv[order], size[order]
-        stacked = np.arange(len(nodes))
-        first = np.r_[True, inv[1:] != inv[:-1]]
-        place = stacked - np.maximum.accumulate(np.where(first, stacked, 0))
+        stacked, place = np.arange(len(nodes)), _rank(inv)  # each node's place in its region
         sizes, row0, nrows = np.unique(size, return_index=True, return_counts=True)
         entry0 = np.cumsum(nrows * sizes) - nrows * sizes
         stacks = list(zip(sizes.tolist(), (nrows // sizes).tolist(), row0.tolist(), entry0.tolist()))
@@ -543,9 +546,7 @@ class _Compiled:
         (a Python int past 63 bits), 0 where it joins two fixed nodes."""
         nb = len(self.g_static)
         home = np.maximum(self.region[self.branch_a[nb:]], self.region[self.branch_b[nb:]])
-        order = np.argsort(home, kind="stable")  # by region, in valve order
-        local = np.empty(len(home), dtype=int)
-        local[order] = np.arange(len(home)) - np.searchsorted(home[order], home[order])
+        local = _rank(home)
         one = np.array(1, object if local.max(initial=0) > 62 else int)
         return home, local.tolist(), (home >= 0) * (one << local)
 
@@ -558,17 +559,6 @@ class _Compiled:
     # -- transient regime (balloon nodes pinned by their volumes) -------------
 
     @cached_property
-    def anchored_free(self) -> np.ndarray | None:
-        """The free nodes, where each reaches a fixed node or a balloon over
-        the constant-conductance branches alone, and so does in every
-        regime; else None, and each layer finds its own."""
-        static = np.flatnonzero(self.g_static > 0.0)
-        labels = node_components(self.n, self.branch_a[static], self.branch_b[static])
-        anchored = np.zeros(self.n, dtype=bool)
-        anchored[labels[np.r_[self.fixed_idx, self.cap_idx]]] = True
-        return self.free_idx if anchored[labels[self.free_idx]].all() else None
-
-    @cached_property
     def slots(self):
         """The balloon columns of a regime solve: regions do not couple, so
         the j-th balloon of every region takes column ``1 + j``. Each
@@ -576,15 +566,11 @@ class _Compiled:
         ``A``'s rows (``watch``) and ``K``'s (balloons): the balloon in each
         slot of the row's region, or -1, a pad."""
         region = self.region[self.cap_idx]
-        slot = np.tril(region[:, None] == region, -1).sum(axis=1)  # earlier balloons of its region
+        slot = _rank(region)
         width = int(slot.max(initial=-1)) + 1
         by_region = np.full((self.n + 1, width), -1)  # the last row, for fixed nodes, all pads
         by_region[region, slot] = np.arange(len(region))
         return slot, width, by_region[self.region[self.watch]], by_region[region]
-
-    @cached_property
-    def mode_blocks(self) -> "_ModeBlocks":
-        return _ModeBlocks(self.region[self.cap_idx], self.slots[0], self.compliance)
 
     @cached_property
     def layers(self) -> "_Layers":
@@ -632,40 +618,8 @@ _ABOVE, _BELOW, _EMPTY = 0, 1, 2
 _EPS = np.finfo(float).eps
 
 #: the sets of balloon modes whose ``_Modes`` a regime keeps, and whose
-#: block layout a network keeps
+#: eigenbases a network's layer maps keep
 _MAX_MODES = 64
-
-
-class _ModeBlocks:
-    """The block layout of a network's balloon modes (``_Modes``), one per
-    set of balloons above rest, built at its first use: it depends on the
-    network alone, so every regime of one ``_Compiled`` shares it. The
-    balloons above rest form blocks by region; per block size ``s``, their
-    indices ``(k, s)``, as rows ``(k, s, 1)`` and as slots of their
-    region ``(k, 1, s)``, their ``sqrt(C)`` by row and the scale ``2
-    sqrt(C_i C_j)`` of each block's symmetrized entries."""
-
-    def __init__(self, region: np.ndarray, slot: np.ndarray, compliance: np.ndarray):
-        self.region, self.slot, self.compliance = region, slot, compliance
-        self._layouts: dict[bytes, list] = {}
-
-    def __call__(self, above: np.ndarray) -> list:
-        key = above.tobytes()
-        layout = self._layouts.get(key)
-        if layout is None:
-            bal = np.flatnonzero(above)
-            _labels, inv, counts = np.unique(self.region[bal], return_inverse=True, return_counts=True)
-            order = np.lexsort((bal, inv, counts[inv]))  # by block size, then block
-            bal, size = bal[order], counts[inv][order]
-            layout = []
-            for s in np.unique(size).tolist():
-                idx = bal[size == s].reshape(-1, s)
-                rows = idx[:, :, None]
-                h = np.sqrt(self.compliance[rows])
-                layout.append((idx, rows, self.slot[idx][:, None, :], h, 2.0 * h * h.transpose(0, 2, 1)))
-            if len(self._layouts) < _MAX_MODES:
-                self._layouts[key] = layout
-        return layout
 
 
 def _gather(B: np.ndarray, col: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -677,16 +631,22 @@ class _Layers:
     """The layer maps of a network (``_Compiled.layers``), from which its
     transient regimes are gathered: per layer, stacked, its watch rows
     ``P`` (``a0``, ``A``), balloon rows ``Q`` (``k0``, ``K``) and singular
-    region blocks (``bad``), and per set of balloon modes its eigenbasis."""
+    region blocks (``bad``), and per set of balloon modes its eigenbasis.
+    A new layer solves the free nodes that its valve states leave
+    anchored. It keeps the network arrays it reads: the valves' layer bits,
+    the balloons' regions (``cap``), slots and compliances, and the
+    column maps ``acol`` and ``kcol``."""
 
     def __init__(self, c: _Compiled):
         region, (self.home, self.local, self.weight) = c.region, c.valve_bits
         # each row's region, watch rows then balloons; a fixed node's is that of the last balloon,
         # whose rows its pads (-1) read
-        cap = region[c.cap_idx]
+        self.cap = cap = region[c.cap_idx]
         watch = np.where(region[c.watch] >= 0, region[c.watch], cap[-1] if len(cap) else -1)
         self.rows, self.iw, self.ic = np.concatenate([watch, cap]), np.arange(len(watch)), np.arange(len(cap))
-        self.P, self.Q = (np.zeros((0, len(rows), 1 + c.slots[1])) for rows in (watch, cap))
+        self.slot, width, self.acol, self.kcol = c.slots
+        self.compliance = c.compliance
+        self.P, self.Q = (np.zeros((0, len(rows), 1 + width)) for rows in (watch, cap))
         self.bad = np.zeros((0, c.n + 1), dtype=bool)  # by region, the fixed nodes' last
         self.at: dict[int, int] = {}  # each filled layer's index in the stacks
         self._modes: dict[bytes, tuple] = {}
@@ -700,15 +660,14 @@ class _Layers:
         lay = lay[self.rows]
         layers = sorted(set(lay.tolist()))
         if new := [a for a in layers if a not in self.at]:
-            (slot, width), n = c.slots[:2], c.n
+            n, width = c.n, self.P.shape[2] - 1
             g = c.conductances(np.array([[(a >> j) & 1 for j in self.local] for a in new], dtype=bool))
             P = np.zeros((len(new), n, 1 + width))
-            P[:, c.fixed_idx, 0], P[:, c.cap_idx, 1 + slot] = c.fixed_pa, 1.0
+            P[:, c.fixed_idx, 0], P[:, c.cap_idx, 1 + self.slot] = c.fixed_pa, 1.0
+            # nodes sealed off in a layer carry no flow; they read ambient
+            labels, _fixed, anchored = c.components(g)
             f = _tile(c.free_idx, len(new), n)
-            if c.anchored_free is None:
-                # nodes sealed off in a layer carry no flow; they read ambient
-                labels, _fixed, anchored = c.components(g)
-                f = f[anchored[labels[f]]]
+            f = f[anchored[labels[f]]]
             bad = np.zeros((len(new), n + 1), dtype=bool)
             try:
                 c.solve(g, f, P)
@@ -729,21 +688,31 @@ class _Layers:
             raise SingularNetworkError("flow-balance system is singular")
         return at
 
-    def modes(self, reg: "_Regime", mode: np.ndarray) -> tuple:
+    def modes(self, mode: np.ndarray) -> tuple:
         """``lam``, ``T``, ``Tt``, ``V``, ``zstar``, ``W`` and ``R`` of the
         balloon modes ``mode``, stacked over the layers, each as ``_Modes``
-        of a regime of that layer alone would build it, and each built once."""
+        of a regime of that layer alone would build it, and each built once.
+        The balloons above rest form blocks by region, and the blocks of each
+        size ``s`` are decomposed as one stack: their indices ``(k, s)``, as
+        rows ``(k, s, 1)`` and as slots of their region ``(k, 1, s)``."""
         key = mode.tobytes()
         old = self._modes.get(key, ())
         if (done := len(old[0]) if old else 0) == len(self.at):
             return old
         K, A, k0 = self.Q[done:, :, 1:], self.P[done:, :, 1:], self.Q[done:, :, 0]
-        kcol, acol = reg.kcol, reg.acol
-        D, below = (mode == _ABOVE) / reg.compliance, mode == _BELOW
+        kcol, acol, above, below = self.kcol, self.acol, mode == _ABOVE, mode == _BELOW
+        D = above / self.compliance
         lam, T, Tt = np.zeros(k0.shape), np.zeros(K.shape), np.zeros(K.shape)
-        for idx, rows, slots, h, hh in reg.mode_blocks(mode == _ABOVE):
+        bal = np.flatnonzero(above)
+        _labels, inv, counts = np.unique(self.cap[bal], return_inverse=True, return_counts=True)
+        order = np.lexsort((inv, counts[inv]))  # by block size, then block, in balloon order
+        bal, size = bal[order], counts[inv][order]
+        for s in np.unique(size).tolist():
+            idx = bal[size == s].reshape(-1, s)
+            rows, slots = idx[:, :, None], self.slot[idx][:, None, :]
+            h = np.sqrt(self.compliance[rows])
             Kb = K[:, rows, slots]
-            lb, U = np.linalg.eigh((Kb + Kb.swapaxes(-1, -2)) / hh)
+            lb, U = np.linalg.eigh((Kb + Kb.swapaxes(-1, -2)) / (2.0 * h * h.transpose(0, 2, 1)))
             lb[lb > -64.0 * _EPS * np.abs(lb).max(axis=-1, keepdims=True)] = 0.0
             hU = h * U
             lam[:, idx], T[:, rows, slots] = lb, hU
@@ -785,6 +754,7 @@ class _Regime:
     So ``A`` (watch × width) and ``K`` (balloons × width) are kept as the
     layers give them (the ELLPACK layout), with the column maps ``acol`` and
     ``kcol``; a pad's entry is 0, and ``A @ v`` is a gather (``_gather``).
+    A balloon's own column in its row of ``K`` is its ``slot``.
 
     Besides these maps a regime owns what depends on its valve states and
     nothing else: ``sign``, +1 for an open valve and -1 for a closed one,
@@ -798,11 +768,10 @@ class _Regime:
         # the _Compiled that caches this regime: a reference cycle would keep
         # both, and their matrices, alive until the next full gc pass
         self.rest_volume, self.compliance = compiled.rest_volume, compiled.compliance
-        self.mode_blocks = compiled.mode_blocks
         self.sign = np.where(is_open, 1.0, -1.0)
         self.offset = np.where(is_open, -compiled.p_inflate, compiled.p_deflate)
         self._modes: dict[bytes, _Modes] = {}
-        _slot, _width, self.acol, self.kcol = compiled.slots
+        self.slot, _width, self.acol, self.kcol = compiled.slots
         self.layers = layers = compiled.layers
         at = layers.take(compiled, is_open)  # each row's layer, watch rows then balloons
         self.apick, self.kpick = (at[: len(layers.iw)], layers.iw), (at[len(layers.iw) :], layers.ic)
@@ -873,7 +842,7 @@ class _Modes:
         self.mode, above, self.below = mode, mode == _ABOVE, mode == _BELOW
         self.kcol, self.acol = kcol, acol
         self.D = above / reg.compliance
-        lam, T, Tt, V, zstar, W, R = reg.layers.modes(reg, mode)
+        lam, T, Tt, V, zstar, W, R = reg.layers.modes(mode)
         lam, self.T, self.Tt, self.zstar = (x[reg.kpick] for x in (lam, T, Tt, zstar))
         self.V = V[reg.kpick] if self.below.any() else self.T  # the same where none is below rest
         self.W = W[reg.apick]
@@ -906,7 +875,7 @@ class _Modes:
         its inflow turns positive, to below rest; ``beta`` by ``kcol``."""
         above, below, empty = (np.flatnonzero(self.mode == m) for m in (_ABOVE, _BELOW, _EMPTY))
         who = np.concatenate([above, below, below, empty])
-        eye = (np.arange(reg.K.shape[1]) == reg.mode_blocks.slot[who[: len(who) - len(empty)], None])
+        eye = (np.arange(reg.K.shape[1]) == reg.slot[who[: len(who) - len(empty)], None])
         sign = np.repeat([-1.0, 1.0, -1.0], [len(above), len(below), len(below)])
         beta = np.concatenate([sign[:, None] * eye, reg.K[empty] * self.D[self.kcol[empty]]])
         alpha = np.concatenate([np.zeros(len(above) + len(below)), -reg.rest_volume[below], reg.k0[empty]])
@@ -1061,25 +1030,41 @@ _DC_CHUNK = 256
 
 def _dc_chunks(net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequence[float]]):
     """The search of ``dc_operating_point(net.with_pins(...))`` for each row
-    of pressures (kPa) of ``rows`` on the nodes ``pins``: per chunk of up to
-    ``_DC_CHUNK`` rows, the compiled network and one ``_dc_search`` of them.
-    The pinned network is validated and compiled once; a row gets the
-    checks of ``with_pins`` and ``fixed_pressures``, with their errors, and
-    changes only the fixed pressures."""
+    of pressures (kPa) of ``rows`` on the distinct nodes ``pins``: per chunk
+    of up to ``_DC_CHUNK`` rows, the compiled network and one ``_dc_search``
+    of them. The pinned network is validated and compiled once; a row gets
+    the checks of ``with_pins`` and ``fixed_pressures``, with their errors,
+    and changes only the fixed pressures. The checks run once per distinct
+    (pin, value), and the first row that fails one runs them again pin by
+    pin, which raises its error."""
     rows = iter(rows)
     compiled = None
-    while chunk := [dict(zip(pins, values)) for values in islice(rows, _DC_CHUNK)]:
+    while chunk := list(islice(rows, _DC_CHUNK)):
         if compiled is None:
-            pinned, unpinned = net.with_pins(chunk[0]), net.fixed_pressures()
-            fixed, compiled = pinned.fixed_pressures(), _Compiled(pinned.validate())
-        fixed_pa = np.tile(compiled.fixed_pa, (len(chunk), 1))
-        for r, pin in enumerate(chunk):
+            pinned, unpinned = net.with_pins(dict(zip(pins, chunk[0]))), net.fixed_pressures()
+            fixed = list(pinned.fixed_pressures())
+            compiled, cols = _Compiled(pinned.validate()), [fixed.index(n) for n in pins]
+        kpa = np.array(chunk, dtype=float).reshape(len(chunk), len(pins))
+        bad = np.zeros(len(chunk), dtype=bool)
+        for j, node in enumerate(pins):
+            values, at = np.unique(kpa[:, j], return_inverse=True)
+            bad |= np.array([not _pin_ok(node, p, unpinned) for p in values.tolist()], dtype=bool)[at]
+        if bad.any():
+            pin = dict(zip(pins, chunk[int(bad.argmax())]))
             # every pin's vacuum check first, then its clash with a fixed node
             clash = [n for n, p in pin.items() if check_pressure(p, f"pin {n}") != unpinned.get(n, p)]
-            if clash:
-                raise NetworkError(f"node {clash[0]} pinned to conflicting pressures")
-            fixed_pa[r, : len(fixed)] = [p * KPA for p in {**fixed, **pin}.values()]
+            raise NetworkError(f"node {clash[0]} pinned to conflicting pressures")
+        fixed_pa = np.tile(compiled.fixed_pa, (len(chunk), 1))
+        fixed_pa[:, cols] = kpa * KPA
         yield compiled, _dc_search(compiled, np.tile(compiled.initial_open, (len(chunk), 1)), fixed_pa)
+
+
+def _pin_ok(node: str, kpa: float, unpinned: dict[str, float]) -> bool:
+    """Whether ``with_pins`` and ``fixed_pressures`` take ``node`` pinned at ``kpa``."""
+    try:
+        return check_pressure(kpa) == unpinned.get(node, kpa)
+    except ValueError:
+        return False
 
 
 def _dc_rows(net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequence[float]]):

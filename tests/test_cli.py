@@ -653,6 +653,22 @@ def test_json_lines_output_is_json_on_every_line(argv, capsys):
         assert isinstance(json.loads(line), dict)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_freq_json_lines_writes_null_for_a_probe_with_no_phase(capsys):
+    # the atmosphere never crosses its midline: its phase is NaN, which the
+    # text prints as nan and a JSON line writes as null
+    argv = ["freq", circuit("ring3_calibrated.tbl"), "--probe", "m1", "--probe", "ATM"]
+    assert main(["--format", "json-lines", *argv]) == 0
+    out = capsys.readouterr().out
+    recs = [json.loads(line, parse_constant=_refuse_constant) for line in out.splitlines()]
+    assert [(r["probe"], r["phase_deg"]) for r in recs] == [("m1", 0.0), ("ATM", None)]
+    assert main(argv) == 0
+    assert "ATM: peak 0.00 kPa, trough 0.00 kPa, phase nan deg" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("expr, rc, matches", [("!(a&b)", 0, True), ("!(a|b)", 4, False)])
 def test_truth_json_lines_ends_with_its_verdict(expr, rc, matches, capsys):
     argv = ["--format", "json-lines", "truth", circuit("nand.tbl"), "--inputs", "a,b",

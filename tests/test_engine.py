@@ -18,6 +18,7 @@ from tblsim import (
     HysteresisThresholds,
     KinkValveDevice,
     LogicLevels,
+    NetworkError,
     NoOscillationError,
     PhysicalDefaults,
     PneumaticNetwork,
@@ -481,6 +482,18 @@ def test_dc_walk_matches_the_declared_state_search_on_the_gates(gate):
     want = [_reference_dc(net.with_pins(dict(zip(inputs, row)))) for row in rows]
     assert [dc_operating_point(net.with_pins(dict(zip(inputs, row)))) for row in rows] == want
     assert list(engine._dc_rows(net, inputs, rows)) == want
+
+
+@pytest.mark.parametrize("rows, error, match", [
+    # a vacuum error comes before a clash in its own row
+    ([[0.0, 0.0], [0.0, 0.0], [-200.0, 5.0], [0.0, 7.0]], ValueError, "pin a -200.0 kPa is below vacuum"),
+    ([[0.0, 0.0], [0.0, 5.0], [-200.0, 0.0]], NetworkError, "node ATM pinned to conflicting pressures"),
+    ([[0.0, 0.0]] * 300 + [[math.nan, 0.0], [0.0, 5.0]], ValueError, "pin a nan kPa is not a finite number"),
+])
+def test_dc_rows_raise_the_error_of_the_first_row_that_fails(rows, error, match):
+    net = build("source SUP pressure=145kPa\ngate NOT inv in=a out=q supply=SUP\n")
+    with pytest.raises(error, match=match):
+        list(engine._dc_rows(net, ("a", "ATM"), rows))
 
 
 _GATE_KINDS = ("NOT", "NAND", "NOR", "AND", "OR")
@@ -1251,13 +1264,14 @@ def test_regime_maps_match_a_dense_reduction(make_net):
 
 
 def test_regime_network_arrays_match_their_whole_network_forms():
-    # a regime solves the free nodes that no valve can cut off, where there
-    # are such, and else those that its own valve states leave anchored
-    ring = engine._Compiled(_ring3_calibrated())
-    assert np.array_equal(ring.anchored_free, ring.free_idx)
+    # a regime solves the free nodes that its own valve states leave
+    # anchored: x-y is cut off once both valves close, and then reads ambient
     dead = engine._Compiled(_DC_PROPERTY_NETS["dead_segment"](), ("x", "y"))
-    assert dead.anchored_free is None  # x-y is cut off once both valves close
-    assert (dead.regime(np.zeros(2, dtype=bool)).pressures(dead.initial_volumes(None))[-2:] == 0.0).all()
+    labels, _fixed, anchored = dead.components(dead.conductances(np.zeros(2, dtype=bool)))
+    assert not anchored[labels[[dead.index["x"], dead.index["y"]]]].any()
+    volumes = dead.initial_volumes(None)
+    assert (dead.regime(np.zeros(2, dtype=bool)).pressures(volumes)[-2:] == 0.0).all()
+    assert (dead.regime(np.array([True, False])).pressures(volumes)[-2:] > 0.0).all()  # v1 drives it
 
 
 def _rc_charge():
@@ -1440,21 +1454,33 @@ def _scattered_regime(compiled, is_open):
     return P[compiled.watch, 0], A, Q[compiled.cap_idx, 0], K
 
 
-def _dense_modes(reg, A, K, mode):
+def _mode_blocks(compiled, above):
+    """The balloons above rest, one block per region, in balloon order: its
+    indices, as rows ``(s, 1)`` and as slots of their region ``(1, s)``,
+    their ``sqrt(C)`` by row and the scale ``2 sqrt(C_i C_j)`` of the
+    block's symmetrized entries."""
+    region, slot = compiled.region[compiled.cap_idx], compiled.slots[0]
+    for r in np.unique(region[above]).tolist():
+        idx = np.flatnonzero(above & (region == r))
+        h = np.sqrt(compiled.compliance[idx])[:, None]
+        yield idx, idx[:, None], slot[idx][None, :], h, 2.0 * h * h.T
+
+
+def _dense_modes(compiled, reg, A, K, mode):
     """``lam``, ``T``, ``V``, ``W`` and ``M`` of the balloon modes ``mode``
-    from the dense ``A`` and ``K``: one stacked ``eigh`` per block size, and
-    every product over the balloons of a block as a dense matrix product."""
+    from the dense ``A`` and ``K``: one ``eigh`` per block, and every
+    product over the balloons of a block as a dense matrix product."""
     nc, above, below = len(mode), mode == engine._ABOVE, mode == engine._BELOW
     D = above / reg.compliance
     lam, T = np.zeros(nc), np.zeros((nc, nc))
     AD, W = A * D / engine.KPA, np.zeros((len(A), nc))
-    for idx, rows, _slots, h, hh in reg.mode_blocks(above):
-        cols = idx[:, None, :]
+    for idx, rows, _slots, h, hh in _mode_blocks(compiled, above):
+        cols = idx[None, :]
         Kb = K[rows, cols]
-        lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / hh)
-        lb[lb > -64.0 * engine._EPS * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
+        lb, U = np.linalg.eigh((Kb + Kb.T) / hh)
+        lb[lb > -64.0 * engine._EPS * np.abs(lb).max()] = 0.0
         lam[idx], T[rows, cols] = lb, h * U
-        W[:, idx] = np.matmul(AD[:, idx].transpose(1, 0, 2), h * U).transpose(1, 0, 2)
+        W[:, idx] = AD[:, idx] @ (h * U)
     V = T.copy()
     V[below] = np.divide((K[below] * D) @ T, lam, out=np.zeros((below.sum(), nc)), where=lam != 0.0)
     return lam, T, V, W, reg.sign[:, None] * W[: len(reg.sign)]
@@ -1474,7 +1500,7 @@ def _assert_compact_maps_match_the_dense(compiled, rng, exact):
     assert np.array_equal(_densify(reg.K, reg.kcol, nc), K)
     mode = rng.choice([engine._ABOVE, engine._ABOVE, engine._BELOW, engine._EMPTY], size=nc)
     modes = reg.modes(mode)
-    lam, T, V, W, M = _dense_modes(reg, A, K, mode)
+    lam, T, V, W, M = _dense_modes(compiled, reg, A, K, mode)
     assert np.array_equal(modes.lam, lam)
     assert np.array_equal(_densify(modes.T, reg.kcol, nc), T)
     assert np.array_equal(_densify(modes.Tt, reg.kcol, nc), T.T)
@@ -1529,17 +1555,17 @@ def _regime_solved_alone(compiled, is_open):
 def _modes_alone(compiled, sign, A, K, k0, mode):
     """``lam``, ``T``, ``Tt``, ``V``, ``zstar``, ``W`` and ``M`` of the
     balloon modes ``mode``, decomposed from one regime's own maps: one
-    stacked ``eigh`` per block size of its ``K``, in the slot layout."""
+    ``eigh`` per block of its ``K``, in the slot layout."""
     kcol, acol = compiled.slots[3], compiled.slots[2]
     above, below = mode == engine._ABOVE, mode == engine._BELOW
     D = above / compiled.compliance
     lam, T, Tt = np.zeros(len(mode)), np.zeros(K.shape), np.zeros(K.shape)
-    for idx, rows, slots, h, hh in compiled.mode_blocks(above):
+    for idx, rows, slots, h, hh in _mode_blocks(compiled, above):
         Kb = K[rows, slots]
-        lb, U = np.linalg.eigh((Kb + Kb.transpose(0, 2, 1)) / hh)
-        lb[lb > -64.0 * engine._EPS * np.abs(lb).max(axis=1, keepdims=True)] = 0.0
+        lb, U = np.linalg.eigh((Kb + Kb.T) / hh)
+        lb[lb > -64.0 * engine._EPS * np.abs(lb).max()] = 0.0
         lam[idx], T[rows, slots] = lb, h * U
-        Tt[idx[:, None, :], slots.transpose(0, 2, 1)] = h * U
+        Tt[idx[None, :], slots.T] = h * U
     W = np.matmul((A * D[acol] / engine.KPA)[:, None, :], T[acol])[:, 0]
     zstar = np.divide(-engine._gather(Tt, kcol, D * k0), lam, out=np.zeros(len(mode)), where=lam != 0.0)
     V = T.copy()
@@ -1559,7 +1585,8 @@ def test_gathered_regimes_match_a_solve_of_their_own(loads, seed):
     if loads is None:
         net = _DC_PROPERTY_NETS["dead_segment"]()
         compiled = engine._Compiled(net, net.node_order())
-        assert compiled.anchored_free is None
+        labels, _fixed, anchored = compiled.components(compiled.conductances(np.zeros(2, dtype=bool)))
+        assert not anchored[labels[compiled.free_idx]].all()
     else:
         compiled = engine._Compiled(_fanout(loads), ("q", "l0.b", "SUP"))
         assert compiled.slots[1] == len(loads)
@@ -1578,6 +1605,26 @@ def test_gathered_regimes_match_a_solve_of_their_own(loads, seed):
     # a region's j-th valve sets bit j of its layer: at most 2^k layers
     _homes, per_region = np.unique(compiled.layers.home, return_counts=True)
     assert 0 < len(compiled.layers.at) <= 2 ** per_region.max()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-1, 5), max_size=40))
+def test_rank_counts_the_earlier_items_of_each_group(group):
+    # the reference: each item's equals among the items before it
+    g = np.array(group, dtype=int)
+    assert np.array_equal(engine._rank(g), np.tril(g[:, None] == g, -1).sum(axis=1))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_loads)
+def test_valve_bits_and_balloon_slots_are_ranks_within_regions(loads):
+    # the fan-out's loads put several balloons in the region of q
+    compiled = engine._Compiled(_fanout(loads), ("q",))
+    home, local, _weight = compiled.valve_bits
+    region = compiled.region[compiled.cap_idx]
+    assert local == engine._rank(home).tolist()
+    assert np.array_equal(compiled.slots[0], engine._rank(region))
+    assert compiled.slots[0].max() == len(loads) - 1
 
 
 def test_a_singular_block_fails_only_the_regimes_that_take_it():
