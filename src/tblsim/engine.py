@@ -42,8 +42,10 @@ node's kPa is one wave, a constant plus exponentials in time
 (``_Segment.wave``): the valve margins, ``simulate``'s samples and a limit
 cycle's extrema and crossings all read it. Read unsampled until its valve
 events repeat (``_limit_cycle``), the same run gives an oscillator's limit
-cycle; ``measure_oscillation`` reports it (``_report``), and calibration
-takes its frequency and peak from that same report.
+cycle; ``measure_oscillation`` reports it (``_report``), reading every
+probe's waves over the cycle as stacked arrays, a block of probes at a
+time (``_cycle_block``), and calibration takes its frequency and peak
+from that same report.
 
 Each array is built once, on the object whose lifetime matches what it
 depends on, and the event loop only reads it. ``_Compiled`` owns what
@@ -78,7 +80,7 @@ from .elements import (
     check_pressure,
     node_components,
 )
-from .expsums import _distinct, _extremes, _first_rises, _one_zero, _values, _zeros
+from .expsums import _distinct, _extremes, _first_rises, _values, _zeros
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
@@ -94,6 +96,10 @@ _MAX_ENUM_VALVES = 16
 #: ``Trace.to_csv`` renders at most this many values (a row at least) per
 #: block, so its sort and its strings stay small however long the trace
 _CSV_BLOCK_VALUES = 1 << 12
+
+#: ``_report`` reads a cycle's waves at most this many cells at a time (a
+#: probe over a segment each; a probe's at least), so its arrays stay small
+_REPORT_BLOCK_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -1574,77 +1580,67 @@ def _limit_cycle(
                   cycles, events, cap, warnings)
 
 
-class _Waves(NamedTuple):
-    """The kPa of one watched node over each segment of a cycle, summed by
-    rate (``_distinct``): ``c`` per segment, and ``(b, l)``, its one
-    exponential ``b e^(l τ)``, or 0.0 and 0.0 where it has none. Where it
-    has more, ``many`` maps the segment to its ``(b, lam)``."""
+def _cycle_block(segments: list[_Segment], rows: slice):
+    """The watched nodes ``rows`` over a cycle's ``segments``, read in one
+    pass over their cells, a node over a segment each, as stacked arrays:
+    each node's least and greatest kPa, the start times of its rising
+    pieces, and its first node's duty.
 
-    c: np.ndarray
-    b: np.ndarray
-    l: np.ndarray
-    many: dict[int, tuple[np.ndarray, np.ndarray]]
-
-
-def _waves(segments: list[_Segment], row: int) -> _Waves:
-    """The watched node ``row``'s ``_Waves`` over ``segments``, from
-    each segment's ``wave``: a grouping by rate only where a segment has
-    two terms or more."""
-    c, terms, lams = (np.array(v) for v in zip(*(seg.wave(row) for seg in segments)))
+    Cell ``k`` is node ``k // cells`` over segment ``k % cells``. A cell's
+    wave (``_Segment.wave``) of two terms or more is summed by rate
+    (``_distinct``, kept in ``many``) and read by ``_extremes``, ``_zeros``
+    and ``_values``. One of one exponential or none, whose sums over the
+    terms are that term ``b`` and its rate ``l``, has its extremes at its
+    ends, ``c + b`` at 0 (``e^(l 0)`` is 1) and ``c + e^(l tau) b``, and
+    crosses its node's midline, halfway between them, once at most, where
+    ``_zeros`` puts it in closed form (``_one_zero``); where its ends lie
+    on one side of the midline by more than roundoff, it does not. The
+    crossings cut the cells into pieces: with each cell's bounds in a row,
+    0, its cuts, then its end, repeated to pad, the pieces are where the
+    rows, laid end to end, step up, so the empty ones drop out. A piece
+    rises where its middle is at or above the midline and its node's last
+    piece before it, the cycle wrapping around, is below.
+    """
+    c, terms, lams = (np.concatenate(v) for v in zip(*(seg.wave(rows) for seg in segments)))
+    cells = len(segments)
+    nodes = len(c) // cells
+    c, terms, lams = (x.reshape(cells, nodes, -1).swapaxes(0, 1).reshape(x.shape) for x in (c, terms, lams))
+    t, tau = np.tile([[seg.t for seg in segments], [seg.tau for seg in segments]], nodes)
     nonzero = terms != 0.0
-    count, first = np.add.reduce(nonzero, axis=1), nonzero.argmax(axis=1)
-    one = count == 1
-    at = np.arange(len(segments)), first
-    b = np.where(one, terms[at], 0.0)
-    l = np.where(one, lams[at], 0.0)
-    many = {k: _distinct(terms[k], lams[k]) for k in np.flatnonzero(count > 1).tolist()}
-    return _Waves(c, b, l, many)
+    count = np.add.reduce(nonzero, axis=1)
+    b, l = np.add.reduce(terms, axis=1, where=nonzero), np.add.reduce(lams, axis=1, where=nonzero)
+    many = {k: _distinct(terms[k], lams[k]) for k in (count > 1).nonzero()[0].tolist()}
+    start, end = c + b, c + np.exp(tau * l) * b
+    low, high = np.minimum(start, end), np.maximum(start, end)
+    for k, bl in many.items():
+        low[k], high[k] = _extremes(c[k], *bl, tau[k])
+    lo, hi = low.reshape(nodes, cells).min(axis=1), high.reshape(nodes, cells).max(axis=1)
 
+    level = np.repeat(0.5 * (lo + hi), cells)
+    cs, near = c - level, 1.0e-9 * (np.abs(c) + np.abs(b) + np.abs(level))
+    maybe = ((count == 1) & (low <= level + near) & (high >= level - near)).nonzero()[0].tolist()
+    cuts = {k: _zeros(cs[k], 0.0, *many.get(k, (b[k : k + 1], l[k : k + 1])), tau[k])
+            for k in [*many, *maybe]}
+    width = 2 + max(map(len, cuts.values()), default=0)
+    bounds = np.where(np.arange(width) > 0, tau[:, None], 0.0)
+    for k, z in cuts.items():
+        bounds[k, 1 : 1 + len(z)] = z
+    at = (bounds.ravel()[1:] > bounds.ravel()[:-1]).nonzero()[0]
+    cell, lo_t, hi_t = at // width, bounds.ravel()[at], bounds.ravel()[at + 1]
+    length, middle = hi_t - lo_t, 0.5 * (lo_t + hi_t)
+    v = cs[cell] + np.exp(middle * l[cell]) * b[cell]
+    for k, bl in many.items():
+        i, j = np.searchsorted(cell, [k, k + 1])
+        v[i:j] = _values(cs[k], *bl, middle[i:j])
 
-def _span(segments: list[_Segment], waves: _Waves) -> tuple[float, float]:
-    """The least and the greatest kPa of ``waves`` over ``segments``, in
-    closed form: one exponential or none at its ends, more by
-    ``_extremes``. Those ends are the values ``_extremes`` would give,
-    ``c + b`` at 0 (``e^(l 0)`` is 1) and ``c + e^(l tau) b``."""
-    tau = np.array([seg.tau for seg in segments])
-    start, end = (waves.c + waves.b).tolist(), (waves.c + np.exp(tau * waves.l) * waves.b).tolist()
-    lo, hi = math.inf, -math.inf
-    for k, (v0, v1) in enumerate(zip(start, end)):
-        if k in waves.many:
-            seg_lo, seg_hi = _extremes(waves.c[k], *waves.many[k], segments[k].tau)
-        else:
-            seg_lo, seg_hi = min(v0, v1), max(v0, v1)
-        lo, hi = min(lo, seg_lo), max(hi, seg_hi)
-    return lo, hi
-
-
-def _pieces(segments: list[_Segment], waves: _Waves, level: float):
-    """``segments`` cut where ``waves`` cross ``level`` (``_zeros``), as
-    arrays over the pieces, in order: each piece's start time, its length,
-    and the node's kPa less ``level`` at its middle. Empty pieces are left
-    out. One exponential or none crosses once at most (``_one_zero``),
-    and the middles of all such pieces are read by one product."""
-    t, length, middle, at, general = [], [], [], [], {}
-    cs = waves.c - level
-    for k, (seg, c, b, l) in enumerate(zip(segments, cs.tolist(), waves.b.tolist(), waves.l.tolist())):
-        if k in waves.many:
-            cuts = [0.0, *_zeros(cs[k], 0.0, *waves.many[k], seg.tau), seg.tau]
-        else:
-            cuts = [0.0, *_one_zero(c, b, l, seg.tau), seg.tau]
-        middles = [0.5 * (lo + hi) for lo, hi in zip(cuts, cuts[1:])]
-        if k in waves.many:
-            general[len(t)] = _values(cs[k], *waves.many[k], np.array(middles))
-        t += [seg.t + lo for lo in cuts[:-1]]
-        length += [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-        middle += middles
-        at += [k] * len(middles)
-    at = np.array(at)
-    v = cs[at] + np.exp(np.array(middle) * waves.l[at]) * waves.b[at]
-    for i, vk in general.items():
-        v[i : i + len(vk)] = vk
-    t, length = np.array(t), np.array(length)
-    keep = length > 0.0
-    return t[keep], length[keep], v[keep]
+    node, t = cell // cells, t[cell] + lo_t
+    counts = np.bincount(node, minlength=nodes)
+    before = np.arange(-1, len(v) - 1)
+    before[counts.cumsum() - counts] += counts  # the cycle wraps around
+    rise = (v >= 0.0) & (v[before] < 0.0)
+    rising = np.split(t[rise], np.bincount(node[rise], minlength=nodes).cumsum()[:-1])
+    ref = slice(0, counts[0])
+    return lo.tolist(), hi.tolist(), rising, float(length[ref][v[ref] > 0.0].sum() / length[ref].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -1676,12 +1672,6 @@ def _phase_deg(ref: np.ndarray, own: np.ndarray, period: float) -> float:
     return math.degrees(math.atan2(np.sin(angle).mean(), np.cos(angle).mean())) % 360.0
 
 
-def _rising_crossings(t: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
-    idx = np.nonzero((y[:-1] < level) & (y[1:] >= level))[0]
-    frac = (level - y[idx]) / (y[idx + 1] - y[idx])
-    return t[idx] + frac * (t[idx + 1] - t[idx])
-
-
 def extract_frequency(
     trace: Trace, probe: str, min_amplitude_kpa: float = 1.0
 ) -> OscillationReport:
@@ -1710,9 +1700,11 @@ def extract_frequency(
     hi, lo = y.max(axis=1), y.min(axis=1)
     mid = 0.5 * (hi + lo)
     r = trace.probes.index(probe)
-    ref = y[r]
     _check_swing(float(hi[r] - lo[r]), min_amplitude_kpa)
-    crossings = _rising_crossings(t, ref, mid[r])
+    p, i = np.nonzero((y[:, :-1] < mid[:, None]) & (y[:, 1:] >= mid[:, None]))
+    at = t[i] + (mid[p] - y[p, i]) / (y[p, i + 1] - y[p, i]) * (t[i + 1] - t[i])
+    rising = np.split(at, np.bincount(p, minlength=len(y)).cumsum()[:-1])
+    crossings = rising[r]
     if len(crossings) < 3:
         raise NoOscillationError(
             f"only {len(crossings)} midline crossings; need at least 3"
@@ -1721,7 +1713,7 @@ def extract_frequency(
     frequency = 1.0 / period
 
     # duty: fraction of time the reference spends above its midline
-    above = ref > mid[r]
+    above = y[r] > mid[r]
     seg = np.diff(t)
     w = 0.5 * (above[:-1].astype(float) + above[1:].astype(float))
     duty = float(np.sum(seg * w) / np.sum(seg))
@@ -1735,17 +1727,14 @@ def extract_frequency(
     cycles = y[:, :starts[-1]]
     peaks = np.maximum.reduceat(cycles, starts[:-1], axis=1).mean(axis=1)[rows]
     troughs = np.minimum.reduceat(cycles, starts[:-1], axis=1).mean(axis=1)[rows]
-    phases = {
-        name: 0.0 if name == probe else _phase_deg(crossings, _rising_crossings(t, y[k], mid[k]), period)
-        for name, k in zip(trace.probes, rows)
-    }
     return OscillationReport(
         probe=probe,
         frequency_hz=frequency,
         duty=duty,
         peaks_kpa=dict(zip(trace.probes, peaks.tolist())),
         troughs_kpa=dict(zip(trace.probes, troughs.tolist())),
-        phase_deg=phases,
+        phase_deg={name: 0.0 if name == probe else _phase_deg(crossings, rising[k], period)
+                   for name, k in zip(trace.probes, rows)},
         cycles=len(crossings) - 1,
     )
 
@@ -1783,7 +1772,10 @@ def measure_oscillation(
 def _report(compiled: _Compiled, cycle: _Cycle, min_amplitude_kpa: float) -> OscillationReport:
     """``measure_oscillation``'s analysis of the ``cycle`` read from a run
     of ``compiled``, at its probes, the first the reference; it raises
-    NoOscillation as ``measure_oscillation`` describes."""
+    NoOscillation as ``measure_oscillation`` describes. The probes are read
+    in blocks of ``_REPORT_BLOCK_CELLS`` cells, a probe over a segment
+    each (``_cycle_block``), so its arrays stay small however large the
+    ring; each phase is then summed probe by probe (``_phase_deg``)."""
     warnings = tuple(cycle.warnings)
     if not cycle.segments:
         if cycle.cap is None:
@@ -1793,27 +1785,21 @@ def _report(compiled: _Compiled, cycle: _Cycle, min_amplitude_kpa: float) -> Osc
         warnings += (f"the run stopped at {cycle.cap} before its last two cycles matched; "
                      f"its last full cycle is reported",)
 
-    period, nv = cycle.period, len(compiled.control)
-    peaks, troughs, phases, rising = {}, {}, {}, {}
-    for row, name in enumerate(compiled.probes, nv):
-        waves = _waves(cycle.segments, row)
-        troughs[name], peaks[name] = lo, hi = _span(cycle.segments, waves)
-        t, length, v = _pieces(cycle.segments, waves, 0.5 * (lo + hi))
-        rising[name] = t[(v >= 0.0) & (np.roll(v, 1) < 0.0)]  # the cycle wraps around
-        if row == nv:  # the reference
-            _check_swing(hi - lo, min_amplitude_kpa, warnings)
-            duty = float(length[v > 0.0].sum() / length.sum())
-    probe, ref = compiled.probes[0], rising[compiled.probes[0]]
-    ref = np.r_[ref[-1:] - period, ref]  # the cycle wraps around
-    for name, own in rising.items():
-        phases[name] = 0.0 if name == probe else _phase_deg(ref, own, period)
+    period, probe, nv = cycle.period, compiled.probes[0], len(compiled.control)
+    step = max(1, _REPORT_BLOCK_CELLS // len(cycle.segments))
+    blocks = [_cycle_block(cycle.segments, slice(first, first + step))
+              for first in range(nv, nv + len(compiled.probes), step)]
+    troughs, peaks, rising = ([x for block in blocks for x in block[i]] for i in range(3))
+    _check_swing(peaks[0] - troughs[0], min_amplitude_kpa, warnings)
+    ref = np.concatenate((rising[0][-1:] - period, rising[0]))  # the cycle wraps around
     return OscillationReport(
         probe=probe,
         frequency_hz=1.0 / period,
-        duty=duty,
-        peaks_kpa=peaks,
-        troughs_kpa=troughs,
-        phase_deg=phases,
+        duty=blocks[0][3],
+        peaks_kpa=dict(zip(compiled.probes, peaks)),
+        troughs_kpa=dict(zip(compiled.probes, troughs)),
+        phase_deg={name: 0.0 if name == probe else _phase_deg(ref, own, period)
+                   for name, own in zip(compiled.probes, rising)},
         cycles=cycle.cycles,
         events=cycle.events,
         warnings=warnings,

@@ -2517,6 +2517,105 @@ def test_limit_cycle_report_of_waves_with_several_exponentials(monkeypatch):
         assert abs((rep.phase_deg[name] - ref.phase_deg[name] + 180.0) % 360.0 - 180.0) <= 0.01
 
 
+#: the fan-out ring of the test above, whose q1, q2 and z read one exponential
+#: in some segments and two in others
+_FANOUT_RING = ("source SUP pressure=145kPa\nring r n=3 supply=SUP taps=q1,q2,q3\n"
+                "gate NOT load in=q1 out=z supply=SUP compliance=3e-10\nprobe q1\nprobe q2\nprobe z\n")
+
+
+def _start_b_ring(n):
+    # valves alternating closed and open from gate 1, every balloon at 70 kPa,
+    # every stage probed: a travelling wave
+    stages = range(1, n + 1)
+    return build(f"source SUP pressure=145kPa\nring r n={n} supply=SUP\n"), SimConfig(
+        t_end=1000.0, probes=tuple(f"r.q{k}" for k in stages),
+        initial_valve_states={f"r.g{k}.v": ValveState.CLOSED if k % 2 else ValveState.OPEN for k in stages},
+        initial_pressures_kpa={f"r.g{k}.v": 70.0 for k in stages},
+    )
+
+
+def _report_probe_by_probe(compiled, cycle):
+    """``engine._report``'s troughs, peaks, rising crossings and duty, read
+    probe by probe and segment by segment: the reference of its array form."""
+    troughs, peaks, rising = [], [], []
+    for row in range(len(compiled.control), len(compiled.watch)):
+        c, terms, lams = (np.array(v) for v in zip(*(seg.wave(row) for seg in cycle.segments)))
+        tau = np.array([seg.tau for seg in cycle.segments])
+        count, first = np.count_nonzero(terms, axis=1), (terms != 0.0).argmax(axis=1)
+        at = np.arange(len(tau)), first
+        b, l = np.where(count == 1, terms[at], 0.0), np.where(count == 1, lams[at], 0.0)
+        many = {k: expsums._distinct(terms[k], lams[k]) for k in np.flatnonzero(count > 1).tolist()}
+        lo, hi = math.inf, -math.inf
+        for k, (v0, v1) in enumerate(zip((c + b).tolist(), (c + np.exp(tau * l) * b).tolist())):
+            ends = (min(v0, v1), max(v0, v1))
+            seg_lo, seg_hi = expsums._extremes(c[k], *many[k], tau[k]) if k in many else ends
+            lo, hi = min(lo, seg_lo), max(hi, seg_hi)
+        cs = c - 0.5 * (lo + hi)
+        t, length, v = [], [], []
+        for k, seg in enumerate(cycle.segments):
+            if k in many:
+                cuts = [0.0, *expsums._zeros(cs[k], 0.0, *many[k], seg.tau), seg.tau]
+            else:
+                cuts = [0.0, *expsums._one_zero(cs[k].item(), b[k].item(), l[k].item(), seg.tau), seg.tau]
+            middles = np.array([0.5 * (a + z) for a, z in zip(cuts, cuts[1:])])
+            v += list(expsums._values(cs[k], *many[k], middles) if k in many
+                      else cs[k] + np.exp(middles * l[k]) * b[k])
+            t += [seg.t + a for a in cuts[:-1]]
+            length += [z - a for a, z in zip(cuts, cuts[1:])]
+        keep = np.array(length) > 0.0
+        t, length, v = np.array(t)[keep], np.array(length)[keep], np.array(v)[keep]
+        troughs.append(lo)
+        peaks.append(hi)
+        rising.append(t[(v >= 0.0) & (np.roll(v, 1) < 0.0)])  # the cycle wraps around
+        if len(rising) == 1:
+            duty = float(length[v > 0.0].sum() / length.sum())
+    return troughs, peaks, rising, duty
+
+
+@pytest.mark.parametrize(
+    "make_run",
+    [lambda: (_ring3_calibrated(), SimConfig(t_end=2.0)),
+     lambda: (_ring5(), SimConfig(t_end=2.0)),
+     lambda: (_ring3_per_stage(_PER_STAGE["per_stage_a"]), SimConfig(t_end=2.0)),
+     lambda: _start_b_ring(31),
+     lambda: (build(_FANOUT_RING), SimConfig(t_end=2.0))],
+    ids=["ring3_calibrated", "ring5", "per_stage_a", "start_b_31", "fanout"],
+)
+def test_limit_cycle_report_reads_every_probe_as_the_probe_by_probe_reference(make_run):
+    net, cfg = make_run()
+    compiled = engine._compile_probed(net, cfg)
+    cycle = engine._limit_cycle(compiled, compiled.initial_states(cfg.initial_valve_states),
+                                compiled.initial_volumes(cfg.initial_pressures_kpa), cfg.t_end)
+    troughs, peaks, rising, duty = engine._cycle_block(cycle.segments, slice(len(compiled.control), None))
+    want = _report_probe_by_probe(compiled, cycle)
+    assert (troughs, peaks, duty) == (want[0], want[1], want[3])
+    assert len(rising) == len(want[2]) and all(np.array_equal(a, b) for a, b in zip(rising, want[2]))
+    assert all(len(own) for own in rising)  # every probe rises through its midline
+
+
+@pytest.mark.parametrize(
+    "make_run",
+    [lambda: _start_b_ring(31),
+     lambda: (build(_FANOUT_RING), SimConfig(t_end=2.0))],  # cells of one term and of two share a block
+    ids=["start_b_31", "fanout"],
+)
+def test_limit_cycle_report_is_the_same_read_in_blocks_of_any_size(make_run, monkeypatch):
+    net, cfg = make_run()
+    blocks, read = [], engine._cycle_block
+    monkeypatch.setattr(engine, "_cycle_block", lambda segments, rows: blocks.append((len(segments), rows))
+                        or read(segments, rows))
+    whole = measure_oscillation(net, cfg)
+    (cells, rows), = blocks  # one block at the default bound
+    probes = len(whole.peaks_kpa)
+    assert probes >= 3 and rows.stop - rows.start >= probes
+    for per_block, n_blocks in [(1, probes), ((probes + 1) // 2, 2)]:  # one probe each; a split in mid-ring
+        monkeypatch.setattr(engine, "_REPORT_BLOCK_CELLS", per_block * cells)
+        blocks.clear()
+        assert measure_oscillation(net, cfg) == whole
+        assert [r.start for _, r in blocks] == list(range(rows.start, rows.start + probes, per_block))
+        assert len(blocks) == n_blocks
+
+
 @pytest.mark.parametrize(
     "make_net",
     [_ring3_calibrated, lambda: _ring3_per_stage(_PER_STAGE["per_stage_a"]),
