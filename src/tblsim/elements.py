@@ -381,22 +381,21 @@ class PneumaticNetwork:
                 raise NetworkError(f"probe references unknown node {p!r}")
         # every node needs something that defines its pressure: a path to a
         # fixed node or to a balloon, counting closed valves as connections
-        # (regime-dependent isolation is the solver's Singular, not ours)
-        internal = [s for s in self.sources if s.internal_resistance > 0.0]
-        index = {n: i for i, n in enumerate(order + [s.name + ".__src" for s in internal])}
+        # (regime-dependent isolation is the solver's Singular, not ours);
+        # a source's own node reaches its pressure, through any internal
+        # resistance
+        index = {n: i for i, n in enumerate(order)}
         edges = [(t.node_a, t.node_b) for t in self.tubes]
         edges += [(v.flow_from, v.flow_to) for v in self.valves]
-        edges += [(s.name + ".__src", s.node) for s in internal]
         labels = node_components(
             len(index),
             np.array([index[a] for a, _b in edges], dtype=int),
             np.array([index[b] for _a, b in edges], dtype=int),
         )
-        anchors = [index[a] for a in [*fixed, *cap_nodes]]
-        anchors += [index[s.name + ".__src"] for s in internal]
+        anchors = [index[a] for a in [*fixed, *cap_nodes, *(s.node for s in self.sources)]]
         anchored = np.zeros(len(index), dtype=bool)
         anchored[labels[anchors]] = True
-        loose = np.flatnonzero(~anchored[labels[: len(order)]])
+        loose = np.flatnonzero(~anchored[labels])
         if len(loose):
             raise NetworkError(
                 f"node {order[loose[0]]} has no path to any pressure-defining element"

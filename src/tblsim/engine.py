@@ -29,7 +29,13 @@ nodes cut a network into) leaves it, for all rows of a truth table in one
 stacked solve: on a feed-forward circuit it only confirms the walk. The
 conducting branches decide which nodes a solve leaves out: balloons cut
 off from every fixed node keep their charge, and nodes sealed off from
-every fixed node and every balloon read ambient.
+every fixed node and every balloon read ambient. The walk (``_Walk``)
+steps the regions level by level, a level being the regions of one depth
+in their control graph, and each level reads its control nodes from one
+stack of layer maps, the whole-network solves of the layers met so far.
+A layer opens the j-th valve of every region iff its bit j is set, and
+``_Compiled.layer_of`` and ``_Compiled.layer_states`` are the only
+conversions between valve states and layer numbers.
 
 The continuous state of a circuit is the vector of balloon volumes; all
 other node pressures are algebraic. Each regime (one set of valve states)
@@ -51,8 +57,10 @@ Each array is built once, on the object whose lifetime matches what it
 depends on, and the event loop only reads it. ``_Compiled`` owns what
 depends on the network alone: its index arrays, the region solve's block
 layout and its tiled copies per stack size, the balloons' column slots
-of a regime, and the layer maps (``_Layers``), which fill each layer's
-rows and, per set of balloon modes, their eigenbases as regimes need them.
+of a regime, the layer numbering (``valve_bits``), the DC walk's levels
+and its stack of layer maps (``_Walk``), and the transient's layer maps
+(``_Layers``), which fill each layer's rows and, per set of balloon
+modes, their eigenbases as regimes need them.
 ``_Regime`` owns what depends on one valve-state assignment: its reduced
 maps and the two terms of each valve's margin. ``_Modes`` owns what
 depends on that and on the balloons' modes: the eigenbasis, the waves'
@@ -67,7 +75,6 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 from itertools import islice, product
 from typing import NamedTuple, NoReturn
 
@@ -84,7 +91,6 @@ from .expsums import _distinct, _extremes, _first_rises, _values, _zeros
 from .errors import (
     AstableCircuitError,
     CalibrationFailedError,
-    NetworkError,
     NoOscillationError,
     SingularNetworkError,
     TooManyValvesError,
@@ -546,15 +552,32 @@ class _Compiled:
 
     @cached_property
     def valve_bits(self):
-        """The layer numbering of the DC walk and the transient: each
-        valve's region (-1 where it joins two fixed nodes), its index j
+        """The layer numbering of the DC walk and the transient: layer
+        ``a`` opens every region's j-th valve iff bit j of ``a`` is set.
+        Each valve's region (-1 where it joins two fixed nodes), its index j
         among its region's valves, and its bit ``1 << j`` in a layer number
-        (a Python int past 63 bits), 0 where it joins two fixed nodes."""
+        (a Python int past 63 bits), 0 where it joins two fixed nodes.
+        ``layer_of`` and ``layer_states`` convert by it, and nothing else."""
         nb = len(self.g_static)
         home = np.maximum(self.region[self.branch_a[nb:]], self.region[self.branch_b[nb:]])
         local = _rank(home)
         one = np.array(1, object if local.max(initial=0) > 62 else int)
         return home, local.tolist(), (home >= 0) * (one << local)
+
+    def layer_of(self, is_open: np.ndarray, valves=slice(None)) -> np.ndarray:
+        """Each region's layer under the open states ``is_open`` of the
+        valves ``valves``, the bits of its open valves summed; the last
+        entry, for the fixed nodes, is 0. For a stack of rows, one row each."""
+        home, _local, weight = self.valve_bits
+        lay = np.zeros(is_open.shape[:-1] + (self.n + 1,), weight.dtype)
+        np.add.at(lay, (..., home[valves]), is_open * weight[valves])
+        return lay
+
+    def layer_states(self, layers) -> np.ndarray:
+        """The open-state array of each of the layer numbers ``layers``, one
+        row each; a valve that joins two fixed nodes is closed in every layer."""
+        weight = self.valve_bits[2]
+        return (np.array(layers, weight.dtype)[:, None] & weight) != 0
 
     @cached_property
     def walk(self) -> "_Walk | None":
@@ -633,18 +656,31 @@ def _gather(B: np.ndarray, col: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(B, v[col])
 
 
+def _stack_rows(at: dict[int, int], lay: np.ndarray, fill) -> np.ndarray:
+    """Each layer number of ``lay`` as its row of a stack whose rows ``at``
+    holds by layer: ``fill`` first stacks the layers not yet in it, as one
+    sorted list, and they take the next rows."""
+    layers = sorted(set(lay.ravel().tolist()))
+    if new := [a for a in layers if a not in at]:
+        fill(new)
+        at.update(zip(new, range(len(at), len(at) + len(new))))
+    rows = np.array([at[a] for a in layers], np.min_scalar_type(len(at)))  # a regime keeps them
+    return rows[np.searchsorted(layers, lay)]
+
+
 class _Layers:
     """The layer maps of a network (``_Compiled.layers``), from which its
     transient regimes are gathered: per layer, stacked, its watch rows
     ``P`` (``a0``, ``A``), balloon rows ``Q`` (``k0``, ``K``) and singular
     region blocks (``bad``), and per set of balloon modes its eigenbasis.
-    A new layer solves the free nodes that its valve states leave
-    anchored. It keeps the network arrays it reads: the valves' layer bits,
-    the balloons' regions (``cap``), slots and compliances, and the
-    column maps ``acol`` and ``kcol``."""
+    A row takes the layer of its region (``_Compiled.layer_of``), and a new
+    layer solves the free nodes that its valve states
+    (``_Compiled.layer_states``) leave anchored. It keeps the network
+    arrays it reads: the balloons' regions (``cap``), slots and
+    compliances, and the column maps ``acol`` and ``kcol``."""
 
     def __init__(self, c: _Compiled):
-        region, (self.home, self.local, self.weight) = c.region, c.valve_bits
+        region = c.region
         # each row's region, watch rows then balloons; a fixed node's is that of the last balloon,
         # whose rows its pads (-1) read
         self.cap = cap = region[c.cap_idx]
@@ -661,13 +697,10 @@ class _Layers:
         """The layer that each row takes under the valve states ``is_open``,
         as its index in the stacks, those not yet filled solved first as one
         stack; SingularNetworkError where a row takes a singular block."""
-        lay = np.zeros(c.n + 1, self.weight.dtype)
-        np.add.at(lay, self.home, is_open * self.weight)
-        lay = lay[self.rows]
-        layers = sorted(set(lay.tolist()))
-        if new := [a for a in layers if a not in self.at]:
+
+        def fill(new: list[int]) -> None:
             n, width = c.n, self.P.shape[2] - 1
-            g = c.conductances(np.array([[(a >> j) & 1 for j in self.local] for a in new], dtype=bool))
+            g = c.conductances(c.layer_states(new))
             P = np.zeros((len(new), n, 1 + width))
             P[:, c.fixed_idx, 0], P[:, c.cap_idx, 1 + self.slot] = c.fixed_pa, 1.0
             # nodes sealed off in a layer carry no flow; they read ambient
@@ -685,11 +718,10 @@ class _Layers:
                     except SingularNetworkError:
                         bad[i, r] = True
             Q = c.inflow(g, P.reshape(-1, 1 + width)).reshape(P.shape)[:, c.cap_idx]
-            self.at.update(zip(new, range(len(self.at), len(self.at) + len(new))))
             self.P, self.Q = np.concatenate([self.P, P[:, c.watch]]), np.concatenate([self.Q, Q])
             self.bad = np.concatenate([self.bad, bad])
-        at = np.array([self.at[a] for a in layers], np.min_scalar_type(len(self.at)))  # every regime keeps it
-        at = at[np.searchsorted(layers, lay)]
+
+        at = _stack_rows(self.at, c.layer_of(is_open)[self.rows], fill)
         if self.bad[at, self.rows].any():
             raise SingularNetworkError("flow-balance system is singular")
         return at
@@ -903,93 +935,69 @@ class _Walk:
     pressures, and the flow balance over the unknown nodes is
     block-diagonal by region. A valve controlled from region R makes the
     region of its branch depend on R. When that region graph is acyclic,
-    the regions are walked in dependency order: each valve of a region is
-    stepped once by ``_Compiled.margin``, from its given state, on its
-    settled control pressure, and the region then reads its control nodes
-    from the layer its own valves select. A level of that order, regions
-    that depend only on earlier levels, is one step for a stack of rows.
+    the regions are walked by depth, one more than the deepest region their
+    valves are controlled from (0 for a region controlled from none): each
+    valve of a region is stepped once by ``_Compiled.margin``, from its
+    given state, on its settled control pressure, and the region then reads
+    its control nodes from the layer its own valves select. A level, the
+    regions of one depth, is one step for a stack of rows: a mask over the
+    valves and the control nodes in those regions that it reads. The
+    valves that join two fixed nodes move no pressure and go last.
 
-    Layer ``a`` opens every region's j-th valve iff bit j of ``a`` is set.
-    A row of a ``_Compiled.dc_map`` gives its node pressures in every
-    region at once, as an affine map of the fixed pressures: a constant
-    column, then one column per fixed node. The new layers of a level are
-    filled as one stacked ``dc_map`` and serve every later walk of the
-    same compiled network, whatever its fixed pressures.
+    Each row of ``maps``, the stack of the filled layers, is a whole
+    ``_Compiled.dc_map`` of a layer (``_Compiled.layer_states``): its node
+    pressures in every region at once, as an affine map of the fixed
+    pressures, a constant column and then one column per fixed node. ``at``
+    holds each filled layer's row. The new layers of a level are filled as
+    one stacked ``dc_map`` and serve every later walk of the same compiled
+    network, whatever its fixed pressures.
     """
 
-    def __init__(self, compiled: _Compiled, region: np.ndarray, levels):
-        # per level: its valves, their control nodes and bits, and its control
-        # nodes, the span of their region's valves and their rows of a layer
-        # map; last, the valves joining two fixed nodes (they move no pressure)
-        self.read = np.unique(compiled.control[region[compiled.control] >= 0])
-        home, self.local, weight = compiled.valve_bits  # each valve's region, index j in it, and bit
-        valves = {r: [] for level in levels for r in level}
-        for v, r in enumerate(home.tolist()):
-            valves[r].append(v)
-        rows = {r: [] for r in valves}
-        for k, node in enumerate(self.read.tolist()):
-            rows[int(region[node])].append(k)
-        self.levels = []
-        for level in levels:
-            vs, ks, lo, hi = [], [], [], []
-            for r in level:
-                ks, lo, vs = ks + rows[r], lo + [len(vs)] * len(rows[r]), vs + valves[r]
-                hi += [len(vs)] * len(rows[r])
-            vs, ks = np.array(vs, dtype=int), np.array(ks, dtype=int)
-            self.levels.append((vs, compiled.control[vs], weight[vs], lo, hi, self.read[ks], ks))
-        self.layers: dict[int, np.ndarray] = {}  # the filled layer maps, by layer
+    def __init__(self, compiled: _Compiled, depth: np.ndarray):
+        home, region, nf = compiled.valve_bits[0], compiled.region, len(compiled.fixed_idx)
+        read = np.unique(compiled.control[region[compiled.control] >= 0])
+        level = np.where(home >= 0, depth[home], depth.max() + 1)
+        self.levels = [(level == d, read[depth[region[read]] == d]) for d in range(depth.max() + 2)]
+        self.maps, self.at = np.zeros((0, compiled.n, 1 + nf)), {}
 
     @classmethod
     def build(cls, compiled: _Compiled) -> "_Walk | None":
         """The walk over ``compiled``'s regions, or None when a region
-        depends on itself, directly or through other regions."""
+        depends on itself, directly or through other regions. Each round of
+        ``np.maximum.at`` over the control edges lifts a region's depth to
+        one past that of each region it is controlled from. An acyclic
+        graph settles within one round more than its longest path, which
+        has at most as many edges as the graph; a cycle never settles."""
         c = compiled
-        region, home = c.region, c.valve_bits[0]  # a valve joining two fixed nodes lies in no region (-1)
-        sorter = TopologicalSorter()
-        for r, rc in zip(home.tolist(), region[c.control].tolist()):
-            if rc >= 0:
-                sorter.add(rc)
-            if r >= 0:
-                sorter.add(r, *([rc] if rc >= 0 else []))
-        try:
-            sorter.prepare()
-        except CycleError:
-            return None
-        levels = []
-        while sorter.is_active():
-            levels.append(list(sorter.get_ready()))
-            sorter.done(*levels[-1])
-        return cls(c, region, levels + [[-1]])
-
-    def fill(self, compiled: _Compiled, layers: list[int]) -> list[np.ndarray]:
-        """The maps of the distinct ``layers``, those not yet filled solved
-        first as one stacked ``dc_map``, each bit for bit as alone; a
-        singular one raises SingularNetworkError."""
-        if new := [a for a in layers if a not in self.layers]:
-            is_open = np.array([[(a >> j) & 1 for j in self.local] for a in new], dtype=bool)
-            nf = len(compiled.fixed_idx)
-            drive = np.broadcast_to(np.eye(nf, 1 + nf, 1), (len(new), nf, 1 + nf))
-            self.layers.update(zip(new, compiled.dc_map(compiled.conductances(is_open), drive)[:, self.read]))
-        return [self.layers[a] for a in layers]
+        home, rc = c.valve_bits[0], c.region[c.control]  # -1: joining two fixed nodes, or fixed
+        edge = (home >= 0) & (rc >= 0)
+        depth = np.zeros(c.n + 1, dtype=int)  # by region, the last for -1
+        for _ in range(int(edge.sum()) + 1):
+            before = depth.copy()
+            np.maximum.at(depth, home[edge], depth[rc[edge]] + 1)
+            if np.array_equal(depth, before):
+                return cls(c, depth)
+        return None
 
     def start(self, compiled: _Compiled, is_open: np.ndarray, fixed_pa: np.ndarray) -> np.ndarray:
         """The open-state arrays after stepping each valve once, in region
         order, from each row of ``is_open`` at the fixed pressures of the
         same row of ``fixed_pa``."""
+        c, nf = compiled, len(compiled.fixed_idx)
+
+        def fill(new: list[int]) -> None:
+            drive = np.broadcast_to(np.eye(nf, 1 + nf, 1), (len(new), nf, 1 + nf))
+            self.maps = np.concatenate([self.maps, c.dc_map(c.conductances(c.layer_states(new)), drive)])
+
         drive = np.hstack([np.ones((len(fixed_pa), 1)), fixed_pa])
-        p = np.zeros((len(fixed_pa), compiled.n))
-        p[:, compiled.fixed_idx] = fixed_pa
+        p = np.zeros((len(fixed_pa), c.n))
+        p[:, c.fixed_idx] = fixed_pa
         is_open = is_open.copy()
-        for valves, ctrl, weight, lo, hi, nodes, k in self.levels:
-            is_open[:, valves] ^= compiled.margin(is_open[:, valves], p[:, ctrl] / KPA, valves) >= 0.0
-            # each control node's layer, the bits of its region's valves, and
-            # its value there, by a sum whose order no stack size changes
-            bits = np.zeros((len(p), len(valves) + 1), dtype=weight.dtype)
-            np.cumsum(is_open[:, valves] * weight, axis=1, out=bits[:, 1:])
-            layers, at = np.unique(bits[:, hi] - bits[:, lo], return_inverse=True)
-            maps = [m[k] for m in self.fill(compiled, layers.tolist())]
-            maps = np.reshape(maps, (len(maps), len(k), drive.shape[1]))
-            p[:, nodes] = (maps[at.reshape(len(p), -1), np.arange(len(k))] * drive[:, None]).sum(-1)
+        for valves, nodes in self.levels:
+            is_open[:, valves] ^= c.margin(is_open[:, valves], p[:, c.control[valves]] / KPA, valves) >= 0.0
+            # each control node's layer, that of its region's valves, and its value there
+            rows = _stack_rows(self.at, c.layer_of(is_open[:, valves], valves)[:, c.region[nodes]], fill)
+            p[:, nodes] = (self.maps[rows, nodes] * drive[:, None]).sum(-1)
         return is_open
 
 
@@ -1041,8 +1049,8 @@ def _dc_chunks(net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequ
     of them. The pinned network is validated and compiled once; a row gets
     the checks of ``with_pins`` and ``fixed_pressures``, with their errors,
     and changes only the fixed pressures. The checks run once per distinct
-    (pin, value), and the first row that fails one runs them again pin by
-    pin, which raises its error."""
+    (pin, value), and the first row that fails one is pinned on its own,
+    which raises its error."""
     rows = iter(rows)
     compiled = None
     while chunk := list(islice(rows, _DC_CHUNK)):
@@ -1056,10 +1064,7 @@ def _dc_chunks(net: PneumaticNetwork, pins: tuple[str, ...], rows: Iterable[Sequ
             values, at = np.unique(kpa[:, j], return_inverse=True)
             bad |= np.array([not _pin_ok(node, p, unpinned) for p in values.tolist()], dtype=bool)[at]
         if bad.any():
-            pin = dict(zip(pins, chunk[int(bad.argmax())]))
-            # every pin's vacuum check first, then its clash with a fixed node
-            clash = [n for n, p in pin.items() if check_pressure(p, f"pin {n}") != unpinned.get(n, p)]
-            raise NetworkError(f"node {clash[0]} pinned to conflicting pressures")
+            net.with_pins(dict(zip(pins, chunk[int(bad.argmax())]))).fixed_pressures()
         fixed_pa = np.tile(compiled.fixed_pa, (len(chunk), 1))
         fixed_pa[:, cols] = kpa * KPA
         yield compiled, _dc_search(compiled, np.tile(compiled.initial_open, (len(chunk), 1)), fixed_pa)

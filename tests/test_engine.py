@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import graphlib
 import itertools
 import math
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -599,24 +601,24 @@ def test_feed_forward_truth_table_makes_one_solve_per_row(monkeypatch):
 def test_the_walk_fills_a_levels_new_layers_in_one_solve(monkeypatch):
     net, inputs = _five_gates(), ("a", "b", "c", "d")
     levels_with_new = []
-    fill = engine._Walk.fill
+    stack_rows = engine._stack_rows
 
-    def watching_fill(self, compiled, layers):
-        levels_with_new.append(any(a not in self.layers for a in layers))
-        return fill(self, compiled, layers)
+    def watching_stack_rows(at, lay, fill):  # once per level of the walk
+        levels_with_new.append(any(a not in at for a in lay.ravel().tolist()))
+        return stack_rows(at, lay, fill)
 
-    monkeypatch.setattr(engine._Walk, "fill", watching_fill)
+    monkeypatch.setattr(engine, "_stack_rows", watching_stack_rows)
     calls = _count_solves(monkeypatch)
     rows = list(itertools.product((0.0, 145.0), repeat=len(inputs)))
     ((compiled, _found),) = engine._dc_chunks(net, inputs, rows)
     layer_solves = [r for r, c in calls if c > 1]
     assert 0 < len(layer_solves) <= sum(levels_with_new)
-    assert sum(layer_solves) == len(compiled.walk.layers)
+    assert sum(layer_solves) == len(compiled.walk.at)
     # each stacked map is bit for bit the map of its layer solved alone
-    walk, nf = compiled.walk, len(compiled.fixed_idx)
-    for a, got in walk.layers.items():
-        g = compiled.conductances(np.array([(a >> j) & 1 for j in walk.local], dtype=bool))
-        assert np.array_equal(got, compiled.dc_map(g, np.eye(nf, 1 + nf, 1))[walk.read])
+    walk, nf, local = compiled.walk, len(compiled.fixed_idx), compiled.valve_bits[1]
+    for a, row in walk.at.items():
+        g = compiled.conductances(np.array([(a >> j) & 1 for j in local], dtype=bool))
+        assert np.array_equal(walk.maps[row], compiled.dc_map(g, np.eye(nf, 1 + nf, 1)))
 
 
 def _table_rows_alone(net, inputs, output, levels=LogicLevels()):
@@ -748,6 +750,70 @@ def test_cyclic_region_graphs_take_the_declared_state_path(make_net, monkeypatch
     assert engine._Compiled(net).walk is None
 
 
+@st.composite
+def _valve_nets(draw):
+    """Explicit valves over six inner nodes, a source and ATM. Each valve
+    has a control node of its own; it mostly feeds the next valve's, which
+    makes chains of regions, and its ends are otherwise random: two fixed
+    nodes, or its own control node's region, which is a cycle. Random tubes
+    join inner nodes into larger regions; each inner node drains to ATM,
+    which joins no two regions."""
+    inner = [f"n{k}" for k in range(6)]
+    lines = ["source SUP pressure=145kPa"]
+    lines += [f"tube d{k} from={node} to=ATM length=15cm" for k, node in enumerate(inner)]
+    pair = st.lists(st.sampled_from(inner), min_size=2, max_size=2, unique=True)
+    for k in range(draw(st.integers(0, 2))):
+        a, b = draw(pair)
+        lines.append(f"tube t{k} from={a} to={b} length=7.5cm")
+    order = draw(st.permutations(inner))  # valve k's control node
+    for k in range(draw(st.integers(1, 6))):
+        b = draw(st.sampled_from([order[(k + 1) % 6]] * 6 + ["ATM"] + inner))
+        a = draw(st.sampled_from(["SUP", "ATM"] * 6 + inner).filter(lambda a: a != b))
+        lines.append(f"valve v{k} from={a} to={b} control={order[k]}")
+    return build("\n".join(lines) + "\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_valve_nets())
+def test_walk_levels_are_the_ready_batches_of_a_topological_sort(net):
+    # the oracle: a region's batch of graphlib's get_ready order, over the
+    # graph where a valve's region depends on its control node's region
+    compiled = engine._Compiled(net)
+    region, control = compiled.region, compiled.control
+    home = np.maximum(region[compiled.branch_a], region[compiled.branch_b])[len(compiled.g_static):]
+    sorter = graphlib.TopologicalSorter()
+    for r, rc in zip(home.tolist(), region[control].tolist()):
+        if rc >= 0:
+            sorter.add(rc)
+        if r >= 0:
+            sorter.add(r, *([rc] if rc >= 0 else []))
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        assert compiled.walk is None
+        return
+    batch, k = {}, 0
+    while sorter.is_active():
+        ready = sorter.get_ready()
+        batch.update(dict.fromkeys(ready, k))
+        sorter.done(*ready)
+        k += 1
+    walk = compiled.walk
+    assert walk is not None
+    valve_level, node_level = np.full(len(home), -1), {}
+    for level, (valves, nodes) in enumerate(walk.levels):
+        assert (valve_level[valves] == -1).all() and not set(nodes.tolist()) & set(node_level)
+        valve_level[valves] = level
+        node_level.update(dict.fromkeys(nodes.tolist(), level))
+    read = sorted(set(control[region[control] >= 0].tolist()))
+    assert node_level == {node: batch[region[node]] for node in read}
+    inside = home >= 0
+    assert valve_level[inside].tolist() == [batch[r] for r in home[inside].tolist()]
+    # valves that join two fixed nodes come last
+    assert (valve_level[~inside] == len(walk.levels) - 1).all()
+    assert len(walk.levels) - 1 >= k
+
+
 def test_a_region_of_70_valves_walks_like_any_other():
     # 70 NOT gates share one output node, read by one more gate, so one
     # region holds 70 valves: only the layers a walk selects are solved,
@@ -758,14 +824,18 @@ def test_a_region_of_70_valves_walks_like_any_other():
     net = net.with_pins({f"i{k}": 145.0 if k % 3 else 0.0 for k in range(70)})
     compiled = engine._Compiled(net)
     assert _one_search(compiled) == _reference_dc(net)
-    assert len(compiled.walk.layers) == 2 and max(compiled.walk.layers) >= 2**64
+    assert len(compiled.walk.at) == 2 and max(compiled.walk.at) >= 2**64
 
 
 def test_a_singular_layer_drops_the_warm_start(monkeypatch):
-    def singular(self, compiled, layers):
-        raise SingularNetworkError("layer")
+    dc_map = engine._Compiled.dc_map
 
-    monkeypatch.setattr(engine._Walk, "fill", singular)
+    def singular_layers(self, g, drive):
+        if drive.ndim > g.ndim:  # a column per fixed node: the walk's layer maps
+            raise SingularNetworkError("layer")
+        return dc_map(self, g, drive)
+
+    monkeypatch.setattr(engine._Compiled, "dc_map", singular_layers)
     net = _read_circuit("and").with_pins({"a": 145.0, "b": 0.0})
     compiled = engine._Compiled(net)
     assert _one_search(compiled) == _reference_dc(net)
@@ -1603,7 +1673,7 @@ def test_gathered_regimes_match_a_solve_of_their_own(loads, seed):
                            _modes_alone(compiled, reg.sign, A, K, k0, mode)):
             assert np.array_equal(getattr(modes, name), w), name
     # a region's j-th valve sets bit j of its layer: at most 2^k layers
-    _homes, per_region = np.unique(compiled.layers.home, return_counts=True)
+    _homes, per_region = np.unique(compiled.valve_bits[0], return_counts=True)
     assert 0 < len(compiled.layers.at) <= 2 ** per_region.max()
 
 
@@ -2591,6 +2661,45 @@ def test_limit_cycle_report_reads_every_probe_as_the_probe_by_probe_reference(ma
     assert (troughs, peaks, duty) == (want[0], want[1], want[3])
     assert len(rising) == len(want[2]) and all(np.array_equal(a, b) for a, b in zip(rising, want[2]))
     assert all(len(own) for own in rising)  # every probe rises through its midline
+
+
+class _WaveSegment(NamedTuple):
+    """A stand-in for ``engine._Segment`` as ``_cycle_block`` reads it: one
+    node whose wave over ``[0, tau]`` from ``t`` is ``c + Σ_j b_j e^(lam_j τ)``."""
+
+    t: float
+    tau: float
+    c: float
+    b: tuple[float, ...]
+    lam: tuple[float, ...]
+
+    def wave(self, rows):
+        return np.array([self.c])[rows], np.array([self.b])[rows], np.array([self.lam])[rows]
+
+
+def _rise_then_fall_to_the_midline(rng, halves):
+    """A one-node cycle: a rise from 0 toward ``H``, a fall from ``top``
+    whose end lies within roundoff of the midline ``top / 2``, on either
+    side, and a fast fall. With ``halves`` each term is two equal halves."""
+    H = rng.uniform(50.0, 150.0)
+    top, rates = H * rng.uniform(1.0, 1.5), -rng.uniform(5.0, 50.0, 2)
+    t1, t2 = rng.uniform(0.02, 0.2), math.log(0.5) / rates[1] * (1.0 + rng.choice([-1.0, 1.0]) * 1e-13)
+    pieces = [(0.0, t1, H, -H, rates[0]), (t1, t2, 0.0, top, rates[1]),
+              (t1 + t2, rng.uniform(0.01, 0.05), 0.0, 0.5 * top, -rng.uniform(1e3, 1e4))]
+    return [_WaveSegment(t, tau, c, (0.5 * b, 0.5 * b) if halves else (b,), (lam, lam) if halves else (lam,))
+            for t, tau, c, b, lam in pieces]
+
+
+def test_a_cell_ending_within_roundoff_of_the_midline_is_searched_for_its_crossing():
+    # a cell of one exponential is searched where its ends lie within a
+    # margin of the midline, not only where they straddle it; the oracle:
+    # the same waves as two equal halves per term, which send every cell
+    # through the general path (_distinct, _zeros) that searches them all
+    for seed in range(1000):
+        got = engine._cycle_block(_rise_then_fall_to_the_midline(np.random.default_rng(seed), False), slice(0, 1))
+        want = engine._cycle_block(_rise_then_fall_to_the_midline(np.random.default_rng(seed), True), slice(0, 1))
+        assert (got[0], got[1], got[3]) == (want[0], want[1], want[3]), seed
+        assert np.array_equal(got[2][0], want[2][0]), seed
 
 
 @pytest.mark.parametrize(
