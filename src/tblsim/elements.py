@@ -274,16 +274,14 @@ def node_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     component. Each round hooks every edge's higher root onto its lower
     one, then jumps pointers until each node points at a root: a long path
     takes a few rounds, not the one per node of label propagation."""
-    label = np.arange(n)
+    label = np.arange(n)  # a node's label is never above the node
     while True:
         la, lb = label[a], label[b]
         if (la == lb).all():
             return label
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
-        while (label[label] != label).any():
-            label = label[label]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while ((up := label[label]) != label).any():
+            label = up
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,7 +129,7 @@ class SimConfig:
         for name in ("t_end", "sample_interval"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"SimConfig.{name} must be positive and finite")
-        twice = sorted({p for p in self.probes or () if self.probes.count(p) > 1})
+        twice = sorted(p for p, k in Counter(self.probes or ()).items() if k > 1)  # one pass
         if twice:
             raise ValueError(f"SimConfig.probes names {', '.join(twice)} more than once")
 
@@ -260,11 +261,6 @@ def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _tile(idx: np.ndarray, copies: int, size: int) -> np.ndarray:
-    """``idx`` in each of ``copies`` stacked ranges of ``size``, flat."""
-    return idx if copies == 1 else (idx + size * np.arange(copies)[:, None]).ravel()
-
-
 def _rank(group: np.ndarray) -> np.ndarray:
     """Each item's index among the earlier items of its group."""
     order = np.argsort(group, kind="stable")
@@ -273,11 +269,24 @@ def _rank(group: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _grouped(label: np.ndarray):
+    """Items in groups of one ``label`` each, every label >= 0: the order
+    that puts the groups by size, then by label, so by rank, and each
+    group's items in turn; each item's group size in that order; and the
+    group sizes met, ascending, with the items of groups of each."""
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))
+    count = np.bincount(size)
+    sizes = count.nonzero()[0]
+    return order, size[order], sizes, count[sizes]
+
+
 class _Tiled(NamedTuple):
-    """A network's index arrays over a stack of its copies (``_tile``):
-    branch ends and the fixed, balloon and unfixed nodes over its nodes;
-    each node's row of the stacked right-hand sides over the unfixed
-    nodes; and the entries of ``_Compiled._blocks`` over its flat blocks."""
+    """A network's index arrays over a stack of its copies, each index in
+    each copy's range, copy after copy (``_Compiled.tiled``): branch ends
+    and the fixed, balloon and unfixed nodes over its nodes; each node's
+    row of the stacked right-hand sides over the unfixed nodes; and the
+    entries of ``_Compiled._blocks`` over its flat blocks."""
 
     a: np.ndarray
     b: np.ndarray
@@ -335,8 +344,8 @@ class _Compiled:
         branches += [(s.name, s.name + ".__src", s.node) for s in internal]
         branches += [(v.name, v.flow_from, v.flow_to) for v in net.valves]
         self.branch_names = [name for name, _a, _b in branches]
-        pairs = np.array([(index[a], index[b]) for _n, a, b in branches], dtype=int).reshape(-1, 2)
-        self.branch_a, self.branch_b = pairs[:, 0], pairs[:, 1]
+        ends = [[index[a] for _n, a, _b in branches], [index[b] for _n, _a, b in branches]]
+        self.branch_a, self.branch_b = np.array(ends, dtype=int).reshape(2, -1)
         r_static = [t.resistance for t in net.tubes] + [s.internal_resistance for s in internal]
         self.g_static = np.array([1.0 / r for r in r_static], dtype=float)
         self.g_open = np.array([v.open_conductance for v in net.valves], dtype=float)
@@ -421,25 +430,23 @@ class _Compiled:
         where it joins two unfixed nodes (else -1); the unfixed nodes and
         their diagonal entries; per stack, ``(s, k, first row, first entry)``."""
         region = self.region
-        nodes = np.flatnonzero(region >= 0)
-        _labels, inv, counts = np.unique(region[nodes], return_inverse=True, return_counts=True)
-        size = counts[inv]
-        order = np.lexsort((nodes, inv, size))  # by size, then region, then node
-        nodes, inv, size = nodes[order], inv[order], size[order]
-        stacked, place = np.arange(len(nodes)), _rank(inv)  # each node's place in its region
-        sizes, row0, nrows = np.unique(size, return_index=True, return_counts=True)
-        entry0 = np.cumsum(nrows * sizes) - nrows * sizes
+        nodes = (region >= 0).nonzero()[0]
+        order, size, sizes, nrows = _grouped(region[nodes])  # by size, then region, then node
+        nodes = nodes[order]
+        row0, entry0 = np.cumsum(nrows) - nrows, np.cumsum(nrows * sizes) - nrows * sizes
         stacks = list(zip(sizes.tolist(), (nrows // sizes).tolist(), row0.tolist(), entry0.tolist()))
-        # entry (i, j) of a block: its first entry + place_i * s + place_j
-        base = np.repeat(entry0, nrows) + (stacked - np.repeat(row0, nrows) - place) * size
-        row, start, width, at = (np.full(self.n, -1) for _ in range(4))
-        row[nodes], start[nodes], width[nodes], at[nodes] = stacked, base, size, place
+        # a stack's regions lie in turn, so a node's place in its region is its row in the stack
+        # modulo s; entry (i, j) of a block: its first entry + place_i * s + place_j
+        within = np.arange(len(nodes)) - np.repeat(row0, nrows)
+        place = within % size
+        dn = np.repeat(entry0, nrows) + within * size + place
+        row, diag, at = np.full((3, self.n), -1)
+        row[nodes], diag[nodes], at[nodes] = np.arange(len(nodes)), dn, place
         a, b = self.branch_a, self.branch_b
         inner = (row[a] >= 0) & (row[b] >= 0)
-        ab = np.where(inner, start[a] + at[a] * width[a] + at[b], -1)
-        ba = np.where(inner, start[b] + at[b] * width[b] + at[a], -1)
-        diag = np.where(row >= 0, start + at * width + at, -1)
-        return row, diag[a], diag[b], ab, ba, nodes, diag[nodes], stacks, int((nrows * sizes).sum())
+        ab = np.where(inner, diag[a] - at[a] + at[b], -1)
+        ba = np.where(inner, diag[b] - at[b] + at[a], -1)
+        return row, diag[a], diag[b], ab, ba, nodes, dn, stacks, int(nrows @ sizes)
 
     def tiled(self, copies: int) -> _Tiled:
         """The index arrays of a stack of ``copies`` rows, tiled at the
@@ -450,7 +457,8 @@ class _Compiled:
             n, m = self.n, len(nodes)
             spans = ((self.branch_a, n), (self.branch_b, n), (self.fixed_idx, n), (self.cap_idx, n),
                      (nodes, n), (row, m), (da, size), (db, size), (ab, size), (ba, size), (dn, size))
-            t = self._tiled[copies] = _Tiled(*(_tile(idx, copies, span) for idx, span in spans))
+            copy = np.arange(copies)[:, None]
+            t = self._tiled[copies] = _Tiled(*((idx + span * copy).ravel() for idx, span in spans))
         return t
 
     def solve(self, g: np.ndarray, rows: np.ndarray, P: np.ndarray) -> None:
@@ -671,8 +679,9 @@ def _stack_rows(at: dict[int, int], lay: np.ndarray, fill) -> np.ndarray:
 class _Layers:
     """The layer maps of a network (``_Compiled.layers``), from which its
     transient regimes are gathered: per layer, stacked, its watch rows
-    ``P`` (``a0``, ``A``), balloon rows ``Q`` (``k0``, ``K``) and singular
-    region blocks (``bad``), and per set of balloon modes its eigenbasis.
+    ``P`` (``a0``, ``A``) and balloon rows ``Q`` (``k0``, ``K``), the
+    singular region blocks met, as (layer, region) pairs (``bad``), and
+    per set of balloon modes its eigenbasis.
     A row takes the layer of its region (``_Compiled.layer_of``), and a new
     layer solves the free nodes that its valve states
     (``_Compiled.layer_states``) leave anchored. It keeps the network
@@ -689,7 +698,7 @@ class _Layers:
         self.slot, width, self.acol, self.kcol = c.slots
         self.compliance = c.compliance
         self.P, self.Q = (np.zeros((0, len(rows), 1 + width)) for rows in (watch, cap))
-        self.bad = np.zeros((0, c.n + 1), dtype=bool)  # by region, the fixed nodes' last
+        self.bad: set[tuple[int, int]] = set()
         self.at: dict[int, int] = {}  # each filled layer's index in the stacks
         self._modes: dict[bytes, tuple] = {}
 
@@ -705,9 +714,8 @@ class _Layers:
             P[:, c.fixed_idx, 0], P[:, c.cap_idx, 1 + self.slot] = c.fixed_pa, 1.0
             # nodes sealed off in a layer carry no flow; they read ambient
             labels, _fixed, anchored = c.components(g)
-            f = _tile(c.free_idx, len(new), n)
+            f = (c.free_idx + n * np.arange(len(new))[:, None]).ravel()
             f = f[anchored[labels[f]]]
-            bad = np.zeros((len(new), n + 1), dtype=bool)
             try:
                 c.solve(g, f, P)
             except SingularNetworkError:  # it fails the stack: each block alone fails only its rows
@@ -716,13 +724,12 @@ class _Layers:
                     try:
                         c.solve(g[i], f[(layer == i) & (region == r)] % n, P[i])
                     except SingularNetworkError:
-                        bad[i, r] = True
+                        self.bad.add((len(self.at) + i, r))
             Q = c.inflow(g, P.reshape(-1, 1 + width)).reshape(P.shape)[:, c.cap_idx]
             self.P, self.Q = np.concatenate([self.P, P[:, c.watch]]), np.concatenate([self.Q, Q])
-            self.bad = np.concatenate([self.bad, bad])
 
         at = _stack_rows(self.at, c.layer_of(is_open)[self.rows], fill)
-        if self.bad[at, self.rows].any():
+        if self.bad and not self.bad.isdisjoint(zip(at.tolist(), self.rows.tolist())):
             raise SingularNetworkError("flow-balance system is singular")
         return at
 
@@ -742,11 +749,10 @@ class _Layers:
         D = above / self.compliance
         lam, T, Tt = np.zeros(k0.shape), np.zeros(K.shape), np.zeros(K.shape)
         bal = np.flatnonzero(above)
-        _labels, inv, counts = np.unique(self.cap[bal], return_inverse=True, return_counts=True)
-        order = np.lexsort((inv, counts[inv]))  # by block size, then block, in balloon order
-        bal, size = bal[order], counts[inv][order]
-        for s in np.unique(size).tolist():
-            idx = bal[size == s].reshape(-1, s)
+        order, _size, sizes, count = _grouped(self.cap[bal])  # by block size, then block, in balloon order
+        bal, ends = bal[order], np.cumsum(count)
+        for s, lo, hi in zip(sizes.tolist(), (ends - count).tolist(), ends.tolist()):
+            idx = bal[lo:hi].reshape(-1, s)
             rows, slots = idx[:, :, None], self.slot[idx][:, None, :]
             h = np.sqrt(self.compliance[rows])
             Kb = K[:, rows, slots]
@@ -872,22 +878,28 @@ class _Modes:
     ``T``, ``Tt`` (``Tᵀ``) and ``V`` by ``kcol``, and ``W`` and the
     valves' signed margin rows ``M`` (``W``'s control rows times the
     regime's ``sign``) by ``acol``; ``lam_k`` and ``lam_a`` hold the rates
-    of their entries.
+    of their entries. What every segment would recompute is kept too: the
+    control rows' column map and rates (``ccol``, ``lam_c``), whether every
+    mode moves (``all_moving``) and whether any balloon is below rest
+    (``any_below``). Where every mode moves, ``segment`` takes ``d`` with no
+    ``np.where``, and where none is below rest, ``x`` adds no ``τ w``, as
+    ``w`` is 0 there.
     """
 
     def __init__(self, reg: _Regime, mode: np.ndarray):
-        nc, kcol, acol = len(mode), reg.kcol, reg.acol
+        nc, nv, kcol, acol = len(mode), len(reg.sign), reg.kcol, reg.acol
         self.mode, above, self.below = mode, mode == _ABOVE, mode == _BELOW
-        self.kcol, self.acol = kcol, acol
+        self.kcol, self.acol, self.ccol = kcol, acol, acol[:nv]
         self.D = above / reg.compliance
         lam, T, Tt, V, zstar, W, R = reg.layers.modes(mode)
         lam, self.T, self.Tt, self.zstar = (x[reg.kpick] for x in (lam, T, Tt, zstar))
-        self.V = V[reg.kpick] if self.below.any() else self.T  # the same where none is below rest
+        self.any_below = bool(self.below.any())
+        self.V = V[reg.kpick] if self.any_below else self.T  # the same where none is below rest
         self.W = W[reg.apick]
         self.lam, self.moving, self.lam_k, self.lam_a = lam, lam != 0.0, lam[kcol], lam[acol]
+        self.lam_c, self.all_moving = self.lam_a[:nv], bool(self.moving.all())
         self.no_w = np.zeros(nc)  # w with no balloon below rest, read only
-        self.M = reg.sign[:, None] * self.W[: len(reg.sign)]
-        self.any_below = bool(self.below.any())
+        self.M = reg.sign[:, None] * self.W[:nv]
         if self.any_below:
             self.kb, self.k0 = kcol[self.below], reg.k0[self.below]
             self.R = R[reg.kpick[0][self.below], np.arange(len(self.kb))]
@@ -895,7 +907,7 @@ class _Modes:
     def segment(self, x0: np.ndarray):
         """``(xc, w, d)`` of the segment that starts from ``x0``."""
         z0 = _gather(self.Tt, self.kcol, self.D * x0)
-        d = np.where(self.moving, z0 - self.zstar, 0.0)
+        d = z0 - self.zstar if self.all_moving else np.where(self.moving, z0 - self.zstar, 0.0)
         w = self.no_w
         if self.any_below:
             w = np.zeros_like(x0)
@@ -903,8 +915,10 @@ class _Modes:
         return x0 - _gather(self.V, self.kcol, d), w, d
 
     def x(self, xc, w, d, tau: float) -> np.ndarray:
-        """``x`` at the time ``tau`` into the segment."""
-        return xc + tau * w + _gather(self.V, self.kcol, d * np.exp(tau * self.lam))
+        """``x`` at the time ``tau`` into the segment; ``w`` is 0 unless a
+        balloon is below rest."""
+        moved = _gather(self.V, self.kcol, d * np.exp(tau * self.lam))
+        return xc + tau * w + moved if self.any_below else xc + moved
 
     def exits(self, reg: _Regime):
         """Each way out of a balloon's mode, as a row ``f = alpha + beta·x``
@@ -1244,7 +1258,7 @@ class _Segment:
     event: bool
     change: bool
     rest: bool
-    flips: list[tuple[int, bool]]
+    flips: tuple[tuple[int, bool], ...]
     warnings: list[str]
     kpa: np.ndarray | None
     modes: _Modes
@@ -1317,22 +1331,22 @@ def _segments(
 
     def settle(t: float, is_open: np.ndarray, volumes: np.ndarray, switch: np.ndarray):
         """Flip the valves ``switch`` at time ``t``, then every valve whose
-        margin is >= 0 at ``volumes``, until none is. Returns the valve
-        states, their regime, the margins, the watched nodes' kPa at
-        ``volumes``, the transitions logged and the warning, in a list, of
-        a relaxation that gave up.
+        margin is >= 0 at ``volumes``, until none is, in the run's own
+        ``is_open``, in place. Returns the regime of the valve states, the
+        margins, the watched nodes' kPa at ``volumes``, the transitions
+        logged, as a tuple, and the warning, in a list, of a relaxation
+        that gave up.
 
         Balloon controls cannot react to flips; free-node controls get a
         bounded relaxation. When that gives up, the warning names the valves
         still changing, and they are left past their thresholds: a valve
         flips only where its margin rises from below 0.
         """
-        flips, notes = [], []
+        flips, notes = (), []
         limit = 4 * max(1, len(is_open))
         for relaxation in range(limit + 1):
-            is_open = is_open.copy()
             is_open[switch] ^= True
-            flips.extend(zip(switch.tolist(), is_open[switch].tolist()))
+            flips += tuple(zip(switch.tolist(), is_open[switch].tolist()))
             reg = compiled.regime(is_open)
             kpa = reg.pressures(volumes) / KPA
             m = reg.margin(kpa[ctrl_rows])
@@ -1344,18 +1358,18 @@ def _segments(
                 notes.append(f"valve states did not settle at t={t:.6g} s after {limit} "
                              f"relaxations; still changing: {names}")
                 break
-        return is_open, reg, m, kpa, flips, notes
+        return reg, m, kpa, flips, notes
 
     t = 0.0
-    is_open, reg, m0, kpa, flips, notes = settle(t, is_open, volumes, np.zeros(0, dtype=int))
+    is_open = is_open.copy()  # the run's valve states, which settle flips in place
+    reg, m0, kpa, flips, notes = settle(t, is_open, volumes, np.zeros(0, dtype=int))
     mode = reg.modes_at(volumes) if vacuum else np.full(len(v_rest), _ABOVE)
     while True:
         modes = reg.modes(mode)
         xc, w, d = modes.segment(volumes - v_rest)
         c = (reg.a0 + _gather(reg.A, reg.acol, modes.D * xc)) / KPA  # the watched nodes' kPa at xc
         # the valve margins, each a constant plus exponentials
-        b = modes.M * d[reg.acol[ctrl_rows]]
-        t_valve = _first_rises(reg.margin(c[ctrl_rows]), b, modes.lam_a[ctrl_rows], math.inf, m0)
+        t_valve = _first_rises(reg.margin(c[ctrl_rows]), modes.M * d[modes.ccol], modes.lam_c, math.inf, m0)
         t_flip = np.minimum.reduce(t_valve, initial=math.inf)
         t_mode = math.inf
         if vacuum:
@@ -1379,8 +1393,8 @@ def _segments(
         t = t_next
 
         if event:
-            switch = np.flatnonzero(t_valve <= t_flip + _EVENT_TOL)
-            is_open, reg, m0, kpa, flips, notes = settle(t, is_open, volumes, switch)
+            switch = (t_valve <= t_flip + _EVENT_TOL).nonzero()[0]
+            reg, m0, kpa, flips, notes = settle(t, is_open, volumes, switch)
             if vacuum:
                 mode = reg.modes_at(volumes)
         else:
@@ -1390,7 +1404,7 @@ def _segments(
             volumes[k] = np.where((to == _ABOVE) | (mode[k] == _ABOVE), v_rest[k], 0.0)
             mode[k] = to
             m0 = reg.margin(reg.pressures(volumes)[ctrl_rows] / KPA)
-            flips, notes, kpa = [], [], None
+            flips, notes, kpa = (), [], None
 
 
 def _compile_probed(net: PneumaticNetwork, cfg: SimConfig) -> _Compiled:
@@ -1554,8 +1568,8 @@ def _limit_cycle(
         segments.append(seg)
         if seg.flips:
             events += len(seg.flips)
-            keys.append(tuple(seg.flips))
-            times.append(seg.t)
+            keys.append(seg.flips)
+            times.append(float(seg.t))  # _last_cycle's arithmetic, on floats
             starts.append(dropped + len(segments) - 1)
             earlier = seen.setdefault(keys[-1], [])
             p, converged = _last_cycle(keys, times, earlier)
@@ -1900,7 +1914,8 @@ def calibrate_oscillator(
 
     def evaluate(c: float, g: float) -> CalibrationEvaluation | None:
         net = template.with_uniform_params(compliance=c, open_conductance=g)
-        compiled = _Compiled(net.validate(), (probe,))
+        # with_uniform_params changes nothing validate checks: the first evaluation's check holds for all
+        compiled = _Compiled(net if log else net.validate(), (probe,))
         cycle = _limit_cycle(compiled, compiled.initial_open, compiled.initial_volumes(None), math.inf)
         try:
             rep = _report(compiled, cycle, min_amplitude_kpa)

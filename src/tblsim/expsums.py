@@ -124,22 +124,25 @@ def _first_rises(c, b, lam, h, f0, r=None) -> np.ndarray:
     """``_first_rise`` of each row ``c_i + r_i τ + Σ_j b_ij e^(λ_ij τ)``,
     with ``f0`` per row; ``r`` None stands for 0 on every row. Every ``λ``
     is at most 0, so a row of one exponential and no ``r`` rises only
-    toward ``c > 0``, at ``log(-c/b)/λ``, where ``f0`` is below 0: that
-    closed form is taken for all such rows at once. Of the other rows,
+    toward ``c > 0``, at ``(log(c) - log(-b))/λ``, where ``f0`` is below
+    0: those rows alone are gathered, and that closed form, 0 where it is
+    negative and inf past ``h``, is taken for all of them at once; a row
+    of one exponential that does not rise so is inf. Of the other rows,
     one that cannot reach 0 is skipped, and ``_first_rise`` takes the
     rest. ``h`` may be inf."""
     nonzero = b != 0.0
     one = np.add.reduce(nonzero, axis=1) == 1
     if r is not None:
         one &= r == 0.0
-    if np.logical_or.reduce(one):
-        bi = np.add.reduce(b, axis=1)
-        rises = one & (f0 < 0.0) & (bi < 0.0) & (c > 0.0)  # λ < 0: a rise toward c > 0
-        li = np.where(rises, lam[np.arange(len(lam)), nonzero.argmax(axis=1)], 1.0)
-        ti = (np.log(np.where(rises, c, 1.0)) - np.log(np.where(rises, -bi, 1.0))) / li
-        t = np.where(rises & (ti <= h), np.maximum(ti, 0.0), math.inf)
-    else:
-        t = np.full(len(c), math.inf)
+    bi = np.add.reduce(b, axis=1)  # a row's one term, where it has one
+    # f0 < 0, b < 0 and c > 0, a NaN in none of them: λ < 0, so a rise toward c > 0
+    rise = (one & (np.maximum(np.maximum(f0, bi), -c) < 0.0)).nonzero()[0]
+    t = np.empty(len(c))
+    t.fill(math.inf)
+    if len(rise):
+        ti = (np.log(c[rise]) - np.log(-bi[rise])) / lam[rise, nonzero[rise].argmax(axis=1)]
+        ti[~(ti <= h)] = math.inf  # past h, or NaN
+        t[rise] = np.maximum(ti, 0.0)
     if not np.logical_and.reduce(one):
         reach = c + np.add.reduce(np.abs(b), axis=1)
         if r is not None:

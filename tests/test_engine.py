@@ -909,6 +909,91 @@ def test_region_solve_matches_a_dense_solve_on_gate_trees(net):
     assert calls
 
 
+def _grouped_by_unique(label):
+    """``engine._grouped`` as ``np.unique`` builds it: groups by size, then
+    by the rank of their label, each group's items in turn."""
+    _labels, inv, counts = np.unique(label, return_inverse=True, return_counts=True)
+    order = np.lexsort((inv, counts[inv]))
+    sizes, per_size = np.unique(counts[inv], return_counts=True)
+    return order, counts[inv][order], sizes, per_size
+
+
+def _blocks_by_unique(c):
+    """``_Compiled._blocks`` with its regions grouped by ``np.unique``, each
+    node's place in its region by ``engine._rank``."""
+    nodes = np.flatnonzero(c.region >= 0)
+    _labels, inv, counts = np.unique(c.region[nodes], return_inverse=True, return_counts=True)
+    order = np.lexsort((nodes, inv, counts[inv]))
+    nodes, inv, size = nodes[order], inv[order], counts[inv][order]
+    stacked, place = np.arange(len(nodes)), engine._rank(inv)
+    sizes, row0, nrows = np.unique(size, return_index=True, return_counts=True)
+    entry0 = np.cumsum(nrows * sizes) - nrows * sizes
+    stacks = list(zip(sizes.tolist(), (nrows // sizes).tolist(), row0.tolist(), entry0.tolist()))
+    base = np.repeat(entry0, nrows) + (stacked - np.repeat(row0, nrows) - place) * size
+    row, start, width, at = (np.full(c.n, -1) for _ in range(4))
+    row[nodes], start[nodes], width[nodes], at[nodes] = stacked, base, size, place
+    a, b = c.branch_a, c.branch_b
+    inner = (row[a] >= 0) & (row[b] >= 0)
+    ab = np.where(inner, start[a] + at[a] * width[a] + at[b], -1)
+    ba = np.where(inner, start[b] + at[b] * width[b] + at[a], -1)
+    diag = np.where(row >= 0, start + at * width + at, -1)
+    return row, diag[a], diag[b], ab, ba, nodes, diag[nodes], stacks, int((nrows * sizes).sum())
+
+
+def _check_grouping_against_unique(net, seed):
+    """The region layout, and the balloon blocks of the mode sets that
+    ``_Layers.modes`` decomposes (every balloon above rest, then random
+    ones), against the grouping by ``np.unique``: the same arrays, and the
+    same stacks of blocks, in the same order, of the same balloons."""
+    compiled = engine._Compiled(net.validate(), net.node_order())
+    for got, want in zip(compiled._blocks, _blocks_by_unique(compiled), strict=True):
+        assert type(got) is type(want) and np.array_equal(got, want)
+    for got, want in zip(engine._grouped(compiled.region[compiled.region >= 0]),
+                         _grouped_by_unique(compiled.region[compiled.region >= 0]), strict=True):
+        assert np.array_equal(got, want)
+    layers, rng, nc = compiled.layers, np.random.default_rng(seed), len(compiled.cap_idx)
+    compiled.regime(compiled.initial_open)  # its layers filled
+    for above in [np.ones(nc, dtype=bool), *(rng.random(nc) < 0.5 for _ in range(3))]:
+        bal = np.flatnonzero(above)
+        order, size, sizes, per_size = _grouped_by_unique(layers.cap[bal])
+        for got, want in zip(engine._grouped(layers.cap[bal]), (order, size, sizes, per_size), strict=True):
+            assert np.array_equal(got, want)
+        blocks = [bal[order][size == s].reshape(-1, s) for s in sizes.tolist()]
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(S):
+            stacks.append(S)
+            return eigh(S)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", recording_eigh)
+            layers._modes.clear()
+            layers.modes(np.where(above, engine._ABOVE, engine._BELOW))
+        # each stack decomposes its blocks' balloons, in the reference's order
+        K = layers.Q[:, :, 1:]
+        assert len(stacks) == len(blocks)
+        for S, idx in zip(stacks, blocks):
+            h = np.sqrt(compiled.compliance[idx][:, :, None])
+            Kb = K[:, idx[:, :, None], layers.slot[idx][:, None, :]]
+            assert S.tobytes() == ((Kb + Kb.swapaxes(-1, -2)) / (2.0 * h * h.transpose(0, 2, 1))).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in Path("circuits").glob("*.tbl")))
+def test_grouping_matches_unique_on_the_shipped_circuits(name):
+    _check_grouping_against_unique(_read_circuit(name), 0)
+
+
+def test_grouping_matches_unique_on_a_101_stage_ring():
+    _check_grouping_against_unique(build("source SUP pressure=145kPa\nring r n=101 supply=SUP\n"), 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_gate_trees(), st.integers(0, 2**32 - 1))
+def test_grouping_matches_unique_on_gate_trees(net, seed):
+    _check_grouping_against_unique(net, seed)
+
+
 def test_one_large_region_among_small_ones_is_stacked_unpadded(monkeypatch):
     # 300 NOT gates share one output: their valves join it and the 300
     # supply-side nodes into one region of 301 nodes, and each gate's
@@ -1864,6 +1949,41 @@ def test_first_rises_match_the_row_by_row_reference(args):
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)
     assert np.all(np.abs(got[finite] - want[finite]) <= 1.0e-9 * np.maximum(1.0, want[finite]))
+
+
+def _one_falling_term(args):
+    """Rows of ``_rise_rows`` cut to their first nonzero term, made to fall
+    toward ``|c|``: most of them rise in closed form."""
+    c, b, lam, h, _f0, _r = args
+    first = (b != 0.0) & (np.cumsum(b != 0.0, axis=1) == 1)
+    b = np.where(first, -np.abs(b), 0.0)
+    return np.abs(c), b, lam, h, np.abs(c) + b.sum(axis=1), None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_rise_rows(), _rise_rows().map(_one_falling_term)),
+       st.sampled_from([0.0, 0.0, 1.0e-3, -1.0e-3, 0.5, -0.5]))
+def test_first_rises_closed_form_is_the_logarithm_bit_for_bit(args, shift):
+    # f0 shifted off c + Σb, as a margin settled before the segment can be
+    c, b, lam, h, f0, r = args
+    f0 = f0 + shift
+    got = expsums._first_rises(c, b, lam, h, f0, r)
+    terms = np.count_nonzero(b, axis=1)
+    flat = np.ones(len(c), dtype=bool) if r is None else r == 0.0
+    # a row of one exponential rising toward c > 0: (log(c) - log(-b)) / λ,
+    # the rows taken together, at 0 where it is negative and inf past h
+    one = flat & (terms == 1)
+    rows = np.flatnonzero(one & (f0 < 0.0) & (b.sum(axis=1) < 0.0) & (c > 0.0))
+    col = np.argmax(b[rows] != 0.0, axis=1)
+    t = (np.log(c[rows]) - np.log(-b[rows, col])) / lam[rows, col]
+    want = np.where(t <= h, np.maximum(t, 0.0), math.inf)
+    assert got[rows].tobytes() == want.tobytes()
+    rest = one.copy()
+    rest[rows] = False
+    assert np.all(got[rest] == math.inf)
+    # a row whose only terms are exactly 0 keeps the general path's answer
+    zero = flat & (terms == 0)
+    assert np.array_equal(got[zero], np.where((f0 < 0.0) & (c >= 0.0), 0.0, math.inf)[zero])
 
 
 def test_regime_margin_is_the_hysteresis_rule_bit_for_bit():
